@@ -9,12 +9,12 @@ identically and independently on x and p (circularly symmetric noise).
 
 Mode mismatch: a fraction ``mismatch`` (xi) of each source's power is
 carried by spatial modes orthogonal to the signal, which do not interfere
-at any downstream beam splitter.  :func:`apply_channel` books that power
-in auxiliary modes appended after the existing state modes, one per
-(source, channel) pair in source-major order, each holding vacuum plus the
-mismatched excess.  Downstream consumers route those excesses incoherently
-(see the protocol module); the total per-channel excess is independent of
-xi, only its split between interfering and non-interfering parts changes.
+at any downstream beam splitter: independent noise
+xi * sum_s variance_s c_s[i]^2 on each channel.  :func:`channel_map` is
+the whole stage as one affine Gaussian map; per quadrature its added
+covariance is (1 - eta_i)(1/2 + n_i) + that noise on the diagonal plus the
+interfering (1 - xi) variance_s c_s c_s^T.  The total per-channel excess
+is independent of xi, only its split between the two parts changes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .states import VACUUM_VARIANCE, GaussianState, vacuum_state, tensor
+from .states import VACUUM_VARIANCE, GaussianState
+from .transforms import GaussianMap, embed
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,10 @@ class NoiseSource:
         coupling = np.array(self.coupling, dtype=float)
         if coupling.ndim != 1 or coupling.size == 0:
             raise ValueError("coupling must be a nonempty vector")
-        if self.variance < 0:
-            raise ValueError("source variance must be nonnegative")
+        if not np.all(np.isfinite(coupling)):
+            raise ValueError("coupling must be finite")
+        if not 0.0 <= self.variance < np.inf:
+            raise ValueError("source variance must be finite and nonnegative")
         coupling.flags.writeable = False
         object.__setattr__(self, "coupling", coupling)
 
@@ -72,10 +75,10 @@ class ChannelModel:
         thermal = np.broadcast_to(
             np.asarray(self.thermal, dtype=float), (self.n_channels,)
         ).copy()
-        if np.any(eta <= 0) or np.any(eta > 1):
+        if not np.all((eta > 0) & (eta <= 1)):
             raise ValueError("transmissivities must lie in (0, 1]")
-        if np.any(thermal < 0):
-            raise ValueError("thermal occupations must be nonnegative")
+        if not np.all((thermal >= 0) & (thermal < np.inf)):
+            raise ValueError("thermal occupations must be finite and nonnegative")
         if not 0.0 <= self.mismatch < 1.0:
             raise ValueError("mismatch fraction must lie in [0, 1)")
         sources = tuple(self.sources)
@@ -111,18 +114,32 @@ def excess_noise_snu(model: ChannelModel, channel: int) -> float:
     return float(total / VACUUM_VARIANCE)
 
 
-def bookkeeping_excess(model: ChannelModel) -> np.ndarray:
-    """Mismatched noise power per (source, channel), natural units.
+def channel_map(model: ChannelModel, modes, n_modes: int, own_noise=None) -> GaussianMap:
+    """The channel stage as one map on an N-mode register.
 
-    Entry [s, i] is the per-quadrature excess variance held by the
-    auxiliary mode that :func:`apply_channel` appends for source s on
-    channel i.
+    ``modes[i]`` is the register mode carried by channel i.  Channel i
+    carries its own non-interfering noise if i is in ``own_noise``
+    (default: every channel).
     """
-    if not model.sources:
-        return np.zeros((0, model.n_channels))
-    return np.array(
-        [model.mismatch * src.variance * src.coupling**2 for src in model.sources]
-    )
+    modes = tuple(int(m) for m in modes)
+    if len(modes) != model.n_channels:
+        raise ValueError("mode assignment length must equal n_channels")
+    if len(set(modes)) != len(modes):
+        raise ValueError("assigned modes must be distinct")
+    if any(not 0 <= m < n_modes for m in modes):
+        raise ValueError("assigned mode outside the state")
+
+    xi = model.mismatch
+    own = np.zeros(model.n_channels)  # non-interfering variance per channel
+    added = np.zeros((model.n_channels, model.n_channels))  # per quadrature
+    for src in model.sources:
+        own += xi * src.variance * src.coupling**2
+        added += (1.0 - xi) * src.variance * np.outer(src.coupling, src.coupling)
+    if own_noise is not None:
+        own = np.where(np.isin(np.arange(model.n_channels), own_noise), own, 0.0)
+    added += np.diag((1.0 - model.eta) * (VACUUM_VARIANCE + model.thermal) + own)
+    x = embed(np.diag(np.repeat(np.sqrt(model.eta), 2)), modes, n_modes)
+    return GaussianMap(x, embed(np.kron(added, np.eye(2)), modes, n_modes, fill=0.0))
 
 
 def apply_channel(state: GaussianState, modes, model: ChannelModel) -> GaussianState:
@@ -131,47 +148,10 @@ def apply_channel(state: GaussianState, modes, model: ChannelModel) -> GaussianS
     ``modes[i]`` is the state mode carried by channel i.  Each one is
     attenuated (mean by sqrt(eta), covariance toward the environment
     variance 1/2 + thermal), then the classical sources add their
-    interfering covariance; the mismatched remainder lands in appended
-    bookkeeping modes as described in the module docstring.
+    interfering and non-interfering covariance as described in the module
+    docstring.  The output holds the same modes as the input.
     """
-    modes = tuple(int(m) for m in modes)
-    if len(modes) != model.n_channels:
-        raise ValueError("mode assignment length must equal n_channels")
-    if len(set(modes)) != len(modes):
-        raise ValueError("assigned modes must be distinct")
-    if any(not 0 <= m < state.n_modes for m in modes):
-        raise ValueError("assigned mode outside the state")
-
-    n = state.n_modes
-    scale = np.ones(2 * n)
-    env = np.zeros((2 * n, 2 * n))
-    for i, m in enumerate(modes):
-        scale[2 * m] = scale[2 * m + 1] = np.sqrt(model.eta[i])
-        env_var = (1.0 - model.eta[i]) * (VACUUM_VARIANCE + model.thermal[i])
-        env[2 * m, 2 * m] = env_var
-        env[2 * m + 1, 2 * m + 1] = env_var
-    mean = scale * state.mean
-    cov = np.outer(scale, scale) * state.cov + env
-
-    # Interfering part of each source: rank-1 across the assigned modes,
-    # identical and independent in x and p.
-    matched = 1.0 - model.mismatch
-    for src in model.sources:
-        for q in (0, 1):
-            vec = np.zeros(2 * n)
-            for i, m in enumerate(modes):
-                vec[2 * m + q] = src.coupling[i]
-            cov += matched * src.variance * np.outer(vec, vec)
-
-    out = GaussianState(mean, cov)
-    excess = bookkeeping_excess(model)
-    for s in range(excess.shape[0]):
-        for i in range(model.n_channels):
-            aux = vacuum_state(1)
-            extra = excess[s, i] * np.eye(2)
-            aux = GaussianState(aux.mean, aux.cov + extra)
-            out = tensor(out, aux)
-    return out
+    return channel_map(model, modes, state.n_modes).apply(state)
 
 
 def standard_two_channel(
@@ -188,10 +168,10 @@ def standard_two_channel(
     eps_snu / g_ratio where g_ratio = g1 / g2.  A single correlated source
     with couplings (sqrt(g1), sqrt(g2)) realizes both.
     """
-    if g_ratio <= 0:
-        raise ValueError("g ratio must be positive")
-    if eps_snu < 0:
-        raise ValueError("excess noise must be nonnegative")
+    if not 0.0 < g_ratio < np.inf:
+        raise ValueError("g ratio must be finite and positive")
+    if not 0.0 <= eps_snu < np.inf:
+        raise ValueError("excess noise must be finite and nonnegative")
     g1, g2 = g_ratio, 1.0
     variance = VACUUM_VARIANCE * eps_snu / g1
     source = NoiseSource(np.sqrt([g1, g2]), variance, label="correlated")

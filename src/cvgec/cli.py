@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .protocol import (
     null_space_encoder,
     optimal_splitting_for,
 )
+from .states import VACUUM_VARIANCE
 
 #: Conventions echoed into every manifest and all --help texts.
 CONVENTIONS = {
@@ -57,6 +59,14 @@ _EPILOG = "Units and conventions:\n" + "\n".join(
 
 class UsageError(Exception):
     """Bad flag values detected after parsing."""
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: NaN and infinities are usage errors."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -98,14 +108,14 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("sweep-coherent", "variance and fidelity vs channel noise for a coherent state")
-    p.add_argument("--g-ratio", type=float, default=0.61, help="noise asymmetry g1/g2")
-    p.add_argument("--eta", type=float, default=1.0, help="channel transmissivity")
-    p.add_argument("--xi", type=float, default=0.0, help="non-interfering noise fraction")
+    p.add_argument("--g-ratio", type=_finite_float, default=0.61, help="noise asymmetry g1/g2")
+    p.add_argument("--eta", type=_finite_float, default=1.0, help="channel transmissivity")
+    p.add_argument("--xi", type=_finite_float, default=0.0, help="non-interfering noise fraction")
     p.add_argument(
-        "--amplitude", type=float, nargs=2, default=(2.0, 0.0), metavar=("X", "P"),
+        "--amplitude", type=_finite_float, nargs=2, default=(2.0, 0.0), metavar=("X", "P"),
         help="input coherent amplitude, natural units",
     )
-    p.add_argument("--eps-max", type=float, default=40.0, help="top of the noise axis, SNU")
+    p.add_argument("--eps-max", type=_finite_float, default=40.0, help="top of the noise axis, SNU")
     p.add_argument("--eps-steps", type=int, default=41, help="number of grid points")
     p.add_argument("--channel-config", help="load the channel from a config file instead")
     p.add_argument(
@@ -116,11 +126,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep_coherent)
 
     p = add("sweep-entangle", "inseparability vs channel noise for an entangled pair")
-    p.add_argument("--r", type=float, default=0.5, help="input two-mode squeezing parameter")
-    p.add_argument("--g-ratio", type=float, default=1.0, help="noise asymmetry g1/g2")
-    p.add_argument("--eta", type=float, default=1.0, help="channel transmissivity")
-    p.add_argument("--xi", type=float, default=0.0, help="non-interfering noise fraction")
-    p.add_argument("--eps-max", type=float, default=40.0, help="top of the noise axis, SNU")
+    p.add_argument(
+        "--r", type=_finite_float, default=0.5, help="input two-mode squeezing parameter"
+    )
+    p.add_argument("--g-ratio", type=_finite_float, default=1.0, help="noise asymmetry g1/g2")
+    p.add_argument("--eta", type=_finite_float, default=1.0, help="channel transmissivity")
+    p.add_argument("--xi", type=_finite_float, default=0.0, help="non-interfering noise fraction")
+    p.add_argument("--eps-max", type=_finite_float, default=40.0, help="top of the noise axis, SNU")
     p.add_argument("--eps-steps", type=int, default=41, help="number of grid points")
     p.add_argument("--channel-config", help="load the channel from a config file instead")
     p.add_argument(
@@ -131,12 +143,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep_entangle)
 
     p = add("trace", "sampled quadrature traces per protocol stage")
-    p.add_argument("--eps", type=float, default=25.0, help="channel-1 excess noise, SNU")
-    p.add_argument("--g-ratio", type=float, default=1.0, help="noise asymmetry g1/g2")
-    p.add_argument("--eta", type=float, default=1.0, help="channel transmissivity")
-    p.add_argument("--xi", type=float, default=0.0, help="non-interfering noise fraction")
+    p.add_argument("--eps", type=_finite_float, default=25.0, help="channel-1 excess noise, SNU")
+    p.add_argument("--g-ratio", type=_finite_float, default=1.0, help="noise asymmetry g1/g2")
+    p.add_argument("--eta", type=_finite_float, default=1.0, help="channel transmissivity")
+    p.add_argument("--xi", type=_finite_float, default=0.0, help="non-interfering noise fraction")
     p.add_argument(
-        "--amplitude", type=float, nargs=2, default=(2.0, 0.0), metavar=("X", "P"),
+        "--amplitude", type=_finite_float, nargs=2, default=(2.0, 0.0), metavar=("X", "P"),
         help="input coherent amplitude, natural units",
     )
     p.add_argument("--n", type=int, default=1000, help="number of shots")
@@ -156,11 +168,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = add("optimize", "numeric search for the best splitter settings")
-    p.add_argument("--g1", type=float, required=True, help="channel-1 noise magnitude")
-    p.add_argument("--g2", type=float, required=True, help="channel-2 noise magnitude")
-    p.add_argument("--xi", type=float, default=0.0, help="non-interfering noise fraction")
-    p.add_argument("--eta", type=float, default=1.0, help="channel transmissivity")
-    p.add_argument("--eps", type=float, default=10.0, help="channel-1 excess noise, SNU")
+    p.add_argument("--g1", type=_finite_float, required=True, help="channel-1 noise magnitude")
+    p.add_argument("--g2", type=_finite_float, required=True, help="channel-2 noise magnitude")
+    p.add_argument("--xi", type=_finite_float, default=0.0, help="non-interfering noise fraction")
+    p.add_argument("--eta", type=_finite_float, default=1.0, help="channel transmissivity")
+    p.add_argument("--eps", type=_finite_float, default=10.0, help="channel-1 excess noise, SNU")
     p.add_argument(
         "--objective", choices=("variance", "fidelity"), default="variance",
         help="quantity to optimize",
@@ -280,7 +292,9 @@ def _effective_channel(args, eps: float = 10.0):
 
     The sweep commands rebuild the model per noise level from --g-ratio;
     a loaded config must therefore match that parameterization, so its
-    g-ratio/eta/xi are adopted as the effective flags.
+    g-ratio/eta/xi are adopted as the effective flags.  A config the sweeps
+    cannot represent (per-channel eta, thermal noise) is refused; trace
+    runs the loaded model as it is.
     """
     if getattr(args, "channel_config", None):
         with open(args.channel_config) as fh:
@@ -290,12 +304,15 @@ def _effective_channel(args, eps: float = 10.0):
         c = model.sources[0].coupling
         if c[1] == 0:
             raise UsageError("channel-2 coupling must be nonzero")
+        if not hasattr(args, "eps") and (model.eta[1] != model.eta[0] or np.any(model.thermal)):
+            raise UsageError(
+                "the sweeps take one eta for both channels and no thermal noise; "
+                "this config needs trace"
+            )
         args.g_ratio = float(c[0] ** 2 / c[1] ** 2)
         args.eta = float(model.eta[0])
         args.xi = float(model.mismatch)
         if hasattr(args, "eps"):
-            from .states import VACUUM_VARIANCE
-
             args.eps = float(model.sources[0].variance * c[0] ** 2 / VACUUM_VARIANCE)
         return model
     return standard_two_channel(
@@ -337,14 +354,19 @@ def _write_manifest(args, seed=None, extras=None) -> None:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
+    """Write through a unique temporary file in the target directory, then
+    rename; the file gets the mode a plain open() would give it."""
+    directory, name = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=directory or ".")
     try:
-        with open(tmp, "w", newline="\n") as fh:
+        with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import ProtocolConfig, _fold_noninterfering, run_protocol
 from .channel import apply_channel
+from .protocol import ProtocolConfig, encode, run_protocol
 from .states import displace, partial_trace, tensor, vacuum_state
-from .transforms import BsConvention, beam_splitter
-from .transforms import apply as apply_transform
 
 #: Stage names in record order.
 STAGES = ("input", "channel_1", "channel_2", "corrected", "discarded")
@@ -42,7 +40,6 @@ class TraceRecord:
     quadrature: str
     samples: np.ndarray
     seed: int
-    dt_index: int = 0
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=float)
@@ -98,7 +95,7 @@ def sample_run(
         [streams.classical(src.variance, noise_dist) for _ in (0, 1)]
         for src in model.sources
     ]
-    book = [
+    own = [
         [
             [streams.normal(xi * src.variance * src.coupling[i] ** 2) for _ in (0, 1)]
             for i in (0, 1)
@@ -124,10 +121,10 @@ def sample_run(
         ch1 = outs[0].copy()
         ch2 = outs[1].copy()
         for s in range(len(model.sources)):
-            ch1 += book[s][0][q]
-            ch2 += book[s][1][q]
-            b_out = b_out + std * book[s][0][q] - ctd * book[s][1][q]
-            disc = disc - ctd * book[s][0][q] - std * book[s][1][q]
+            ch1 += own[s][0][q]
+            ch2 += own[s][1][q]
+            b_out = b_out + std * own[s][0][q] - ctd * own[s][1][q]
+            disc = disc - ctd * own[s][0][q] - std * own[s][1][q]
         quad = "X" if q == 0 else "P"
         records.append(TraceRecord("input", quad, b_in[q], seed))
         records.append(TraceRecord("channel_1", quad, ch1, seed))
@@ -172,15 +169,9 @@ def analytic_stage_moments(
     out = {}
     out["input"] = (inp.mean, inp.cov)
 
-    model = cfg.channel
-    st = tensor(inp, vacuum_state(1))
-    st = apply_transform(beam_splitter(cfg.T_e, (0, 1), BsConvention.PI_FLIP), st)
-    st = apply_channel(st, (0, 1), model)
+    st = apply_channel(encode(tensor(inp, vacuum_state(1)), cfg.T_e), (0, 1), cfg.channel)
     for i, stage in enumerate(("channel_1", "channel_2")):
-        routing = np.zeros((1, 2))
-        routing[0, i] = 1.0
-        folded = _fold_noninterfering(st, (i,), routing, book_start=2, model=model)
-        reduced = partial_trace(folded, [i])
+        reduced = partial_trace(st, [i])
         out[stage] = (reduced.mean, reduced.cov)
 
     joint = run_protocol(cfg, inp)  # modes: (corrected, discarded)
@@ -196,7 +187,7 @@ def write_trace_csv(records, stream) -> None:
     stream.write("stage,quadrature,index,value\n")
     for r in records:
         for k, v in enumerate(r.samples):
-            stream.write(f"{r.stage},{r.quadrature},{r.dt_index + k},{format(v, '.17g')}\n")
+            stream.write(f"{r.stage},{r.quadrature},{k},{format(v, '.17g')}\n")
 
 
 class _StreamPool:

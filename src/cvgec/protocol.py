@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, NoiseSource, apply_channel
+from .channel import ChannelModel, NoiseSource, channel_map
 from .network import complete_orthonormal
 from .states import GaussianState, displace, partial_trace, tensor, vacuum_state
 from .transforms import (
     BsConvention,
+    GaussianMap,
     SymplecticTransform,
     apply,
     beam_splitter,
@@ -111,22 +112,20 @@ def run_protocol(cfg: ProtocolConfig, state: GaussianState, signal_mode: int | N
 
     Returns a state over the original modes plus one extra: the signal
     slot holds the corrected output and the appended final mode is the
-    discarded decoder port.  Mismatched (non-interfering) noise booked by
-    the channel is routed onto both ports with the decoder amplitudes
-    before the bookkeeping modes are dropped.
+    discarded decoder port.  Each channel's non-interfering noise reaches
+    both ports with the decoder amplitudes, without interference.
     """
     if cfg.channel.n_channels != 2:
         raise ValueError("run_protocol drives the two-channel scheme")
     sig = cfg.signal_mode if signal_mode is None else signal_mode
-    n0 = state.n_modes
-    st = tensor(state, vacuum_state(1))  # auxiliary encoder input at n0
-    ports = (sig, n0)
-    st = encode(st, cfg.T_e, ports)
-    st = apply_channel(st, ports, cfg.channel)
-    st = decode(st, cfg.T_d, ports)
-    routing = beam_splitter_matrix(cfg.T_d, BsConvention.PI_FLIP)
-    st = _fold_noninterfering(st, ports, routing, book_start=n0 + 1, model=cfg.channel)
-    return partial_trace(st, range(n0 + 1))
+    n = state.n_modes + 1
+    ports = (sig, n - 1)  # auxiliary encoder input appended as vacuum
+    scheme = (
+        _splitter(cfg.T_e, ports, n)
+        .then(channel_map(cfg.channel, ports, n))
+        .then(_splitter(cfg.T_d, ports, n))
+    )
+    return scheme.apply(tensor(state, vacuum_state(1)))
 
 
 def corrected_channel(cfg: ProtocolConfig, state: GaussianState, signal_mode: int | None = None) -> GaussianState:
@@ -156,20 +155,10 @@ def uncorrected_channel(
     if not 0 <= channel < model.n_channels:
         raise ValueError("channel index out of range")
     n0 = state.n_modes
+    idle = iter(range(n0, n0 + model.n_channels - 1))
+    carriers = [sig if i == channel else next(idle) for i in range(model.n_channels)]
     st = tensor(state, vacuum_state(model.n_channels - 1))
-    carriers = []
-    extra = n0
-    for i in range(model.n_channels):
-        if i == channel:
-            carriers.append(sig)
-        else:
-            carriers.append(extra)
-            extra += 1
-    st = apply_channel(st, tuple(carriers), model)
-    routing = np.zeros((1, model.n_channels))
-    routing[0, channel] = 1.0
-    st = _fold_noninterfering(st, (sig,), routing, book_start=n0 + model.n_channels - 1, model=model)
-    return partial_trace(st, range(n0))
+    return partial_trace(channel_map(model, carriers, st.n_modes).apply(st), range(n0))
 
 
 def incoherent_strategy(cfg: ProtocolConfig, state: GaussianState, signal_mode: int | None = None) -> GaussianState:
@@ -182,9 +171,9 @@ def incoherent_strategy(cfg: ProtocolConfig, state: GaussianState, signal_mode: 
     noise-cancelling gain -sqrt(2 g1 / g2).  The correlated noise cancels
     in the mean square; the measurement leaves an excess-noise penalty of
     g1 / g2 natural units per quadrature, independent of the noise level.
-    Implemented as the Gaussian conditional (Schur-complement) update
-    composed with the outcome-proportional displacement, which collapses
-    to a linear covariance update over the joint Gaussian.
+    Averaged over the outcomes, displacing by ``G y`` for measured
+    quadratures y is the linear map X = I + G E_y, so the whole strategy is
+    one map on the joint Gaussian.
     """
     model = cfg.channel
     if model.n_channels != 2:
@@ -197,28 +186,24 @@ def incoherent_strategy(cfg: ProtocolConfig, state: GaussianState, signal_mode: 
     sig = cfg.signal_mode if signal_mode is None else signal_mode
 
     n0 = state.n_modes
-    st = tensor(state, vacuum_state(1))  # idle-channel carrier at n0
-    st = apply_channel(st, (sig, n0), model)
-    book_start = n0 + 1
-    n_book = 2 * len(model.sources)
-    anc = book_start + n_book
-    st = tensor(st, vacuum_state(1))  # heterodyne ancilla
+    n = n0 + 2
+    idle, anc = n0, n0 + 1  # idle-channel carrier, heterodyne ancilla
     bs = beam_splitter_matrix(0.5, BsConvention.PI_FLIP)
-    st = apply(beam_splitter(0.5, (n0, anc), BsConvention.PI_FLIP), st)
-
     # Outcomes: x at the first splitter port, p at the second.  The gain
-    # cancelling the correlated term follows from the port amplitudes.
-    y_idx = [2 * n0, 2 * anc + 1]
-    gain_x = -c1 / (bs[0, 0] * c2)
-    gain_p = -c1 / (bs[1, 0] * c2)
-    gains = np.zeros((st.mean.size, 2))
-    gains[2 * sig, 0] = gain_x
-    gains[2 * sig + 1, 1] = gain_p
-    st = _feedforward(st, y_idx, gains)
+    # cancelling the correlated term follows from the port amplitudes; the
+    # two entries below are G E_y of the map X = I + G E_y.
+    feedforward = np.eye(2 * n)
+    feedforward[2 * sig, 2 * idle] = -c1 / (bs[0, 0] * c2)
+    feedforward[2 * sig + 1, 2 * anc + 1] = -c1 / (bs[1, 0] * c2)
 
-    routing = np.array([[1.0, 0.0]])
-    st = _fold_noninterfering(st, (sig,), routing, book_start=book_start, model=model)
-    return partial_trace(st, range(n0))
+    # The heterodyned idle channel does not see its own non-interfering
+    # noise; the signal does see channel 1's.
+    strategy = (
+        channel_map(model, (sig, idle), n, own_noise=(0,))
+        .then(_splitter(0.5, (idle, anc), n))
+        .then(GaussianMap(feedforward))
+    )
+    return partial_trace(strategy.apply(tensor(state, vacuum_state(2))), range(n0))
 
 
 def characterize_single_mode_map(channel_fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -303,20 +288,17 @@ def n_channel_protocol(
     u = complete_orthonormal(s)
 
     n0 = state.n_modes
-    st = tensor(state, vacuum_state(n - 1))
     carriers = (signal_mode,) + tuple(range(n0, n0 + n - 1))
-    st = apply(SymplecticTransform(np.kron(u, np.eye(2)), carriers), st)
-
+    reg = n0 + n - 1
     sources = tuple(
         NoiseSource(p, v, label=f"pattern{k}")
         for k, (p, v) in enumerate(zip(patterns.patterns, variances))
     )
     model = ChannelModel(n, eta, 0.0, sources, xi)
-    st = apply_channel(st, carriers, model)
-
-    st = apply(SymplecticTransform(np.kron(u.T, np.eye(2)), carriers), st)
-    st = _fold_noninterfering(st, carriers, u.T, book_start=n0 + n - 1, model=model)
-    return partial_trace(st, range(n0))
+    encoder = GaussianMap.of(SymplecticTransform(np.kron(u, np.eye(2)), carriers), reg)
+    decoder = GaussianMap.of(SymplecticTransform(np.kron(u.T, np.eye(2)), carriers), reg)
+    scheme = encoder.then(channel_map(model, carriers, reg)).then(decoder)
+    return partial_trace(scheme.apply(tensor(state, vacuum_state(n - 1))), range(n0))
 
 
 def _orthonormalize(vectors, n: int) -> list[np.ndarray]:
@@ -336,47 +318,6 @@ def _orthonormalize(vectors, n: int) -> list[np.ndarray]:
     return basis
 
 
-def _feedforward(state: GaussianState, y_idx, gains: np.ndarray) -> GaussianState:
-    """Unconditional state after adding ``gains @ y`` to the quadratures,
-    where y are the measured quadrature slots ``y_idx``."""
-    cov = state.cov
-    y_idx = list(y_idx)
-    sigma_yy = cov[np.ix_(y_idx, y_idx)]
-    sigma_ys = cov[y_idx, :]
-    new_cov = cov + gains @ sigma_yy @ gains.T + gains @ sigma_ys + sigma_ys.T @ gains.T
-    new_mean = state.mean + gains @ state.mean[y_idx]
-    return GaussianState(new_mean, new_cov)
-
-
-def _fold_noninterfering(
-    state: GaussianState,
-    ports,
-    routing: np.ndarray,
-    book_start: int,
-    model: ChannelModel,
-) -> GaussianState:
-    """Route bookkeeping excess noise onto the decoder ports.
-
-    ``routing[k, i]`` is the amplitude with which channel i's
-    non-interfering noise reaches port ``ports[k]``; each bookkeeping
-    variable contributes with shared realizations, so cross-port
-    covariances are tracked too.  The excess is read from the bookkeeping
-    modes themselves (their variance above vacuum), laid out source-major
-    from ``book_start``.
-    """
-    n_src = len(model.sources)
-    if n_src == 0 or model.mismatch == 0.0:
-        return state
-    n_ch = model.n_channels
-    cov = state.cov.copy()
-    for s in range(n_src):
-        for q in (0, 1):
-            excess = np.empty(n_ch)
-            for i in range(n_ch):
-                b = book_start + s * n_ch + i
-                excess[i] = state.cov[2 * b + q, 2 * b + q] - 0.5
-            block = routing @ np.diag(excess) @ routing.T
-            for a, pa in enumerate(ports):
-                for bb, pb in enumerate(ports):
-                    cov[2 * pa + q, 2 * pb + q] += block[a, bb]
-    return GaussianState(state.mean, cov)
+def _splitter(t: float, modes: tuple[int, int], n_modes: int) -> GaussianMap:
+    """Pi-flip beam splitter of transmissivity t as a map on the register."""
+    return GaussianMap.of(beam_splitter(t, modes, BsConvention.PI_FLIP), n_modes)

@@ -11,7 +11,6 @@ its inputs, so states can be shared and evaluated in parallel freely.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -72,8 +71,7 @@ class GaussianState:
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean length {mean.size}"
             )
-        scale = max(1.0, float(np.max(np.abs(cov))))  # relative for large covariances
-        if np.max(np.abs(cov - cov.T)) > _SYMMETRY_TOL * scale:
+        if _asymmetric(cov):
             raise ValueError("covariance matrix is not symmetric")
         cov = 0.5 * (cov + cov.T)
         mean.flags.writeable = False
@@ -126,7 +124,7 @@ def add_noise(state: GaussianState, noise_cov: np.ndarray) -> GaussianState:
     noise_cov = np.asarray(noise_cov, dtype=float)
     if noise_cov.shape != state.cov.shape:
         raise ValueError("noise covariance dimension mismatch")
-    if np.max(np.abs(noise_cov - noise_cov.T)) > _SYMMETRY_TOL:
+    if _asymmetric(noise_cov):
         raise ValueError("noise covariance is not symmetric")
     if np.linalg.eigvalsh(noise_cov).min() < _NOISE_PSD_TOL:
         raise ValueError("noise covariance is not positive semidefinite")
@@ -140,7 +138,7 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
         raise ValueError("keep set must be nonempty")
     for k in keep:
         _check_mode(state, k)
-    idx = np.array([2 * k + q for k in keep for q in (0, 1)])
+    idx = _quad_indices(keep)
     return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)])
 
 
@@ -195,26 +193,17 @@ def physicality_check(state: GaussianState) -> bool:
     return bool(symplectic_eigenvalues(state).min() >= VACUUM_VARIANCE - _PHYSICALITY_TOL)
 
 
-def to_json(state: GaussianState) -> str:
-    """Debug serialization: n_modes, mean, and row-major covariance."""
-    return json.dumps(
-        {
-            "n_modes": state.n_modes,
-            "mean": state.mean.tolist(),
-            "cov": state.cov.ravel().tolist(),
-        }
-    )
-
-
-def from_json(text: str) -> GaussianState:
-    """Inverse of :func:`to_json`."""
-    obj = json.loads(text)
-    n = int(obj["n_modes"])
-    mean = np.array(obj["mean"], dtype=float)
-    cov = np.array(obj["cov"], dtype=float).reshape(2 * n, 2 * n)
-    return GaussianState(mean, cov)
-
-
 def _check_mode(state: GaussianState, mode: int) -> None:
     if not 0 <= mode < state.n_modes:
         raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
+
+
+def _asymmetric(matrix: np.ndarray) -> bool:
+    """Asymmetric beyond 1e-12, relative for entries above 1."""
+    scale = max(1.0, float(np.max(np.abs(matrix))))
+    return bool(np.max(np.abs(matrix - matrix.T)) > _SYMMETRY_TOL * scale)
+
+
+def _quad_indices(modes) -> list[int]:
+    """Positions of the (x, p) quadratures of ``modes`` in the interleaved order."""
+    return [2 * int(m) + q for m in modes for q in (0, 1)]

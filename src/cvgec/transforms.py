@@ -1,9 +1,11 @@
-"""Symplectic transforms: beam splitters, phase shifts, squeezers.
+"""Affine Gaussian maps and the symplectic transforms built on them.
 
-A transform stores its matrix over an explicit tuple of target modes and
-is embedded into the full mode space when applied, so the same element can
-act on any state that contains those modes.  Construction verifies the
-symplectic identity S Omega S^T = Omega to 1e-12.
+Every stage and protocol of the package is an affine Gaussian map on a
+fixed register of N modes, mean -> X mean + d, cov -> X cov X^T + Y
+(Weedbrook et al., RMP 84, 621 (2012), sec. II), carried whole by
+:class:`GaussianMap`.  A symplectic transform (beam splitter, phase shift,
+squeezer) is the case Y = 0, stored over its target modes so it can act on
+any state holding them; construction verifies S Omega S^T = Omega to 1e-12.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .states import GaussianState, symplectic_form, vacuum_state
+from .states import GaussianState, _quad_indices, symplectic_form, vacuum_state
 
 _SYMPLECTIC_TOL = 1e-12
 _MAX_SQUEEZING = 20.0
@@ -76,46 +78,83 @@ class SymplecticTransform:
         return len(self.modes)
 
 
+@dataclass(frozen=True)
+class GaussianMap:
+    """Affine Gaussian map on a register of N modes.
+
+    Args:
+        X: real 2N x 2N matrix acting on the mean and, as X cov X^T, on the
+            covariance.
+        Y: real symmetric 2N x 2N covariance added after X (default 0).
+        d: length-2N displacement added to the mean after X (default 0).
+    """
+
+    X: np.ndarray
+    Y: np.ndarray | None = None
+    d: np.ndarray | None = None
+
+    def __post_init__(self):
+        x = np.array(self.X, dtype=float)
+        dim = len(x)
+        y = np.zeros((dim, dim)) if self.Y is None else np.array(self.Y, dtype=float)
+        d = np.zeros(dim) if self.d is None else np.array(self.d, dtype=float)
+        if dim == 0 or dim % 2 or x.shape != (dim, dim) or y.shape != x.shape or d.shape != (dim,):
+            raise ValueError("need 2N x 2N matrices X and Y and a length-2N vector d")
+        for name, a in zip("XYd", (x, y, d)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    @property
+    def n_modes(self) -> int:
+        return self.d.size // 2
+
+    @classmethod
+    def of(cls, t: SymplecticTransform, n_modes: int) -> GaussianMap:
+        """The map of symplectic transform ``t`` inside an N-mode register."""
+        d = np.zeros(2 * n_modes)
+        if t.displacement is not None:
+            d[_quad_indices(t.modes)] = t.displacement
+        return cls(expand(t, n_modes), d=d)
+
+    def then(self, after: GaussianMap) -> GaussianMap:
+        """This map followed by ``after`` on the same register."""
+        x = after.X
+        return GaussianMap(x @ self.X, x @ self.Y @ x.T + after.Y, x @ self.d + after.d)
+
+    def apply(self, state: GaussianState) -> GaussianState:
+        """Image of a state held in the same register."""
+        return GaussianState(self.X @ state.mean + self.d, self.X @ state.cov @ self.X.T + self.Y)
+
+
+def embed(block: np.ndarray, modes, n_modes: int, fill: float = 1.0) -> np.ndarray:
+    """Place a 2k x 2k block over ``modes`` into an N-mode register, with
+    ``fill`` times the identity elsewhere (1 for transforms, 0 for noise)."""
+    if max(modes) >= n_modes:
+        raise ValueError("block targets a mode outside the register")
+    full = fill * np.eye(2 * n_modes)
+    idx = _quad_indices(modes)
+    full[np.ix_(idx, idx)] = block
+    return full
+
+
 def expand(t: SymplecticTransform, n_modes: int) -> np.ndarray:
     """Full 2N x 2N matrix of ``t`` acting inside an N-mode space."""
-    if max(t.modes) >= n_modes:
-        raise ValueError("transform targets a mode outside the state")
-    full = np.eye(2 * n_modes)
-    idx = _quad_indices(t.modes)
-    full[np.ix_(idx, idx)] = t.matrix
-    return full
+    return embed(t.matrix, t.modes, n_modes)
 
 
 def apply(t: SymplecticTransform, state: GaussianState) -> GaussianState:
     """Evolve a state: mean -> S mean (+ displacement), cov -> S cov S^T."""
-    s = expand(t, state.n_modes)
-    mean = s @ state.mean
-    if t.displacement is not None:
-        mean[_quad_indices(t.modes)] += t.displacement
-    return GaussianState(mean, s @ state.cov @ s.T)
+    return GaussianMap.of(t, state.n_modes).apply(state)
 
 
 def compose(second: SymplecticTransform, first: SymplecticTransform) -> SymplecticTransform:
     """The transform equal to ``first`` followed by ``second``."""
     modes = tuple(sorted(set(first.modes) | set(second.modes)))
-    pos = {m: i for i, m in enumerate(modes)}
-    n = len(modes)
-
-    def embed(t):
-        full = np.eye(2 * n)
-        idx = _quad_indices(tuple(pos[m] for m in t.modes))
-        full[np.ix_(idx, idx)] = t.matrix
-        return full
-
-    s1, s2 = embed(first), embed(second)
-    disp = np.zeros(2 * n)
-    if first.displacement is not None:
-        disp[_quad_indices(tuple(pos[m] for m in first.modes))] += first.displacement
-    disp = s2 @ disp
-    if second.displacement is not None:
-        disp[_quad_indices(tuple(pos[m] for m in second.modes))] += second.displacement
+    n = modes[-1] + 1
+    total = GaussianMap.of(first, n).then(GaussianMap.of(second, n))
+    idx = _quad_indices(modes)
     has_disp = first.displacement is not None or second.displacement is not None
-    return SymplecticTransform(s2 @ s1, modes, disp if has_disp else None)
+    return SymplecticTransform(total.X[np.ix_(idx, idx)], modes, total.d[idx] if has_disp else None)
 
 
 def beam_splitter_matrix(t: float, convention: BsConvention = BsConvention.PI_FLIP) -> np.ndarray:
@@ -177,7 +216,3 @@ def two_mode_squeezed(r: float) -> GaussianState:
     state = apply(squeeze(r, 0.0, mode=0), state)
     state = apply(squeeze(-r, 0.0, mode=1), state)
     return apply(beam_splitter(0.5, (0, 1)), state)
-
-
-def _quad_indices(modes: tuple[int, ...]) -> list[int]:
-    return [2 * m + q for m in modes for q in (0, 1)]

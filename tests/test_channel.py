@@ -7,7 +7,6 @@ from cvgec.channel import (
     ChannelModel,
     NoiseSource,
     apply_channel,
-    bookkeeping_excess,
     dump_channel_config,
     excess_noise_snu,
     mismatch_from_visibility,
@@ -85,23 +84,28 @@ class TestApplyChannel:
 
 
 class TestMismatchBookkeeping:
-    def test_bookkeeping_modes_appended(self):
+    def test_channel_keeps_mode_count(self):
+        # the non-interfering power sits on each channel's own diagonal:
+        # xi * var * g_i on top of vacuum, and no mode is appended
         model = single_source(1.0, 2.0, 3.0, xi=0.25)
-        out = apply_channel(vacuum_state(2), (0, 1), model)
-        assert out.n_modes == 4  # one per channel per source
-        excess = bookkeeping_excess(model)
-        assert excess.shape == (1, 2)
-        assert out.cov[4, 4] == pytest.approx(0.5 + excess[0, 0], abs=1e-14)
-        assert out.cov[6, 6] == pytest.approx(0.5 + excess[0, 1], abs=1e-14)
+        out = apply_channel(vacuum_state(3), (0, 2), model)
+        assert out.n_modes == 3
+        assert out.cov[0, 0] == pytest.approx(0.5 + 3.0, abs=1e-14)
+        assert out.cov[4, 4] == pytest.approx(0.5 + 2.0 * 3.0, abs=1e-14)
+        assert out.cov[0, 4] == pytest.approx(0.75 * np.sqrt(2.0) * 3.0, abs=1e-14)
+        assert np.allclose(out.cov[2:4, :], vacuum_state(3).cov[2:4, :], atol=0)
 
     def test_total_excess_invariant_in_xi(self):
-        # only the split between interfering and booked power changes
+        # only the split between interfering and non-interfering power
+        # changes: the diagonal excess stays g_i * var, the cross term
+        # carries the interfering fraction alone
         for xi in (0.0, 0.3, 0.9):
             model = single_source(1.5, 0.7, 4.0, xi=xi)
             out = apply_channel(vacuum_state(2), (0, 1), model)
-            matched = out.cov[0, 0] - 0.5
-            booked = out.cov[4, 4] - 0.5 if model.mismatch > 0 else 0.0
-            assert matched + booked == pytest.approx(1.5 * 4.0, abs=1e-12)
+            assert out.cov[0, 0] - 0.5 == pytest.approx(1.5 * 4.0, abs=1e-12)
+            assert out.cov[2, 2] - 0.5 == pytest.approx(0.7 * 4.0, abs=1e-12)
+            cross = (1.0 - xi) * np.sqrt(1.5 * 0.7) * 4.0
+            assert out.cov[0, 2] == pytest.approx(cross, abs=1e-12)
 
     def test_half_mismatch_halves_interfering_power(self):
         base = apply_channel(vacuum_state(2), (0, 1), single_source(1.0, 1.0, 6.0, xi=0.0))
@@ -119,10 +123,13 @@ class TestMismatchBookkeeping:
         assert mismatch_from_visibility(0.995) == pytest.approx(0.009975, abs=1e-12)
         assert mismatch_from_visibility(1.0) == 0.0
 
-    def test_zero_xi_adds_no_bookkeeping_noise(self):
+    def test_zero_xi_adds_no_noninterfering_noise(self):
+        # at xi = 0 the added covariance is exactly the rank-1 source term
         model = single_source(1.0, 1.0, 5.0, xi=0.0)
         out = apply_channel(vacuum_state(2), (0, 1), model)
-        assert np.allclose(out.cov[4:, 4:], 0.5 * np.eye(4), atol=1e-15)
+        assert out.n_modes == 2
+        expected = 0.5 * np.eye(4) + 5.0 * np.kron(np.ones((2, 2)), np.eye(2))
+        assert np.allclose(out.cov, expected, atol=1e-15)
 
 
 class TestExcessNoise:
@@ -160,6 +167,28 @@ class TestValidation:
     def test_negative_variance(self):
         with pytest.raises(ValueError):
             NoiseSource([1.0, 1.0], -0.1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: NoiseSource([1.0, 1.0], np.nan),
+            lambda: NoiseSource([1.0, 1.0], np.inf),
+            lambda: NoiseSource([1.0, np.nan], 1.0),
+            lambda: NoiseSource([np.inf, 1.0], 1.0),
+            lambda: ChannelModel(2, eta=np.nan),
+            lambda: ChannelModel(2, eta=[0.9, np.nan]),
+            lambda: ChannelModel(2, thermal=np.nan),
+            lambda: ChannelModel(2, thermal=np.inf),
+            lambda: ChannelModel(2, mismatch=np.nan),
+            lambda: standard_two_channel(np.nan, 1.0),
+            lambda: standard_two_channel(np.inf, 1.0),
+            lambda: standard_two_channel(1.0, np.nan),
+            lambda: standard_two_channel(1.0, np.inf),
+        ],
+    )
+    def test_non_finite_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestConfigRoundTrip:

@@ -85,6 +85,69 @@ class TestSweepCoherent:
             assert np.allclose(cols1[name], cols2[name], rtol=1e-12, atol=1e-12, equal_nan=True)
 
 
+    def test_non_finite_flag_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "nan.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["sweep-coherent", "--eps-max", "nan", "--eps-steps", "3", "--out", str(out)])
+        assert err.value.code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestChannelConfigInSweeps:
+    """The sweeps rebuild a one-source model with a single eta and no
+    thermal noise; a config outside that family is refused, trace keeps it."""
+
+    UNEQUAL_ETA_THERMAL = "n_channels 2\neta 0.9 0.5\nthermal 0.3 0.3\nmismatch 0\nsource s 0.5 1 1\n"
+
+    @pytest.mark.parametrize("command", ["sweep-coherent", "sweep-entangle"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            UNEQUAL_ETA_THERMAL,
+            "n_channels 2\neta 0.9 0.5\nsource s 5 1 1\n",
+            "n_channels 2\neta 0.9 0.9\nthermal 0 0.3\nsource s 5 1 1\n",
+        ],
+    )
+    def test_unrepresentable_config_refused(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "channel.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        argv = [command, "--channel-config", str(cfg), "--eps-steps", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert "trace" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_representable_config_accepted(self, tmp_path):
+        cfg = tmp_path / "channel.cfg"
+        cfg.write_text("n_channels 2\neta 0.9 0.9\nthermal 0 0\nsource s 5 1 1\n")
+        out = tmp_path / "out.csv"
+        assert main(["sweep-coherent", "--channel-config", str(cfg), "--eps-steps", "3",
+                     "--out", str(out)]) == 0
+        assert out.exists()
+
+    def test_trace_keeps_full_config(self, tmp_path):
+        cfg = tmp_path / "channel.cfg"
+        cfg.write_text(self.UNEQUAL_ETA_THERMAL)
+        out, dump = tmp_path / "t.csv", tmp_path / "dump.cfg"
+        assert main(["trace", "--channel-config", str(cfg), "--n", "20000", "--seed", "5",
+                     "--out", str(out), "--dump-config", str(dump)]) == 0
+        text = dump.read_text()
+        assert "eta 0.90000000000000002 0.5\n" in text
+        assert "thermal 0.29999999999999999 0.29999999999999999\n" in text
+        # channel 2 carries eta 0.5 and thermal 0.3: its x variance is
+        # 0.5 * 0.5 + 0.5 * (0.5 + 0.3) + 0.5 = 1.15, not the 1.0 of eta 0.9
+        # without thermal noise
+        import csv
+
+        with open(out) as fh:
+            samples = [
+                float(row["value"]) for row in csv.DictReader(fh)
+                if row["stage"] == "channel_2" and row["quadrature"] == "X"
+            ]
+        assert np.var(samples, ddof=1) == pytest.approx(1.15, rel=0.05)
+
+
 class TestSweepEntangle:
     def test_reference_run(self, tmp_path, capsys):
         out = tmp_path / "fig4.csv"
@@ -217,6 +280,46 @@ class TestHarness:
     def test_io_error_exits_4(self, tmp_path, capsys):
         missing = tmp_path / "nope" / "out.csv"
         assert main(["sweep-coherent", "--eps-steps", "3", "--out", str(missing)]) == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-coherent", "--g-ratio", "inf"],
+            ["sweep-coherent", "--amplitude", "1", "nan"],
+            ["sweep-entangle", "--r", "nan"],
+            ["sweep-entangle", "--xi=-inf"],
+            ["trace", "--eps", "nan"],
+            ["trace", "--eta", "inf"],
+            ["optimize", "--g1", "nan", "--g2", "1"],
+            ["optimize", "--g1", "1", "--g2", "1", "--eps", "inf"],
+        ],
+    )
+    def test_non_finite_flags_exit_2(self, tmp_path, argv):
+        out = tmp_path / "o.csv"
+        if argv[0] != "optimize":
+            argv = argv + ["--out", str(out)]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stale_tmp_name_does_not_block_writes(self, tmp_path):
+        out = tmp_path / "o.csv"
+        (tmp_path / "o.csv.tmp").mkdir()
+        assert main(["sweep-coherent", "--eps-steps", "3", "--out", str(out)]) == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["o.csv", "o.csv.manifest.json", "o.csv.tmp"]
+
+    def test_output_mode_follows_umask(self, tmp_path):
+        import os
+
+        out = tmp_path / "o.csv"
+        old = os.umask(0o027)
+        try:
+            assert main(["sweep-coherent", "--eps-steps", "3", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o640
 
     def test_no_partial_files_on_error(self, tmp_path):
         missing_dir = tmp_path / "nope"

@@ -152,6 +152,22 @@ class TestCorrectedChannel:
             assert excess_corr <= excess_single + 1e-12
             assert excess_corr > 0.0
 
+    def test_closed_form_vacuum_variance(self):
+        # vacuum in, no thermal noise: the signal port keeps the interfering
+        # amplitude sqrt(T_d g1) - sqrt((1-T_d) g2) and the incoherent sum
+        # of each channel's non-interfering power, for any T_e and eta
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            g1, g2 = rng.uniform(0.05, 4.0, 2)
+            var, xi = rng.uniform(0.0, 20.0), rng.uniform(0.0, 0.5)
+            te, td, eta = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.1, 1.0)
+            model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), var),), xi)
+            out = corrected_channel(ProtocolConfig(te, td, model), vacuum_state(1))
+            coherent = (np.sqrt(td * g1) - np.sqrt((1.0 - td) * g2)) ** 2
+            incoherent = td * g1 + (1.0 - td) * g2
+            expected = 0.5 + var * ((1.0 - xi) * coherent + xi * incoherent)
+            assert np.allclose(out.cov, expected * np.eye(2), rtol=1e-12, atol=1e-12)
+
     def test_map_characterization(self):
         cfg = config(15.0, g_ratio=0.61, eta=0.75)
         x, d, y = characterize_single_mode_map(lambda s: corrected_channel(cfg, s))
@@ -239,6 +255,19 @@ class TestIncoherentStrategy:
                 f_corr = fidelity(corrected_channel(cfg, probe), probe)
                 f_incoh = fidelity(incoherent_strategy(cfg, probe), probe)
                 assert f_corr > f_incoh
+
+    def test_mismatch_rule(self):
+        # the signal carries channel 1's non-interfering noise xi var g1; the
+        # heterodyned idle channel carries none of its own, so the penalty
+        # stays g1/g2 on top of it
+        g1, g2, eta, var, xi = 1.3, 0.9, 0.8, 6.0, 0.05
+        model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), var),), xi)
+        t = optimal_splitting(g1, g2)
+        state = displace(vacuum_state(1), 0, 1.0, -0.5)
+        out = incoherent_strategy(ProtocolConfig(t, t, model), state)
+        ref = pure_loss_reference(state, eta)
+        assert np.allclose(out.cov - ref.cov, (g1 / g2 + xi * var * g1) * np.eye(2), atol=1e-12)
+        assert np.allclose(out.mean, ref.mean, atol=1e-12)
 
     def test_idle_channel_without_noise_rejected(self):
         model = ChannelModel(2, 1.0, 0.0, (NoiseSource([1.0, 0.0], 1.0),))
@@ -329,6 +358,24 @@ class TestNChannelProtocol:
         ref = pure_loss_reference(state, 0.7)
         assert np.abs(out.cov - ref.cov).max() < 1e-12
         assert np.abs(out.mean - ref.mean).max() < 1e-12
+
+    def test_mismatch_residual(self):
+        # xi > 0: each channel's non-interfering noise reaches the signal
+        # port with weight s_i^2, so the excess is xi sum_s var_s sum_i s_i^2 c_si^2
+        rng = np.random.default_rng(24)
+        for n, k in ((4, 2), (6, 3), (8, 5)):
+            patterns = NoisePatternSet(tuple(rng.normal(size=(k, n))))
+            variances = rng.uniform(0.5, 10.0, k)
+            xi, eta = 0.03, 0.8
+            signal = null_space_encoder(patterns)
+            state = displace(vacuum_state(1), 0, 0.7, 1.1)
+            out = n_channel_protocol(patterns, eta, variances, state, xi=xi)
+            residual = xi * sum(
+                v * np.sum(signal**2 * p**2) for p, v in zip(patterns.patterns, variances)
+            )
+            ref = pure_loss_reference(state, eta)
+            assert np.allclose(out.cov - ref.cov, residual * np.eye(2), rtol=1e-12, atol=1e-12)
+            assert np.allclose(out.mean, ref.mean, atol=1e-12)
 
     def test_entangled_input_supported(self):
         from cvgec.transforms import two_mode_squeezed

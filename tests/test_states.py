@@ -11,13 +11,11 @@ from cvgec.states import (
     as_snu,
     displace,
     duan_simon,
-    from_json,
     partial_trace,
     physicality_check,
     quadrature_variance,
     symplectic_eigenvalues,
     tensor,
-    to_json,
     vacuum_state,
 )
 from cvgec.transforms import apply, phase_shift, squeeze, two_mode_squeezed
@@ -117,6 +115,16 @@ class TestAddNoise:
             add_noise(vacuum_state(1), bad)
 
 
+    def test_symmetry_tolerance_is_relative(self):
+        # the same relative 1e-12 test as GaussianState: rounding on large
+        # noise passes, a real asymmetry does not
+        big = np.diag([1e4, 1e4])
+        rounded = big + np.array([[0.0, 1e-10], [0.0, 0.0]])
+        assert add_noise(vacuum_state(1), rounded).cov[0, 1] == pytest.approx(5e-11)
+        with pytest.raises(ValueError, match="symmetric"):
+            add_noise(vacuum_state(1), big + np.array([[0.0, 1e-6], [0.0, 0.0]]))
+
+
 class TestPartialTrace:
     def test_keep_all_is_identity(self):
         state = two_mode_squeezed(0.4)
@@ -205,13 +213,3 @@ class TestSymplecticSpectrum:
 
     def test_vacuum_passes(self):
         assert physicality_check(vacuum_state(2))
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(5)
-        state = random_physical_state(rng, 2)
-        back = from_json(to_json(state))
-        assert back.n_modes == state.n_modes
-        assert np.allclose(back.mean, state.mean, atol=0)
-        assert np.allclose(back.cov, state.cov, atol=0)
