@@ -1,8 +1,12 @@
 """Sweeps and searches over the protocol: variance, fidelity, entanglement.
 
 The noise axis ``eps`` is always channel 1's excess noise in SNU at the
-channel output (see :func:`cvgec.channel.standard_two_channel`).  Sweep
-points are independent pure computations; results follow the axis order.
+channel output (see :func:`cvgec.channel.standard_two_channel`).  Each
+strategy is one affine map whose signal-mode covariance is affine in the
+noise, cov -> X cov X^T + Y0 + eps Y1, because the optimal splitting and
+the couplings do not depend on eps.  So every map is built once per call,
+a sweep is one array operation over the whole grid, and the entanglement
+breaking point is the root of a linear equation.
 """
 
 from __future__ import annotations
@@ -13,16 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import NoiseSource, ChannelModel, standard_two_channel
-from .fidelity import fidelity
+from .fidelity import fidelity, fidelity_moments
 from .protocol import (
     ProtocolConfig,
     corrected_channel,
-    incoherent_strategy,
+    corrected_map,
+    incoherent_map,
     optimal_splitting_for,
-    uncorrected_channel,
+    uncorrected_map,
 )
-from .states import GaussianState, as_snu, displace, duan_simon, vacuum_state
-from .transforms import two_mode_squeezed
+from .states import VACUUM_VARIANCE, as_snu, displace, duan_number, vacuum_state
+from .transforms import _MAX_SQUEEZING, GaussianMap, two_mode_squeezed
 
 #: CSV column order shared by both sweep commands.
 SWEEP_COLUMNS = (
@@ -84,33 +89,39 @@ def coherent_sweep(
     with no gain rescaling; displacement-corrected values are stashed in
     the metadata alongside the channel-2 uncorrected alternative.
     """
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    if eps_grid.size == 0:
-        raise ValueError("empty noise grid")
+    eps_grid = _noise_values(eps_grid)
     probe = displace(vacuum_state(1), 0, amplitude[0], amplitude[1])
-    cols = {name: np.empty(eps_grid.size) for name in SWEEP_COLUMNS[1:]}
-    alt = {name: np.empty(eps_grid.size) for name in ("var_x", "var_p", "fid")}
-    shifted = {name: np.empty(eps_grid.size) for name in ("fid_corr", "fid_uncorr")}
-    for k, eps in enumerate(eps_grid):
-        cfg = _two_channel_config(eps, g_ratio, eta, xi)
-        corr = corrected_channel(cfg, probe)
-        unc = uncorrected_channel(cfg, probe, channel=0)
-        unc2 = uncorrected_channel(cfg, probe, channel=1)
-        inc = incoherent_strategy(cfg, probe)
-        cols["var_x_corr_snu"][k] = as_snu(corr.cov[0, 0])
-        cols["var_p_corr_snu"][k] = as_snu(corr.cov[1, 1])
-        cols["var_x_uncorr_snu"][k] = as_snu(unc.cov[0, 0])
-        cols["var_p_uncorr_snu"][k] = as_snu(unc.cov[1, 1])
-        cols["fid_corr"][k] = fidelity(corr, probe)
-        cols["fid_uncorr"][k] = fidelity(unc, probe)
-        cols["fid_incoh"][k] = fidelity(inc, probe)
-        cols["insep_corr"][k] = np.nan
-        cols["insep_uncorr"][k] = np.nan
-        alt["var_x"][k] = as_snu(unc2.cov[0, 0])
-        alt["var_p"][k] = as_snu(unc2.cov[1, 1])
-        alt["fid"][k] = fidelity(unc2, probe)
-        shifted["fid_corr"][k] = fidelity(GaussianState(probe.mean, corr.cov), probe)
-        shifted["fid_uncorr"][k] = fidelity(GaussianState(probe.mean, unc.cov), probe)
+    mean, cov = probe.mean, probe.cov
+    (m_corr, v_corr), (m_unc, v_unc), (m_unc2, v_unc2), (m_inc, v_inc) = (
+        _outputs(_noise_axis(strategy, g_ratio, eta, xi), mean, cov, eps_grid)
+        for strategy in (
+            corrected_map,
+            uncorrected_map,
+            lambda cfg, n_modes: uncorrected_map(cfg, n_modes, channel=1),
+            incoherent_map,
+        )
+    )
+    nan = np.full(eps_grid.size, np.nan)
+    cols = {
+        "var_x_corr_snu": as_snu(v_corr[:, 0, 0]),
+        "var_p_corr_snu": as_snu(v_corr[:, 1, 1]),
+        "var_x_uncorr_snu": as_snu(v_unc[:, 0, 0]),
+        "var_p_uncorr_snu": as_snu(v_unc[:, 1, 1]),
+        "fid_corr": fidelity_moments(m_corr, v_corr, mean, cov),
+        "fid_uncorr": fidelity_moments(m_unc, v_unc, mean, cov),
+        "fid_incoh": fidelity_moments(m_inc, v_inc, mean, cov),
+        "insep_corr": nan,
+        "insep_uncorr": nan,
+    }
+    alt = {
+        "var_x": as_snu(v_unc2[:, 0, 0]),
+        "var_p": as_snu(v_unc2[:, 1, 1]),
+        "fid": fidelity_moments(m_unc2, v_unc2, mean, cov),
+    }
+    shifted = {
+        "fid_corr": fidelity_moments(mean, v_corr, mean, cov),
+        "fid_uncorr": fidelity_moments(mean, v_unc, mean, cov),
+    }
     metadata = {
         "sweep": "coherent",
         "g_ratio": g_ratio,
@@ -136,24 +147,24 @@ def entanglement_sweep(
     Variance columns report the transmitted mode.  Fidelity columns are
     NaN (multimode fidelity is out of scope).
     """
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    if eps_grid.size == 0:
-        raise ValueError("empty noise grid")
-    pair = two_mode_squeezed(r)
-    cols = {name: np.empty(eps_grid.size) for name in SWEEP_COLUMNS[1:]}
-    for k, eps in enumerate(eps_grid):
-        cfg = _two_channel_config(eps, g_ratio, eta, xi)
-        corr = corrected_channel(cfg, pair, signal_mode=1)
-        unc = uncorrected_channel(cfg, pair, signal_mode=1, channel=0)
-        cols["var_x_corr_snu"][k] = as_snu(corr.cov[2, 2])
-        cols["var_p_corr_snu"][k] = as_snu(corr.cov[3, 3])
-        cols["var_x_uncorr_snu"][k] = as_snu(unc.cov[2, 2])
-        cols["var_p_uncorr_snu"][k] = as_snu(unc.cov[3, 3])
-        cols["fid_corr"][k] = np.nan
-        cols["fid_uncorr"][k] = np.nan
-        cols["fid_incoh"][k] = np.nan
-        cols["insep_corr"][k] = duan_simon(corr, (0, 1))
-        cols["insep_uncorr"][k] = duan_simon(unc, (0, 1))
+    eps_grid = _noise_values(eps_grid)
+    pair = two_mode_squeezed(r).cov
+    corr, unc = (
+        _pair_outputs(_noise_axis(strategy, g_ratio, eta, xi), pair, eps_grid)
+        for strategy in (corrected_map, uncorrected_map)
+    )
+    nan = np.full(eps_grid.size, np.nan)
+    cols = {
+        "var_x_corr_snu": as_snu(corr[:, 2, 2]),
+        "var_p_corr_snu": as_snu(corr[:, 3, 3]),
+        "var_x_uncorr_snu": as_snu(unc[:, 2, 2]),
+        "var_p_uncorr_snu": as_snu(unc[:, 3, 3]),
+        "fid_corr": nan,
+        "fid_uncorr": nan,
+        "fid_incoh": nan,
+        "insep_corr": duan_number(corr, (0, 1)),
+        "insep_uncorr": duan_number(unc, (0, 1)),
+    }
     metadata = {
         "sweep": "entanglement",
         "r": r,
@@ -173,21 +184,15 @@ def inseparability_infimum(
     strategy: str,
     r_max: float = 10.0,
 ) -> float:
-    """Smallest inseparability over input squeezing r in [0, r_max]."""
-    if strategy not in ("corrected", "uncorrected"):
-        raise ValueError("strategy must be 'corrected' or 'uncorrected'")
-    cfg = _two_channel_config(eps, g_ratio, eta, xi)
+    """Smallest inseparability over input squeezing r in [0, r_max].
 
-    def insep(r):
-        pair = two_mode_squeezed(r)
-        if strategy == "corrected":
-            out = corrected_channel(cfg, pair, signal_mode=1)
-        else:
-            out = uncorrected_channel(cfg, pair, signal_mode=1, channel=0)
-        return duan_simon(out, (0, 1))
-
-    r_opt, value = golden_section(insep, 0.0, r_max, tol=1e-9)
-    return min(value, insep(0.0), insep(r_max))
+    Sending mode 1 of a two-mode squeezed vacuum through the single-mode
+    map cov -> X cov X^T + Y gives the Duan number
+    a cosh 2r + b sinh 2r + tr Y with a = 1 + |X|_F^2 / 2 and
+    b = -(X_xx + X_pp); see :func:`_squeezing_minimum` for its minimum.
+    """
+    at_zero, slope = _infimum_line(g_ratio, eta, xi, strategy, r_max)
+    return at_zero + float(_noise_values(eps)) * slope
 
 
 def entanglement_breaking_point(
@@ -196,44 +201,24 @@ def entanglement_breaking_point(
     xi: float,
     strategy: str,
     r_max: float = 10.0,
-    tol: float = 1e-6,
     eps_limit: float = 1000.0,
-    method: str = "bisect",
 ) -> float:
     """Smallest noise level at which no input state stays entangled.
 
-    Bisects (or grid-scans with linear interpolation, ``method='scan'``)
-    the infimum of the inseparability over input squeezing; returns
-    ``math.inf`` if the channel never breaks below ``eps_limit``, which is
-    the ideal corrected case.
+    Only tr Y depends on the noise, and it is affine in it, so the
+    infimum of the inseparability reaches 2 at the root of a linear
+    equation.  Returns ``math.inf`` if the channel never breaks at or below
+    ``eps_limit``, which is the ideal corrected case.
     """
-
-    def gap(eps):
-        return inseparability_infimum(eps, g_ratio, eta, xi, strategy, r_max) - 2.0
-
-    if gap(0.0) >= 0.0:
+    if not eps_limit >= 0.0:
+        raise ValueError("eps_limit must be nonnegative")
+    at_zero, slope = _infimum_line(g_ratio, eta, xi, strategy, r_max)
+    gap = at_zero - 2.0
+    if gap >= 0.0:
         return 0.0
-    hi = 1.0
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > eps_limit:
-            return math.inf
-    if method == "scan":
-        grid = np.linspace(0.0, hi, 101)
-        values = np.array([gap(e) for e in grid])
-        k = int(np.argmax(values >= 0.0))
-        # affine between neighbouring grid points
-        e0, e1 = grid[k - 1], grid[k]
-        v0, v1 = values[k - 1], values[k]
-        return float(e0 - v0 * (e1 - e0) / (v1 - v0))
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if slope <= 0.0 or -gap > slope * eps_limit:
+        return math.inf
+    return -gap / slope
 
 
 def optimize_splitting(
@@ -319,6 +304,82 @@ def write_sweep_csv(result: SweepResult, stream) -> None:
         row = [format(eps, ".17g")]
         row += [format(result.series[name][k], ".17g") for name in SWEEP_COLUMNS[1:]]
         stream.write(",".join(row) + "\n")
+
+
+def _noise_values(eps) -> np.ndarray:
+    """A noise level or grid as floats, each finite and nonnegative."""
+    eps = np.asarray(eps, dtype=float)
+    if eps.size == 0:
+        raise ValueError("empty noise grid")
+    if not np.all((eps >= 0.0) & (eps < np.inf)):
+        raise ValueError("excess noise must be finite and nonnegative")
+    return eps
+
+
+def _infimum_line(g_ratio: float, eta: float, xi: float, strategy: str, r_max: float):
+    """Inseparability infimum over r at eps = 0, and its slope in eps."""
+    if strategy not in ("corrected", "uncorrected"):
+        raise ValueError("strategy must be 'corrected' or 'uncorrected'")
+    if not 0.0 <= r_max <= _MAX_SQUEEZING:
+        raise ValueError("r_max must lie in [0, 20], the supported squeezing range")
+    strategy_map = corrected_map if strategy == "corrected" else uncorrected_map
+    x, y0, y1 = _noise_axis(strategy_map, g_ratio, eta, xi)
+    return float(np.trace(y0)) + _squeezing_minimum(x, r_max), float(np.trace(y1))
+
+
+def _noise_axis(strategy, g_ratio: float, eta: float, xi: float):
+    """(X, Y0, Y1) of a strategy on its signal mode: cov -> X cov X^T + Y0 + eps Y1.
+
+    ``strategy(cfg, n_modes)`` is one of the protocol's map builders.  The
+    optimal splitting and the couplings do not depend on eps, and the
+    channel's added covariance is linear in it, so two maps fix the axis.
+    """
+    x, y0 = _signal_block(strategy(_two_channel_config(0.0, g_ratio, eta, xi), 1))
+    _, y_unit = _signal_block(strategy(_two_channel_config(1.0, g_ratio, eta, xi), 1))
+    return x, y0, y_unit - y0
+
+
+def _signal_block(m: GaussianMap) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y) of a map restricted to mode 0, every other register mode
+    entering in vacuum; the strategies carry no displacement."""
+    x = m.X[:2]
+    return x[:, :2], m.Y[:2, :2] + VACUUM_VARIANCE * x[:, 2:] @ x[:, 2:].T
+
+
+def _outputs(axis, mean, cov, eps_grid):
+    """Output mean (2,), the same at every eps, and covariance stack
+    (K, 2, 2) of one input mode."""
+    x, y0, y1 = axis
+    return x @ mean, (x @ cov @ x.T + y0) + eps_grid[:, None, None] * y1
+
+
+def _pair_outputs(axis, pair, eps_grid):
+    """Covariance stack (K, 4, 4) of a pair whose mode 1 takes the map."""
+    x, y0, y1 = axis
+    out = np.empty((eps_grid.size, 4, 4))
+    out[:, :2, :2] = pair[:2, :2]
+    out[:, :2, 2:] = pair[:2, 2:] @ x.T
+    out[:, 2:, :2] = x @ pair[2:, :2]
+    out[:, 2:, 2:] = (x @ pair[2:, 2:] @ x.T + y0) + eps_grid[:, None, None] * y1
+    return out
+
+
+def _squeezing_minimum(x: np.ndarray, r_max: float) -> float:
+    """Minimum over r in [0, r_max] of a cosh 2r + b sinh 2r.
+
+    Written as (s e^{2r} + d e^{-2r}) / 2 with s = a + b = |X - I|_F^2 / 2
+    and d = a - b = |X + I|_F^2 / 2, which holds no cancellation.  The
+    minimiser is r* = atanh(-b / a) / 2 = ln(d / s) / 4 when b < 0, capped
+    at r_max, and 0 otherwise.
+    """
+    eye = np.eye(2)
+    s = 0.5 * float(np.sum((x - eye) ** 2))
+    d = 0.5 * float(np.sum((x + eye) ** 2))
+    if d <= s:
+        r = 0.0
+    else:
+        r = r_max if s == 0.0 else min(0.25 * math.log(d / s), r_max)
+    return 0.5 * (s * math.exp(2.0 * r) + d * math.exp(-2.0 * r))
 
 
 def _two_channel_config(eps: float, g_ratio: float, eta: float, xi: float) -> ProtocolConfig:

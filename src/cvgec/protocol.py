@@ -107,61 +107,50 @@ def decode(state: GaussianState, t_d: float, modes: tuple[int, int] = (0, 1)) ->
     return apply(beam_splitter(t_d, modes, BsConvention.PI_FLIP), state)
 
 
-def run_protocol(cfg: ProtocolConfig, state: GaussianState, signal_mode: int | None = None) -> GaussianState:
-    """Encode, transmit, decode; keep both decoder ports.
+def corrected_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int | None = None) -> GaussianMap:
+    """Encode, transmit, decode: one map on an N-mode state plus one mode.
 
-    Returns a state over the original modes plus one extra: the signal
-    slot holds the corrected output and the appended final mode is the
-    discarded decoder port.  Each channel's non-interfering noise reaches
-    both ports with the decoder amplitudes, without interference.
+    The appended mode is the auxiliary encoder input, which enters as
+    vacuum and leaves as the discarded decoder port; the signal slot holds
+    the corrected output.  Each channel's non-interfering noise reaches
+    both ports with the decoder amplitudes, without interference.  With
+    T_e = T_d = optimal_splitting(g1, g2) and no mismatch the signal sees a
+    pure-loss channel of transmissivity eta.
     """
     if cfg.channel.n_channels != 2:
-        raise ValueError("run_protocol drives the two-channel scheme")
+        raise ValueError("the corrected scheme is defined for two channels")
     sig = cfg.signal_mode if signal_mode is None else signal_mode
-    n = state.n_modes + 1
-    ports = (sig, n - 1)  # auxiliary encoder input appended as vacuum
-    scheme = (
+    n = n_modes + 1
+    ports = (sig, n - 1)
+    return (
         _splitter(cfg.T_e, ports, n)
         .then(channel_map(cfg.channel, ports, n))
         .then(_splitter(cfg.T_d, ports, n))
     )
-    return scheme.apply(tensor(state, vacuum_state(1)))
 
 
-def corrected_channel(cfg: ProtocolConfig, state: GaussianState, signal_mode: int | None = None) -> GaussianState:
-    """End-to-end corrected transmission; the discarded port is dropped.
-
-    With T_e = T_d = optimal_splitting(g1, g2) and no mismatch this equals
-    a pure-loss channel of transmissivity eta on the signal mode.
-    """
-    n0 = state.n_modes
-    return partial_trace(run_protocol(cfg, state, signal_mode), range(n0))
-
-
-def uncorrected_channel(
+def uncorrected_map(
     cfg: ProtocolConfig,
-    state: GaussianState,
+    n_modes: int,
     signal_mode: int | None = None,
     channel: int = 0,
-) -> GaussianState:
+) -> GaussianMap:
     """Direct transmission through a single channel, no encoding.
 
     The signal mode is assigned to ``channel``; every other channel
-    carries a fresh vacuum.  This is the reference curve a decoder set to
-    full transmission measures.
+    carries a fresh vacuum, appended after the N state modes.  This is the
+    reference curve a decoder set to full transmission measures.
     """
     sig = cfg.signal_mode if signal_mode is None else signal_mode
     model = cfg.channel
     if not 0 <= channel < model.n_channels:
         raise ValueError("channel index out of range")
-    n0 = state.n_modes
-    idle = iter(range(n0, n0 + model.n_channels - 1))
+    idle = iter(range(n_modes, n_modes + model.n_channels - 1))
     carriers = [sig if i == channel else next(idle) for i in range(model.n_channels)]
-    st = tensor(state, vacuum_state(model.n_channels - 1))
-    return partial_trace(channel_map(model, carriers, st.n_modes).apply(st), range(n0))
+    return channel_map(model, carriers, n_modes + model.n_channels - 1)
 
 
-def incoherent_strategy(cfg: ProtocolConfig, state: GaussianState, signal_mode: int | None = None) -> GaussianState:
+def incoherent_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int | None = None) -> GaussianMap:
     """Measure-and-feedforward baseline on the idle channel.
 
     The signal travels channel 1 unencoded while channel 2 carries only
@@ -173,7 +162,8 @@ def incoherent_strategy(cfg: ProtocolConfig, state: GaussianState, signal_mode: 
     g1 / g2 natural units per quadrature, independent of the noise level.
     Averaged over the outcomes, displacing by ``G y`` for measured
     quadratures y is the linear map X = I + G E_y, so the whole strategy is
-    one map on the joint Gaussian.
+    one map on the N state modes plus two appended vacua: the idle-channel
+    carrier and the heterodyne ancilla.
     """
     model = cfg.channel
     if model.n_channels != 2:
@@ -185,9 +175,8 @@ def incoherent_strategy(cfg: ProtocolConfig, state: GaussianState, signal_mode: 
         raise ValueError("nothing to measure: the idle channel carries no noise")
     sig = cfg.signal_mode if signal_mode is None else signal_mode
 
-    n0 = state.n_modes
-    n = n0 + 2
-    idle, anc = n0, n0 + 1  # idle-channel carrier, heterodyne ancilla
+    n = n_modes + 2
+    idle, anc = n_modes, n_modes + 1
     bs = beam_splitter_matrix(0.5, BsConvention.PI_FLIP)
     # Outcomes: x at the first splitter port, p at the second.  The gain
     # cancelling the correlated term follows from the port amplitudes; the
@@ -198,12 +187,37 @@ def incoherent_strategy(cfg: ProtocolConfig, state: GaussianState, signal_mode: 
 
     # The heterodyned idle channel does not see its own non-interfering
     # noise; the signal does see channel 1's.
-    strategy = (
+    return (
         channel_map(model, (sig, idle), n, own_noise=(0,))
         .then(_splitter(0.5, (idle, anc), n))
         .then(GaussianMap(feedforward))
     )
-    return partial_trace(strategy.apply(tensor(state, vacuum_state(2))), range(n0))
+
+
+def run_protocol(cfg: ProtocolConfig, state: GaussianState, signal_mode: int | None = None) -> GaussianState:
+    """:func:`corrected_map` applied to a state, keeping both decoder ports:
+    the original modes plus the discarded port as the final mode."""
+    return _through(corrected_map(cfg, state.n_modes, signal_mode), state)
+
+
+def corrected_channel(cfg: ProtocolConfig, state: GaussianState, signal_mode: int | None = None) -> GaussianState:
+    """:func:`corrected_map` applied to a state; the discarded port is dropped."""
+    return _kept(corrected_map(cfg, state.n_modes, signal_mode), state)
+
+
+def uncorrected_channel(
+    cfg: ProtocolConfig,
+    state: GaussianState,
+    signal_mode: int | None = None,
+    channel: int = 0,
+) -> GaussianState:
+    """:func:`uncorrected_map` applied to a state; the idle carriers are dropped."""
+    return _kept(uncorrected_map(cfg, state.n_modes, signal_mode, channel), state)
+
+
+def incoherent_strategy(cfg: ProtocolConfig, state: GaussianState, signal_mode: int | None = None) -> GaussianState:
+    """:func:`incoherent_map` applied to a state; the measured modes are dropped."""
+    return _kept(incoherent_map(cfg, state.n_modes, signal_mode), state)
 
 
 def characterize_single_mode_map(channel_fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -298,7 +312,7 @@ def n_channel_protocol(
     encoder = GaussianMap.of(SymplecticTransform(np.kron(u, np.eye(2)), carriers), reg)
     decoder = GaussianMap.of(SymplecticTransform(np.kron(u.T, np.eye(2)), carriers), reg)
     scheme = encoder.then(channel_map(model, carriers, reg)).then(decoder)
-    return partial_trace(scheme.apply(tensor(state, vacuum_state(n - 1))), range(n0))
+    return _kept(scheme, state)
 
 
 def _orthonormalize(vectors, n: int) -> list[np.ndarray]:
@@ -321,3 +335,13 @@ def _orthonormalize(vectors, n: int) -> list[np.ndarray]:
 def _splitter(t: float, modes: tuple[int, int], n_modes: int) -> GaussianMap:
     """Pi-flip beam splitter of transmissivity t as a map on the register."""
     return GaussianMap.of(beam_splitter(t, modes, BsConvention.PI_FLIP), n_modes)
+
+
+def _through(m: GaussianMap, state: GaussianState) -> GaussianState:
+    """Image of ``state`` under ``m``, the register's appended modes in vacuum."""
+    return m.apply(tensor(state, vacuum_state(m.n_modes - state.n_modes)))
+
+
+def _kept(m: GaussianMap, state: GaussianState) -> GaussianState:
+    """Image of ``state`` under ``m`` over the state's own modes."""
+    return partial_trace(_through(m, state), range(state.n_modes))

@@ -52,9 +52,9 @@ class GaussianState:
         cov: real symmetric 2N x 2N covariance matrix in the same ordering,
             natural units (vacuum variance 1/2).
 
-    Symmetry of ``cov`` is enforced to 1e-12 on construction.  Physicality
-    (symplectic eigenvalues >= 1/2) is *not* enforced here; use
-    :func:`physicality_check` to test it.
+    Finite entries and symmetry of ``cov`` to 1e-12 are enforced on
+    construction.  Physicality (symplectic eigenvalues >= 1/2) is *not*
+    enforced here; use :func:`physicality_check` to test it.
     """
 
     mean: np.ndarray
@@ -71,6 +71,8 @@ class GaussianState:
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean length {mean.size}"
             )
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and covariance must be finite")
         if _asymmetric(cov):
             raise ValueError("covariance matrix is not symmetric")
         cov = 0.5 * (cov + cov.T)
@@ -166,12 +168,16 @@ def duan_simon(state: GaussianState, pair: tuple[int, int]) -> float:
         raise ValueError("need two distinct modes")
     _check_mode(state, i)
     _check_mode(state, j)
-    c = state.cov
-    xi, xj = 2 * i, 2 * j
+    return float(duan_number(state.cov, pair))
+
+
+def duan_number(cov: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """:func:`duan_simon` over a stack of covariances of shape (..., 2N, 2N)."""
+    xi, xj = 2 * pair[0], 2 * pair[1]
     pi, pj = xi + 1, xj + 1
-    var_x = c[xi, xi] + c[xj, xj] - 2.0 * c[xi, xj]
-    var_p = c[pi, pi] + c[pj, pj] + 2.0 * c[pi, pj]
-    return float(var_x + var_p)
+    var_x = cov[..., xi, xi] + cov[..., xj, xj] - 2.0 * cov[..., xi, xj]
+    var_p = cov[..., pi, pi] + cov[..., pj, pj] + 2.0 * cov[..., pi, pj]
+    return var_x + var_p
 
 
 def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:

@@ -57,6 +57,8 @@ class SymplecticTransform:
         modes = tuple(int(m) for m in self.modes)
         if len(set(modes)) != len(modes):
             raise ValueError("target modes must be distinct")
+        if any(m < 0 for m in modes):
+            raise ValueError("target modes must be nonnegative")
         k = len(modes)
         if matrix.shape != (2 * k, 2 * k):
             raise ValueError("matrix shape does not match number of target modes")
@@ -129,7 +131,7 @@ class GaussianMap:
 def embed(block: np.ndarray, modes, n_modes: int, fill: float = 1.0) -> np.ndarray:
     """Place a 2k x 2k block over ``modes`` into an N-mode register, with
     ``fill`` times the identity elsewhere (1 for transforms, 0 for noise)."""
-    if max(modes) >= n_modes:
+    if not all(0 <= m < n_modes for m in modes):
         raise ValueError("block targets a mode outside the register")
     full = fill * np.eye(2 * n_modes)
     idx = _quad_indices(modes)

@@ -1,0 +1,74 @@
+"""Numeric entanglement breaking-point search, kept as an oracle.
+
+Evaluates the protocol on a two-mode squeezed vacuum at each trial
+squeezing, so it shares nothing with the closed form in
+``cvgec.analysis`` beyond the protocol itself.  The inseparability
+infimum over r is a golden-section search; the breaking point is found
+by doubling to a bracket (capped at ``eps_limit``) and then bisecting,
+or by a 101-point scan of the bracket with linear interpolation.
+"""
+
+import math
+
+import numpy as np
+
+from cvgec.analysis import golden_section
+from cvgec.channel import standard_two_channel
+from cvgec.protocol import (
+    ProtocolConfig,
+    corrected_channel,
+    optimal_splitting_for,
+    uncorrected_channel,
+)
+from cvgec.states import duan_simon
+from cvgec.transforms import two_mode_squeezed
+
+
+def infimum(eps, g_ratio, eta, xi, strategy, r_max=10.0):
+    """Smallest inseparability over r in [0, r_max], by golden section."""
+    model = standard_two_channel(eps, g_ratio, eta, xi)
+    t = optimal_splitting_for(model)
+    cfg = ProtocolConfig(t, t, model)
+
+    def insep(r):
+        pair = two_mode_squeezed(r)
+        if strategy == "corrected":
+            out = corrected_channel(cfg, pair, signal_mode=1)
+        else:
+            out = uncorrected_channel(cfg, pair, signal_mode=1, channel=0)
+        return duan_simon(out, (0, 1))
+
+    _, value = golden_section(insep, 0.0, r_max, tol=1e-9)
+    return min(value, insep(0.0), insep(r_max))
+
+
+def breaking_point(
+    g_ratio, eta, xi, strategy, r_max=10.0, tol=1e-6, eps_limit=1000.0, method="bisect"
+):
+    """Noise level where the infimum reaches 2; ``math.inf`` above eps_limit."""
+
+    def gap(eps):
+        return infimum(eps, g_ratio, eta, xi, strategy, r_max) - 2.0
+
+    if gap(0.0) >= 0.0:
+        return 0.0
+    lo, hi = 0.0, min(1.0, eps_limit)
+    while gap(hi) < 0.0:
+        if hi == eps_limit:
+            return math.inf
+        lo, hi = hi, min(2.0 * hi, eps_limit)
+    if method == "scan":
+        grid = np.linspace(lo, hi, 101)
+        values = np.array([gap(e) for e in grid])
+        k = int(np.argmax(values >= 0.0))
+        # affine between neighbouring grid points
+        e0, e1 = grid[k - 1], grid[k]
+        v0, v1 = values[k - 1], values[k]
+        return float(e0 - v0 * (e1 - e0) / (v1 - v0))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -39,6 +39,7 @@ from cvgec.states import (
 )
 from cvgec.transforms import beam_splitter, phase_shift, squeeze
 
+import breaking_oracle
 from fock_oracle import fidelity_fock_states
 from test_states import random_physical_state
 
@@ -109,10 +110,12 @@ def test_criterion_4_entanglement_survival():
     assert res.series["insep_corr"][0] == pytest.approx(0.5, abs=1e-9)
     assert res.series["insep_corr"][1] < 2.0, "entanglement lost at 35 SNU"
 
-    bisect = entanglement_breaking_point(1.0, 1.0, 0.0, "uncorrected")
-    scan = entanglement_breaking_point(1.0, 1.0, 0.0, "uncorrected", method="scan")
-    assert abs(bisect - scan) < 1e-4, "breaking-point methods disagree"
-    assert bisect < 35.0 / 3.0, "uncorrected channel should break far below 35 SNU"
+    closed = entanglement_breaking_point(1.0, 1.0, 0.0, "uncorrected")
+    bisect = breaking_oracle.breaking_point(1.0, 1.0, 0.0, "uncorrected")
+    scan = breaking_oracle.breaking_point(1.0, 1.0, 0.0, "uncorrected", method="scan")
+    assert abs(closed - bisect) < 1e-4, "closed form and bisection disagree"
+    assert abs(closed - scan) < 1e-4, "closed form and scan disagree"
+    assert closed < 35.0 / 3.0, "uncorrected channel should break far below 35 SNU"
     assert entanglement_breaking_point(1.0, 1.0, 0.0, "corrected") == math.inf
     report(4, "entanglement survival", started)
 

@@ -20,7 +20,20 @@ from cvgec.analysis import (
 )
 from cvgec.channel import standard_two_channel
 from cvgec.montecarlo import sample_run
-from cvgec.protocol import ProtocolConfig, optimal_splitting, optimal_splitting_for
+from cvgec.fidelity import fidelity, fidelity_moments
+from cvgec.protocol import (
+    ProtocolConfig,
+    corrected_channel,
+    incoherent_strategy,
+    optimal_splitting,
+    optimal_splitting_for,
+    uncorrected_channel,
+)
+from cvgec.states import GaussianState, displace, duan_simon, vacuum_state
+from cvgec.transforms import two_mode_squeezed
+
+import breaking_oracle
+from test_states import random_physical_state
 
 
 GRID = np.linspace(0.0, 40.0, 21)
@@ -81,6 +94,19 @@ class TestCoherentSweep:
         with pytest.raises(ValueError):
             coherent_sweep(1.0, 1.0, 0.0, (2.0, 0.0), np.array([]))
 
+    def test_non_finite_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            coherent_sweep(1.0, 1.0, 0.0, (np.nan, 0.0), GRID)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_invalid_noise_rejected(self, bad):
+        with pytest.raises(ValueError, match="nonnegative"):
+            coherent_sweep(1.0, 1.0, 0.0, (2.0, 0.0), np.array([0.0, bad]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            entanglement_sweep(0.5, 1.0, 0.0, np.array([bad]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            inseparability_infimum(bad, 1.0, 0.9, 0.0, "uncorrected")
+
 
 class TestEntanglementSweep:
     def test_ideal_correction_constant(self):
@@ -113,16 +139,113 @@ class TestEntanglementSweep:
         assert np.isnan(res.series["fid_corr"][0])
 
 
+class TestVectorisedSweeps:
+    """Each sweep column against the per-point protocol calls it replaces."""
+
+    CONFIGS = [(0.61, 1.0, 0.0), (1.7, 0.8, 0.02), (0.4, 0.65, 0.3)]
+
+    @staticmethod
+    def close(a, b):
+        assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("g, eta, xi", CONFIGS)
+    def test_coherent_matches_per_point(self, g, eta, xi):
+        grid = np.linspace(0.0, 50.0, 7)
+        probe = displace(vacuum_state(1), 0, 1.3, -0.7)
+        res = coherent_sweep(g, eta, xi, (1.3, -0.7), grid)
+        alt = res.metadata["uncorrected_channel_2"]
+        shifted = res.metadata["displacement_corrected"]
+        for k, eps in enumerate(grid):
+            model = standard_two_channel(eps, g, eta, xi)
+            t = optimal_splitting_for(model)
+            cfg = ProtocolConfig(t, t, model)
+            corr = corrected_channel(cfg, probe)
+            unc = uncorrected_channel(cfg, probe, channel=0)
+            unc2 = uncorrected_channel(cfg, probe, channel=1)
+            inc = incoherent_strategy(cfg, probe)
+            self.close(res.series["var_x_corr_snu"][k], 2 * corr.cov[0, 0])
+            self.close(res.series["var_p_corr_snu"][k], 2 * corr.cov[1, 1])
+            self.close(res.series["var_x_uncorr_snu"][k], 2 * unc.cov[0, 0])
+            self.close(res.series["var_p_uncorr_snu"][k], 2 * unc.cov[1, 1])
+            self.close(res.series["fid_corr"][k], fidelity(corr, probe))
+            self.close(res.series["fid_uncorr"][k], fidelity(unc, probe))
+            self.close(res.series["fid_incoh"][k], fidelity(inc, probe))
+            self.close(alt["var_x"][k], 2 * unc2.cov[0, 0])
+            self.close(alt["var_p"][k], 2 * unc2.cov[1, 1])
+            self.close(alt["fid"][k], fidelity(unc2, probe))
+            for name, out in (("fid_corr", corr), ("fid_uncorr", unc)):
+                moved = GaussianState(probe.mean, out.cov)
+                self.close(shifted[name][k], fidelity(moved, probe))
+
+    @pytest.mark.parametrize("g, eta, xi", CONFIGS)
+    def test_entanglement_matches_per_point(self, g, eta, xi):
+        grid = np.linspace(0.0, 50.0, 7)
+        pair = two_mode_squeezed(0.8)
+        res = entanglement_sweep(0.8, eta, xi, grid, g_ratio=g)
+        for k, eps in enumerate(grid):
+            model = standard_two_channel(eps, g, eta, xi)
+            t = optimal_splitting_for(model)
+            cfg = ProtocolConfig(t, t, model)
+            corr = corrected_channel(cfg, pair, signal_mode=1)
+            unc = uncorrected_channel(cfg, pair, signal_mode=1, channel=0)
+            self.close(res.series["var_x_corr_snu"][k], 2 * corr.cov[2, 2])
+            self.close(res.series["var_p_corr_snu"][k], 2 * corr.cov[3, 3])
+            self.close(res.series["var_x_uncorr_snu"][k], 2 * unc.cov[2, 2])
+            self.close(res.series["var_p_uncorr_snu"][k], 2 * unc.cov[3, 3])
+            self.close(res.series["insep_corr"][k], duan_simon(corr, (0, 1)))
+            self.close(res.series["insep_uncorr"][k], duan_simon(unc, (0, 1)))
+
+    def test_fidelity_stack_matches_scalar_calls(self):
+        rng = np.random.default_rng(61)
+        states = [random_physical_state(rng) for _ in range(6)]
+        means = np.array([s.mean for s in states])
+        covs = np.array([s.cov for s in states])
+        stacked = fidelity_moments(means, covs, states[0].mean, states[0].cov)
+        assert stacked.shape == (6,)
+        for k, s in enumerate(states):
+            assert stacked[k] == fidelity(s, states[0])
+
+
 class TestBreakingPoint:
     def test_ideal_corrected_never_breaks(self):
         assert entanglement_breaking_point(1.0, 1.0, 0.0, "corrected") == math.inf
 
     def test_uncorrected_two_methods_agree(self):
-        bisect = entanglement_breaking_point(1.0, 1.0, 0.0, "uncorrected")
-        scan = entanglement_breaking_point(1.0, 1.0, 0.0, "uncorrected", method="scan")
-        assert abs(bisect - scan) < 1e-4
+        # the closed form against both numeric searches of the oracle
+        closed = entanglement_breaking_point(1.0, 1.0, 0.0, "uncorrected")
+        bisect = breaking_oracle.breaking_point(1.0, 1.0, 0.0, "uncorrected")
+        scan = breaking_oracle.breaking_point(1.0, 1.0, 0.0, "uncorrected", method="scan")
+        assert abs(closed - bisect) < 1e-4
+        assert abs(closed - scan) < 1e-4
         # analytic oracle: the direct channel breaks at eps = 2 eta SNU
-        assert bisect == pytest.approx(2.0, abs=1e-5)
+        assert closed == pytest.approx(2.0, abs=1e-5)
+
+    def test_root_above_largest_power_of_two_below_limit(self):
+        # the corrected pair breaks at eta (1 + g) / xi = 600 SNU, inside
+        # (512, 1000]; a root at or below eps_limit is returned as it is
+        bp = entanglement_breaking_point(1.0, 0.9, 0.003, "corrected")
+        assert bp == pytest.approx(600.0, rel=1e-12)
+        assert entanglement_breaking_point(1.0, 0.9, 0.003, "corrected", eps_limit=600.001) == bp
+        assert entanglement_breaking_point(1.0, 0.9, 0.003, "corrected", eps_limit=599.0) == math.inf
+
+    def test_matches_numeric_oracle_on_random_configs(self):
+        # The oracle's gap (golden-section infimum minus 2) is increasing in
+        # eps, so a sign change across [bp - 1e-6, bp + 1e-6] puts the
+        # oracle's root within 1e-6 of the closed form.
+        rng = np.random.default_rng(73)
+        for k in range(20):
+            g = float(np.exp(rng.uniform(np.log(0.3), np.log(3.0))))
+            eta = float(rng.uniform(0.6, 0.98))
+            xi = float(rng.uniform(0.005, 0.5))
+            r_max = (5.0, 10.0)[k % 2]
+            for strategy in ("corrected", "uncorrected"):
+                bp = entanglement_breaking_point(g, eta, xi, strategy, r_max=r_max)
+                assert 0.0 < bp < 1000.0
+                at = lambda eps: breaking_oracle.infimum(eps, g, eta, xi, strategy, r_max)
+                assert at(bp - 1e-6) < 2.0 <= at(bp + 1e-6), (g, eta, xi, strategy)
+                closed = inseparability_infimum(bp, g, eta, xi, strategy, r_max)
+                assert closed == pytest.approx(2.0, abs=1e-12)
+                assert at(bp) == pytest.approx(closed, abs=1e-9)
 
     def test_lossy_uncorrected_oracle(self):
         eta = 0.9
@@ -147,6 +270,18 @@ class TestBreakingPoint:
     def test_bad_strategy(self):
         with pytest.raises(ValueError):
             inseparability_infimum(1.0, 1.0, 1.0, 0.0, "sideways")
+
+    @pytest.mark.parametrize("r_max", [-1.0, 25.0, np.nan])
+    def test_squeezing_ceiling_outside_supported_range(self, r_max):
+        with pytest.raises(ValueError, match="r_max"):
+            inseparability_infimum(1.0, 1.0, 1.0, 0.0, "uncorrected", r_max=r_max)
+        with pytest.raises(ValueError, match="r_max"):
+            entanglement_breaking_point(1.0, 1.0, 0.0, "uncorrected", r_max=r_max)
+
+    @pytest.mark.parametrize("eps_limit", [-1.0, np.nan])
+    def test_bad_eps_limit(self, eps_limit):
+        with pytest.raises(ValueError, match="eps_limit"):
+            entanglement_breaking_point(1.0, 0.9, 0.0, "uncorrected", eps_limit=eps_limit)
 
 
 class TestOptimizer:

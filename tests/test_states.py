@@ -61,6 +61,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GaussianState(np.zeros(4), 0.5 * np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        mean = np.zeros(2)
+        mean[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState(mean, 0.5 * np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState(np.zeros(2), np.full((2, 2), bad))
+        cov = 0.5 * np.eye(2)
+        cov[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState(np.zeros(2), cov)
+
     def test_states_are_immutable(self):
         vac = vacuum_state(1)
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from cvgec.transforms import (
     beam_splitter,
     beam_splitter_matrix,
     compose,
+    embed,
     expand,
     phase_shift,
     squeeze,
@@ -184,6 +185,17 @@ class TestApply:
                 squeeze(rng.uniform(-1, 1), rng.uniform(0, np.pi), 0),
             )
             assert physicality_check(apply(t, state))
+
+    def test_negative_modes_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            beam_splitter(1.0, (-1, 0))
+        with pytest.raises(ValueError, match="nonnegative"):
+            SymplecticTransform(np.eye(2), (-2,))
+
+    def test_embed_rejects_negative_modes(self):
+        with pytest.raises(ValueError, match="outside the register"):
+            embed(np.eye(2), (-1,), 2)
+        assert np.array_equal(embed(2.0 * np.eye(2), (1,), 2), np.diag([1.0, 1.0, 2.0, 2.0]))
 
     def test_non_symplectic_matrix_rejected(self):
         with pytest.raises(ValueError, match="symplectic"):
