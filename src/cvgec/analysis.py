@@ -1,12 +1,13 @@
-"""Sweeps and searches over the protocol: variance, fidelity, entanglement.
+"""Sweeps and closed forms over the protocol: variance, fidelity, entanglement.
 
 The noise axis ``eps`` is always channel 1's excess noise in SNU at the
 channel output (see :func:`cvgec.channel.standard_two_channel`).  Each
 strategy is one affine map whose signal-mode covariance is affine in the
 noise, cov -> X cov X^T + Y0 + eps Y1, because the optimal splitting and
 the couplings do not depend on eps.  So every map is built once per call,
-a sweep is one array operation over the whole grid, and the entanglement
-breaking point is the root of a linear equation.
+a sweep is one array operation over the whole grid, the entanglement
+breaking point is the root of a linear equation, and the best splitter
+setting is the lower eigenvector of a 2 x 2 noise form.
 """
 
 from __future__ import annotations
@@ -229,72 +230,27 @@ def optimize_splitting(
     objective: str = "variance",
     eps_snu: float = 10.0,
     amplitude: tuple[float, float] = (2.0, 0.0),
-    tol: float = 1e-7,
 ) -> tuple[float, float, float]:
-    """Numeric search for the best encoder/decoder transmissivities.
+    """Best encoder/decoder transmissivities, in closed form.
 
-    The output variance does not depend on T_e for vacuum-variance probes
-    (the encoder is passive), so ``objective='variance'`` searches T_d
-    alone and reports T_e = T_d; this identifies the optimum sharply.
-    ``objective='fidelity'`` maximizes the coherent-probe fidelity with a
-    nested golden-section search over (T_e, T_d); its T_e direction is
-    quartically flat near the optimum (only the mean attenuation depends
-    on T_e, through the encoder/decoder overlap), so expect a few 1e-4 of
-    slack on that coordinate.  At xi = 0 both recover g2 / (g1 + g2).
+    Returns ``(T, T, value)``, the objective evaluated once on the protocol
+    at T_e = T_d = T.  T_e enters only through the mean attenuation
+    sqrt(eta) cos(theta_e - theta_d), with T = cos^2 theta, which is best
+    at T_e = T_d; T_d alone sets the added noise var Q(T_d) at the signal
+    port.  The variance is smallest at the minimum of Q (g2 / (g1 + g2) at
+    xi = 0).  The coherent-probe fidelity exp(-D / 2u) / u, with
+    u = 1 + var Q and D = (1 - sqrt(eta))^2 |amplitude|^2, peaks at
+    u = D / 2; so it shares that optimum unless D / 2 - 1 exceeds the
+    minimum noise, which a lossy enough channel allows, and then T is
+    where the noise comes closest to D / 2 - 1.
     """
     objective_fn = _objective(g1, g2, xi, eta, objective, eps_snu, amplitude)
-    if objective == "variance":
-        td, value = golden_section(lambda t: objective_fn(t, t), 0.0, 1.0, tol)
-        return td, td, value
-
-    def profile(te):
-        _, value = golden_section(lambda td: objective_fn(te, td), 0.0, 1.0, tol)
-        return value
-
-    te_opt, _ = golden_section(profile, 0.0, 1.0, tol)
-    td_opt, value = golden_section(lambda td: objective_fn(te_opt, td), 0.0, 1.0, tol)
-    return te_opt, td_opt, value
-
-
-def grid_scan_splitting(
-    g1: float,
-    g2: float,
-    xi: float = 0.0,
-    eta: float = 1.0,
-    objective: str = "fidelity",
-    eps_snu: float = 10.0,
-    amplitude: tuple[float, float] = (2.0, 0.0),
-    n: int = 200,
-) -> tuple[float, float, float]:
-    """Exhaustive n x n scan of the same objective, as an optimizer oracle."""
-    objective_fn = _objective(g1, g2, xi, eta, objective, eps_snu, amplitude)
-    grid = np.linspace(0.0, 1.0, n)
-    best = (math.inf, 0.0, 0.0)
-    for te in grid:
-        for td in grid:
-            value = objective_fn(te, td)
-            if value < best[0]:
-                best = (value, te, td)
-    return best[1], best[2], best[0]
-
-
-def golden_section(f, a: float, b: float, tol: float = 1e-7) -> tuple[float, float]:
-    """Minimize a unimodal function on [a, b]; returns (x, f(x))."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    level = -math.inf
+    if objective == "fidelity" and eps_snu > 0.0:
+        shift = (1.0 - math.sqrt(eta)) ** 2 * (amplitude[0] ** 2 + amplitude[1] ** 2)
+        level = (0.5 * shift - 1.0) / (0.5 * eps_snu / g1)
+    t = _splitting_for_noise(g1, g2, xi, level)
+    return t, t, objective_fn(t, t)
 
 
 def write_sweep_csv(result: SweepResult, stream) -> None:
@@ -386,6 +342,35 @@ def _two_channel_config(eps: float, g_ratio: float, eta: float, xi: float) -> Pr
     model = standard_two_channel(eps, g_ratio, eta, xi)
     t = optimal_splitting_for(model)
     return ProtocolConfig(t, t, model)
+
+
+def _splitting_for_noise(g1: float, g2: float, xi: float, level: float) -> float:
+    """Transmissivity T at which the noise form Q(T) comes closest to
+    ``level`` without going under its minimum.
+
+    Q(T) = (1 - xi)(sqrt(T g1) - sqrt((1 - T) g2))^2 + xi (T g1 + (1 - T) g2)
+    is a quadratic form in (sqrt T, sqrt(1 - T)) = (cos psi/2, sin psi/2),
+    Q = m - r cos(psi - psi*) with m = (g1 + g2) / 2 and
+    2 r = sqrt((g1 - g2)^2 + 4 (1 - xi)^2 g1 g2) > 0 for g1, g2 > 0 and
+    xi < 1.  Its minimum m - r, the lower eigenvalue of
+    [[g1, -(1 - xi) sqrt(g1 g2)], [-(1 - xi) sqrt(g1 g2), g2]], lies at
+    T* = (1 + cos psi*) / 2 = (1 + (g2 - g1) / 2r) / 2.  Above it,
+    Q = level at psi = psi* -+ acos((m - level) / r); a tie goes to the
+    larger T, and a level past both ends of [0, 1] to the end nearer it.
+    """
+    root = math.hypot(g1 - g2, 2.0 * (1.0 - xi) * math.sqrt(g1) * math.sqrt(g2))
+    spread = 0.5 * (g1 + g2) - level
+    if spread >= 0.5 * root:
+        return 0.5 * (1.0 + (g2 - g1) / root)
+    centre = math.acos((g2 - g1) / root)
+    turn = math.acos(max(spread / (0.5 * root), -1.0))
+    if centre >= turn:
+        psi = centre - turn
+    elif centre + turn <= math.pi:
+        psi = centre + turn
+    else:
+        psi = 0.0 if g1 >= g2 else math.pi
+    return 0.5 * (1.0 + math.cos(psi))
 
 
 def _objective(g1, g2, xi, eta, objective, eps_snu, amplitude):

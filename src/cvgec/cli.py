@@ -167,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output plan path")
     p.set_defaults(func=_cmd_synth)
 
-    p = add("optimize", "numeric search for the best splitter settings")
+    p = add("optimize", "closed-form best splitter settings")
     p.add_argument("--g1", type=_finite_float, required=True, help="channel-1 noise magnitude")
     p.add_argument("--g2", type=_finite_float, required=True, help="channel-2 noise magnitude")
     p.add_argument("--xi", type=_finite_float, default=0.0, help="non-interfering noise fraction")
@@ -275,7 +275,7 @@ def _cmd_optimize(args) -> int:
         "objective_value": value,
         "manifest": _manifest_payload(args),
     }
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
     return 0
 
 

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from cvgec.analysis import golden_section
 from cvgec.channel import standard_two_channel
 from cvgec.protocol import (
     ProtocolConfig,
@@ -22,6 +21,8 @@ from cvgec.protocol import (
 )
 from cvgec.states import duan_simon
 from cvgec.transforms import two_mode_squeezed
+
+from splitting_oracle import golden_section
 
 
 def infimum(eps, g_ratio, eta, xi, strategy, r_max=10.0):

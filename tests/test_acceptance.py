@@ -14,7 +14,6 @@ from cvgec.analysis import (
     coherent_sweep,
     entanglement_breaking_point,
     entanglement_sweep,
-    grid_scan_splitting,
     optimize_splitting,
 )
 from cvgec.channel import ChannelModel, NoiseSource, apply_channel, standard_two_channel
@@ -28,7 +27,6 @@ from cvgec.protocol import (
     n_channel_protocol,
     optimal_splitting,
     optimal_splitting_for,
-    pure_loss_reference,
 )
 from cvgec.states import (
     displace,
@@ -41,6 +39,8 @@ from cvgec.transforms import beam_splitter, phase_shift, squeeze
 
 import breaking_oracle
 from fock_oracle import fidelity_fock_states
+from map_reference import pure_loss_reference
+from splitting_oracle import grid_scan_splitting
 from test_states import random_physical_state
 
 

@@ -1,4 +1,4 @@
-"""Sweeps, breaking-point search and splitter optimization."""
+"""Sweeps, closed-form breaking point and splitter optimum."""
 
 import io
 import math
@@ -12,8 +12,6 @@ from cvgec.analysis import (
     coherent_sweep,
     entanglement_breaking_point,
     entanglement_sweep,
-    golden_section,
-    grid_scan_splitting,
     inseparability_infimum,
     optimize_splitting,
     write_sweep_csv,
@@ -33,6 +31,7 @@ from cvgec.states import GaussianState, displace, duan_simon, vacuum_state
 from cvgec.transforms import two_mode_squeezed
 
 import breaking_oracle
+from splitting_oracle import golden_section, grid_scan_splitting, nested_search
 from test_states import random_physical_state
 
 
@@ -328,6 +327,63 @@ class TestOptimizer:
     def test_golden_section_quadratic(self):
         x, fx = golden_section(lambda t: (t - 0.37) ** 2, 0.0, 1.0, tol=1e-9)
         assert x == pytest.approx(0.37, abs=1e-8)
+
+    def test_matches_nested_search_on_random_configs(self):
+        rng = np.random.default_rng(55)
+        for _ in range(20):
+            g1, g2 = rng.uniform(0.05, 5.0, 2)
+            xi, eta = rng.uniform(0.0, 0.9), rng.uniform(0.5, 1.0)
+            for objective in ("variance", "fidelity"):
+                te, td, value = optimize_splitting(g1, g2, xi, eta, objective)
+                _, search_td, search_value = nested_search(g1, g2, xi, eta, objective)
+                assert te == td
+                assert abs(td - search_td) <= 1e-6
+                assert value <= search_value + 1e-12
+
+    def test_fidelity_trades_noise_for_mean_error_at_low_eta(self):
+        from cvgec.analysis import _objective
+
+        rng = np.random.default_rng(57)
+        traded = 0
+        for _ in range(10):
+            g1, g2 = rng.uniform(0.05, 5.0, 2)
+            xi, eta, eps = rng.uniform(0.0, 0.9), rng.uniform(0.001, 0.08), rng.uniform(0.1, 2.0)
+            te, td, value = optimize_splitting(g1, g2, xi, eta, "fidelity", eps)
+            _, _, search_value = nested_search(g1, g2, xi, eta, "fidelity", eps)
+            _, _, grid_value = grid_scan_splitting(g1, g2, xi, eta, "fidelity", eps)
+            assert te == td
+            assert value <= min(search_value, grid_value) + 1e-12
+            t_min, _, _ = optimize_splitting(g1, g2, xi, eta, "variance", eps)
+            fn = _objective(g1, g2, xi, eta, "fidelity", eps, (2.0, 0.0))
+            traded += value < fn(t_min, t_min) - 1e-6
+        assert traded >= 5
+
+    def test_zero_mismatch_is_analytic_optimum(self):
+        rng = np.random.default_rng(56)
+        for _ in range(20):
+            g1, g2 = rng.uniform(0.05, 5.0, 2)
+            te, td, _ = optimize_splitting(g1, g2, 0.0)
+            assert te == td
+            assert abs(td - optimal_splitting(g1, g2)) <= 1e-15
+
+    def test_value_is_the_protocol_at_the_optimum(self):
+        from cvgec.analysis import _objective
+
+        te, td, value = optimize_splitting(1.6, 0.9, 0.3, 0.8, "fidelity", 7.0, (1.0, -0.5))
+        fn = _objective(1.6, 0.9, 0.3, 0.8, "fidelity", 7.0, (1.0, -0.5))
+        assert value == fn(td, td)
+
+    def test_zero_noise(self):
+        for objective in ("variance", "fidelity"):
+            te, td, value = optimize_splitting(1.6, 0.9, 0.05, 0.8, objective, eps_snu=0.0)
+            assert 0.0 <= te == td <= 1.0
+            assert math.isfinite(value)
+        assert value == pytest.approx(-math.exp(-4.0 * (1.0 - math.sqrt(0.8)) ** 2 / 2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("g1, g2, xi", [(0.0, 1.0, 0.0), (1.0, -1.0, 0.0), (1.0, 1.0, 1.0)])
+    def test_bad_channel(self, g1, g2, xi):
+        with pytest.raises(ValueError):
+            optimize_splitting(g1, g2, xi)
 
 
 class TestSweepCsv:

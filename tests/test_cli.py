@@ -41,6 +41,17 @@ class TestSweepCoherent:
         assert "noise_axis" in manifest["conventions"]
         assert manifest["outputs"] == ["fig3.csv"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_large_finite_noise_gives_finite_fidelities(self, tmp_path):
+        out = tmp_path / "loud.csv"
+        argv = ["sweep-coherent", "--eps-max", "1e200", "--eps-steps", "3", "--xi", "0.01"]
+        assert main(argv + ["--out", str(out)]) == 0
+        _, cols = read_csv(out)
+        for name in ("fid_corr", "fid_uncorr", "fid_incoh"):
+            assert np.all((cols[name] >= 0.0) & (cols[name] <= 1.0))
+            assert np.all(cols[name][1:] < 1e-190)
+        assert cols["fid_corr"][0] == 1.0
+
     def test_zero_steps_is_usage_error(self, tmp_path, capsys):
         code = main(["sweep-coherent", "--eps-steps", "0", "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -245,6 +256,15 @@ class TestSynth:
         assert not out.exists()
 
 
+def strict_json(text):
+    """Parse JSON that must not contain NaN or infinities."""
+
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestOptimize:
     def test_symmetric(self, capsys):
         assert main(["optimize", "--g1", "1", "--g2", "1", "--xi", "0"]) == 0
@@ -257,6 +277,30 @@ class TestOptimize:
         assert main(["optimize", "--g1", "0.61", "--g2", "1", "--xi", "0"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["T_d"] == pytest.approx(1.0 / 1.61, abs=1e-4)
+
+    @pytest.mark.parametrize("objective", ["variance", "fidelity"])
+    def test_closed_form_has_equal_splitters(self, capsys, objective):
+        argv = ["optimize", "--g1", "1.6", "--g2", "0.9", "--xi", "0.05", "--objective", objective]
+        assert main(argv) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["T_e"] == payload["T_d"]
+        assert 0.0 < payload["T_d"] < 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_g1_prints_finite_json(self, capsys):
+        argv = ["optimize", "--g1", "1e-300", "--g2", "1", "--xi", "0.05", "--objective", "fidelity"]
+        assert main(argv) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert -1.0 <= payload["objective_value"] <= 0.0
+
+    @pytest.mark.parametrize("objective", ["variance", "fidelity"])
+    def test_zero_noise(self, capsys, objective):
+        argv = ["optimize", "--g1", "0.61", "--g2", "1", "--eps", "0", "--objective", objective]
+        assert main(argv) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["T_d"] == pytest.approx(1.0 / 1.61, abs=1e-15)
+        expected = 0.0 if objective == "variance" else -1.0
+        assert payload["objective_value"] == pytest.approx(expected, abs=1e-12)
 
     def test_bad_objective_lists_choices(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -1,9 +1,11 @@
 """Single-mode fidelity against three independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
-from cvgec.fidelity import fidelity
+from cvgec.fidelity import _fidelity_logs, fidelity, fidelity_moments
 from cvgec.states import add_noise, displace, vacuum_state
 from cvgec.transforms import apply, phase_shift, squeeze
 
@@ -76,6 +78,67 @@ class TestProperties:
     def test_multimode_rejected(self):
         with pytest.raises(ValueError, match="single-mode"):
             fidelity(vacuum_state(2), vacuum_state(2))
+
+
+@pytest.mark.filterwarnings("error")
+class TestWideRange:
+    """Moments whose determinants or mean term overflow in double precision,
+    or whose Lambda dwarfs Delta."""
+
+    PROBE = 0.5 * np.eye(2)
+    ZERO = np.zeros(2)
+
+    def test_huge_thermal_against_pure_probe(self):
+        # F = 1 / (V + 1/2) for a thermal state of variance V and the vacuum
+        for v in (1e160, 1e200, 1e300):
+            f = fidelity_moments(self.ZERO, v * np.eye(2), self.ZERO, self.PROBE)
+            assert f == pytest.approx(1.0 / (v + 0.5), rel=1e-12)
+
+    def test_huge_equal_states(self):
+        cov = np.array([[1e300, 3e299], [3e299, 2e300]])
+        mean = np.array([1e200, -1e250])
+        assert fidelity_moments(mean, cov, mean, cov) == pytest.approx(1.0, abs=1e-12)
+
+    def test_huge_thermal_pair(self):
+        # thermal variances V and 2V: F -> 4 V 2V / (3V)^2 = 8/9 for large V
+        v = 1e250
+        f = fidelity_moments(self.ZERO, v * np.eye(2), self.ZERO, 2.0 * v * np.eye(2))
+        assert f == pytest.approx(8.0 / 9.0, rel=1e-12)
+
+    def test_mean_term_overflow(self):
+        # d^T (A + B)^{-1} d = (1.5e154)^2 / 2e308 = 1.125, while d_x^2 overflows
+        cov = np.diag([1e308, 1e-300])
+        mean = np.array([1.5e154, 0.0])
+        delta, lam = 4e8, 4.0 * (1e8 - 0.25) ** 2
+        expected = math.exp(-0.5625) * (math.sqrt(delta + lam) + math.sqrt(lam)) / delta
+        assert fidelity_moments(mean, cov, self.ZERO, cov) == pytest.approx(expected, rel=1e-12)
+
+    def test_cancelling_roots(self):
+        # thermal variances V1, V2 with Lambda / Delta ~ 1e40: F = 4 V1 V2 / (V1 + V2)^2
+        v1, v2 = 1e20, 1e40
+        f = fidelity_moments(self.ZERO, v1 * np.eye(2), self.ZERO, v2 * np.eye(2))
+        assert f == pytest.approx(4.0 * v1 * v2 / (v1 + v2) ** 2, rel=1e-12)
+
+    def test_opposite_huge_means(self):
+        far = np.array([1e308, -1e308])
+        assert fidelity_moments(far, self.PROBE, -far, self.PROBE) == 0.0
+
+    def test_random_scales_stay_bounded_and_symmetric(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            a, b = random_physical_state(rng), random_physical_state(rng)
+            sa, sb = 10.0 ** rng.uniform(0, 300, 2)
+            ma, mb = a.mean * 10.0 ** rng.uniform(0, 300), b.mean * 10.0 ** rng.uniform(0, 300)
+            f = fidelity_moments(ma, sa * a.cov, mb, sb * b.cov)
+            assert 0.0 <= f <= 1.0
+            assert f == pytest.approx(fidelity_moments(mb, sb * b.cov, ma, sa * a.cov), rel=1e-9)
+
+    def test_logarithmic_form_matches_direct_form(self):
+        rng = np.random.default_rng(44)
+        for _ in range(100):
+            a, b = random_physical_state(rng), random_physical_state(rng)
+            direct = fidelity_moments(a.mean, a.cov, b.mean, b.cov)
+            assert _fidelity_logs(a.mean, a.cov, b.mean, b.cov) == pytest.approx(direct, rel=1e-9)
 
 
 class TestFockTruncationAgreement:

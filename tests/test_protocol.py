@@ -9,7 +9,6 @@ from cvgec.protocol import (
     NoProtectedSubspaceError,
     NoisePatternSet,
     ProtocolConfig,
-    characterize_single_mode_map,
     corrected_channel,
     decode,
     encode,
@@ -18,12 +17,12 @@ from cvgec.protocol import (
     null_space_encoder,
     optimal_splitting,
     optimal_splitting_for,
-    pure_loss_reference,
     run_protocol,
     uncorrected_channel,
 )
 from cvgec.states import as_snu, displace, duan_simon, vacuum_state
 
+from map_reference import characterize_single_mode_map, pure_loss_reference
 from test_states import random_physical_state
 
 
