@@ -27,7 +27,7 @@ from .protocol import (
     optimal_splitting_for,
     uncorrected_map,
 )
-from .states import VACUUM_VARIANCE, as_snu, displace, duan_number, vacuum_state
+from .states import VACUUM_VARIANCE, as_snu, displace, vacuum_state
 from .transforms import _MAX_SQUEEZING, GaussianMap, two_mode_squeezed
 
 #: CSV column order shared by both sweep commands.
@@ -145,27 +145,23 @@ def entanglement_sweep(
     """Inseparability of a two-mode squeezed state, one half transmitted.
 
     Mode 1 of the entangled pair rides the protocol; mode 0 stays local.
-    Variance columns report the transmitted mode.  Fidelity columns are
-    NaN (multimode fidelity is out of scope).
+    Variance columns report the transmitted mode; the inseparability is
+    summed as in :func:`_squeezing_weights`, free of cancellation.
+    Fidelity columns are NaN (multimode fidelity is out of scope).
     """
     eps_grid = _noise_values(eps_grid)
-    pair = two_mode_squeezed(r).cov
-    corr, unc = (
-        _pair_outputs(_noise_axis(strategy, g_ratio, eta, xi), pair, eps_grid)
-        for strategy in (corrected_map, uncorrected_map)
-    )
+    transmitted = two_mode_squeezed(r).cov[2:, 2:]
+    cols = {}
+    for tag, strategy in (("corr", corrected_map), ("uncorr", uncorrected_map)):
+        x, y0, y1 = axis = _noise_axis(strategy, g_ratio, eta, xi)
+        _, cov = _outputs(axis, np.zeros(2), transmitted, eps_grid)
+        s, d = _squeezing_weights(x)
+        cols[f"var_x_{tag}_snu"] = as_snu(cov[:, 0, 0])
+        cols[f"var_p_{tag}_snu"] = as_snu(cov[:, 1, 1])
+        squeezed = 0.5 * (s * math.exp(2.0 * r) + d * math.exp(-2.0 * r))
+        cols[f"insep_{tag}"] = np.trace(y0) + eps_grid * np.trace(y1) + squeezed
     nan = np.full(eps_grid.size, np.nan)
-    cols = {
-        "var_x_corr_snu": as_snu(corr[:, 2, 2]),
-        "var_p_corr_snu": as_snu(corr[:, 3, 3]),
-        "var_x_uncorr_snu": as_snu(unc[:, 2, 2]),
-        "var_p_uncorr_snu": as_snu(unc[:, 3, 3]),
-        "fid_corr": nan,
-        "fid_uncorr": nan,
-        "fid_incoh": nan,
-        "insep_corr": duan_number(corr, (0, 1)),
-        "insep_uncorr": duan_number(unc, (0, 1)),
-    }
+    cols.update(fid_corr=nan, fid_uncorr=nan, fid_incoh=nan)
     metadata = {
         "sweep": "entanglement",
         "r": r,
@@ -189,8 +185,8 @@ def inseparability_infimum(
 
     Sending mode 1 of a two-mode squeezed vacuum through the single-mode
     map cov -> X cov X^T + Y gives the Duan number
-    a cosh 2r + b sinh 2r + tr Y with a = 1 + |X|_F^2 / 2 and
-    b = -(X_xx + X_pp); see :func:`_squeezing_minimum` for its minimum.
+    (s e^{2r} + d e^{-2r}) / 2 + tr Y (see :func:`_squeezing_weights`);
+    :func:`_squeezing_minimum` gives its minimum.
     """
     at_zero, slope = _infimum_line(g_ratio, eta, xi, strategy, r_max)
     return at_zero + float(_noise_values(eps)) * slope
@@ -309,28 +305,25 @@ def _outputs(axis, mean, cov, eps_grid):
     return x @ mean, (x @ cov @ x.T + y0) + eps_grid[:, None, None] * y1
 
 
-def _pair_outputs(axis, pair, eps_grid):
-    """Covariance stack (K, 4, 4) of a pair whose mode 1 takes the map."""
-    x, y0, y1 = axis
-    out = np.empty((eps_grid.size, 4, 4))
-    out[:, :2, :2] = pair[:2, :2]
-    out[:, :2, 2:] = pair[:2, 2:] @ x.T
-    out[:, 2:, :2] = x @ pair[2:, :2]
-    out[:, 2:, 2:] = (x @ pair[2:, 2:] @ x.T + y0) + eps_grid[:, None, None] * y1
-    return out
+def _squeezing_weights(x: np.ndarray) -> tuple[float, float]:
+    """(s, d) of the Duan number tr Y + (s e^{2r} + d e^{-2r}) / 2 of a
+    two-mode squeezed vacuum whose mode 1 takes cov -> X cov X^T + Y.
+
+    That is a cosh 2r + b sinh 2r + tr Y with a = 1 + |X|_F^2 / 2 and
+    b = -(X_xx + X_pp), so s = a + b = |X - I|_F^2 / 2 and
+    d = a - b = |X + I|_F^2 / 2: two nonnegative terms, no cancellation.
+    """
+    eye = np.eye(2)
+    return 0.5 * float(np.sum((x - eye) ** 2)), 0.5 * float(np.sum((x + eye) ** 2))
 
 
 def _squeezing_minimum(x: np.ndarray, r_max: float) -> float:
-    """Minimum over r in [0, r_max] of a cosh 2r + b sinh 2r.
+    """Minimum over r in [0, r_max] of (s e^{2r} + d e^{-2r}) / 2.
 
-    Written as (s e^{2r} + d e^{-2r}) / 2 with s = a + b = |X - I|_F^2 / 2
-    and d = a - b = |X + I|_F^2 / 2, which holds no cancellation.  The
-    minimiser is r* = atanh(-b / a) / 2 = ln(d / s) / 4 when b < 0, capped
-    at r_max, and 0 otherwise.
+    The minimiser is r* = atanh(-b / a) / 2 = ln(d / s) / 4 when b < 0,
+    capped at r_max, and 0 otherwise.
     """
-    eye = np.eye(2)
-    s = 0.5 * float(np.sum((x - eye) ** 2))
-    d = 0.5 * float(np.sum((x + eye) ** 2))
+    s, d = _squeezing_weights(x)
     if d <= s:
         r = 0.0
     else:

@@ -13,7 +13,6 @@ subspace), 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -186,9 +185,7 @@ def _cmd_sweep_coherent(args) -> int:
     grid = _eps_grid(args)
     model = _effective_channel(args)
     result = coherent_sweep(args.g_ratio, args.eta, args.xi, tuple(args.amplitude), grid)
-    buf = io.StringIO()
-    write_sweep_csv(result, buf)
-    _atomic_write(args.out, buf.getvalue())
+    _atomic_write(args.out, lambda fh: write_sweep_csv(result, fh))
     _maybe_dump_config(args, model)
     _write_manifest(args, extras={"metadata": result.metadata, "columns": list(SWEEP_COLUMNS)})
     return 0
@@ -198,9 +195,7 @@ def _cmd_sweep_entangle(args) -> int:
     grid = _eps_grid(args)
     model = _effective_channel(args)
     result = entanglement_sweep(args.r, args.eta, args.xi, grid, g_ratio=args.g_ratio)
-    buf = io.StringIO()
-    write_sweep_csv(result, buf)
-    _atomic_write(args.out, buf.getvalue())
+    _atomic_write(args.out, lambda fh: write_sweep_csv(result, fh))
     breaking = entanglement_breaking_point(args.g_ratio, args.eta, args.xi, "uncorrected")
     print(f"uncorrected breaking point: {format(breaking, '.17g')} SNU")
     _maybe_dump_config(args, model)
@@ -228,9 +223,7 @@ def _cmd_trace(args) -> int:
         amplitude=tuple(args.amplitude),
         modulation_period=args.modulation_period,
     )
-    buf = io.StringIO()
-    write_trace_csv(records, buf)
-    _atomic_write(args.out, buf.getvalue())
+    _atomic_write(args.out, lambda fh: write_trace_csv(records, fh))
     _maybe_dump_config(args, model)
     _write_manifest(args, seed=args.seed, extras={"splitting": t})
     return 0
@@ -250,7 +243,7 @@ def _cmd_synth(args) -> int:
     plan = decompose_network(complete_orthonormal(signal))
     signal_line = " ".join(format(x, ".17g") for x in signal)
     text = serialize_plan(plan) + f"# signal {signal_line}\n"
-    _atomic_write(args.out, text)
+    _atomic_write(args.out, lambda fh: fh.write(text))
     print(f"signal {signal_line}")
     _write_manifest(
         args,
@@ -322,7 +315,7 @@ def _effective_channel(args, eps: float = 10.0):
 
 def _maybe_dump_config(args, model) -> None:
     if getattr(args, "dump_config", None):
-        _atomic_write(args.dump_config, dump_channel_config(model))
+        _atomic_write(args.dump_config, lambda fh: fh.write(dump_channel_config(model)))
 
 
 def _manifest_payload(args, seed=None, extras=None) -> dict:
@@ -350,22 +343,23 @@ def _manifest_payload(args, seed=None, extras=None) -> dict:
 def _write_manifest(args, seed=None, extras=None) -> None:
     payload = _manifest_payload(args, seed=seed, extras=extras)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    _atomic_write(args.out + ".manifest.json", text)
+    _atomic_write(args.out + ".manifest.json", lambda fh: fh.write(text))
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write through a unique temporary file in the target directory, then
-    rename; the file gets the mode a plain open() would give it."""
+def _atomic_write(path: str, write) -> None:
+    """Call ``write`` on a unique temporary file in the target directory,
+    then rename; the file gets the mode a plain open() would give it.  On
+    any failure the temporary file is removed and ``path`` is untouched."""
     directory, name = os.path.split(path)
     fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=directory or ".")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            write(fh)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         os.unlink(tmp)
         raise
 

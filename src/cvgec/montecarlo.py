@@ -183,11 +183,16 @@ def analytic_stage_moments(
 
 
 def write_trace_csv(records, stream) -> None:
-    """CSV rows (stage, quadrature, index, value) with full precision."""
+    """CSV rows (stage, quadrature, index, value) with full precision,
+    each record formatted as one block from a row template."""
     stream.write("stage,quadrature,index,value\n")
+    templates = {}
     for r in records:
-        for k, v in enumerate(r.samples):
-            stream.write(f"{r.stage},{r.quadrature},{k},{format(v, '.17g')}\n")
+        n = r.samples.size
+        if n not in templates:
+            templates[n] = "".join("\0%d,%%.17g\n" % k for k in range(n))
+        prefix = f"{r.stage},{r.quadrature},".replace("%", "%%")
+        stream.write(templates[n].replace("\0", prefix) % tuple(r.samples.tolist()))
 
 
 class _StreamPool:

@@ -9,11 +9,10 @@ format (one element per line) used by the `synth` CLI command.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .transforms import BsConvention, beam_splitter, phase_shift
 
 _ORTHO_TOL = 1e-10
 _RECOMPOSE_TOL = 1e-10
@@ -30,7 +29,7 @@ class BeamSplitterElement:
 
 @dataclass(frozen=True)
 class PhaseShiftElement:
-    """Single-mode phase shift by ``phi`` radians (pi is a sign flip)."""
+    """Single-mode phase shift by ``phi`` radians; plans take only 0 or +-pi (sign flip)."""
 
     mode: int
     phi: float
@@ -56,35 +55,13 @@ class NetworkPlan:
         n = target.shape[0]
         if target.shape != (n, n):
             raise ValueError("target must be square")
-        err = np.max(np.abs(plan_symplectic(self) - np.kron(target, np.eye(2))))
-        if err > _RECOMPOSE_TOL:
+        err = np.max(np.abs(_recompose(self.elements, n) - target))
+        if not err <= _RECOMPOSE_TOL:
             raise ValueError(f"plan does not recompose its target (error {err:.3e})")
 
     @property
     def n_modes(self) -> int:
         return self.target.shape[0]
-
-
-def element_symplectic(element, n_modes: int) -> np.ndarray:
-    """Full 2N x 2N symplectic matrix of a single plan element."""
-    from .transforms import expand
-
-    if isinstance(element, BeamSplitterElement):
-        t = beam_splitter(element.t, (element.mode_a, element.mode_b), BsConvention.ROTATION)
-    elif isinstance(element, PhaseShiftElement):
-        t = phase_shift(element.phi, element.mode)
-    else:
-        raise TypeError(f"unknown plan element {element!r}")
-    return expand(t, n_modes)
-
-
-def plan_symplectic(plan: NetworkPlan) -> np.ndarray:
-    """Recomposed 2N x 2N symplectic matrix of the whole plan."""
-    n = plan.target.shape[0]
-    total = np.eye(2 * n)
-    for element in plan.elements:
-        total = element_symplectic(element, n) @ total
-    return total
 
 
 def decompose_network(u: np.ndarray) -> NetworkPlan:
@@ -193,6 +170,7 @@ def parse_plan(text: str) -> tuple[NetworkPlan, str]:
     n = None
     checksum = ""
     elements = []
+    labels = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -207,19 +185,45 @@ def parse_plan(text: str) -> tuple[NetworkPlan, str]:
                 elements.append(
                     BeamSplitterElement(int(parts[1]), int(parts[2]), float(parts[3]))
                 )
+                labels.append(f"plan line {lineno}")
             elif parts[0] == "PS":
                 elements.append(PhaseShiftElement(int(parts[1]), float(parts[2])))
+                labels.append(f"plan line {lineno}")
             else:
                 raise ValueError(f"unknown element {parts[0]!r}")
         except (IndexError, ValueError) as exc:
             raise ValueError(f"bad plan line {lineno}: {raw!r}") from exc
     if n is None:
         raise ValueError("plan is missing its N header")
-    total = np.eye(2 * n)
-    for element in elements:
-        total = element_symplectic(element, n) @ total
-    target = total[::2, ::2]  # mode matrix: x-block of the symplectic form
+    target = _recompose(elements, n, labels)
     return NetworkPlan(tuple(elements), target), checksum
+
+
+def _recompose(elements, n: int, labels=None) -> np.ndarray:
+    """N x N mode matrix of the elements applied in order, by two-row
+    updates; ``labels[k]`` names element k in errors.  Elements act on x
+    and p alike, so a plan is a real mode matrix: a phase other than 0 or
+    +-pi would mix x into p and is refused."""
+    total = np.eye(n)
+    for k, e in enumerate(elements):
+        label = labels[k] if labels else f"element {k}"
+        if not isinstance(e, (BeamSplitterElement, PhaseShiftElement)):
+            raise TypeError(f"unknown plan element {e!r}")
+        modes = (e.mode_a, e.mode_b) if isinstance(e, BeamSplitterElement) else (e.mode,)
+        if len(set(modes)) < len(modes) or not all(0 <= m < n for m in modes):
+            raise ValueError(f"{label}: needs distinct modes of the plan")
+        if isinstance(e, PhaseShiftElement):
+            if not (math.isfinite(e.phi) and abs(math.sin(e.phi)) <= _RECOMPOSE_TOL):
+                raise ValueError(f"{label}: phase {e.phi!r} would mix x and p; only 0 or +-pi")
+            total[e.mode] *= math.cos(e.phi)
+        elif not 0.0 <= e.t <= 1.0:
+            raise ValueError(f"{label}: transmissivity must lie in [0, 1]")
+        else:
+            c, s = math.sqrt(e.t), math.sqrt(1.0 - e.t)
+            row_a, row_b = total[e.mode_a].copy(), total[e.mode_b]
+            total[e.mode_a] = c * row_a + s * row_b
+            total[e.mode_b] = c * row_b - s * row_a
+    return total
 
 
 def _rotation_elements(j: int, i: int, c: float, s: float) -> list:

@@ -1,13 +1,17 @@
 """Numeric entanglement breaking-point search, kept as an oracle.
 
-Evaluates the protocol on a two-mode squeezed vacuum at each trial
-squeezing, so it shares nothing with the closed form in
-``cvgec.analysis`` beyond the protocol itself.  The inseparability
-infimum over r is a golden-section search; the breaking point is found
-by doubling to a bracket (capped at ``eps_limit``) and then bisecting,
-or by a 101-point scan of the bracket with linear interpolation.
+Builds the protocol's map once per noise level and applies it to a
+two-mode squeezed vacuum at each trial squeezing, so it shares nothing
+with the closed form in ``cvgec.analysis`` beyond the protocol itself.
+The inseparability infimum over r is a golden-section search; the
+breaking point is found by doubling to a bracket (capped at
+``eps_limit``) and then bisecting, or by a 101-point scan of the bracket
+with linear interpolation.  The noise shifts the inseparability by the
+same amount at every r, so each search of one configuration probes the
+same trial squeezings; the trial input states are cached by r.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -15,11 +19,11 @@ import numpy as np
 from cvgec.channel import standard_two_channel
 from cvgec.protocol import (
     ProtocolConfig,
-    corrected_channel,
+    corrected_map,
     optimal_splitting_for,
-    uncorrected_channel,
+    uncorrected_map,
 )
-from cvgec.states import duan_simon
+from cvgec.states import duan_simon, partial_trace, tensor, vacuum_state
 from cvgec.transforms import two_mode_squeezed
 
 from splitting_oracle import golden_section
@@ -30,14 +34,15 @@ def infimum(eps, g_ratio, eta, xi, strategy, r_max=10.0):
     model = standard_two_channel(eps, g_ratio, eta, xi)
     t = optimal_splitting_for(model)
     cfg = ProtocolConfig(t, t, model)
+    if strategy == "corrected":
+        protocol = corrected_map(cfg, 2, signal_mode=1)
+    else:
+        protocol = uncorrected_map(cfg, 2, signal_mode=1, channel=0)
+    spares = protocol.n_modes - 2
 
     def insep(r):
-        pair = two_mode_squeezed(r)
-        if strategy == "corrected":
-            out = corrected_channel(cfg, pair, signal_mode=1)
-        else:
-            out = uncorrected_channel(cfg, pair, signal_mode=1, channel=0)
-        return duan_simon(out, (0, 1))
+        out = protocol.apply(_squeezed_input(r, spares))
+        return duan_simon(partial_trace(out, (0, 1)), (0, 1))
 
     _, value = golden_section(insep, 0.0, r_max, tol=1e-9)
     return min(value, insep(0.0), insep(r_max))
@@ -73,3 +78,9 @@ def breaking_point(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+@functools.lru_cache(maxsize=4096)
+def _squeezed_input(r, spares):
+    """Two-mode squeezed vacuum followed by ``spares`` vacuum modes."""
+    return tensor(two_mode_squeezed(r), vacuum_state(spares))

@@ -19,7 +19,7 @@ from cvgec.analysis import (
 from cvgec.channel import ChannelModel, NoiseSource, apply_channel, standard_two_channel
 from cvgec.fidelity import fidelity
 from cvgec.montecarlo import STAGES, analytic_stage_moments, empirical_covariance, sample_run
-from cvgec.network import decompose_network, plan_symplectic
+from cvgec.network import decompose_network
 from cvgec.protocol import (
     NoisePatternSet,
     ProtocolConfig,
@@ -40,6 +40,7 @@ from cvgec.transforms import beam_splitter, phase_shift, squeeze
 import breaking_oracle
 from fock_oracle import fidelity_fock_states
 from map_reference import pure_loss_reference
+from network_oracle import plan_symplectic
 from splitting_oracle import grid_scan_splitting
 from test_states import random_physical_state
 

@@ -27,7 +27,7 @@ from cvgec.protocol import (
     optimal_splitting_for,
     uncorrected_channel,
 )
-from cvgec.states import GaussianState, displace, duan_simon, vacuum_state
+from cvgec.states import GaussianState, displace, duan_number, duan_simon, vacuum_state
 from cvgec.transforms import two_mode_squeezed
 
 import breaking_oracle
@@ -193,6 +193,31 @@ class TestVectorisedSweeps:
             self.close(res.series["var_p_uncorr_snu"][k], 2 * unc.cov[3, 3])
             self.close(res.series["insep_corr"][k], duan_simon(corr, (0, 1)))
             self.close(res.series["insep_uncorr"][k], duan_simon(unc, (0, 1)))
+
+    @pytest.mark.parametrize("g, eta, xi", CONFIGS)
+    @pytest.mark.parametrize("r", [0.0, 0.4, 1.5, 3.0])
+    def test_inseparability_matches_duan_number_on_covariance_stack(self, g, eta, xi, r):
+        grid = np.linspace(0.0, 50.0, 7)
+        pair = two_mode_squeezed(r)
+        res = entanglement_sweep(r, eta, xi, grid, g_ratio=g)
+        stacks = {"insep_corr": [], "insep_uncorr": []}
+        for eps in grid:
+            model = standard_two_channel(eps, g, eta, xi)
+            t = optimal_splitting_for(model)
+            cfg = ProtocolConfig(t, t, model)
+            stacks["insep_corr"].append(corrected_channel(cfg, pair, signal_mode=1).cov)
+            stacks["insep_uncorr"].append(
+                uncorrected_channel(cfg, pair, signal_mode=1, channel=0).cov
+            )
+        # The stack forms V11 + V22 - 2 V12 from entries of size cosh(2r) / 2,
+        # so it carries an absolute rounding error of a few ulp of cosh 2r.
+        slack = 8.0 * np.finfo(float).eps * np.cosh(2.0 * r)
+        for name, covs in stacks.items():
+            expected = duan_number(np.array(covs), (0, 1))
+            assert np.allclose(res.series[name], expected, rtol=1e-12, atol=slack)
+        if (g, eta, xi) == (0.61, 1.0, 0.0):  # noiseless identity channel at eps = 0
+            ideal = 2.0 * np.exp(-2.0 * r)
+            assert res.series["insep_corr"][0] == pytest.approx(ideal, rel=1e-14, abs=0.0)
 
     def test_fidelity_stack_matches_scalar_calls(self):
         rng = np.random.default_rng(61)

@@ -187,6 +187,17 @@ class TestSweepEntangle:
         _, cols = read_csv(out)
         assert np.all(np.diff(cols["insep_corr"]) > 0)
 
+    def test_large_squeezing_keeps_the_added_noise(self, tmp_path):
+        out = tmp_path / "r20.csv"
+        argv = ["sweep-entangle", "--r", "20", "--eps-max", "10", "--eps-steps", "2"]
+        assert main(argv + ["--out", str(out)]) == 0
+        _, cols = read_csv(out)
+        floor = 2.0 * np.exp(-40.0)
+        expected = np.array([floor, 10.0 + floor])
+        assert np.all(np.abs(cols["insep_uncorr"] - expected) <= 1e-12 * expected)
+        # the ideal corrected channel keeps the pair entangled at any noise
+        assert np.all(cols["insep_corr"] < 1e-13)
+
 
 class TestTrace:
     def test_deterministic_checksum(self, tmp_path):
@@ -195,6 +206,12 @@ class TestTrace:
         assert main(argv + [str(a)]) == 0
         assert main(argv + [str(b)]) == 0
         assert sha256(a) == sha256(b)
+
+    def test_pinned_bytes(self, tmp_path):
+        out = tmp_path / "t.csv"
+        argv = ["trace", "--eps", "25", "--n", "2000", "--seed", "12", "--out", str(out)]
+        assert main(argv) == 0
+        assert sha256(out) == "59e15773ea640e183ecda0ab8a87282f039891c85527a0eb6903e7eceda17a41"
 
     def test_corrected_stage_variance(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -364,6 +381,17 @@ class TestHarness:
         finally:
             os.umask(old)
         assert out.stat().st_mode & 0o777 == 0o640
+
+    def test_failing_writer_leaves_nothing(self, tmp_path):
+        from cvgec.cli import _atomic_write
+
+        def writer(fh):
+            fh.write("stage,quadrature,index,value\n")
+            raise ValueError("formatting failed")
+
+        with pytest.raises(ValueError, match="formatting failed"):
+            _atomic_write(str(tmp_path / "o.csv"), writer)
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_partial_files_on_error(self, tmp_path):
         missing_dir = tmp_path / "nope"

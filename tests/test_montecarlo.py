@@ -14,6 +14,8 @@ from cvgec.montecarlo import (
 )
 from cvgec.protocol import ProtocolConfig, optimal_splitting_for
 
+from trace_reference import write_trace_csv_per_cell
+
 
 def config(eps_snu, g_ratio=1.0, eta=1.0, xi=0.0):
     model = standard_two_channel(eps_snu, g_ratio, eta, xi)
@@ -147,3 +149,40 @@ class TestTraceCsv:
         stage, quad, idx, value = lines[1].split(",")
         assert stage == "input" and quad == "X" and idx == "0"
         float(value)
+
+    @pytest.mark.parametrize(
+        "n, kwargs",
+        [
+            (1, {}),
+            (2, {}),
+            (3, {}),
+            (1000, {}),
+            (1000, {"modulation_period": 37}),
+            (1000, {"noise_dist": "uniform"}),
+            (1000, {"noise_dist": "two-point"}),
+        ],
+    )
+    def test_bytes_match_per_cell_reference(self, n, kwargs):
+        import io
+
+        records = sample_run(config(12.0, g_ratio=0.7, eta=0.8, xi=0.02), n, seed=21, **kwargs)
+        new, ref = io.StringIO(), io.StringIO()
+        write_trace_csv(records, new)
+        write_trace_csv_per_cell(records, ref)
+        assert new.getvalue() == ref.getvalue()
+
+    def test_bytes_match_per_cell_reference_on_edge_values(self):
+        import io
+
+        values = [-0.0, 5e-324, 1e-300, 1e300, 0.1, -1.0 / 3.0, 2.0**53 + 2.0]
+        records = [
+            TraceRecord("input", "X", values, 1),
+            TraceRecord("100%", "%d", values[::-1], 1),
+            TraceRecord("corrected", "P", values[:1], 1),
+        ]
+        new, ref = io.StringIO(), io.StringIO()
+        write_trace_csv(records, new)
+        write_trace_csv_per_cell(records, ref)
+        assert new.getvalue() == ref.getvalue()
+        assert "input,X,0,-0\n" in new.getvalue()
+

@@ -11,10 +11,12 @@ from cvgec.network import (
     decompose_network,
     inverse_plan,
     parse_plan,
-    plan_symplectic,
+    _recompose,
     serialize_plan,
     target_checksum,
 )
+
+from network_oracle import plan_symplectic
 
 
 def random_orthogonal(rng, n):
@@ -65,10 +67,54 @@ class TestDecompose:
         assert np.abs(plan_symplectic(inv) - np.kron(u.T, np.eye(2))).max() < 1e-10
 
 
+    @pytest.mark.parametrize("n", [*range(2, 9), 24, 48])
+    def test_two_row_updates_match_full_recomposition(self, n):
+        rng = np.random.default_rng(200 + n)
+        u = random_orthogonal(rng, n)
+        plan = decompose_network(u)
+        full = plan_symplectic(plan)
+        assert np.abs(_recompose(plan.elements, n) - full[::2, ::2]).max() < 1e-12
+        assert np.abs(full[::2, ::2] - full[1::2, 1::2]).max() < 1e-12
+        # pi flips leave sin(pi) ~ 1e-16 in the oracle's x-p blocks
+        assert np.abs(full[::2, 1::2]).max() < 1e-12
+        assert np.abs(full[1::2, ::2]).max() < 1e-12
+
+
 class TestPlanValidation:
     def test_mismatched_target_rejected(self):
         with pytest.raises(ValueError, match="recompose"):
             NetworkPlan((BeamSplitterElement(0, 1, 0.5),), np.eye(2))
+
+    @pytest.mark.parametrize("phi", [0.5, np.pi / 2, -1e-9, np.nan, np.inf])
+    def test_phase_a_mode_matrix_cannot_hold_rejected(self, phi):
+        with pytest.raises(ValueError, match=r"element 1: phase .* 0 or \+-pi"):
+            NetworkPlan(
+                (PhaseShiftElement(0, np.pi), PhaseShiftElement(1, phi)), np.diag([-1.0, 1.0])
+            )
+
+    @pytest.mark.parametrize("phi", [0.0, np.pi, -np.pi])
+    def test_real_phases_accepted(self, phi):
+        plan = NetworkPlan((PhaseShiftElement(1, phi),), np.diag([1.0, np.cos(phi)]))
+        assert plan.n_modes == 2
+
+    @pytest.mark.parametrize(
+        "element",
+        [
+            BeamSplitterElement(0, 0, 0.5),
+            BeamSplitterElement(0, 2, 0.5),
+            BeamSplitterElement(-1, 0, 0.5),
+            BeamSplitterElement(0, 1, 1.5),
+            BeamSplitterElement(0, 1, np.nan),
+            PhaseShiftElement(2, 0.0),
+        ],
+    )
+    def test_bad_elements_rejected(self, element):
+        with pytest.raises(ValueError, match="element 0"):
+            NetworkPlan((element,), np.eye(2))
+
+    def test_non_finite_target_rejected(self):
+        with pytest.raises(ValueError, match="recompose"):
+            NetworkPlan((), np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 class TestCompletion:
@@ -108,3 +154,12 @@ class TestSerialization:
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="line"):
             parse_plan("N 2\nXX 0 1\n")
+
+    def test_phase_a_mode_matrix_cannot_hold_names_its_line(self):
+        text = "N 2\nchecksum abc\n# a note\nBS 0 1 0.25\nPS 1 1.5707963267948966\n"
+        with pytest.raises(ValueError, match=r"plan line 5: phase 1.5707963267948966"):
+            parse_plan(text)
+
+    def test_pi_flips_parse(self):
+        plan, _ = parse_plan("N 2\nPS 0 3.1415926535897931\nPS 1 -3.1415926535897931\n")
+        assert np.array_equal(plan.target, -np.eye(2))
