@@ -114,11 +114,14 @@ def coherent_sweep(
         "insep_corr": nan,
         "insep_uncorr": nan,
     }
-    alt = {
-        "var_x": as_snu(v_unc2[:, 0, 0]),
-        "var_p": as_snu(v_unc2[:, 1, 1]),
-        "fid": fidelity_moments(m_unc2, v_unc2, mean, cov),
-    }
+    # Channel 2 carries eps / g_ratio, which can exceed the double range
+    # at the top of the finite noise axis; its variance is then inf.
+    with np.errstate(over="ignore"):
+        alt = {
+            "var_x": as_snu(v_unc2[:, 0, 0]),
+            "var_p": as_snu(v_unc2[:, 1, 1]),
+            "fid": fidelity_moments(m_unc2, v_unc2, mean, cov),
+        }
     shifted = {
         "fid_corr": fidelity_moments(mean, v_corr, mean, cov),
         "fid_uncorr": fidelity_moments(mean, v_unc, mean, cov),
@@ -249,12 +252,15 @@ def optimize_splitting(
     return t, t, objective_fn(t, t)
 
 
-def write_sweep_csv(result: SweepResult, stream) -> None:
-    """Fixed-column CSV, one row per noise level, full double precision."""
-    stream.write(",".join(SWEEP_COLUMNS) + "\n")
+def write_sweep_csv(result: SweepResult, stream, columns=SWEEP_COLUMNS) -> None:
+    """Fixed-column CSV, one row per noise level, full double precision.
+
+    The first column is the noise axis; the others name series of ``result``.
+    """
+    stream.write(",".join(columns) + "\n")
     for k, eps in enumerate(result.axis):
         row = [format(eps, ".17g")]
-        row += [format(result.series[name][k], ".17g") for name in SWEEP_COLUMNS[1:]]
+        row += [format(result.series[name][k], ".17g") for name in columns[1:]]
         stream.write(",".join(row) + "\n")
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     SWEEP_COLUMNS,
+    SweepResult,
     coherent_sweep,
     entanglement_breaking_point,
     entanglement_sweep,
@@ -30,7 +31,6 @@ from .analysis import (
     write_sweep_csv,
 )
 from .channel import dump_channel_config, parse_channel_config, standard_two_channel
-from .montecarlo import sample_run, write_trace_csv
 from .network import complete_orthonormal, decompose_network, serialize_plan
 from .protocol import (
     NoProtectedSubspaceError,
@@ -50,6 +50,17 @@ CONVENTIONS = {
     "uncorrected_reference": "direct transmission through channel 1, no encoding",
     "inseparability": "Var(x1-x2) + Var(p1+p2) in natural units; entangled below 2",
 }
+
+#: Columns of the ``sweep-coherent`` sidecar ``<out>.aux.csv``: the
+#: uncorrected channel-2 alternative and the displacement-corrected fidelities.
+AUX_COLUMNS = (
+    "eps_snu",
+    "var_x_uncorr2_snu",
+    "var_p_uncorr2_snu",
+    "fid_uncorr2",
+    "fid_corr_displaced",
+    "fid_uncorr_displaced",
+)
 
 _EPILOG = "Units and conventions:\n" + "\n".join(
     f"  {key}: {value}" for key, value in CONVENTIONS.items()
@@ -185,9 +196,24 @@ def _cmd_sweep_coherent(args) -> int:
     grid = _eps_grid(args)
     model = _effective_channel(args)
     result = coherent_sweep(args.g_ratio, args.eta, args.xi, tuple(args.amplitude), grid)
+    metadata = dict(result.metadata)
+    alt = metadata.pop("uncorrected_channel_2")
+    shifted = metadata.pop("displacement_corrected")
+    curves = (alt["var_x"], alt["var_p"], alt["fid"], shifted["fid_corr"], shifted["fid_uncorr"])
+    aux = SweepResult(result.axis, dict(zip(AUX_COLUMNS[1:], curves)), {})
+    aux_path = args.out + ".aux.csv"
     _atomic_write(args.out, lambda fh: write_sweep_csv(result, fh))
+    _atomic_write(aux_path, lambda fh: write_sweep_csv(aux, fh, AUX_COLUMNS))
     _maybe_dump_config(args, model)
-    _write_manifest(args, extras={"metadata": result.metadata, "columns": list(SWEEP_COLUMNS)})
+    _write_manifest(
+        args,
+        extras={
+            "metadata": metadata,
+            "columns": list(SWEEP_COLUMNS),
+            "aux_columns": list(AUX_COLUMNS),
+        },
+        outputs=[aux_path],
+    )
     return 0
 
 
@@ -211,6 +237,10 @@ def _cmd_sweep_entangle(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    # Imported here: the trace CSV kernel is sizeable, and no other command
+    # should pay to compile it at start-up.
+    from .montecarlo import sample_run, write_trace_csv
+
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     model = _effective_channel(args, eps=args.eps)
@@ -318,7 +348,7 @@ def _maybe_dump_config(args, model) -> None:
         _atomic_write(args.dump_config, lambda fh: fh.write(dump_channel_config(model)))
 
 
-def _manifest_payload(args, seed=None, extras=None) -> dict:
+def _manifest_payload(args, seed=None, extras=None, outputs=()) -> dict:
     parameters = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command") and v is not None
     }
@@ -333,16 +363,16 @@ def _manifest_payload(args, seed=None, extras=None) -> dict:
     if extras:
         payload["extras"] = extras
     if getattr(args, "out", None):
-        outputs = [os.path.basename(args.out)]
+        written = [args.out, *outputs]
         if getattr(args, "dump_config", None):
-            outputs.append(os.path.basename(args.dump_config))
-        payload["outputs"] = outputs
+            written.append(args.dump_config)
+        payload["outputs"] = [os.path.basename(path) for path in written]
     return payload
 
 
-def _write_manifest(args, seed=None, extras=None) -> None:
-    payload = _manifest_payload(args, seed=seed, extras=extras)
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write_manifest(args, seed=None, extras=None, outputs=()) -> None:
+    payload = _manifest_payload(args, seed=seed, extras=extras, outputs=outputs)
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     _atomic_write(args.out + ".manifest.json", lambda fh: fh.write(text))
 
 

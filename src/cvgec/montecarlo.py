@@ -18,6 +18,7 @@ any evaluation schedule.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,16 +184,191 @@ def analytic_stage_moments(
 
 
 def write_trace_csv(records, stream) -> None:
-    """CSV rows (stage, quadrature, index, value) with full precision,
-    each record formatted as one block from a row template."""
+    """CSV rows (stage, quadrature, index, value) with full precision.
+
+    Each value is written exactly as ``format(v, '.17g')`` writes it.
+    Rows are formatted in blocks of ``_BLOCK_ROWS`` by :class:`_RowFormatter`,
+    so the working memory does not grow with the record length.
+    """
     stream.write("stage,quadrature,index,value\n")
-    templates = {}
     for r in records:
         n = r.samples.size
-        if n not in templates:
-            templates[n] = "".join("\0%d,%%.17g\n" % k for k in range(n))
-        prefix = f"{r.stage},{r.quadrature},".replace("%", "%%")
-        stream.write(templates[n].replace("\0", prefix) % tuple(r.samples.tolist()))
+        rows = _RowFormatter(f"{r.stage},{r.quadrature},", n)
+        for start in range(0, n, _BLOCK_ROWS):
+            stream.write(rows.text(start, r.samples[start : start + _BLOCK_ROWS]))
+
+
+#: Rows per block of :func:`write_trace_csv`.
+_BLOCK_ROWS = 1 << 14
+
+#: A value field: sign, "0.000", the leading digit, then the other 16
+#: digits each behind a "." slot, as four ".d.d.d.d" octets.
+_FIELD = 39
+_FIELD_TEMPLATE = np.frombuffer(b"-0.0000" + b".0" * 16, np.uint8)
+
+#: Powers of ten up to 1e22 are exact doubles; each is split into two
+#: 26-bit halves for Dekker's product.
+_SPLITTER = 134217729.0  # 2**27 + 1
+_POW10 = 10.0 ** np.arange(23)
+_POW10_HI = _SPLITTER * _POW10 - (_SPLITTER * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+@functools.cache
+def _digit_tables():
+    """Lookup tables over the 4-digit groups 0000..9999: the group as a
+    ".d.d.d.d" octet (uint64), as four digits (uint32), and its number of
+    trailing zeros."""
+    quads = ["%04d" % g for g in range(10000)]
+    octets = np.frombuffer("".join("." + ".".join(q) for q in quads).encode(), np.uint64)
+    digits = np.frombuffer("".join(quads).encode(), np.uint32)
+    trailing = np.array([4] + [len(q) - len(q.rstrip("0")) for q in quads[1:]])
+    trailing.flags.writeable = False
+    return octets, digits, trailing
+
+
+def _two_product(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**q as hi + lo exactly, hi = fl(a * 10**q) (Dekker, Numer. Math.
+    18, 1971); exact for 1e-4 <= a < 1e17 and 0 <= q <= 22."""
+    hi = a * _POW10[q]
+    t = _SPLITTER * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _POW10_HI[q], _POW10_LO[q]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return hi, lo
+
+
+def _in_range(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """1e16 <= hi + lo < 1e17, decided exactly."""
+    above = (hi > 1e16) | ((hi == 1e16) & (lo >= 0))
+    return above & ((hi < 1e17) | ((hi == 1e17) & (lo < 0)))
+
+
+def _significands(values: np.ndarray):
+    """Round-half-even 17-digit significands D and decimal exponents e,
+    with |v| = D * 10**(e - 16) to 17 digits, for values that ``%.17g``
+    writes in fixed notation (rounded |v| in [1e-4, 1e17)).
+
+    Returns (D, e, fast); rows with ``fast`` False hold placeholders and
+    must be formatted another way.  The scaled value |v| * 10**(16 - e) is
+    kept exactly as hi + lo; hi >= 1e16 > 2**53 is an even integer, so
+    hi + rint(lo) rounds half to even like the correctly rounded
+    ``%.17g``.
+    """
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fast, a, 1.0)
+    e = np.clip(np.floor(np.log10(a)).astype(np.int64), -4, 16)
+    hi, lo = _two_product(a, 16 - e)
+    # log10 can be one off next to a power of ten: step the exponent once.
+    off = np.flatnonzero(~_in_range(hi, lo))
+    if off.size:
+        e[off] = np.clip(e[off] + np.where(hi[off] >= 1e17, 1, -1), -4, 16)
+        hi[off], lo[off] = _two_product(a[off], 16 - e[off])
+        fast[off] &= _in_range(hi[off], lo[off])
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = d == 10**17
+    d[carry] = 10**16
+    e += carry
+    fast &= e <= 16
+    return d, e, fast
+
+
+class _RowFormatter:
+    """Rows ``prefix + index + "," + format(v, '.17g') + "\\n"`` of one
+    record of ``n`` samples, formatted a block at a time.
+
+    Every row is built in a fixed-width uint8 matrix whose layout does not
+    depend on the value: [pad][prefix][index][","][value field]["\\n"][pad].
+    The index is zero-padded to a multiple of four digits.  The value field
+    puts every decimal digit in a fixed column, with a "." slot after each,
+    so digits are stored without shifting.  Which bytes a row keeps (the
+    minus sign, "0." and leading zeros below 1, the digits up to the last
+    significant one, the one "." that is the decimal point, the index
+    without its leading zeros) depends only on the index length, the sign,
+    the exponent and the last significant digit, and is looked up in a
+    table built here.  One compaction of the kept bytes gives the text.
+
+    Values outside the fixed-notation range (zeros, |v| < 1e-4, |v| >= 1e17)
+    are formatted one by one with ``%.17g`` into their value field.
+    """
+
+    def __init__(self, prefix: str, n: int):
+        prefix = prefix.encode()
+        self.width = width = 4 * -(-len(str(max(n - 1, 0))) // 4)
+        front = len(prefix) + width + 8  # up to the first octet
+        pad = -front % 8  # so that the octets are aligned uint64 words
+        self.index = pad + len(prefix)
+        self.value = v = self.index + width + 1
+        row_len = v + _FIELD + 8
+        row = np.zeros(row_len, np.uint8)
+        row[pad : self.index] = np.frombuffer(prefix, np.uint8)
+        row[v - 1] = ord(",")
+        row[v : v + _FIELD] = _FIELD_TEMPLATE
+        row[v + _FIELD] = ord("\n")
+        self.rows = np.empty((_BLOCK_ROWS, row_len), np.uint8)
+        self.rows[:] = row
+
+        # keep[index digits - 1, negative, e + 4, last digit kept, column]
+        digits = np.arange(1, width + 1).reshape(-1, 1, 1, 1, 1)
+        negative = np.arange(2).reshape(-1, 1, 1) == 1
+        e = np.arange(-4, 17).reshape(-1, 1, 1)
+        last = np.arange(17).reshape(-1, 1)
+        j = np.arange(17)
+        keep = np.zeros((width, 2, 21, 17, row_len), bool)
+        keep[..., pad : self.index] = True
+        keep[..., self.index : v - 1] = np.arange(width) >= width - digits
+        keep[..., v - 1] = True
+        keep[..., v] = negative
+        keep[..., v + 1 : v + 6] = np.arange(5) < np.where(e < 0, 1 - e, 0)
+        keep[..., v + 6 + 2 * j] = j <= last
+        keep[..., v + 7 + 2 * j[:16]] = (j[:16] == e) & (j[:16] < last)
+        keep[..., v + _FIELD] = True
+        self.keep = keep.reshape(-1, row_len).view(np.uint64)
+        self.powers = 10 ** np.arange(1, width)
+
+    def text(self, start: int, values: np.ndarray) -> str:
+        """Rows for ``values``, the samples with indices start, start+1, ..."""
+        octets, quads, trailing = _digit_tables()
+        b, v = values.size, self.value
+        rows = self.rows[:b]
+        d, e, fast = _significands(values)
+
+        top, low = np.divmod(d, 10**8)
+        groups = [*np.divmod(top.astype(np.int32), 10**4), *np.divmod(low.astype(np.int32), 10**4)]
+        lead, groups[0] = np.divmod(groups[0], 10**4)
+        rows[:, v + 6] = 48 + lead
+        words = rows.view(np.uint64)[:, (v + 7) // 8 :]
+        zeros = np.zeros(b, np.int64)
+        tail = np.ones(b, bool)
+        for i in (3, 2, 1, 0):
+            words[:, i] = octets[groups[i]]
+            zeros += tail * trailing[groups[i]]
+            tail &= groups[i] == 0
+
+        k = np.arange(start, start + b)
+        index = np.empty((b, self.width // 4), np.uint32)
+        rest = k
+        for i in range(self.width // 4 - 1, -1, -1):
+            rest, group = np.divmod(rest, 10**4)
+            index[:, i] = quads[group]
+        rows[:, self.index : v - 1] = index.view(np.uint8)
+
+        shorter = np.searchsorted(self.powers, k, side="right")  # index digits - 1
+        last = np.maximum(e, 16 - zeros)
+        key = ((shorter * 2 + (values < 0)) * 21 + e + 4) * 17 + last
+        keep = self.keep[key].view(bool)
+
+        slow = np.flatnonzero(~fast)
+        if slow.size:
+            text = [b"%.17g" % x for x in values[slow].tolist()]
+            cells = np.array(text, dtype=f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
+            rows[slow, v : v + _FIELD] = cells
+            keep[slow, v : v + _FIELD] = cells != 0
+        out = np.compress(keep.ravel(), rows.ravel()).tobytes().decode()
+        rows[slow, v : v + _FIELD] = _FIELD_TEMPLATE
+        return out
 
 
 class _StreamPool:

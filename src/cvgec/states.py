@@ -22,6 +22,7 @@ VACUUM_VARIANCE = 0.5
 _SYMMETRY_TOL = 1e-12
 _NOISE_PSD_TOL = -1e-10
 _PHYSICALITY_TOL = 1e-9
+_RESOLUTION_LIMIT = 1e-6
 
 
 class QuadratureAxis(Enum):
@@ -183,20 +184,38 @@ def duan_number(cov: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
 def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
     """Symplectic spectrum of the covariance matrix, ascending.
 
-    The N values are the moduli of the (paired) eigenvalues of
-    i * Omega * cov; a physical state has all of them >= 1/2.
+    Uses the symmetric Williamson form: with cov = L L^T (Cholesky), the
+    Hermitian matrix i L^T Omega L has eigenvalues +-nu_k.  A physical state
+    has all nu_k >= 1/2.  Rounding cov to doubles alone moves each nu_k by
+    up to about cond(cov) * 2**-52 relative to it.  Raises ValueError if cov
+    is not positive definite: such a matrix has no symplectic spectrum.
     """
-    ev = np.linalg.eigvals(symplectic_form(state.n_modes) @ state.cov)
-    return np.sort(np.abs(ev))[::2]
+    n = state.n_modes
+    try:
+        chol = np.linalg.cholesky(state.cov)
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance matrix is not positive definite") from None
+    return np.linalg.eigvalsh(1j * (chol.T @ symplectic_form(n) @ chol))[n:]
 
 
 def physicality_check(state: GaussianState) -> bool:
-    """True if the state satisfies the uncertainty principle.
+    """True if the state is certified to satisfy the uncertainty principle.
 
-    Checks min symplectic eigenvalue >= 1/2 - 1e-9; returns a status
-    rather than raising.
+    Checks min symplectic eigenvalue >= 1/2 - tol, where tol is 1e-9 or
+    half the resolution cond(cov) * 2**-52, whichever is larger.  Returns
+    False without computing a spectrum when cov is not positive definite
+    (no physical covariance is, though rounding can make a strongly squeezed
+    one so) or when its resolution exceeds 1e-6, where doubles cannot
+    decide (a two-mode squeezed vacuum beyond r of about 5.6).  Never raises.
     """
-    return bool(symplectic_eigenvalues(state).min() >= VACUUM_VARIANCE - _PHYSICALITY_TOL)
+    resolution = np.linalg.cond(state.cov) * 2.0**-52
+    if not resolution <= _RESOLUTION_LIMIT:
+        return False
+    try:
+        nu = symplectic_eigenvalues(state)
+    except ValueError:
+        return False
+    return bool(nu.min() >= VACUUM_VARIANCE - max(_PHYSICALITY_TOL, 0.5 * resolution))
 
 
 def _check_mode(state: GaussianState, mode: int) -> None:

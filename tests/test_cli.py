@@ -39,7 +39,40 @@ class TestSweepCoherent:
         assert manifest["command"] == "sweep-coherent"
         assert manifest["parameters"]["g_ratio"] == 0.61
         assert "noise_axis" in manifest["conventions"]
-        assert manifest["outputs"] == ["fig3.csv"]
+        assert manifest["outputs"] == ["fig3.csv", "fig3.csv.aux.csv"]
+        assert "uncorrected_channel_2" not in manifest["extras"]["metadata"]
+
+    def test_sidecar_holds_the_metadata_curves(self, tmp_path):
+        from cvgec.analysis import coherent_sweep
+        from cvgec.cli import AUX_COLUMNS
+
+        out = tmp_path / "s.csv"
+        argv = ["sweep-coherent", "--g-ratio", "0.7", "--eta", "0.9", "--xi", "0.02"]
+        assert main(argv + ["--eps-steps", "6", "--out", str(out)]) == 0
+        header, cols = read_csv(tmp_path / "s.csv.aux.csv")
+        assert tuple(header) == AUX_COLUMNS
+        meta = coherent_sweep(0.7, 0.9, 0.02, (2.0, 0.0), np.linspace(0, 40, 6)).metadata
+        alt, shifted = meta["uncorrected_channel_2"], meta["displacement_corrected"]
+        assert list(cols["eps_snu"]) == list(np.linspace(0, 40, 6))
+        assert list(cols["var_x_uncorr2_snu"]) == alt["var_x"]
+        assert list(cols["var_p_uncorr2_snu"]) == alt["var_p"]
+        assert list(cols["fid_uncorr2"]) == alt["fid"]
+        assert list(cols["fid_corr_displaced"]) == shifted["fid_corr"]
+        assert list(cols["fid_uncorr_displaced"]) == shifted["fid_uncorr"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_top_of_finite_range_keeps_manifest_valid_json(self, tmp_path):
+        out = tmp_path / "top.csv"
+        argv = ["sweep-coherent", "--eps-max", "1.7e308", "--eps-steps", "2"]
+        assert main(argv + ["--out", str(out)]) == 0
+        manifest = strict_json((tmp_path / "top.csv.manifest.json").read_text())
+        assert manifest["extras"]["metadata"]["g_ratio"] == 0.61
+        header, cols = read_csv(out)
+        assert all(np.all(np.isfinite(cols[name])) for name in header if "insep" not in name)
+        _, aux = read_csv(tmp_path / "top.csv.aux.csv")
+        # channel 2 carries eps / 0.61, beyond the double range
+        assert aux["var_x_uncorr2_snu"][1] == np.inf
+        assert 0.0 <= aux["fid_uncorr2"][1] < 1e-300
 
     @pytest.mark.filterwarnings("error")
     def test_large_finite_noise_gives_finite_fidelities(self, tmp_path):
@@ -369,7 +402,7 @@ class TestHarness:
         (tmp_path / "o.csv.tmp").mkdir()
         assert main(["sweep-coherent", "--eps-steps", "3", "--out", str(out)]) == 0
         names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["o.csv", "o.csv.manifest.json", "o.csv.tmp"]
+        assert names == ["o.csv", "o.csv.aux.csv", "o.csv.manifest.json", "o.csv.tmp"]
 
     def test_output_mode_follows_umask(self, tmp_path):
         import os

@@ -226,3 +226,24 @@ class TestSymplecticSpectrum:
 
     def test_vacuum_passes(self):
         assert physicality_check(vacuum_state(2))
+
+    @pytest.mark.parametrize("r", np.linspace(0.0, 5.0, 11))
+    def test_two_mode_squeezed_is_certified_up_to_r5(self, r):
+        state = two_mode_squeezed(r)
+        nu = symplectic_eigenvalues(state)
+        # a double covariance resolves nu ~ 1/2 only to cond(cov) * 2**-53
+        resolution = max(1e-9, 0.5 * np.linalg.cond(state.cov) * 2.0**-52)
+        assert np.all(np.abs(nu - 0.5) <= resolution)
+        if r <= 4.5:
+            assert np.all(np.abs(nu - 0.5) <= 1e-9)
+        assert physicality_check(state)
+
+    @pytest.mark.parametrize("r", [8.0, 10.0, 15.0, 20.0])
+    def test_unresolvable_squeezing_is_not_certified(self, r):
+        assert not physicality_check(two_mode_squeezed(r))
+
+    def test_indefinite_covariance_has_no_spectrum(self):
+        state = GaussianState(np.zeros(2), np.diag([1.0, -1.0]))
+        with pytest.raises(ValueError, match="positive definite"):
+            symplectic_eigenvalues(state)
+        assert not physicality_check(state)
