@@ -4,58 +4,105 @@ Covariance-matrix simulation of multimode Gaussian states, lossy channels
 with classically correlated noise, the beam-splitter encode/decode scheme
 that cancels that noise, an incoherent measure-and-feedforward baseline,
 and passive-network synthesis for the N-channel generalization.
+
+The names below are loaded on first use (PEP 562), so ``import cvgec``
+loads neither numpy nor any layer until one of them is asked for.
 """
+
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-from .states import (
-    GaussianState,
-    Quadrature,
-    QuadratureAxis,
-    VACUUM_VARIANCE,
-    add_noise,
-    as_snu,
-    displace,
-    duan_simon,
-    partial_trace,
-    physicality_check,
-    quadrature_variance,
-    symplectic_eigenvalues,
-    tensor,
-    vacuum_state,
-)
-from .transforms import (
-    BsConvention,
-    SymplecticTransform,
-    apply,
-    beam_splitter,
-    compose,
-    phase_shift,
-    squeeze,
-    two_mode_squeezed,
-)
-from .fidelity import fidelity
-from .channel import (
-    ChannelModel,
-    NoiseSource,
-    apply_channel,
-    excess_noise_snu,
-    mismatch_from_visibility,
-    standard_two_channel,
-    with_mismatch,
-)
-from .protocol import (
-    NoProtectedSubspaceError,
-    NoisePatternSet,
-    ProtocolConfig,
-    corrected_channel,
-    incoherent_strategy,
-    n_channel_protocol,
-    null_space_encoder,
-    optimal_splitting,
-    run_protocol,
-    uncorrected_channel,
-)
-from .network import NetworkPlan, decompose_network, inverse_plan
+#: Layer modules that the package exposes as attributes.
+_LAYERS = ("channel", "network", "protocol", "states", "transforms")
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: Public names by the layer that defines them.
+_EXPORTS = {
+    "states": (
+        "GaussianState",
+        "Quadrature",
+        "QuadratureAxis",
+        "VACUUM_VARIANCE",
+        "add_noise",
+        "as_snu",
+        "displace",
+        "duan_simon",
+        "partial_trace",
+        "physicality_check",
+        "quadrature_variance",
+        "symplectic_eigenvalues",
+        "tensor",
+        "vacuum_state",
+    ),
+    "transforms": (
+        "BsConvention",
+        "SymplecticTransform",
+        "apply",
+        "beam_splitter",
+        "compose",
+        "phase_shift",
+        "squeeze",
+        "two_mode_squeezed",
+    ),
+    "fidelity": ("fidelity",),
+    "channel": (
+        "ChannelModel",
+        "NoiseSource",
+        "apply_channel",
+        "excess_noise_snu",
+        "mismatch_from_visibility",
+        "standard_two_channel",
+        "with_mismatch",
+    ),
+    "patterns": ("NoProtectedSubspaceError", "NoisePatternSet", "null_space_encoder"),
+    "protocol": (
+        "ProtocolConfig",
+        "corrected_channel",
+        "incoherent_strategy",
+        "n_channel_protocol",
+        "optimal_splitting",
+        "run_protocol",
+        "uncorrected_channel",
+    ),
+    "network": ("NetworkPlan", "decompose_network", "inverse_plan"),
+}
+
+_ORIGIN = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_LAYERS, *_ORIGIN])
+
+
+def __getattr__(name):
+    if name in _LAYERS:
+        return importlib.import_module(f"{__name__}.{name}")
+    layer = _ORIGIN.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{layer}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+class _Package(types.ModuleType):
+    """``cvgec.fidelity`` names the function, not the layer of the same
+    name.  Loading that layer binds the module on its parent; the setter
+    keeps the function in its place."""
+
+    @property
+    def fidelity(self):
+        from .fidelity import fidelity
+
+        return fidelity
+
+    @fidelity.setter
+    def fidelity(self, value):
+        pass
+
+
+sys.modules[__name__].__class__ = _Package

@@ -8,38 +8,27 @@ atomically renamed, so no partial output survives an error.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (e.g. no protected
 subspace), 4 I/O error.
+
+Each command imports only the layers it runs, inside its handler:
+
+* ``sweep-coherent``, ``sweep-entangle`` and ``optimize``: analysis, and
+  through it fidelity, protocol, channel, transforms and states;
+* ``trace``: montecarlo and protocol, with channel, transforms and states;
+* ``synth``: network and patterns, which need numpy alone.
+
+``--version`` and ``--help`` load no layer and no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 
-import numpy as np
-
 from . import __version__
-from .analysis import (
-    SWEEP_COLUMNS,
-    SweepResult,
-    coherent_sweep,
-    entanglement_breaking_point,
-    entanglement_sweep,
-    optimize_splitting,
-    write_sweep_csv,
-)
-from .channel import dump_channel_config, parse_channel_config, standard_two_channel
-from .network import complete_orthonormal, decompose_network, serialize_plan
-from .protocol import (
-    NoProtectedSubspaceError,
-    NoisePatternSet,
-    ProtocolConfig,
-    null_space_encoder,
-    optimal_splitting_for,
-)
-from .states import VACUUM_VARIANCE
 
 #: Conventions echoed into every manifest and all --help texts.
 CONVENTIONS = {
@@ -74,7 +63,7 @@ class UsageError(Exception):
 def _finite_float(text: str) -> float:
     """argparse type for float flags: NaN and infinities are usage errors."""
     value = float(text)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
 
@@ -87,12 +76,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NoProtectedSubspaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # Looked up only now, so that main itself imports no layer.
+        from .patterns import NoProtectedSubspaceError
+
+        return 3 if isinstance(exc, NoProtectedSubspaceError) else 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4
@@ -193,6 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep_coherent(args) -> int:
+    from .analysis import SWEEP_COLUMNS, SweepResult, coherent_sweep, write_sweep_csv
+
     grid = _eps_grid(args)
     model = _effective_channel(args)
     result = coherent_sweep(args.g_ratio, args.eta, args.xi, tuple(args.amplitude), grid)
@@ -218,6 +209,13 @@ def _cmd_sweep_coherent(args) -> int:
 
 
 def _cmd_sweep_entangle(args) -> int:
+    from .analysis import (
+        SWEEP_COLUMNS,
+        entanglement_breaking_point,
+        entanglement_sweep,
+        write_sweep_csv,
+    )
+
     grid = _eps_grid(args)
     model = _effective_channel(args)
     result = entanglement_sweep(args.r, args.eta, args.xi, grid, g_ratio=args.g_ratio)
@@ -237,12 +235,13 @@ def _cmd_sweep_entangle(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    # Imported here: the trace CSV kernel is sizeable, and no other command
-    # should pay to compile it at start-up.
     from .montecarlo import sample_run, write_trace_csv
+    from .protocol import ProtocolConfig, optimal_splitting_for
 
     if args.n < 1:
         raise UsageError("--n must be at least 1")
+    if args.modulation_period < 0:
+        raise UsageError("--modulation-period must be nonnegative")
     model = _effective_channel(args, eps=args.eps)
     t = optimal_splitting_for(model)
     cfg = ProtocolConfig(t, t, model)
@@ -260,6 +259,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .network import complete_orthonormal, decompose_network, serialize_plan
+    from .patterns import NoisePatternSet, null_space_encoder
+
     with open(args.patterns) as fh:
         rows = [
             [float(x) for x in line.split()]
@@ -268,7 +270,7 @@ def _cmd_synth(args) -> int:
         ]
     if not rows:
         raise UsageError("pattern file contains no vectors")
-    patterns = NoisePatternSet(tuple(np.array(row) for row in rows))
+    patterns = NoisePatternSet(tuple(rows))
     signal = null_space_encoder(patterns)
     plan = decompose_network(complete_orthonormal(signal))
     signal_line = " ".join(format(x, ".17g") for x in signal)
@@ -287,6 +289,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from .analysis import optimize_splitting
+
     te, td, value = optimize_splitting(
         args.g1, args.g2, xi=args.xi, eta=args.eta,
         objective=args.objective, eps_snu=args.eps,
@@ -302,7 +306,9 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _eps_grid(args) -> np.ndarray:
+def _eps_grid(args):
+    import numpy as np
+
     if args.eps_steps < 1:
         raise UsageError("--eps-steps must be at least 1")
     if args.eps_max < 0:
@@ -319,6 +325,9 @@ def _effective_channel(args, eps: float = 10.0):
     cannot represent (per-channel eta, thermal noise) is refused; trace
     runs the loaded model as it is.
     """
+    from .channel import parse_channel_config, standard_two_channel
+    from .states import VACUUM_VARIANCE
+
     if getattr(args, "channel_config", None):
         with open(args.channel_config) as fh:
             model = parse_channel_config(fh.read())
@@ -327,7 +336,7 @@ def _effective_channel(args, eps: float = 10.0):
         c = model.sources[0].coupling
         if c[1] == 0:
             raise UsageError("channel-2 coupling must be nonzero")
-        if not hasattr(args, "eps") and (model.eta[1] != model.eta[0] or np.any(model.thermal)):
+        if not hasattr(args, "eps") and (model.eta[1] != model.eta[0] or any(model.thermal)):
             raise UsageError(
                 "the sweeps take one eta for both channels and no thermal noise; "
                 "this config needs trace"
@@ -345,6 +354,8 @@ def _effective_channel(args, eps: float = 10.0):
 
 def _maybe_dump_config(args, model) -> None:
     if getattr(args, "dump_config", None):
+        from .channel import dump_channel_config
+
         _atomic_write(args.dump_config, lambda fh: fh.write(dump_channel_config(model)))
 
 

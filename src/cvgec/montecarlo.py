@@ -70,6 +70,8 @@ def sample_run(
         raise ValueError("need at least one shot")
     if noise_dist not in _DISTRIBUTIONS:
         raise ValueError(f"noise_dist must be one of {_DISTRIBUTIONS}")
+    if modulation_period < 0:
+        raise ValueError("modulation_period must be nonnegative")
     model = cfg.channel
     if model.n_channels != 2:
         raise ValueError("trace sampling drives the two-channel scheme")
@@ -187,13 +189,22 @@ def write_trace_csv(records, stream) -> None:
     """CSV rows (stage, quadrature, index, value) with full precision.
 
     Each value is written exactly as ``format(v, '.17g')`` writes it.
-    Rows are formatted in blocks of ``_BLOCK_ROWS`` by :class:`_RowFormatter`,
-    so the working memory does not grow with the record length.
+    Rows are formatted in blocks of ``_BLOCK_ROWS`` by :class:`_RowFormatter`.
+    Besides one block of rows, the working memory holds the index column,
+    built once for all records of one length, and one row layout per
+    prefix length.
     """
     stream.write("stage,quadrature,index,value\n")
+    indices, formatters = {}, {}
     for r in records:
         n = r.samples.size
-        rows = _RowFormatter(f"{r.stage},{r.quadrature},", n)
+        prefix = f"{r.stage},{r.quadrature},".encode()
+        if n not in indices:
+            indices[n] = _IndexColumn(n)
+        rows = formatters.get((len(prefix), n))
+        if rows is None:
+            rows = formatters[len(prefix), n] = _RowFormatter(len(prefix), indices[n])
+        rows.set_prefix(prefix)
         for start in range(0, n, _BLOCK_ROWS):
             stream.write(rows.text(start, r.samples[start : start + _BLOCK_ROWS]))
 
@@ -219,12 +230,15 @@ def _digit_tables():
     """Lookup tables over the 4-digit groups 0000..9999: the group as a
     ".d.d.d.d" octet (uint64), as four digits (uint32), and its number of
     trailing zeros."""
-    quads = ["%04d" % g for g in range(10000)]
-    octets = np.frombuffer("".join("." + ".".join(q) for q in quads).encode(), np.uint64)
-    digits = np.frombuffer("".join(quads).encode(), np.uint32)
-    trailing = np.array([4] + [len(q) - len(q.rstrip("0")) for q in quads[1:]])
-    trailing.flags.writeable = False
-    return octets, digits, trailing
+    digits = np.arange(10000).reshape(-1, 1) // 10 ** np.arange(3, -1, -1) % 10
+    text = (48 + digits).astype(np.uint8)
+    octets = np.full((10000, 8), ord("."), np.uint8)
+    octets[:, 1::2] = text
+    trailing = np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)
+    tables = octets.view(np.uint64).ravel(), text.view(np.uint32).ravel(), trailing
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _two_product(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,9 +289,29 @@ def _significands(values: np.ndarray):
     return d, e, fast
 
 
+class _IndexColumn:
+    """The index column of records of ``n`` samples: each index as
+    ``width`` digits, zero-padded to a multiple of four, and its number of
+    digits less one as an offset into :attr:`_RowFormatter.keep`."""
+
+    def __init__(self, n: int):
+        self.width = width = 4 * -(-len(str(max(n - 1, 0))) // 4)
+        quads = _digit_tables()[1]
+        k = np.arange(n)
+        groups = np.empty((n, width // 4), np.uint32)
+        rest = k
+        for i in range(width // 4 - 1, -1, -1):
+            rest, group = np.divmod(rest, 10**4)
+            groups[:, i] = quads[group]
+        self.digits = groups.view(np.uint8)
+        shorter = np.searchsorted(10 ** np.arange(1, width), k, side="right")
+        self.key = shorter * (2 * 21 * 17)
+
+
 class _RowFormatter:
-    """Rows ``prefix + index + "," + format(v, '.17g') + "\\n"`` of one
-    record of ``n`` samples, formatted a block at a time.
+    """Rows ``prefix + index + "," + format(v, '.17g') + "\\n"`` of the
+    records whose prefix has ``prefix_len`` bytes and whose index column is
+    ``index``, formatted a block at a time.
 
     Every row is built in a fixed-width uint8 matrix whose layout does not
     depend on the value: [pad][prefix][index][","][value field]["\\n"][pad].
@@ -294,20 +328,19 @@ class _RowFormatter:
     are formatted one by one with ``%.17g`` into their value field.
     """
 
-    def __init__(self, prefix: str, n: int):
-        prefix = prefix.encode()
-        self.width = width = 4 * -(-len(str(max(n - 1, 0))) // 4)
-        front = len(prefix) + width + 8  # up to the first octet
-        pad = -front % 8  # so that the octets are aligned uint64 words
-        self.index = pad + len(prefix)
+    def __init__(self, prefix_len: int, index: _IndexColumn):
+        self.index_column = index
+        width = index.width
+        front = prefix_len + width + 8  # up to the first octet
+        self.pad = pad = -front % 8  # so that the octets are aligned uint64 words
+        self.index = pad + prefix_len
         self.value = v = self.index + width + 1
         row_len = v + _FIELD + 8
         row = np.zeros(row_len, np.uint8)
-        row[pad : self.index] = np.frombuffer(prefix, np.uint8)
         row[v - 1] = ord(",")
         row[v : v + _FIELD] = _FIELD_TEMPLATE
         row[v + _FIELD] = ord("\n")
-        self.rows = np.empty((_BLOCK_ROWS, row_len), np.uint8)
+        self.rows = np.empty((min(index.digits.shape[0], _BLOCK_ROWS), row_len), np.uint8)
         self.rows[:] = row
 
         # keep[index digits - 1, negative, e + 4, last digit kept, column]
@@ -326,11 +359,14 @@ class _RowFormatter:
         keep[..., v + 7 + 2 * j[:16]] = (j[:16] == e) & (j[:16] < last)
         keep[..., v + _FIELD] = True
         self.keep = keep.reshape(-1, row_len).view(np.uint64)
-        self.powers = 10 ** np.arange(1, width)
+
+    def set_prefix(self, prefix: bytes) -> None:
+        """Write ``prefix`` into every row of the block."""
+        self.rows[:, self.pad : self.index] = np.frombuffer(prefix, np.uint8)
 
     def text(self, start: int, values: np.ndarray) -> str:
         """Rows for ``values``, the samples with indices start, start+1, ..."""
-        octets, quads, trailing = _digit_tables()
+        octets, _, trailing = _digit_tables()
         b, v = values.size, self.value
         rows = self.rows[:b]
         d, e, fast = _significands(values)
@@ -347,17 +383,10 @@ class _RowFormatter:
             zeros += tail * trailing[groups[i]]
             tail &= groups[i] == 0
 
-        k = np.arange(start, start + b)
-        index = np.empty((b, self.width // 4), np.uint32)
-        rest = k
-        for i in range(self.width // 4 - 1, -1, -1):
-            rest, group = np.divmod(rest, 10**4)
-            index[:, i] = quads[group]
-        rows[:, self.index : v - 1] = index.view(np.uint8)
-
-        shorter = np.searchsorted(self.powers, k, side="right")  # index digits - 1
+        index = self.index_column
+        rows[:, self.index : v - 1] = index.digits[start : start + b]
         last = np.maximum(e, 16 - zeros)
-        key = ((shorter * 2 + (values < 0)) * 21 + e + 4) * 17 + last
+        key = index.key[start : start + b] + ((values < 0) * 21 + e + 4) * 17 + last
         keep = self.keep[key].view(bool)
 
         slow = np.flatnonzero(~fast)

@@ -8,7 +8,6 @@ format (one element per line) used by the `synth` CLI command.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -85,8 +84,10 @@ def decompose_network(u: np.ndarray) -> NetworkPlan:
                 continue
             h = np.hypot(work[j, j], work[i, j])
             c, s = work[j, j] / h, work[i, j] / h
-            rot = np.array([[c, s], [-s, c]])
-            work[[j, i], :] = rot @ work[[j, i], :]
+            # Rows j and i, from column j on: the columns before j are
+            # eliminated and never read again.
+            rows = work[j : i + 1 : i - j, j:]
+            rows[...] = np.array([[c, s], [-s, c]]) @ rows
             givens.append((j, i, c, s))
 
     elements = []
@@ -143,6 +144,8 @@ def complete_orthonormal(first_column: np.ndarray) -> np.ndarray:
 
 def target_checksum(target: np.ndarray) -> str:
     """Identity stamp of a target matrix: sha256 over 1e-12-rounded entries."""
+    import hashlib  # only synth stamps plans; n_channel_protocol imports this module too
+
     text = " ".join(format(x, ".12f") for x in np.asarray(target, dtype=float).ravel())
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -206,24 +209,36 @@ def _recompose(elements, n: int, labels=None) -> np.ndarray:
     +-pi would mix x into p and is refused."""
     total = np.eye(n)
     for k, e in enumerate(elements):
-        label = labels[k] if labels else f"element {k}"
-        if not isinstance(e, (BeamSplitterElement, PhaseShiftElement)):
-            raise TypeError(f"unknown plan element {e!r}")
-        modes = (e.mode_a, e.mode_b) if isinstance(e, BeamSplitterElement) else (e.mode,)
-        if len(set(modes)) < len(modes) or not all(0 <= m < n for m in modes):
-            raise ValueError(f"{label}: needs distinct modes of the plan")
-        if isinstance(e, PhaseShiftElement):
-            if not (math.isfinite(e.phi) and abs(math.sin(e.phi)) <= _RECOMPOSE_TOL):
-                raise ValueError(f"{label}: phase {e.phi!r} would mix x and p; only 0 or +-pi")
-            total[e.mode] *= math.cos(e.phi)
-        elif not 0.0 <= e.t <= 1.0:
-            raise ValueError(f"{label}: transmissivity must lie in [0, 1]")
+        if isinstance(e, BeamSplitterElement):
+            a, b, t = e.mode_a, e.mode_b, e.t
+            if a == b or not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"{_label(labels, k)}: needs distinct modes of the plan")
+            if not 0.0 <= t <= 1.0:
+                raise ValueError(f"{_label(labels, k)}: transmissivity must lie in [0, 1]")
+            c, s = math.sqrt(t), math.sqrt(1.0 - t)
+            row_a, row_b = total[a], total[b]
+            s_b = s * row_b
+            row_b *= c
+            row_b -= s * row_a
+            row_a *= c
+            row_a += s_b
+        elif isinstance(e, PhaseShiftElement):
+            m, phi = e.mode, e.phi
+            if not 0 <= m < n:
+                raise ValueError(f"{_label(labels, k)}: needs distinct modes of the plan")
+            if not (math.isfinite(phi) and abs(math.sin(phi)) <= _RECOMPOSE_TOL):
+                raise ValueError(
+                    f"{_label(labels, k)}: phase {phi!r} would mix x and p; only 0 or +-pi"
+                )
+            total[m] *= math.cos(phi)
         else:
-            c, s = math.sqrt(e.t), math.sqrt(1.0 - e.t)
-            row_a, row_b = total[e.mode_a].copy(), total[e.mode_b]
-            total[e.mode_a] = c * row_a + s * row_b
-            total[e.mode_b] = c * row_b - s * row_a
+            raise TypeError(f"unknown plan element {e!r}")
     return total
+
+
+def _label(labels, k: int) -> str:
+    """Name of element k in errors."""
+    return labels[k] if labels else f"element {k}"
 
 
 def _rotation_elements(j: int, i: int, c: float, s: float) -> list:

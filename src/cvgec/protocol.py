@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel, NoiseSource, channel_map
-from .network import complete_orthonormal
+# The pattern names are part of this module's surface as well.
+from .patterns import NoProtectedSubspaceError, NoisePatternSet, null_space_encoder
 from .states import GaussianState, partial_trace, tensor, vacuum_state
 from .transforms import (
     BsConvention,
@@ -30,12 +31,6 @@ from .transforms import (
     beam_splitter,
     beam_splitter_matrix,
 )
-
-_NULL_TOL = 1e-9
-
-
-class NoProtectedSubspaceError(ValueError):
-    """The noise patterns span every channel mode; no signal mode is safe."""
 
 
 @dataclass(frozen=True)
@@ -57,28 +52,6 @@ class ProtocolConfig:
             raise ValueError("transmissivities must lie in [0, 1]")
         if self.channel.n_channels < 2:
             raise ValueError("the protocol needs at least two channels")
-
-
-@dataclass(frozen=True)
-class NoisePatternSet:
-    """Coupling amplitude vectors of independent noise sources over N channels."""
-
-    patterns: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        patterns = tuple(np.array(p, dtype=float) for p in self.patterns)
-        if not patterns:
-            raise ValueError("need at least one pattern")
-        n = patterns[0].size
-        if any(p.ndim != 1 or p.size != n for p in patterns):
-            raise ValueError("all patterns must be vectors of equal length")
-        for p in patterns:
-            p.flags.writeable = False
-        object.__setattr__(self, "patterns", patterns)
-
-    @property
-    def n_channels(self) -> int:
-        return self.patterns[0].size
 
 
 def optimal_splitting(g1: float, g2: float) -> float:
@@ -220,36 +193,6 @@ def incoherent_strategy(cfg: ProtocolConfig, state: GaussianState, signal_mode: 
     return _kept(incoherent_map(cfg, state.n_modes, signal_mode), state)
 
 
-def null_space_encoder(patterns) -> np.ndarray:
-    """Unit signal vector orthogonal to every noise coupling pattern.
-
-    Ties (a protected subspace of dimension > 1) are broken
-    deterministically: the standard basis vectors are orthonormalized
-    against the patterns in order and the first surviving direction wins,
-    with the sign fixed so the first nonzero component is positive.
-    """
-    if not isinstance(patterns, NoisePatternSet):
-        patterns = NoisePatternSet(tuple(patterns))
-    n = patterns.n_channels
-    basis = _orthonormalize(patterns.patterns, n)
-    if len(basis) >= n:
-        raise NoProtectedSubspaceError(
-            "noise patterns span all channels; no protected mode exists"
-        )
-    q = np.array(basis)
-    for k in range(n):
-        r = np.zeros(n)
-        r[k] = 1.0
-        for _ in range(2):  # re-orthogonalize for 1e-12 accuracy
-            r -= q.T @ (q @ r)
-        norm = np.linalg.norm(r)
-        if norm > _NULL_TOL:
-            s = r / norm
-            first = np.flatnonzero(np.abs(s) > _NULL_TOL)[0]
-            return s if s[first] > 0 else -s
-    raise NoProtectedSubspaceError("no direction survives orthogonalization")
-
-
 def n_channel_protocol(
     patterns,
     eta: float,
@@ -265,6 +208,8 @@ def n_channel_protocol(
     the pure-loss channel of transmissivity eta regardless of every source
     variance.
     """
+    from .network import complete_orthonormal
+
     if not isinstance(patterns, NoisePatternSet):
         patterns = NoisePatternSet(tuple(patterns))
     variances = np.broadcast_to(
@@ -286,23 +231,6 @@ def n_channel_protocol(
     decoder = GaussianMap.of(SymplecticTransform(np.kron(u.T, np.eye(2)), carriers), reg)
     scheme = encoder.then(channel_map(model, carriers, reg)).then(decoder)
     return _kept(scheme, state)
-
-
-def _orthonormalize(vectors, n: int) -> list[np.ndarray]:
-    """Modified Gram-Schmidt in input order, dropping dependent vectors."""
-    basis: list[np.ndarray] = []
-    for v in vectors:
-        r = np.array(v, dtype=float)
-        scale = np.linalg.norm(r)
-        if scale == 0.0:
-            continue
-        for _ in range(2):
-            for q in basis:
-                r -= (q @ r) * q
-        norm = np.linalg.norm(r)
-        if norm > _NULL_TOL * scale:
-            basis.append(r / norm)
-    return basis
 
 
 def _splitter(t: float, modes: tuple[int, int], n_modes: int) -> GaussianMap:

@@ -270,6 +270,12 @@ class TestTrace:
         assert main(["trace", "--n", "0", "--out", str(tmp_path / "x.csv")]) == 2
         assert not (tmp_path / "x.csv").exists()
 
+    def test_negative_modulation_period_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["trace", "--modulation-period", "-5", "--out", str(out)]) == 2
+        assert "--modulation-period" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSynth:
     def test_four_channel_patterns(self, tmp_path, capsys):
@@ -296,6 +302,32 @@ class TestSynth:
         assert len(lines) == 1
         _, _, _, t = lines[0].split()
         assert float(t) == pytest.approx(1.0 / (1.0 + 0.78**2), abs=1e-12)
+
+    def test_pinned_bytes(self, tmp_path, capsys):
+        rng = np.random.default_rng(48)
+        rows = np.round(rng.standard_normal((24, 48)), 6)
+        patterns = tmp_path / "p.txt"
+        patterns.write_text("".join(" ".join(f"{x:.6f}" for x in row) + "\n" for row in rows))
+        out = tmp_path / "plan.txt"
+        assert main(["synth", "--patterns", str(patterns), "--out", str(out)]) == 0
+        assert sha256(out) == "f8371196dbbde11822dfa5ed24b17cb0d7084a3a767116fd7cd11a660478a8cb"
+
+    def test_uncoupled_patterns_protect_the_first_mode(self, tmp_path, capsys):
+        patterns = tmp_path / "p.txt"
+        patterns.write_text("0 0 0\n")
+        out = tmp_path / "plan.txt"
+        assert main(["synth", "--patterns", str(patterns), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "signal 1 0 0\n"
+        assert [l for l in out.read_text().splitlines() if l.startswith(("BS", "PS"))] == []
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_exits_2(self, tmp_path, capsys, bad):
+        patterns = tmp_path / "p.txt"
+        patterns.write_text(f"1 {bad} 0\n1 1 0\n")
+        out = tmp_path / "plan.txt"
+        assert main(["synth", "--patterns", str(patterns), "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_full_rank_exits_3(self, tmp_path, capsys):
         patterns = tmp_path / "p.txt"

@@ -38,6 +38,10 @@ class TestSampleRun:
         c = sample_run(cfg, 500, seed=8)
         assert not np.array_equal(a[0].samples, c[0].samples)
 
+    def test_negative_modulation_period_rejected(self):
+        with pytest.raises(ValueError, match="modulation_period"):
+            sample_run(config(5.0), 10, seed=1, modulation_period=-5)
+
     def test_all_stages_present(self):
         records = sample_run(config(5.0), 10, seed=1)
         assert {r.stage for r in records} == set(STAGES)

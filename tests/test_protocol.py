@@ -316,6 +316,17 @@ class TestNullSpaceEncoder:
         s = null_space_encoder(patterns)
         assert np.allclose(s, [0.0, 1.0, 0.0], atol=1e-12)
 
+    def test_uncoupled_patterns_leave_the_first_mode(self):
+        # No source reaches any channel: every mode is protected, and the
+        # tie rule picks e_0.
+        patterns = NoisePatternSet((np.zeros(3), np.zeros(3)))
+        assert np.array_equal(null_space_encoder(patterns), [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            NoisePatternSet((np.array([1.0, bad, 0.0]), np.array([1.0, 1.0, 0.0])))
+
 
 class TestNChannelProtocol:
     FIG_PATTERNS = NoisePatternSet(

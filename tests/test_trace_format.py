@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvgec.montecarlo import _BLOCK_ROWS, TraceRecord, write_trace_csv
+from cvgec.montecarlo import _BLOCK_ROWS, TraceRecord, _digit_tables, write_trace_csv
 
-from trace_reference import write_trace_csv_per_cell
+from trace_reference import digit_tables_from_strings, write_trace_csv_per_cell
 
 
 def both(records):
@@ -98,6 +98,22 @@ class TestEdges:
         ]
         new, ref = both(records)
         assert new == ref
+
+    def test_records_sharing_a_length_and_a_prefix_length(self):
+        # One index column serves every record of one length, and one row
+        # layout every prefix length; the prefix text changes per record.
+        rng = np.random.default_rng(11)
+        names = [("channel_1", "X"), ("input", "P"), ("corrected", "P"), ("input", "X")]
+        records = [TraceRecord(s, q, rng.normal(0.0, 2.0, 20001), 0) for s, q in names]
+        records.insert(2, TraceRecord("discarded", "X", rng.normal(0.0, 2.0, 7), 0))
+        new, ref = both(records)
+        assert new == ref
+
+
+def test_digit_tables_match_the_string_reference():
+    for table, ref in zip(_digit_tables(), digit_tables_from_strings()):
+        assert table.dtype == ref.dtype
+        assert np.array_equal(table, ref)
 
 
 def test_million_random_bit_patterns():
