@@ -22,8 +22,6 @@ _LAYERS = ("channel", "network", "protocol", "states", "transforms")
 _EXPORTS = {
     "states": (
         "GaussianState",
-        "Quadrature",
-        "QuadratureAxis",
         "VACUUM_VARIANCE",
         "add_noise",
         "as_snu",
@@ -31,17 +29,14 @@ _EXPORTS = {
         "duan_simon",
         "partial_trace",
         "physicality_check",
-        "quadrature_variance",
         "symplectic_eigenvalues",
         "tensor",
         "vacuum_state",
     ),
     "transforms": (
         "BsConvention",
-        "SymplecticTransform",
-        "apply",
+        "GaussianMap",
         "beam_splitter",
-        "compose",
         "phase_shift",
         "squeeze",
         "two_mode_squeezed",

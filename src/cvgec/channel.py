@@ -124,10 +124,6 @@ def channel_map(model: ChannelModel, modes, n_modes: int, own_noise=None) -> Gau
     modes = tuple(int(m) for m in modes)
     if len(modes) != model.n_channels:
         raise ValueError("mode assignment length must equal n_channels")
-    if len(set(modes)) != len(modes):
-        raise ValueError("assigned modes must be distinct")
-    if any(not 0 <= m < n_modes for m in modes):
-        raise ValueError("assigned mode outside the state")
 
     xi = model.mismatch
     own = np.zeros(model.n_channels)  # non-interfering variance per channel

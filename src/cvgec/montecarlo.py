@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import apply_channel
-from .protocol import ProtocolConfig, encode, run_protocol
+from .protocol import ProtocolConfig, run_protocol
 from .states import displace, partial_trace, tensor, vacuum_state
+from .transforms import GaussianMap, beam_splitter
 
 #: Stage names in record order.
 STAGES = ("input", "channel_1", "channel_2", "corrected", "discarded")
@@ -172,7 +173,8 @@ def analytic_stage_moments(
     out = {}
     out["input"] = (inp.mean, inp.cov)
 
-    st = apply_channel(encode(tensor(inp, vacuum_state(1)), cfg.T_e), (0, 1), cfg.channel)
+    encoder = GaussianMap.of(beam_splitter(cfg.T_e), (0, 1), 2)
+    st = apply_channel(encoder.apply(tensor(inp, vacuum_state(1))), (0, 1), cfg.channel)
     for i, stage in enumerate(("channel_1", "channel_2")):
         reduced = partial_trace(st, [i])
         out[stage] = (reduced.mean, reduced.cov)

@@ -23,14 +23,7 @@ from .channel import ChannelModel, NoiseSource, channel_map
 # The pattern names are part of this module's surface as well.
 from .patterns import NoProtectedSubspaceError, NoisePatternSet, null_space_encoder
 from .states import GaussianState, partial_trace, tensor, vacuum_state
-from .transforms import (
-    BsConvention,
-    GaussianMap,
-    SymplecticTransform,
-    apply,
-    beam_splitter,
-    beam_splitter_matrix,
-)
+from .transforms import BsConvention, GaussianMap, beam_splitter, beam_splitter_matrix
 
 
 @dataclass(frozen=True)
@@ -67,17 +60,6 @@ def optimal_splitting_for(model: ChannelModel) -> float:
         raise ValueError("need a two-channel model with exactly one source")
     c = model.sources[0].coupling
     return optimal_splitting(c[0] ** 2, c[1] ** 2)
-
-
-def encode(state: GaussianState, t_e: float, modes: tuple[int, int] = (0, 1)) -> GaussianState:
-    """Split the signal over the two channel inputs (pi-flip convention)."""
-    return apply(beam_splitter(t_e, modes, BsConvention.PI_FLIP), state)
-
-
-def decode(state: GaussianState, t_d: float, modes: tuple[int, int] = (0, 1)) -> GaussianState:
-    """Recombine the channel outputs; the first mode is the signal port,
-    the second the discarded noise port."""
-    return apply(beam_splitter(t_d, modes, BsConvention.PI_FLIP), state)
 
 
 def corrected_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int | None = None) -> GaussianMap:
@@ -227,15 +209,15 @@ def n_channel_protocol(
         for k, (p, v) in enumerate(zip(patterns.patterns, variances))
     )
     model = ChannelModel(n, eta, 0.0, sources, xi)
-    encoder = GaussianMap.of(SymplecticTransform(np.kron(u, np.eye(2)), carriers), reg)
-    decoder = GaussianMap.of(SymplecticTransform(np.kron(u.T, np.eye(2)), carriers), reg)
+    encoder = GaussianMap.of(np.kron(u, np.eye(2)), carriers, reg)
+    decoder = GaussianMap.of(np.kron(u.T, np.eye(2)), carriers, reg)
     scheme = encoder.then(channel_map(model, carriers, reg)).then(decoder)
     return _kept(scheme, state)
 
 
 def _splitter(t: float, modes: tuple[int, int], n_modes: int) -> GaussianMap:
     """Pi-flip beam splitter of transmissivity t as a map on the register."""
-    return GaussianMap.of(beam_splitter(t, modes, BsConvention.PI_FLIP), n_modes)
+    return GaussianMap.of(beam_splitter(t, BsConvention.PI_FLIP), modes, n_modes)
 
 
 def _through(m: GaussianMap, state: GaussianState) -> GaussianState:

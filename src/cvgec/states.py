@@ -12,7 +12,6 @@ its inputs, so states can be shared and evaluated in parallel freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -23,25 +22,6 @@ _SYMMETRY_TOL = 1e-12
 _NOISE_PSD_TOL = -1e-10
 _PHYSICALITY_TOL = 1e-9
 _RESOLUTION_LIMIT = 1e-6
-
-
-class QuadratureAxis(Enum):
-    """The two field quadratures of a mode."""
-
-    X = 0
-    P = 1
-
-
-@dataclass(frozen=True)
-class Quadrature:
-    """A single quadrature slot: mode index plus X or P axis."""
-
-    mode: int
-    axis: QuadratureAxis
-
-    def index(self) -> int:
-        """Position of this quadrature in the interleaved ordering."""
-        return 2 * self.mode + self.axis.value
 
 
 @dataclass(frozen=True)
@@ -143,13 +123,6 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
         _check_mode(state, k)
     idx = _quad_indices(keep)
     return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)])
-
-
-def quadrature_variance(state: GaussianState, q: Quadrature) -> float:
-    """Variance of a single quadrature in natural units."""
-    _check_mode(state, q.mode)
-    k = q.index()
-    return float(state.cov[k, k])
 
 
 def as_snu(variance: float) -> float:

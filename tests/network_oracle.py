@@ -1,7 +1,7 @@
 """Full phase-space recomposition of a network plan, kept as an oracle.
 
-Builds the checked 2N x 2N symplectic matrix of every plan element from
-the transforms module and multiplies them in application order, so it
+Places the symplectic block of every plan element from the transforms
+module on a 2N x 2N register and multiplies them in application order, so it
 shares nothing with the two-row mode-matrix update in ``cvgec.network``
 beyond the element types.
 """
@@ -9,18 +9,19 @@ beyond the element types.
 import numpy as np
 
 from cvgec.network import BeamSplitterElement, PhaseShiftElement
-from cvgec.transforms import BsConvention, beam_splitter, expand, phase_shift
+from cvgec.transforms import BsConvention, beam_splitter, embed, phase_shift
 
 
 def element_symplectic(element, n_modes: int) -> np.ndarray:
     """Full 2N x 2N symplectic matrix of a single plan element."""
     if isinstance(element, BeamSplitterElement):
-        t = beam_splitter(element.t, (element.mode_a, element.mode_b), BsConvention.ROTATION)
+        block = beam_splitter(element.t, BsConvention.ROTATION)
+        modes = (element.mode_a, element.mode_b)
     elif isinstance(element, PhaseShiftElement):
-        t = phase_shift(element.phi, element.mode)
+        block, modes = phase_shift(element.phi), (element.mode,)
     else:
         raise TypeError(f"unknown plan element {element!r}")
-    return expand(t, n_modes)
+    return embed(block, modes, n_modes)
 
 
 def plan_symplectic(plan) -> np.ndarray:

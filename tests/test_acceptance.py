@@ -35,7 +35,7 @@ from cvgec.states import (
     symplectic_form,
     vacuum_state,
 )
-from cvgec.transforms import beam_splitter, phase_shift, squeeze
+from cvgec.transforms import GaussianMap, beam_splitter, phase_shift, squeeze
 
 import breaking_oracle
 from fock_oracle import fidelity_fock_states
@@ -190,16 +190,15 @@ def test_criterion_7_invariant_suite():
     started = time.perf_counter()
     rng = np.random.default_rng(1007)
 
-    # symplectic identity of every constructed transform
+    # symplectic identity of every gate block
     for _ in range(50):
-        for t in (
-            beam_splitter(rng.uniform(0, 1), (0, 1)),
-            phase_shift(rng.uniform(0, 2 * np.pi), 0),
+        for s in (
+            beam_splitter(rng.uniform(0, 1)),
+            phase_shift(rng.uniform(0, 2 * np.pi)),
             squeeze(rng.uniform(-1.5, 1.5), rng.uniform(0, np.pi)),
         ):
-            k = t.n_modes
-            omega = symplectic_form(k)
-            assert np.abs(t.matrix @ omega @ t.matrix.T - omega).max() < 1e-12
+            omega = symplectic_form(len(s) // 2)
+            assert np.abs(s @ omega @ s.T - omega).max() < 1e-12
 
     # physicality after every channel application
     for _ in range(100):
@@ -221,9 +220,7 @@ def test_criterion_7_invariant_suite():
     low_energy = displace(
         vacuum_state(1), 0, rng.uniform(-1, 1), rng.uniform(-1, 1)
     )
-    from cvgec.transforms import apply
-
-    low_energy = apply(squeeze(0.5, 0.7), low_energy)
+    low_energy = GaussianMap.of(squeeze(0.5, 0.7), (0,), 1).apply(low_energy)
     assert fidelity(low_energy, vac) == pytest.approx(
         fidelity_fock_states(low_energy, vac, dim=40), abs=1e-6
     )

@@ -7,7 +7,7 @@ import pytest
 
 from cvgec.fidelity import _fidelity_logs, fidelity, fidelity_moments
 from cvgec.states import add_noise, displace, vacuum_state
-from cvgec.transforms import apply, phase_shift, squeeze
+from cvgec.transforms import GaussianMap, phase_shift, squeeze
 
 from fock_oracle import fidelity_fock_states
 from test_states import random_physical_state
@@ -155,14 +155,16 @@ class TestFockTruncationAgreement:
             checked += 1
 
     def test_pure_squeezed_pair(self):
-        a = apply(squeeze(0.4, 0.0), vacuum_state(1))
-        b = apply(squeeze(0.6, 0.9), displace(vacuum_state(1), 0, 0.5, -0.3))
+        a = GaussianMap.of(squeeze(0.4, 0.0), (0,), 1).apply(vacuum_state(1))
+        shifted = displace(vacuum_state(1), 0, 0.5, -0.3)
+        b = GaussianMap.of(squeeze(0.6, 0.9), (0,), 1).apply(shifted)
         assert fidelity(a, b) == pytest.approx(fidelity_fock_states(a, b), abs=1e-6)
 
 
 def _low_energy_state(rng):
     state = vacuum_state(1)
-    state = apply(squeeze(rng.uniform(-0.6, 0.6), rng.uniform(0, np.pi)), state)
-    state = apply(phase_shift(rng.uniform(0, 2 * np.pi), 0), state)
+    sq = squeeze(rng.uniform(-0.6, 0.6), rng.uniform(0, np.pi))
+    state = GaussianMap.of(sq, (0,), 1).apply(state)
+    state = GaussianMap.of(phase_shift(rng.uniform(0, 2 * np.pi)), (0,), 1).apply(state)
     state = displace(state, 0, rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
     return add_noise(state, rng.uniform(0.0, 0.4) * np.eye(2))

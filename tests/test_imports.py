@@ -13,23 +13,19 @@ import cvgec
 SURFACE = {
     "BsConvention": "transforms",
     "ChannelModel": "channel",
+    "GaussianMap": "transforms",
     "GaussianState": "states",
     "NetworkPlan": "network",
     "NoProtectedSubspaceError": "protocol",
     "NoisePatternSet": "protocol",
     "NoiseSource": "channel",
     "ProtocolConfig": "protocol",
-    "Quadrature": "states",
-    "QuadratureAxis": "states",
-    "SymplecticTransform": "transforms",
     "VACUUM_VARIANCE": "states",
     "add_noise": "states",
-    "apply": "transforms",
     "apply_channel": "channel",
     "as_snu": "states",
     "beam_splitter": "transforms",
     "channel": None,
-    "compose": "transforms",
     "corrected_channel": "protocol",
     "decompose_network": "network",
     "displace": "states",
@@ -47,7 +43,6 @@ SURFACE = {
     "phase_shift": "transforms",
     "physicality_check": "states",
     "protocol": None,
-    "quadrature_variance": "states",
     "run_protocol": "protocol",
     "squeeze": "transforms",
     "standard_two_channel": "channel",

@@ -5,28 +5,27 @@ import pytest
 
 from cvgec.states import (
     GaussianState,
-    Quadrature,
-    QuadratureAxis,
     add_noise,
     as_snu,
     displace,
     duan_simon,
     partial_trace,
     physicality_check,
-    quadrature_variance,
     symplectic_eigenvalues,
     tensor,
     vacuum_state,
 )
-from cvgec.transforms import apply, phase_shift, squeeze, two_mode_squeezed
+from cvgec.transforms import GaussianMap, phase_shift, squeeze, two_mode_squeezed
 
 
 def random_physical_state(rng, n_modes=1):
     """Random squeezed, rotated, displaced, classically noisy state."""
     state = vacuum_state(n_modes)
     for mode in range(n_modes):
-        state = apply(squeeze(rng.uniform(-1.2, 1.2), rng.uniform(0, np.pi), mode), state)
-        state = apply(phase_shift(rng.uniform(0, 2 * np.pi), mode), state)
+        sq = squeeze(rng.uniform(-1.2, 1.2), rng.uniform(0, np.pi))
+        state = GaussianMap.of(sq, (mode,), n_modes).apply(state)
+        ps = phase_shift(rng.uniform(0, 2 * np.pi))
+        state = GaussianMap.of(ps, (mode,), n_modes).apply(state)
         state = displace(state, mode, rng.normal(scale=2), rng.normal(scale=2))
     extra = rng.uniform(0, 1.5)
     return add_noise(state, extra * np.eye(2 * n_modes))
@@ -175,17 +174,15 @@ class TestPartialTrace:
         assert np.allclose(again.mean, kept.mean, atol=1e-14)
 
 
-class TestQuadratureVariance:
+class TestShotNoiseUnits:
     def test_vacuum(self):
-        q = Quadrature(0, QuadratureAxis.X)
-        v = quadrature_variance(vacuum_state(1), q)
+        v = vacuum_state(1).cov[0, 0]
         assert v == 0.5
         assert as_snu(v) == 1.0
 
     def test_squeezed(self):
-        state = apply(squeeze(0.5), vacuum_state(1))
-        v = quadrature_variance(state, Quadrature(0, QuadratureAxis.X))
-        assert as_snu(v) == pytest.approx(np.exp(-1.0), abs=1e-12)
+        state = GaussianMap.of(squeeze(0.5), (0,), 1).apply(vacuum_state(1))
+        assert as_snu(state.cov[0, 0]) == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_loss_on_noisy_input(self):
         # 10 SNU input through eta = 0.8 loss: 0.8 * 10 + 0.2 * 1 = 8.2 SNU

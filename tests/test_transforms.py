@@ -1,18 +1,17 @@
-"""Symplectic transform constructors and their algebra."""
+"""Gate blocks, their placement on a register, and map composition."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from cvgec.states import symplectic_form, vacuum_state
+from cvgec.states import displace, physicality_check, symplectic_form, vacuum_state
 from cvgec.transforms import (
     BsConvention,
-    SymplecticTransform,
-    apply,
+    GaussianMap,
     beam_splitter,
     beam_splitter_matrix,
-    compose,
     embed,
-    expand,
     phase_shift,
     squeeze,
     two_mode_squeezed,
@@ -25,39 +24,70 @@ def symplectic_defect(matrix, n_modes):
     return np.abs(matrix @ omega @ matrix.T - omega).max()
 
 
+def on(block, modes, state):
+    """Image of ``state`` under ``block`` placed on ``modes``."""
+    return GaussianMap.of(block, modes, state.n_modes).apply(state)
+
+
+GATE_GRID = [
+    *((beam_splitter, (t, c)) for t in (0.0, 0.17, 0.5, 0.62, 1.0) for c in BsConvention),
+    *(
+        (squeeze, (r, theta))
+        for r in (-1.5, -0.3, 0.0, 0.9, 1.5)
+        for theta in (0.0, 0.4, np.pi / 2, 2.0)
+    ),
+    *((phase_shift, (phi,)) for phi in (0.0, 0.3, np.pi / 2, np.pi, 4.0, -2.5)),
+]
+
+
+def gate_id(gate, args):
+    values = (a.value if isinstance(a, BsConvention) else f"{a:.4g}" for a in args)
+    return "-".join([gate.__name__, *values])
+
+
+@pytest.mark.parametrize("gate, args", GATE_GRID, ids=[gate_id(g, a) for g, a in GATE_GRID])
+def test_symplectic_identity(gate, args):
+    block = gate(*args)
+    assert symplectic_defect(block, len(block) // 2) < 1e-12
+
+
+@pytest.mark.parametrize("r", [-20.0, -8.0, 8.0, 20.0])
+@pytest.mark.parametrize("theta", [0.4, 2.0, 3.0])
+def test_strong_rotated_squeezer_is_symplectic_to_rounding(r, theta):
+    # entries of order exp(|r|) cancel to Omega; the defect is rounding of
+    # products of order exp(2|r|)
+    block = squeeze(r, theta)
+    assert symplectic_defect(block, 1) < 1e-12 * np.abs(block).max() ** 2
+
+
 class TestBeamSplitter:
     def test_full_transmission_rotation_is_identity(self):
-        bs = beam_splitter(1.0, (0, 1), BsConvention.ROTATION)
-        assert np.allclose(bs.matrix, np.eye(4), atol=0)
+        assert np.allclose(beam_splitter(1.0, BsConvention.ROTATION), np.eye(4), atol=0)
 
     def test_full_transmission_pi_flip_flips_second_port(self):
-        bs = beam_splitter(1.0, (0, 1), BsConvention.PI_FLIP)
-        assert np.allclose(bs.matrix, np.diag([1.0, 1.0, -1.0, -1.0]), atol=0)
+        bs = beam_splitter(1.0, BsConvention.PI_FLIP)
+        assert np.allclose(bs, np.diag([1.0, 1.0, -1.0, -1.0]), atol=0)
 
     def test_balanced_pi_flip_is_an_involution(self):
         # 4x4 matrix product oracle
-        s = expand(beam_splitter(0.5, (0, 1)), 2)
+        s = beam_splitter(0.5)
         assert np.allclose(s @ s, np.eye(4), atol=1e-15)
 
     def test_vacuum_preserved(self):
-        out = apply(beam_splitter(0.38, (0, 1)), vacuum_state(2))
+        out = on(beam_splitter(0.38), (0, 1), vacuum_state(2))
         assert np.allclose(out.cov, vacuum_state(2).cov, atol=1e-15)
 
     def test_out_of_range_transmissivity(self):
         with pytest.raises(ValueError):
-            beam_splitter(1.2, (0, 1))
+            beam_splitter(1.2)
         with pytest.raises(ValueError):
-            beam_splitter(-0.1, (0, 1))
+            beam_splitter(-0.1)
+        with pytest.raises(ValueError):
+            beam_splitter(np.nan)
 
     def test_same_mode_rejected(self):
-        with pytest.raises(ValueError):
-            beam_splitter(0.5, (1, 1))
-
-    @pytest.mark.parametrize("t", [0.0, 0.17, 0.5, 0.62, 1.0])
-    @pytest.mark.parametrize("convention", list(BsConvention))
-    def test_symplectic_identity(self, t, convention):
-        bs = beam_splitter(t, (0, 1), convention)
-        assert symplectic_defect(bs.matrix, 2) < 1e-12
+        with pytest.raises(ValueError, match="distinct"):
+            GaussianMap.of(beam_splitter(0.5), (1, 1), 2)
 
     def test_mode_matrix_orthogonal(self):
         b = beam_splitter_matrix(0.3)
@@ -66,42 +96,47 @@ class TestBeamSplitter:
 
 class TestPhaseShift:
     def test_zero_is_identity(self):
-        assert np.allclose(phase_shift(0.0, 0).matrix, np.eye(2), atol=0)
+        assert np.allclose(phase_shift(0.0), np.eye(2), atol=0)
 
     def test_pi_flips_mean(self):
-        from cvgec.states import displace
-
         state = displace(vacuum_state(1), 0, 1.0, 2.0)
-        out = apply(phase_shift(np.pi, 0), state)
+        out = on(phase_shift(np.pi), (0,), state)
         assert np.allclose(out.mean, [-1.0, -2.0], atol=1e-15)
 
     def test_quarter_turn_swaps_variances(self):
-        state = apply(squeeze(0.5), vacuum_state(1))
-        out = apply(phase_shift(np.pi / 2, 0), state)
+        state = on(squeeze(0.5), (0,), vacuum_state(1))
+        out = on(phase_shift(np.pi / 2), (0,), state)
         assert out.cov[0, 0] == pytest.approx(state.cov[1, 1], abs=1e-12)
         assert out.cov[1, 1] == pytest.approx(state.cov[0, 0], abs=1e-12)
+
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phase_rejected(self, phi):
+        with pytest.raises(ValueError, match="finite"):
+            phase_shift(phi)
 
 
 class TestSqueeze:
     def test_zero_is_identity(self):
-        assert np.allclose(squeeze(0.0).matrix, np.eye(2), atol=0)
+        assert np.allclose(squeeze(0.0), np.eye(2), atol=0)
 
     def test_variances_at_theta_zero(self):
-        out = apply(squeeze(0.5), vacuum_state(1))
+        out = on(squeeze(0.5), (0,), vacuum_state(1))
         assert out.cov[0, 0] == pytest.approx(0.5 * np.exp(-1.0), abs=1e-14)
         assert out.cov[1, 1] == pytest.approx(0.5 * np.exp(1.0), abs=1e-14)
 
     def test_inverse(self):
-        s = expand(compose(squeeze(-0.7, 0.3), squeeze(0.7, 0.3)), 1)
-        assert np.abs(s - np.eye(2)).max() < 1e-12
+        forward = GaussianMap.of(squeeze(0.7, 0.3), (0,), 1)
+        back = GaussianMap.of(squeeze(-0.7, 0.3), (0,), 1)
+        assert np.abs(forward.then(back).X - np.eye(2)).max() < 1e-12
 
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             squeeze(25.0)
 
-    @pytest.mark.parametrize("theta", [0.0, 0.4, np.pi / 2, 2.0])
-    def test_symplectic_identity(self, theta):
-        assert symplectic_defect(squeeze(0.9, theta).matrix, 1) < 1e-12
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_rejected(self, theta):
+        with pytest.raises(ValueError, match="finite"):
+            squeeze(0.5, theta)
 
 
 class TestTwoModeSqueezed:
@@ -134,33 +169,38 @@ class TestTwoModeSqueezed:
             0.2706705664732254, abs=1e-12
         )
 
+    def test_pinned_bytes(self):
+        # sha256 of the covariances over the whole supported range of r,
+        # recorded before the gates became bare blocks
+        covs = np.stack([two_mode_squeezed(r).cov for r in np.linspace(0.0, 20.0, 41)])
+        digest = hashlib.sha256(covs.astype("<f8").tobytes()).hexdigest()
+        assert digest == "42b0b88631442a0f9163b5f13772ff75a8f6a6523e6f2620131f7c1ea780fc96"
 
-class TestApply:
+
+class TestGaussianMap:
     def test_identity(self):
         rng = np.random.default_rng(2)
         state = random_physical_state(rng, 2)
-        ident = SymplecticTransform(np.eye(4), (0, 1))
-        out = apply(ident, state)
+        out = on(np.eye(4), (0, 1), state)
         assert np.allclose(out.cov, state.cov, atol=0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply(beam_splitter(0.5, (0, 2)), vacuum_state(2))
+        with pytest.raises(ValueError, match="outside the register"):
+            GaussianMap.of(beam_splitter(0.5), (0, 2), 2)
 
     def test_composition_matches_sequential_application(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             state = random_physical_state(rng, 3)
-            s1 = beam_splitter(rng.uniform(0, 1), (0, 2))
-            s2 = squeeze(rng.uniform(-1, 1), rng.uniform(0, np.pi), 1)
-            seq = apply(s2, apply(s1, state))
-            merged = apply(compose(s2, s1), state)
+            s1 = GaussianMap.of(beam_splitter(rng.uniform(0, 1)), (0, 2), 3)
+            s2 = GaussianMap.of(squeeze(rng.uniform(-1, 1), rng.uniform(0, np.pi)), (1,), 3)
+            seq = s2.apply(s1.apply(state))
+            merged = s1.then(s2).apply(state)
             assert np.abs(seq.cov - merged.cov).max() < 1e-12
             assert np.abs(seq.mean - merged.mean).max() < 1e-12
 
     def test_displacement_field(self):
-        t = SymplecticTransform(np.eye(2), (0,), displacement=np.array([1.5, -0.5]))
-        out = apply(t, vacuum_state(1))
+        out = GaussianMap(np.eye(2), d=np.array([1.5, -0.5])).apply(vacuum_state(1))
         assert np.allclose(out.mean, [1.5, -0.5], atol=0)
 
     def test_passive_transforms_preserve_mean_energy(self):
@@ -169,34 +209,36 @@ class TestApply:
             state = random_physical_state(rng, 2)
             t = rng.uniform(0, 1)
             convention = rng.choice(list(BsConvention))
-            out = apply(beam_splitter(t, (0, 1), convention), state)
+            out = on(beam_splitter(t, convention), (0, 1), state)
             assert np.linalg.norm(out.mean) == pytest.approx(
                 np.linalg.norm(state.mean), abs=1e-10
             )
 
     def test_physicality_preserved(self):
-        from cvgec.states import physicality_check
-
         rng = np.random.default_rng(17)
         for _ in range(200):
             state = random_physical_state(rng, 2)
-            t = compose(
-                beam_splitter(rng.uniform(0, 1), (0, 1)),
-                squeeze(rng.uniform(-1, 1), rng.uniform(0, np.pi), 0),
-            )
-            assert physicality_check(apply(t, state))
+            bs = GaussianMap.of(beam_splitter(rng.uniform(0, 1)), (0, 1), 2)
+            sq = GaussianMap.of(squeeze(rng.uniform(-1, 1), rng.uniform(0, np.pi)), (0,), 2)
+            assert physicality_check(sq.then(bs).apply(state))
 
     def test_negative_modes_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            beam_splitter(1.0, (-1, 0))
-        with pytest.raises(ValueError, match="nonnegative"):
-            SymplecticTransform(np.eye(2), (-2,))
+        with pytest.raises(ValueError, match="outside the register"):
+            GaussianMap.of(beam_splitter(1.0), (-1, 0), 2)
+        with pytest.raises(ValueError, match="outside the register"):
+            GaussianMap.of(np.eye(2), (-2,), 2)
 
     def test_embed_rejects_negative_modes(self):
         with pytest.raises(ValueError, match="outside the register"):
             embed(np.eye(2), (-1,), 2)
         assert np.array_equal(embed(2.0 * np.eye(2), (1,), 2), np.diag([1.0, 1.0, 2.0, 2.0]))
 
-    def test_non_symplectic_matrix_rejected(self):
-        with pytest.raises(ValueError, match="symplectic"):
-            SymplecticTransform(2.0 * np.eye(2), (0,))
+    def test_embed_rejects_repeated_modes(self):
+        # a second placement on the same mode would overwrite the first
+        with pytest.raises(ValueError, match="distinct"):
+            embed(np.eye(4), (0, 0), 2)
+
+    @pytest.mark.parametrize("shape, modes", [((2, 2), (0, 1)), ((4, 4), (0,)), ((2, 4), (0,))])
+    def test_embed_rejects_wrong_block_shape(self, shape, modes):
+        with pytest.raises(ValueError, match="shape"):
+            embed(np.ones(shape), modes, 2)
