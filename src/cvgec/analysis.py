@@ -1,6 +1,7 @@
 """Sweeps and closed forms over the protocol: variance, fidelity, entanglement.
 
-The noise axis ``eps`` is always channel 1's excess noise in SNU at the
+The noise axis ``eps`` scales every source variance of a sweep's channel
+model; the CLI scales its models to 1 SNU of channel-1 excess noise at the
 channel output (see :func:`cvgec.channel.standard_two_channel`).  Each
 strategy is one affine map whose signal-mode covariance is affine in the
 noise, cov -> X cov X^T + Y0 + eps Y1, because the optimal splitting and
@@ -13,11 +14,11 @@ setting is the lower eigenvector of a 2 x 2 noise form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import NoiseSource, ChannelModel, standard_two_channel
+from .channel import ChannelModel, NoiseSource, dump_channel_config, standard_two_channel
 from .fidelity import fidelity, fidelity_moments
 from .protocol import (
     ProtocolConfig,
@@ -75,13 +76,7 @@ class SweepResult:
         object.__setattr__(self, "series", series)
 
 
-def coherent_sweep(
-    g_ratio: float,
-    eta: float,
-    xi: float,
-    amplitude: tuple[float, float],
-    eps_grid,
-) -> SweepResult:
+def coherent_sweep(model: ChannelModel, amplitude: tuple[float, float], eps_grid) -> SweepResult:
     """Variance and fidelity curves for a coherent input state.
 
     For each noise level the corrected (optimal splitting), uncorrected
@@ -94,7 +89,7 @@ def coherent_sweep(
     probe = displace(vacuum_state(1), 0, amplitude[0], amplitude[1])
     mean, cov = probe.mean, probe.cov
     (m_corr, v_corr), (m_unc, v_unc), (m_unc2, v_unc2), (m_inc, v_inc) = (
-        _outputs(_noise_axis(strategy, g_ratio, eta, xi), mean, cov, eps_grid)
+        _outputs(_noise_axis(strategy, model), mean, cov, eps_grid)
         for strategy in (
             corrected_map,
             uncorrected_map,
@@ -114,8 +109,8 @@ def coherent_sweep(
         "insep_corr": nan,
         "insep_uncorr": nan,
     }
-    # Channel 2 carries eps / g_ratio, which can exceed the double range
-    # at the top of the finite noise axis; its variance is then inf.
+    # Channel 2 can carry more noise than channel 1, which can exceed the
+    # double range at the top of the finite noise axis; its variance is then inf.
     with np.errstate(over="ignore"):
         alt = {
             "var_x": as_snu(v_unc2[:, 0, 0]),
@@ -128,9 +123,7 @@ def coherent_sweep(
     }
     metadata = {
         "sweep": "coherent",
-        "g_ratio": g_ratio,
-        "eta": eta,
-        "xi": xi,
+        "channel": dump_channel_config(model).splitlines(),
         "amplitude": list(amplitude),
         "uncorrected_channel_2": {k: v.tolist() for k, v in alt.items()},
         "displacement_corrected": {k: v.tolist() for k, v in shifted.items()},
@@ -138,25 +131,20 @@ def coherent_sweep(
     return SweepResult(eps_grid, cols, metadata)
 
 
-def entanglement_sweep(
-    r: float,
-    eta: float,
-    xi: float,
-    eps_grid,
-    g_ratio: float = 1.0,
-) -> SweepResult:
+def entanglement_sweep(model: ChannelModel, r: float, eps_grid) -> SweepResult:
     """Inseparability of a two-mode squeezed state, one half transmitted.
 
     Mode 1 of the entangled pair rides the protocol; mode 0 stays local.
     Variance columns report the transmitted mode; the inseparability is
     summed as in :func:`_squeezing_weights`, free of cancellation.
-    Fidelity columns are NaN (multimode fidelity is out of scope).
+    Fidelity columns are NaN (multimode fidelity is out of scope); the
+    metadata holds the uncorrected breaking point.
     """
     eps_grid = _noise_values(eps_grid)
     transmitted = two_mode_squeezed(r).cov[2:, 2:]
     cols = {}
     for tag, strategy in (("corr", corrected_map), ("uncorr", uncorrected_map)):
-        x, y0, y1 = axis = _noise_axis(strategy, g_ratio, eta, xi)
+        x, y0, y1 = axis = _noise_axis(strategy, model)
         _, cov = _outputs(axis, np.zeros(2), transmitted, eps_grid)
         s, d = _squeezing_weights(x)
         cols[f"var_x_{tag}_snu"] = as_snu(cov[:, 0, 0])
@@ -167,11 +155,11 @@ def entanglement_sweep(
     cols.update(fid_corr=nan, fid_uncorr=nan, fid_incoh=nan)
     metadata = {
         "sweep": "entanglement",
+        "channel": dump_channel_config(model).splitlines(),
         "r": r,
-        "eta": eta,
-        "xi": xi,
-        "g_ratio": g_ratio,
         "inseparability_threshold": 2.0,
+        # on the loop's last axis, the uncorrected one
+        "uncorrected_breaking_point_snu": _breaking_point(axis, 10.0, 1000.0),
     }
     return SweepResult(eps_grid, cols, metadata)
 
@@ -191,7 +179,7 @@ def inseparability_infimum(
     (s e^{2r} + d e^{-2r}) / 2 + tr Y (see :func:`_squeezing_weights`);
     :func:`_squeezing_minimum` gives its minimum.
     """
-    at_zero, slope = _infimum_line(g_ratio, eta, xi, strategy, r_max)
+    at_zero, slope = _infimum_line(_strategy_axis(g_ratio, eta, xi, strategy), r_max)
     return at_zero + float(_noise_values(eps)) * slope
 
 
@@ -210,15 +198,7 @@ def entanglement_breaking_point(
     equation.  Returns ``math.inf`` if the channel never breaks at or below
     ``eps_limit``, which is the ideal corrected case.
     """
-    if not eps_limit >= 0.0:
-        raise ValueError("eps_limit must be nonnegative")
-    at_zero, slope = _infimum_line(g_ratio, eta, xi, strategy, r_max)
-    gap = at_zero - 2.0
-    if gap >= 0.0:
-        return 0.0
-    if slope <= 0.0 or -gap > slope * eps_limit:
-        return math.inf
-    return -gap / slope
+    return _breaking_point(_strategy_axis(g_ratio, eta, xi, strategy), r_max, eps_limit)
 
 
 def optimize_splitting(
@@ -274,26 +254,48 @@ def _noise_values(eps) -> np.ndarray:
     return eps
 
 
-def _infimum_line(g_ratio: float, eta: float, xi: float, strategy: str, r_max: float):
-    """Inseparability infimum over r at eps = 0, and its slope in eps."""
+def _strategy_axis(g_ratio: float, eta: float, xi: float, strategy: str):
+    """Noise axis of a named strategy on the flags' two-channel model."""
     if strategy not in ("corrected", "uncorrected"):
         raise ValueError("strategy must be 'corrected' or 'uncorrected'")
+    strategy_map = corrected_map if strategy == "corrected" else uncorrected_map
+    return _noise_axis(strategy_map, standard_two_channel(1.0, g_ratio, eta, xi))
+
+
+def _infimum_line(axis, r_max: float):
+    """Inseparability infimum over r at eps = 0, and its slope in eps."""
     if not 0.0 <= r_max <= _MAX_SQUEEZING:
         raise ValueError("r_max must lie in [0, 20], the supported squeezing range")
-    strategy_map = corrected_map if strategy == "corrected" else uncorrected_map
-    x, y0, y1 = _noise_axis(strategy_map, g_ratio, eta, xi)
+    x, y0, y1 = axis
     return float(np.trace(y0)) + _squeezing_minimum(x, r_max), float(np.trace(y1))
 
 
-def _noise_axis(strategy, g_ratio: float, eta: float, xi: float):
+def _breaking_point(axis, r_max: float, eps_limit: float) -> float:
+    """Noise level at which the inseparability infimum reaches 2 on one axis."""
+    if not eps_limit >= 0.0:
+        raise ValueError("eps_limit must be nonnegative")
+    at_zero, slope = _infimum_line(axis, r_max)
+    gap = at_zero - 2.0
+    if gap >= 0.0:
+        return 0.0
+    if slope <= 0.0 or -gap > slope * eps_limit:
+        return math.inf
+    return -gap / slope
+
+
+def _noise_axis(strategy, model: ChannelModel):
     """(X, Y0, Y1) of a strategy on its signal mode: cov -> X cov X^T + Y0 + eps Y1.
 
-    ``strategy(cfg, n_modes)`` is one of the protocol's map builders.  The
-    optimal splitting and the couplings do not depend on eps, and the
-    channel's added covariance is linear in it, so two maps fix the axis.
+    ``strategy(cfg, n_modes)`` is one of the protocol's map builders, and
+    eps scales the variance of every source of ``model``.  The optimal
+    splitting and the couplings do not depend on eps, and the channel's
+    added covariance is linear in it, so two maps fix the axis: one with
+    every source silent and one on ``model`` itself.
     """
-    x, y0 = _signal_block(strategy(_two_channel_config(0.0, g_ratio, eta, xi), 1))
-    _, y_unit = _signal_block(strategy(_two_channel_config(1.0, g_ratio, eta, xi), 1))
+    t = optimal_splitting_for(model)
+    silent = replace(model, sources=tuple(replace(s, variance=0.0) for s in model.sources))
+    x, y0 = _signal_block(strategy(ProtocolConfig(t, t, silent), 1))
+    _, y_unit = _signal_block(strategy(ProtocolConfig(t, t, model), 1))
     return x, y0, y_unit - y0
 
 
@@ -335,12 +337,6 @@ def _squeezing_minimum(x: np.ndarray, r_max: float) -> float:
     else:
         r = r_max if s == 0.0 else min(0.25 * math.log(d / s), r_max)
     return 0.5 * (s * math.exp(2.0 * r) + d * math.exp(-2.0 * r))
-
-
-def _two_channel_config(eps: float, g_ratio: float, eta: float, xi: float) -> ProtocolConfig:
-    model = standard_two_channel(eps, g_ratio, eta, xi)
-    t = optimal_splitting_for(model)
-    return ProtocolConfig(t, t, model)
 
 
 def _splitting_for_noise(g1: float, g2: float, xi: float, level: float) -> float:

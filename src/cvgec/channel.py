@@ -114,14 +114,11 @@ def excess_noise_snu(model: ChannelModel, channel: int) -> float:
     return float(total / VACUUM_VARIANCE)
 
 
-def channel_map(model: ChannelModel, modes, n_modes: int, own_noise=None) -> GaussianMap:
+def channel_map(model: ChannelModel, modes, n_modes: int) -> GaussianMap:
     """The channel stage as one map on an N-mode register.
 
-    ``modes[i]`` is the register mode carried by channel i.  Channel i
-    carries its own non-interfering noise if i is in ``own_noise``
-    (default: every channel).
+    ``modes[i]`` is the register mode carried by channel i.
     """
-    modes = tuple(int(m) for m in modes)
     if len(modes) != model.n_channels:
         raise ValueError("mode assignment length must equal n_channels")
 
@@ -131,8 +128,6 @@ def channel_map(model: ChannelModel, modes, n_modes: int, own_noise=None) -> Gau
     for src in model.sources:
         own += xi * src.variance * src.coupling**2
         added += (1.0 - xi) * src.variance * np.outer(src.coupling, src.coupling)
-    if own_noise is not None:
-        own = np.where(np.isin(np.arange(model.n_channels), own_noise), own, 0.0)
     added += np.diag((1.0 - model.eta) * (VACUUM_VARIANCE + model.thermal) + own)
     x = embed(np.diag(np.repeat(np.sqrt(model.eta), 2)), modes, n_modes)
     return GaussianMap(x, embed(np.kron(added, np.eye(2)), modes, n_modes, fill=0.0))

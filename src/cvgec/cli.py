@@ -17,6 +17,11 @@ Each command imports only the layers it runs, inside its handler:
 * ``synth``: network and patterns, which need numpy alone.
 
 ``--version`` and ``--help`` load no layer and no numpy.
+
+The channel is one model: ``--channel-config`` as written, or else built
+from ``--g-ratio``, ``--eta`` and ``--xi``.  ``trace`` runs it at ``--eps``;
+the sweeps scale it to 1 SNU of channel-1 excess noise, and their noise axis
+multiplies every source variance.  Manifests echo the model that ran.
 """
 
 from __future__ import annotations
@@ -186,7 +191,7 @@ def _cmd_sweep_coherent(args) -> int:
 
     grid = _eps_grid(args)
     model = _effective_channel(args)
-    result = coherent_sweep(args.g_ratio, args.eta, args.xi, tuple(args.amplitude), grid)
+    result = coherent_sweep(_sweep_model(args, model), tuple(args.amplitude), grid)
     metadata = dict(result.metadata)
     alt = metadata.pop("uncorrected_channel_2")
     shifted = metadata.pop("displacement_corrected")
@@ -209,24 +214,20 @@ def _cmd_sweep_coherent(args) -> int:
 
 
 def _cmd_sweep_entangle(args) -> int:
-    from .analysis import (
-        SWEEP_COLUMNS,
-        entanglement_breaking_point,
-        entanglement_sweep,
-        write_sweep_csv,
-    )
+    from .analysis import SWEEP_COLUMNS, entanglement_sweep, write_sweep_csv
 
     grid = _eps_grid(args)
     model = _effective_channel(args)
-    result = entanglement_sweep(args.r, args.eta, args.xi, grid, g_ratio=args.g_ratio)
+    result = entanglement_sweep(_sweep_model(args, model), args.r, grid)
+    metadata = dict(result.metadata)
+    breaking = metadata.pop("uncorrected_breaking_point_snu")
     _atomic_write(args.out, lambda fh: write_sweep_csv(result, fh))
-    breaking = entanglement_breaking_point(args.g_ratio, args.eta, args.xi, "uncorrected")
     print(f"uncorrected breaking point: {format(breaking, '.17g')} SNU")
     _maybe_dump_config(args, model)
     _write_manifest(
         args,
         extras={
-            "metadata": result.metadata,
+            "metadata": metadata,
             "columns": list(SWEEP_COLUMNS),
             "uncorrected_breaking_point_snu": breaking,
         },
@@ -235,6 +236,7 @@ def _cmd_sweep_entangle(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .channel import dump_channel_config
     from .montecarlo import sample_run, write_trace_csv
     from .protocol import ProtocolConfig, optimal_splitting_for
 
@@ -254,7 +256,8 @@ def _cmd_trace(args) -> int:
     )
     _atomic_write(args.out, lambda fh: write_trace_csv(records, fh))
     _maybe_dump_config(args, model)
-    _write_manifest(args, seed=args.seed, extras={"splitting": t})
+    channel = dump_channel_config(model).splitlines()
+    _write_manifest(args, seed=args.seed, extras={"splitting": t, "channel": channel})
     return 0
 
 
@@ -317,39 +320,31 @@ def _eps_grid(args):
 
 
 def _effective_channel(args, eps: float = 10.0):
-    """Channel used by the command: from --channel-config if given.
-
-    The sweep commands rebuild the model per noise level from --g-ratio;
-    a loaded config must therefore match that parameterization, so its
-    g-ratio/eta/xi are adopted as the effective flags.  A config the sweeps
-    cannot represent (per-channel eta, thermal noise) is refused; trace
-    runs the loaded model as it is.
-    """
+    """The channel named on the command line: the --channel-config model as
+    written, or else the flags' two-channel model at ``eps`` SNU of
+    channel-1 excess noise."""
     from .channel import parse_channel_config, standard_two_channel
-    from .states import VACUUM_VARIANCE
 
-    if getattr(args, "channel_config", None):
+    if args.channel_config:
         with open(args.channel_config) as fh:
-            model = parse_channel_config(fh.read())
-        if model.n_channels != 2 or len(model.sources) != 1:
-            raise UsageError("config must describe two channels with one source")
-        c = model.sources[0].coupling
-        if c[1] == 0:
-            raise UsageError("channel-2 coupling must be nonzero")
-        if not hasattr(args, "eps") and (model.eta[1] != model.eta[0] or any(model.thermal)):
-            raise UsageError(
-                "the sweeps take one eta for both channels and no thermal noise; "
-                "this config needs trace"
-            )
-        args.g_ratio = float(c[0] ** 2 / c[1] ** 2)
-        args.eta = float(model.eta[0])
-        args.xi = float(model.mismatch)
-        if hasattr(args, "eps"):
-            args.eps = float(model.sources[0].variance * c[0] ** 2 / VACUUM_VARIANCE)
-        return model
-    return standard_two_channel(
-        getattr(args, "eps", eps), args.g_ratio, args.eta, args.xi
-    )
+            return parse_channel_config(fh.read())
+    return standard_two_channel(eps, args.g_ratio, args.eta, args.xi)
+
+
+def _sweep_model(args, model):
+    """The model a sweep runs: the flags' model at 1 SNU, or the config with every
+    source variance divided by its channel-1 excess noise in SNU."""
+    from dataclasses import replace
+
+    from .channel import excess_noise_snu
+
+    if not args.channel_config:
+        return _effective_channel(args, eps=1.0)
+    noise = excess_noise_snu(model, 0)
+    if not 0.0 < noise < math.inf:
+        raise UsageError("a sweep needs finite, nonzero channel-1 excess noise in the config")
+    sources = tuple(replace(s, variance=s.variance / noise) for s in model.sources)
+    return replace(model, sources=sources)
 
 
 def _maybe_dump_config(args, model) -> None:

@@ -118,7 +118,10 @@ def incoherent_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int | None = 
     Averaged over the outcomes, displacing by ``G y`` for measured
     quadratures y is the linear map X = I + G E_y, so the whole strategy is
     one map on the N state modes plus two appended vacua: the idle-channel
-    carrier and the heterodyne ancilla.
+    carrier and the heterodyne ancilla.  Each channel carries its own
+    non-interfering noise, xi var c_i^2, as in :func:`channel_map`; the
+    feedforward copies channel 2's onto the signal with the gain, so the
+    signal gains xi var c_1^2 from each channel.
     """
     model = cfg.channel
     if model.n_channels != 2:
@@ -140,10 +143,8 @@ def incoherent_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int | None = 
     feedforward[2 * sig, 2 * idle] = -c1 / (bs[0, 0] * c2)
     feedforward[2 * sig + 1, 2 * anc + 1] = -c1 / (bs[1, 0] * c2)
 
-    # The heterodyned idle channel does not see its own non-interfering
-    # noise; the signal does see channel 1's.
     return (
-        channel_map(model, (sig, idle), n, own_noise=(0,))
+        channel_map(model, (sig, idle), n)
         .then(_splitter(0.5, (idle, anc), n))
         .then(GaussianMap(feedforward))
     )

@@ -11,6 +11,7 @@ its inputs, so states can be shared and evaluated in parallel freely.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +117,7 @@ def add_noise(state: GaussianState, noise_cov: np.ndarray) -> GaussianState:
 
 def partial_trace(state: GaussianState, keep) -> GaussianState:
     """Reduced state over the kept modes (ascending mode order)."""
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(keep))
     if not keep:
         raise ValueError("keep set must be nonempty")
     for k in keep:
@@ -203,5 +204,8 @@ def _asymmetric(matrix: np.ndarray) -> bool:
 
 
 def _quad_indices(modes) -> list[int]:
-    """Positions of the (x, p) quadratures of ``modes`` in the interleaved order."""
-    return [2 * int(m) + q for m in modes for q in (0, 1)]
+    """Positions of the (x, p) quadratures of integer ``modes`` in the interleaved order."""
+    try:
+        return [2 * operator.index(m) + q for m in modes for q in (0, 1)]
+    except TypeError:
+        raise ValueError("mode indices must be integers") from None

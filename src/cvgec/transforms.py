@@ -57,6 +57,8 @@ class GaussianMap:
         d = np.zeros(dim) if self.d is None else np.array(self.d, dtype=float)
         if dim == 0 or dim % 2 or x.shape != (dim, dim) or y.shape != x.shape or d.shape != (dim,):
             raise ValueError("need 2N x 2N matrices X and Y and a length-2N vector d")
+        if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(d).all()):
+            raise ValueError("X, Y and d must be finite")
         for name, a in zip("XYd", (x, y, d)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)

@@ -42,6 +42,7 @@ from fock_oracle import fidelity_fock_states
 from map_reference import pure_loss_reference
 from network_oracle import plan_symplectic
 from splitting_oracle import grid_scan_splitting
+from test_analysis import unit_model
 from test_states import random_physical_state
 
 
@@ -77,7 +78,7 @@ def test_criterion_1_pure_loss_equivalence():
 def test_criterion_2_noise_cancellation_flatness():
     started = time.perf_counter()
     grid = np.linspace(0.0, 40.0, 41)
-    res = coherent_sweep(0.61, 1.0, 0.0, (2.0, 0.0), grid)
+    res = coherent_sweep(unit_model(0.61, 1.0, 0.0), (2.0, 0.0), grid)
     for name in ("var_x_corr_snu", "var_p_corr_snu"):
         assert np.ptp(res.series[name]) < 1e-12, f"{name} varies with the noise level"
     for name in ("var_x_uncorr_snu", "var_p_uncorr_snu"):
@@ -93,7 +94,7 @@ def test_criterion_3_dominance_over_incoherent_baseline():
     started = time.perf_counter()
     grid = np.linspace(0.0, 40.0, 41)
     for ratio in (0.25, 0.5, 0.61, 1.0, 2.0):
-        res = coherent_sweep(ratio, 1.0, 0.01, (2.0, 0.0), grid)
+        res = coherent_sweep(unit_model(ratio, 1.0, 0.01), (2.0, 0.0), grid)
         corr, incoh = res.series["fid_corr"], res.series["fid_incoh"]
         assert np.all(corr >= incoh)
         # the feedforward penalty g1/g2 is far above 1e-9 on this grid,
@@ -107,7 +108,7 @@ def test_criterion_3_dominance_over_incoherent_baseline():
 def test_criterion_4_entanglement_survival():
     started = time.perf_counter()
     r = 0.5 * np.log(4.0)  # corrected inseparability 2 e^{-2r} = 0.5 at eps = 0
-    res = entanglement_sweep(r, 1.0, 0.01, np.array([0.0, 35.0]))
+    res = entanglement_sweep(unit_model(1.0, 1.0, 0.01), r, np.array([0.0, 35.0]))
     assert res.series["insep_corr"][0] == pytest.approx(0.5, abs=1e-9)
     assert res.series["insep_corr"][1] < 2.0, "entanglement lost at 35 SNU"
 

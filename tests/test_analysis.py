@@ -38,9 +38,14 @@ from test_states import random_physical_state
 GRID = np.linspace(0.0, 40.0, 21)
 
 
+def unit_model(g_ratio, eta, xi):
+    """The CLI's flag model: 1 SNU of channel-1 excess noise per unit eps."""
+    return standard_two_channel(1.0, g_ratio, eta, xi)
+
+
 class TestCoherentSweep:
     def test_ideal_correction_is_flat(self):
-        res = coherent_sweep(0.61, 1.0, 0.0, (2.0, 0.0), GRID)
+        res = coherent_sweep(unit_model(0.61, 1.0, 0.0), (2.0, 0.0), GRID)
         assert np.ptp(res.series["var_x_corr_snu"]) < 1e-12
         assert np.ptp(res.series["var_p_corr_snu"]) < 1e-12
         assert np.allclose(res.series["fid_corr"], 1.0, atol=1e-10)
@@ -48,7 +53,7 @@ class TestCoherentSweep:
     def test_uncorrected_grows_affinely_with_unit_slope(self):
         # noise axis is channel 1's excess, so the direct channel-1 curve
         # has slope exactly 1
-        res = coherent_sweep(0.61, 1.0, 0.0, (2.0, 0.0), GRID)
+        res = coherent_sweep(unit_model(0.61, 1.0, 0.0), (2.0, 0.0), GRID)
         fit = np.polyfit(res.axis, res.series["var_x_uncorr_snu"], 1)
         assert fit[0] == pytest.approx(1.0, abs=1e-10)
         assert fit[1] == pytest.approx(1.0, abs=1e-9)
@@ -59,7 +64,7 @@ class TestCoherentSweep:
         assert np.polyfit(res.axis, alt, 1)[0] == pytest.approx(1 / 0.61, abs=1e-9)
 
     def test_zero_noise_degenerate_point(self):
-        res = coherent_sweep(0.8, 0.85, 0.0, (2.0, 0.0), np.array([0.0]))
+        res = coherent_sweep(unit_model(0.8, 0.85, 0.0), (2.0, 0.0), np.array([0.0]))
         assert res.series["fid_corr"][0] == pytest.approx(
             res.series["fid_uncorr"][0], abs=1e-12
         )
@@ -67,7 +72,7 @@ class TestCoherentSweep:
     def test_mismatch_prediction_matches_monte_carlo(self):
         # dual-oracle agreement at xi = 0.01, eps = 30 SNU
         xi, eps, n = 0.01, 30.0, 200_000
-        res = coherent_sweep(1.0, 1.0, xi, (2.0, 0.0), np.array([eps]))
+        res = coherent_sweep(unit_model(1.0, 1.0, xi), (2.0, 0.0), np.array([eps]))
         predicted = res.series["var_x_corr_snu"][0]
         model = standard_two_channel(eps, 1.0, 1.0, xi)
         t = optimal_splitting_for(model)
@@ -80,36 +85,47 @@ class TestCoherentSweep:
         assert abs(var - predicted) < 5 * se
         assert predicted - 1.0 == pytest.approx(xi * eps, rel=1e-9)
 
+    def test_incoherent_pays_both_channels_mismatch(self):
+        # penalty 2 g SNU plus xi eps SNU of non-interfering noise from each
+        # channel: the signal's own and the measured channel's, fed forward
+        g, eta, xi = 0.61, 0.9, 0.02
+        res = coherent_sweep(unit_model(g, eta, xi), (2.0, 0.0), GRID)
+        probe = displace(vacuum_state(1), 0, 2.0, 0.0)
+        var_snu = 1.0 + 2.0 * g + 2.0 * xi * GRID
+        covs = 0.5 * var_snu[:, None, None] * np.eye(2)
+        expected = fidelity_moments(np.sqrt(eta) * probe.mean, covs, probe.mean, probe.cov)
+        assert np.allclose(res.series["fid_incoh"], expected, rtol=1e-12, atol=0.0)
+
     def test_dominance_over_incoherent(self):
         for ratio in (0.25, 0.61, 1.0, 2.0):
-            res = coherent_sweep(ratio, 1.0, 0.01, (2.0, 0.0), GRID)
+            res = coherent_sweep(unit_model(ratio, 1.0, 0.01), (2.0, 0.0), GRID)
             assert np.all(res.series["fid_corr"] >= res.series["fid_incoh"])
 
     def test_insep_columns_are_nan(self):
-        res = coherent_sweep(1.0, 1.0, 0.0, (2.0, 0.0), np.array([1.0]))
+        res = coherent_sweep(unit_model(1.0, 1.0, 0.0), (2.0, 0.0), np.array([1.0]))
         assert np.isnan(res.series["insep_corr"][0])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            coherent_sweep(1.0, 1.0, 0.0, (2.0, 0.0), np.array([]))
+            coherent_sweep(unit_model(1.0, 1.0, 0.0), (2.0, 0.0), np.array([]))
 
     def test_non_finite_amplitude_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            coherent_sweep(1.0, 1.0, 0.0, (np.nan, 0.0), GRID)
+            coherent_sweep(unit_model(1.0, 1.0, 0.0), (np.nan, 0.0), GRID)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_invalid_noise_rejected(self, bad):
         with pytest.raises(ValueError, match="nonnegative"):
-            coherent_sweep(1.0, 1.0, 0.0, (2.0, 0.0), np.array([0.0, bad]))
+            coherent_sweep(unit_model(1.0, 1.0, 0.0), (2.0, 0.0), np.array([0.0, bad]))
         with pytest.raises(ValueError, match="nonnegative"):
-            entanglement_sweep(0.5, 1.0, 0.0, np.array([bad]))
+            entanglement_sweep(unit_model(1.0, 1.0, 0.0), 0.5, np.array([bad]))
         with pytest.raises(ValueError, match="nonnegative"):
             inseparability_infimum(bad, 1.0, 0.9, 0.0, "uncorrected")
 
 
 class TestEntanglementSweep:
     def test_ideal_correction_constant(self):
-        res = entanglement_sweep(0.5, 1.0, 0.0, GRID)
+        res = entanglement_sweep(unit_model(1.0, 1.0, 0.0), 0.5, GRID)
         assert np.ptp(res.series["insep_corr"]) < 1e-12
         assert res.series["insep_corr"][0] == pytest.approx(
             2 * np.exp(-1.0), abs=1e-12
@@ -117,11 +133,11 @@ class TestEntanglementSweep:
         assert res.series["insep_corr"][0] == pytest.approx(0.7357588823428847, abs=1e-12)
 
     def test_vacuum_input_sits_on_boundary(self):
-        res = entanglement_sweep(0.0, 1.0, 0.0, np.linspace(0, 10, 5))
+        res = entanglement_sweep(unit_model(1.0, 1.0, 0.0), 0.0, np.linspace(0, 10, 5))
         assert np.allclose(res.series["insep_corr"], 2.0, atol=1e-12)
 
     def test_uncorrected_crosses_threshold(self):
-        res = entanglement_sweep(0.5, 1.0, 0.0, GRID)
+        res = entanglement_sweep(unit_model(1.0, 1.0, 0.0), 0.5, GRID)
         insep = res.series["insep_uncorr"]
         assert insep[0] < 2.0 < insep[-1]
         # affine growth in the noise level
@@ -129,12 +145,12 @@ class TestEntanglementSweep:
         assert np.ptp(slopes) < 1e-9
 
     def test_mismatch_makes_correction_grow(self):
-        res = entanglement_sweep(0.5, 1.0, 0.01, GRID)
+        res = entanglement_sweep(unit_model(1.0, 1.0, 0.01), 0.5, GRID)
         assert np.all(np.diff(res.series["insep_corr"]) > 0)
         assert res.series["insep_corr"][-1] < 2.0  # still entangled at 40 SNU
 
     def test_fidelity_columns_are_nan(self):
-        res = entanglement_sweep(0.5, 1.0, 0.0, np.array([1.0]))
+        res = entanglement_sweep(unit_model(1.0, 1.0, 0.0), 0.5, np.array([1.0]))
         assert np.isnan(res.series["fid_corr"][0])
 
 
@@ -151,7 +167,7 @@ class TestVectorisedSweeps:
     def test_coherent_matches_per_point(self, g, eta, xi):
         grid = np.linspace(0.0, 50.0, 7)
         probe = displace(vacuum_state(1), 0, 1.3, -0.7)
-        res = coherent_sweep(g, eta, xi, (1.3, -0.7), grid)
+        res = coherent_sweep(unit_model(g, eta, xi), (1.3, -0.7), grid)
         alt = res.metadata["uncorrected_channel_2"]
         shifted = res.metadata["displacement_corrected"]
         for k, eps in enumerate(grid):
@@ -180,7 +196,7 @@ class TestVectorisedSweeps:
     def test_entanglement_matches_per_point(self, g, eta, xi):
         grid = np.linspace(0.0, 50.0, 7)
         pair = two_mode_squeezed(0.8)
-        res = entanglement_sweep(0.8, eta, xi, grid, g_ratio=g)
+        res = entanglement_sweep(unit_model(g, eta, xi), 0.8, grid)
         for k, eps in enumerate(grid):
             model = standard_two_channel(eps, g, eta, xi)
             t = optimal_splitting_for(model)
@@ -199,7 +215,7 @@ class TestVectorisedSweeps:
     def test_inseparability_matches_duan_number_on_covariance_stack(self, g, eta, xi, r):
         grid = np.linspace(0.0, 50.0, 7)
         pair = two_mode_squeezed(r)
-        res = entanglement_sweep(r, eta, xi, grid, g_ratio=g)
+        res = entanglement_sweep(unit_model(g, eta, xi), r, grid)
         stacks = {"insep_corr": [], "insep_uncorr": []}
         for eps in grid:
             model = standard_two_channel(eps, g, eta, xi)
@@ -413,7 +429,7 @@ class TestOptimizer:
 
 class TestSweepCsv:
     def test_columns_and_precision(self):
-        res = coherent_sweep(1.0, 1.0, 0.0, (2.0, 0.0), np.array([0.0, 1.0]))
+        res = coherent_sweep(unit_model(1.0, 1.0, 0.0), (2.0, 0.0), np.array([0.0, 1.0]))
         buf = io.StringIO()
         write_sweep_csv(res, buf)
         lines = buf.getvalue().splitlines()

@@ -45,13 +45,14 @@ class TestSweepCoherent:
     def test_sidecar_holds_the_metadata_curves(self, tmp_path):
         from cvgec.analysis import coherent_sweep
         from cvgec.cli import AUX_COLUMNS
+        from test_analysis import unit_model
 
         out = tmp_path / "s.csv"
         argv = ["sweep-coherent", "--g-ratio", "0.7", "--eta", "0.9", "--xi", "0.02"]
         assert main(argv + ["--eps-steps", "6", "--out", str(out)]) == 0
         header, cols = read_csv(tmp_path / "s.csv.aux.csv")
         assert tuple(header) == AUX_COLUMNS
-        meta = coherent_sweep(0.7, 0.9, 0.02, (2.0, 0.0), np.linspace(0, 40, 6)).metadata
+        meta = coherent_sweep(unit_model(0.7, 0.9, 0.02), (2.0, 0.0), np.linspace(0, 40, 6)).metadata
         alt, shifted = meta["uncorrected_channel_2"], meta["displacement_corrected"]
         assert list(cols["eps_snu"]) == list(np.linspace(0, 40, 6))
         assert list(cols["var_x_uncorr2_snu"]) == alt["var_x"]
@@ -66,7 +67,14 @@ class TestSweepCoherent:
         argv = ["sweep-coherent", "--eps-max", "1.7e308", "--eps-steps", "2"]
         assert main(argv + ["--out", str(out)]) == 0
         manifest = strict_json((tmp_path / "top.csv.manifest.json").read_text())
-        assert manifest["extras"]["metadata"]["g_ratio"] == 0.61
+        # the sweep runs the default flags' model at 1 SNU of channel-1 noise
+        assert manifest["extras"]["metadata"]["channel"] == [
+            "n_channels 2",
+            "eta 1 1",
+            "thermal 0 0",
+            "mismatch 0",
+            "source correlated 0.81967213114754101 0.78102496759066542 1",
+        ]
         header, cols = read_csv(out)
         assert all(np.all(np.isfinite(cols[name])) for name in header if "insep" not in name)
         _, aux = read_csv(tmp_path / "top.csv.aux.csv")
@@ -96,6 +104,15 @@ class TestSweepCoherent:
         assert main(["sweep-coherent", "--xi", "0", "--eta", "1", "--out", str(out)]) == 0
         _, cols = read_csv(out)
         assert np.allclose(cols["fid_corr"], 1.0, atol=1e-10)
+
+    def test_pinned_bytes(self, tmp_path):
+        out = tmp_path / "c.csv"
+        argv = ["sweep-coherent", "--g-ratio", "0.61", "--eta", "0.9", "--xi", "0"]
+        argv += ["--amplitude", "1.5", "-0.5", "--eps-steps", "21", "--out", str(out)]
+        assert main(argv) == 0
+        assert sha256(out) == "634a83430a99f7497b8fb0bbc0444de48a4376807e1819984abda25305fe7835"
+        aux = tmp_path / "c.csv.aux.csv"
+        assert sha256(aux) == "269ead7baf856f58f46a9db8a8f7fc09b87dce1fccc05a58a828d04da440b261"
 
     def test_byte_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -139,28 +156,78 @@ class TestSweepCoherent:
 
 
 class TestChannelConfigInSweeps:
-    """The sweeps rebuild a one-source model with a single eta and no
-    thermal noise; a config outside that family is refused, trace keeps it."""
+    """The sweeps run a loaded config as written, its source variance scaled
+    so that the noise axis is channel 1's excess noise in SNU."""
 
     UNEQUAL_ETA_THERMAL = "n_channels 2\neta 0.9 0.5\nthermal 0.3 0.3\nmismatch 0\nsource s 0.5 1 1\n"
+
+    def test_unequal_eta_and_thermal_config_accepted(self, tmp_path):
+        import csv
+
+        cfg = tmp_path / "channel.cfg"
+        cfg.write_text(self.UNEQUAL_ETA_THERMAL)
+        out = tmp_path / "out.csv"
+        argv = ["sweep-coherent", "--channel-config", str(cfg), "--eps-steps", "5"]
+        assert main(argv + ["--out", str(out)]) == 0
+        _, cols = read_csv(out)
+        # the signal port mixes the two channels' loss and thermal noise with
+        # weights T and 1 - T; the correlated noise cancels at every eps
+        t, eta1, eta2, n1, n2 = 0.5, 0.9, 0.5, 0.3, 0.3
+        expected = 0.5 * (t * eta1 + (1 - t) * eta2)
+        expected += t * (1 - eta1) * (0.5 + n1) + (1 - t) * (1 - eta2) * (0.5 + n2)
+        for q in ("x", "p"):
+            natural = 0.5 * cols[f"var_{q}_corr_snu"]
+            assert np.ptp(natural) < 1e-12
+            assert np.all(np.abs(natural - expected) < 1e-12)
+        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        assert manifest["extras"]["metadata"]["channel"][1:3] == [
+            "eta 0.90000000000000002 0.5",
+            "thermal 0.29999999999999999 0.29999999999999999",
+        ]
+        # the sampled corrected stage of trace, on the same config, agrees
+        n = 20_000
+        trace = tmp_path / "t.csv"
+        argv = ["trace", "--channel-config", str(cfg), "--n", str(n), "--seed", "5"]
+        assert main(argv + ["--out", str(trace)]) == 0
+        with open(trace) as fh:
+            samples = [
+                float(row["value"]) for row in csv.DictReader(fh)
+                if row["stage"] == "corrected" and row["quadrature"] == "X"
+            ]
+        se = expected * np.sqrt(2.0 / (n - 1))
+        assert abs(np.var(samples, ddof=1) - expected) < 5 * se
+
+    def test_entangle_accepts_the_config(self, tmp_path, capsys):
+        cfg = tmp_path / "channel.cfg"
+        cfg.write_text(self.UNEQUAL_ETA_THERMAL)
+        out = tmp_path / "out.csv"
+        argv = ["sweep-entangle", "--channel-config", str(cfg), "--eps-steps", "5"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert "uncorrected breaking point" in capsys.readouterr().out
+        _, cols = read_csv(out)
+        assert np.ptp(cols["insep_corr"]) < 1e-12
 
     @pytest.mark.parametrize("command", ["sweep-coherent", "sweep-entangle"])
     @pytest.mark.parametrize(
         "text",
         [
-            UNEQUAL_ETA_THERMAL,
-            "n_channels 2\neta 0.9 0.5\nsource s 5 1 1\n",
-            "n_channels 2\neta 0.9 0.9\nthermal 0 0.3\nsource s 5 1 1\n",
+            "n_channels 3\nsource s 5 1 1 1\n",
+            "n_channels 2\nsource a 5 1 1\nsource b 5 1 -1\n",
+            "n_channels 2\nsource s 5 0 1\n",
+            "n_channels 2\nsource s 5 1 0\n",
+            "n_channels 2\nsource s 0 1 1\n",
         ],
     )
-    def test_unrepresentable_config_refused(self, tmp_path, capsys, command, text):
+    def test_config_without_a_noise_axis_refused(self, tmp_path, capsys, command, text):
         cfg = tmp_path / "channel.cfg"
         cfg.write_text(text)
-        out = tmp_path / "out.csv"
-        argv = [command, "--channel-config", str(cfg), "--eps-steps", "3", "--out", str(out)]
-        assert main(argv) == 2
-        assert "trace" in capsys.readouterr().err
-        assert not out.exists()
+        out, dump = tmp_path / "out.csv", tmp_path / "dump.cfg"
+        argv = [command, "--channel-config", str(cfg), "--eps-steps", "3"]
+        assert main(argv + ["--out", str(out), "--dump-config", str(dump)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["channel.cfg"]
 
     def test_representable_config_accepted(self, tmp_path):
         cfg = tmp_path / "channel.cfg"
@@ -179,6 +246,8 @@ class TestChannelConfigInSweeps:
         text = dump.read_text()
         assert "eta 0.90000000000000002 0.5\n" in text
         assert "thermal 0.29999999999999999 0.29999999999999999\n" in text
+        manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+        assert manifest["extras"]["channel"] == text.splitlines()
         # channel 2 carries eta 0.5 and thermal 0.3: its x variance is
         # 0.5 * 0.5 + 0.5 * (0.5 + 0.3) + 0.5 = 1.15, not the 1.0 of eta 0.9
         # without thermal noise
@@ -207,6 +276,19 @@ class TestSweepEntangle:
         assert manifest["extras"]["uncorrected_breaking_point_snu"] == pytest.approx(
             2.0, abs=1e-4
         )
+
+    def test_pinned_bytes(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        argv = ["sweep-entangle", "--r", "0.7", "--g-ratio", "0.8", "--eta", "0.85"]
+        argv += ["--xi", "0.02", "--eps-steps", "21", "--out", str(out)]
+        assert main(argv) == 0
+        assert sha256(out) == "328a6a99ba54d1d91a809c724eeed45c76ebfcfd038e03213b3a82c60376d319"
+        printed = capsys.readouterr().out
+        assert printed == "uncorrected breaking point: 1.7000000000000002 SNU\n"
+        manifest = json.loads((tmp_path / "e.csv.manifest.json").read_text())
+        assert manifest["extras"]["uncorrected_breaking_point_snu"] == 1.7000000000000002
+        assert "uncorrected_breaking_point_snu" not in manifest["extras"]["metadata"]
+        assert manifest["extras"]["metadata"]["channel"][3] == "mismatch 0.02"
 
     def test_vacuum_input_on_boundary(self, tmp_path):
         out = tmp_path / "r0.csv"

@@ -22,7 +22,7 @@ from cvgec.protocol import (
     uncorrected_channel,
 )
 from cvgec.states import GaussianState, as_snu, displace, duan_simon, vacuum_state
-from cvgec.transforms import beam_splitter
+from cvgec.transforms import beam_splitter, two_mode_squeezed
 
 from map_reference import characterize_single_mode_map, pure_loss_reference
 from test_states import random_physical_state
@@ -176,6 +176,14 @@ class TestCorrectedChannel:
         assert np.allclose(d, 0.0, atol=1e-12)
         assert np.allclose(y, 0.25 * 0.5 * np.eye(2), atol=1e-10)
 
+    def test_signal_mode_must_be_an_integer(self):
+        cfg = config(15.0, g_ratio=0.61, eta=0.75)
+        pair = two_mode_squeezed(0.6)
+        with pytest.raises(ValueError, match="integers"):
+            corrected_channel(cfg, pair, signal_mode=1.7)
+        wide = corrected_channel(cfg, pair, signal_mode=np.int64(1))
+        assert np.array_equal(wide.cov, corrected_channel(cfg, pair, signal_mode=1).cov)
+
 
 class TestUncorrectedChannel:
     def test_excess_is_channel_noise(self):
@@ -258,16 +266,17 @@ class TestIncoherentStrategy:
                 assert f_corr > f_incoh
 
     def test_mismatch_rule(self):
-        # the signal carries channel 1's non-interfering noise xi var g1; the
-        # heterodyned idle channel carries none of its own, so the penalty
-        # stays g1/g2 on top of it
+        # each channel carries its own non-interfering noise: channel 1's
+        # xi var g1 reaches the signal directly, and channel 2's xi var g2
+        # reaches it through the feedforward gain g1/g2, on top of the
+        # penalty g1/g2
         g1, g2, eta, var, xi = 1.3, 0.9, 0.8, 6.0, 0.05
         model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), var),), xi)
         t = optimal_splitting(g1, g2)
         state = displace(vacuum_state(1), 0, 1.0, -0.5)
         out = incoherent_strategy(ProtocolConfig(t, t, model), state)
         ref = pure_loss_reference(state, eta)
-        assert np.allclose(out.cov - ref.cov, (g1 / g2 + xi * var * g1) * np.eye(2), atol=1e-12)
+        assert np.allclose(out.cov - ref.cov, (g1 / g2 + 2 * xi * var * g1) * np.eye(2), atol=1e-12)
         assert np.allclose(out.mean, ref.mean, atol=1e-12)
 
     def test_idle_channel_without_noise_rejected(self):

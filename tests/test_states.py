@@ -165,6 +165,15 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(vacuum_state(2), [])
 
+    def test_non_integer_mode_refused(self):
+        with pytest.raises(ValueError, match="integers"):
+            partial_trace(vacuum_state(3), [1.7])
+        with pytest.raises(ValueError, match="integers"):
+            partial_trace(vacuum_state(3), [np.float64(1.0)])
+        state = displace(vacuum_state(3), 1, 0.3, -0.2)
+        kept = partial_trace(state, [np.int64(1)])
+        assert np.array_equal(kept.mean, partial_trace(state, [1]).mean)
+
     def test_retensor_idempotent_on_kept_block(self):
         rng = np.random.default_rng(11)
         state = random_physical_state(rng, 2)

@@ -233,6 +233,19 @@ class TestGaussianMap:
             embed(np.eye(2), (-1,), 2)
         assert np.array_equal(embed(2.0 * np.eye(2), (1,), 2), np.diag([1.0, 1.0, 2.0, 2.0]))
 
+    def test_embed_rejects_non_integer_modes(self):
+        with pytest.raises(ValueError, match="integers"):
+            embed(np.eye(2), (1.7,), 2)
+        assert np.array_equal(embed(np.eye(2), (np.int64(1),), 2), embed(np.eye(2), (1,), 2))
+
+    @pytest.mark.parametrize("field", ["X", "Y", "d"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, field, bad):
+        parts = {"X": np.eye(2), "Y": np.zeros((2, 2)), "d": np.zeros(2)}
+        parts[field] = np.full_like(parts[field], bad)
+        with pytest.raises(ValueError, match="finite"):
+            GaussianMap(**parts)
+
     def test_embed_rejects_repeated_modes(self):
         # a second placement on the same mode would overwrite the first
         with pytest.raises(ValueError, match="distinct"):
