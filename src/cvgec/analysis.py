@@ -45,6 +45,17 @@ SWEEP_COLUMNS = (
     "insep_uncorr",
 )
 
+#: Columns of the ``sweep-coherent`` sidecar ``<out>.aux.csv``: the
+#: uncorrected channel-2 alternative and the displacement-corrected fidelities.
+AUX_COLUMNS = (
+    "eps_snu",
+    "var_x_uncorr2_snu",
+    "var_p_uncorr2_snu",
+    "fid_uncorr2",
+    "fid_corr_displaced",
+    "fid_uncorr_displaced",
+)
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -82,8 +93,9 @@ def coherent_sweep(model: ChannelModel, amplitude: tuple[float, float], eps_grid
     For each noise level the corrected (optimal splitting), uncorrected
     (direct channel-1 transmission) and incoherent (measure/feedforward)
     outputs are evaluated.  Fidelities compare against the original input
-    with no gain rescaling; displacement-corrected values are stashed in
-    the metadata alongside the channel-2 uncorrected alternative.
+    with no gain rescaling.  Besides the ``SWEEP_COLUMNS``, the series hold
+    the ``AUX_COLUMNS``: the channel-2 uncorrected alternative and the
+    displacement-corrected fidelities.
     """
     eps_grid = _noise_values(eps_grid)
     probe = displace(vacuum_state(1), 0, amplitude[0], amplitude[1])
@@ -112,21 +124,15 @@ def coherent_sweep(model: ChannelModel, amplitude: tuple[float, float], eps_grid
     # Channel 2 can carry more noise than channel 1, which can exceed the
     # double range at the top of the finite noise axis; its variance is then inf.
     with np.errstate(over="ignore"):
-        alt = {
-            "var_x": as_snu(v_unc2[:, 0, 0]),
-            "var_p": as_snu(v_unc2[:, 1, 1]),
-            "fid": fidelity_moments(m_unc2, v_unc2, mean, cov),
-        }
-    shifted = {
-        "fid_corr": fidelity_moments(mean, v_corr, mean, cov),
-        "fid_uncorr": fidelity_moments(mean, v_unc, mean, cov),
-    }
+        cols["var_x_uncorr2_snu"] = as_snu(v_unc2[:, 0, 0])
+        cols["var_p_uncorr2_snu"] = as_snu(v_unc2[:, 1, 1])
+        cols["fid_uncorr2"] = fidelity_moments(m_unc2, v_unc2, mean, cov)
+    cols["fid_corr_displaced"] = fidelity_moments(mean, v_corr, mean, cov)
+    cols["fid_uncorr_displaced"] = fidelity_moments(mean, v_unc, mean, cov)
     metadata = {
         "sweep": "coherent",
         "channel": dump_channel_config(model).splitlines(),
         "amplitude": list(amplitude),
-        "uncorrected_channel_2": {k: v.tolist() for k, v in alt.items()},
-        "displacement_corrected": {k: v.tolist() for k, v in shifted.items()},
     }
     return SweepResult(eps_grid, cols, metadata)
 

@@ -71,10 +71,7 @@ class ChannelModel:
     def __post_init__(self):
         if self.n_channels < 1:
             raise ValueError("need at least one channel")
-        eta = np.broadcast_to(np.asarray(self.eta, dtype=float), (self.n_channels,)).copy()
-        thermal = np.broadcast_to(
-            np.asarray(self.thermal, dtype=float), (self.n_channels,)
-        ).copy()
+        eta, thermal = self._per_channel("eta"), self._per_channel("thermal")
         if not np.all((eta > 0) & (eta <= 1)):
             raise ValueError("transmissivities must lie in (0, 1]")
         if not np.all((thermal >= 0) & (thermal < np.inf)):
@@ -90,6 +87,17 @@ class ChannelModel:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "thermal", thermal)
         object.__setattr__(self, "sources", sources)
+
+    def _per_channel(self, key: str) -> np.ndarray:
+        """Field ``key`` broadcast to one value per channel."""
+        values = np.asarray(getattr(self, key), dtype=float)
+        if values.ndim > 1:
+            raise ValueError(f"{key} must be a scalar or a vector")
+        if values.size not in (1, self.n_channels):
+            raise ValueError(
+                f"{key} has {values.size} values; need 1 or n_channels = {self.n_channels}"
+            )
+        return np.broadcast_to(values, (self.n_channels,)).copy()
 
 
 def with_mismatch(model: ChannelModel, xi: float) -> ChannelModel:

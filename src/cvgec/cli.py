@@ -45,17 +45,6 @@ CONVENTIONS = {
     "inseparability": "Var(x1-x2) + Var(p1+p2) in natural units; entangled below 2",
 }
 
-#: Columns of the ``sweep-coherent`` sidecar ``<out>.aux.csv``: the
-#: uncorrected channel-2 alternative and the displacement-corrected fidelities.
-AUX_COLUMNS = (
-    "eps_snu",
-    "var_x_uncorr2_snu",
-    "var_p_uncorr2_snu",
-    "fid_uncorr2",
-    "fid_corr_displaced",
-    "fid_uncorr_displaced",
-)
-
 _EPILOG = "Units and conventions:\n" + "\n".join(
     f"  {key}: {value}" for key, value in CONVENTIONS.items()
 )
@@ -187,24 +176,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep_coherent(args) -> int:
-    from .analysis import SWEEP_COLUMNS, SweepResult, coherent_sweep, write_sweep_csv
+    from .analysis import AUX_COLUMNS, SWEEP_COLUMNS, coherent_sweep, write_sweep_csv
 
     grid = _eps_grid(args)
     model = _effective_channel(args)
     result = coherent_sweep(_sweep_model(args, model), tuple(args.amplitude), grid)
-    metadata = dict(result.metadata)
-    alt = metadata.pop("uncorrected_channel_2")
-    shifted = metadata.pop("displacement_corrected")
-    curves = (alt["var_x"], alt["var_p"], alt["fid"], shifted["fid_corr"], shifted["fid_uncorr"])
-    aux = SweepResult(result.axis, dict(zip(AUX_COLUMNS[1:], curves)), {})
     aux_path = args.out + ".aux.csv"
-    _atomic_write(args.out, lambda fh: write_sweep_csv(result, fh))
-    _atomic_write(aux_path, lambda fh: write_sweep_csv(aux, fh, AUX_COLUMNS))
+    _atomic_write(args.out, lambda fh: write_sweep_csv(result, fh, SWEEP_COLUMNS))
+    _atomic_write(aux_path, lambda fh: write_sweep_csv(result, fh, AUX_COLUMNS))
     _maybe_dump_config(args, model)
     _write_manifest(
         args,
         extras={
-            "metadata": metadata,
+            "metadata": result.metadata,
             "columns": list(SWEEP_COLUMNS),
             "aux_columns": list(AUX_COLUMNS),
         },
@@ -244,6 +228,8 @@ def _cmd_trace(args) -> int:
         raise UsageError("--n must be at least 1")
     if args.modulation_period < 0:
         raise UsageError("--modulation-period must be nonnegative")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
     model = _effective_channel(args, eps=args.eps)
     t = optimal_splitting_for(model)
     cfg = ProtocolConfig(t, t, model)
@@ -387,16 +373,21 @@ def _atomic_write(path: str, write) -> None:
     then rename; the file gets the mode a plain open() would give it.  On
     any failure the temporary file is removed and ``path`` is untouched."""
     directory, name = os.path.split(path)
-    fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=directory or ".")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=directory or ".")
         with os.fdopen(fd, "w", newline="\n") as fh:
             write(fh)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # name the target, not the random temporary name
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

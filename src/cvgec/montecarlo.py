@@ -45,6 +45,8 @@ class TraceRecord:
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=float)
+        if samples.ndim != 1:
+            raise ValueError("trace samples must be one-dimensional")
         if not np.all(np.isfinite(samples)):
             raise ValueError("trace samples must be finite")
         samples.flags.writeable = False
@@ -150,6 +152,8 @@ def empirical_covariance(records) -> tuple[np.ndarray, np.ndarray]:
     if not records:
         raise ValueError("no records given")
     n = records[0].samples.size
+    if any(r.samples.size != n for r in records):
+        raise ValueError("records must all have the same number of samples")
     if n < 2:
         raise ValueError("need at least two samples")
     data = np.vstack([r.samples for r in records])
@@ -191,24 +195,23 @@ def write_trace_csv(records, stream) -> None:
     """CSV rows (stage, quadrature, index, value) with full precision.
 
     Each value is written exactly as ``format(v, '.17g')`` writes it.
-    Rows are formatted in blocks of ``_BLOCK_ROWS`` by :class:`_RowFormatter`.
-    Besides one block of rows, the working memory holds the index column,
-    built once for all records of one length, and one row layout per
-    prefix length.
+    Rows are formatted in blocks of ``_BLOCK_ROWS`` by one
+    :class:`_RowFormatter` per record length, each row as ``"\\n" + index +
+    "," + value``; the record's ``"stage,quadrature,"`` is then spliced in
+    behind every newline of the block.  So the header is written without its
+    newline, and the file's last newline is written at the end.
     """
-    stream.write("stage,quadrature,index,value\n")
-    indices, formatters = {}, {}
+    stream.write("stage,quadrature,index,value")
+    formatters = {}
     for r in records:
         n = r.samples.size
-        prefix = f"{r.stage},{r.quadrature},".encode()
-        if n not in indices:
-            indices[n] = _IndexColumn(n)
-        rows = formatters.get((len(prefix), n))
-        if rows is None:
-            rows = formatters[len(prefix), n] = _RowFormatter(len(prefix), indices[n])
-        rows.set_prefix(prefix)
+        if n not in formatters:
+            formatters[n] = _RowFormatter(n)
+        row_start = f"\n{r.stage},{r.quadrature},".encode()
         for start in range(0, n, _BLOCK_ROWS):
-            stream.write(rows.text(start, r.samples[start : start + _BLOCK_ROWS]))
+            block = formatters[n].text(start, r.samples[start : start + _BLOCK_ROWS])
+            stream.write(block.replace(b"\n", row_start).decode())
+    stream.write("\n")
 
 
 #: Rows per block of :func:`write_trace_csv`.
@@ -291,13 +294,29 @@ def _significands(values: np.ndarray):
     return d, e, fast
 
 
-class _IndexColumn:
-    """The index column of records of ``n`` samples: each index as
-    ``width`` digits, zero-padded to a multiple of four, and its number of
-    digits less one as an offset into :attr:`_RowFormatter.keep`."""
+class _RowFormatter:
+    """Rows ``"\\n" + index + "," + format(v, '.17g')`` of the records of
+    ``n`` samples, formatted a block at a time.
+
+    Every row is built in a fixed-width uint8 matrix whose layout does not
+    depend on the value: ["\\n"][index][","][value field].  The index is
+    zero-padded to a multiple of four digits; its digits, and its number of
+    digits as an offset into the keep table, are built here for all ``n``
+    rows.  The value field puts every decimal digit in a fixed column, with
+    a "." slot after each, so digits are stored without shifting.  Which
+    bytes a row keeps (the minus sign, "0." and leading zeros below 1, the
+    digits up to the last significant one, the one "." that is the decimal
+    point, the index without its leading zeros) depends only on the index
+    length, the sign, the exponent and the last significant digit, and is
+    looked up in a table built here.  One compaction of the kept bytes gives
+    the text.
+
+    Values outside the fixed-notation range (zeros, |v| < 1e-4, |v| >= 1e17)
+    are formatted one by one with ``%.17g`` into their value field.
+    """
 
     def __init__(self, n: int):
-        self.width = width = 4 * -(-len(str(max(n - 1, 0))) // 4)
+        width = 4 * -(-len(str(max(n - 1, 0))) // 4)
         quads = _digit_tables()[1]
         k = np.arange(n)
         groups = np.empty((n, width // 4), np.uint32)
@@ -309,41 +328,12 @@ class _IndexColumn:
         shorter = np.searchsorted(10 ** np.arange(1, width), k, side="right")
         self.key = shorter * (2 * 21 * 17)
 
-
-class _RowFormatter:
-    """Rows ``prefix + index + "," + format(v, '.17g') + "\\n"`` of the
-    records whose prefix has ``prefix_len`` bytes and whose index column is
-    ``index``, formatted a block at a time.
-
-    Every row is built in a fixed-width uint8 matrix whose layout does not
-    depend on the value: [pad][prefix][index][","][value field]["\\n"][pad].
-    The index is zero-padded to a multiple of four digits.  The value field
-    puts every decimal digit in a fixed column, with a "." slot after each,
-    so digits are stored without shifting.  Which bytes a row keeps (the
-    minus sign, "0." and leading zeros below 1, the digits up to the last
-    significant one, the one "." that is the decimal point, the index
-    without its leading zeros) depends only on the index length, the sign,
-    the exponent and the last significant digit, and is looked up in a
-    table built here.  One compaction of the kept bytes gives the text.
-
-    Values outside the fixed-notation range (zeros, |v| < 1e-4, |v| >= 1e17)
-    are formatted one by one with ``%.17g`` into their value field.
-    """
-
-    def __init__(self, prefix_len: int, index: _IndexColumn):
-        self.index_column = index
-        width = index.width
-        front = prefix_len + width + 8  # up to the first octet
-        self.pad = pad = -front % 8  # so that the octets are aligned uint64 words
-        self.index = pad + prefix_len
-        self.value = v = self.index + width + 1
-        row_len = v + _FIELD + 8
-        row = np.zeros(row_len, np.uint8)
-        row[v - 1] = ord(",")
-        row[v : v + _FIELD] = _FIELD_TEMPLATE
-        row[v + _FIELD] = ord("\n")
-        self.rows = np.empty((min(index.digits.shape[0], _BLOCK_ROWS), row_len), np.uint8)
-        self.rows[:] = row
+        self.value = v = width + 2
+        row_len = v + _FIELD
+        self.rows = np.empty((min(n, _BLOCK_ROWS), row_len), np.uint8)
+        self.rows[:, 0] = ord("\n")
+        self.rows[:, v - 1] = ord(",")
+        self.rows[:, v:] = _FIELD_TEMPLATE
 
         # keep[index digits - 1, negative, e + 4, last digit kept, column]
         digits = np.arange(1, width + 1).reshape(-1, 1, 1, 1, 1)
@@ -352,21 +342,16 @@ class _RowFormatter:
         last = np.arange(17).reshape(-1, 1)
         j = np.arange(17)
         keep = np.zeros((width, 2, 21, 17, row_len), bool)
-        keep[..., pad : self.index] = True
-        keep[..., self.index : v - 1] = np.arange(width) >= width - digits
+        keep[..., 0] = True
+        keep[..., 1 : v - 1] = np.arange(width) >= width - digits
         keep[..., v - 1] = True
         keep[..., v] = negative
         keep[..., v + 1 : v + 6] = np.arange(5) < np.where(e < 0, 1 - e, 0)
         keep[..., v + 6 + 2 * j] = j <= last
         keep[..., v + 7 + 2 * j[:16]] = (j[:16] == e) & (j[:16] < last)
-        keep[..., v + _FIELD] = True
-        self.keep = keep.reshape(-1, row_len).view(np.uint64)
+        self.keep = keep.reshape(-1, row_len)
 
-    def set_prefix(self, prefix: bytes) -> None:
-        """Write ``prefix`` into every row of the block."""
-        self.rows[:, self.pad : self.index] = np.frombuffer(prefix, np.uint8)
-
-    def text(self, start: int, values: np.ndarray) -> str:
+    def text(self, start: int, values: np.ndarray) -> bytes:
         """Rows for ``values``, the samples with indices start, start+1, ..."""
         octets, _, trailing = _digit_tables()
         b, v = values.size, self.value
@@ -377,28 +362,26 @@ class _RowFormatter:
         groups = [*np.divmod(top.astype(np.int32), 10**4), *np.divmod(low.astype(np.int32), 10**4)]
         lead, groups[0] = np.divmod(groups[0], 10**4)
         rows[:, v + 6] = 48 + lead
-        words = rows.view(np.uint64)[:, (v + 7) // 8 :]
+        rows[:, v + 7 :] = octets.take(np.stack(groups, axis=1)).view(np.uint8)
         zeros = np.zeros(b, np.int64)
         tail = np.ones(b, bool)
-        for i in (3, 2, 1, 0):
-            words[:, i] = octets[groups[i]]
-            zeros += tail * trailing[groups[i]]
-            tail &= groups[i] == 0
+        for group in groups[::-1]:
+            zeros += tail * trailing.take(group)
+            tail &= group == 0
 
-        index = self.index_column
-        rows[:, self.index : v - 1] = index.digits[start : start + b]
+        rows[:, 1 : v - 1] = self.digits[start : start + b]
         last = np.maximum(e, 16 - zeros)
-        key = index.key[start : start + b] + ((values < 0) * 21 + e + 4) * 17 + last
-        keep = self.keep[key].view(bool)
+        key = self.key[start : start + b] + ((values < 0) * 21 + e + 4) * 17 + last
+        keep = self.keep.take(key, axis=0)
 
         slow = np.flatnonzero(~fast)
         if slow.size:
             text = [b"%.17g" % x for x in values[slow].tolist()]
             cells = np.array(text, dtype=f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
-            rows[slow, v : v + _FIELD] = cells
-            keep[slow, v : v + _FIELD] = cells != 0
-        out = np.compress(keep.ravel(), rows.ravel()).tobytes().decode()
-        rows[slow, v : v + _FIELD] = _FIELD_TEMPLATE
+            rows[slow, v:] = cells
+            keep[slow, v:] = cells != 0
+        out = np.compress(keep.ravel(), rows.ravel()).tobytes()
+        rows[slow, v:] = _FIELD_TEMPLATE
         return out
 
 

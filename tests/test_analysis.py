@@ -59,8 +59,8 @@ class TestCoherentSweep:
         assert fit[1] == pytest.approx(1.0, abs=1e-9)
         residual = res.series["var_x_uncorr_snu"] - np.polyval(fit, res.axis)
         assert np.abs(residual).max() < 1e-9
-        # the channel-2 alternative in the metadata has slope 1/ratio
-        alt = np.array(res.metadata["uncorrected_channel_2"]["var_x"])
+        # the channel-2 alternative has slope 1/ratio
+        alt = res.series["var_x_uncorr2_snu"]
         assert np.polyfit(res.axis, alt, 1)[0] == pytest.approx(1 / 0.61, abs=1e-9)
 
     def test_zero_noise_degenerate_point(self):
@@ -168,8 +168,7 @@ class TestVectorisedSweeps:
         grid = np.linspace(0.0, 50.0, 7)
         probe = displace(vacuum_state(1), 0, 1.3, -0.7)
         res = coherent_sweep(unit_model(g, eta, xi), (1.3, -0.7), grid)
-        alt = res.metadata["uncorrected_channel_2"]
-        shifted = res.metadata["displacement_corrected"]
+        series = res.series
         for k, eps in enumerate(grid):
             model = standard_two_channel(eps, g, eta, xi)
             t = optimal_splitting_for(model)
@@ -185,12 +184,12 @@ class TestVectorisedSweeps:
             self.close(res.series["fid_corr"][k], fidelity(corr, probe))
             self.close(res.series["fid_uncorr"][k], fidelity(unc, probe))
             self.close(res.series["fid_incoh"][k], fidelity(inc, probe))
-            self.close(alt["var_x"][k], 2 * unc2.cov[0, 0])
-            self.close(alt["var_p"][k], 2 * unc2.cov[1, 1])
-            self.close(alt["fid"][k], fidelity(unc2, probe))
-            for name, out in (("fid_corr", corr), ("fid_uncorr", unc)):
+            self.close(series["var_x_uncorr2_snu"][k], 2 * unc2.cov[0, 0])
+            self.close(series["var_p_uncorr2_snu"][k], 2 * unc2.cov[1, 1])
+            self.close(series["fid_uncorr2"][k], fidelity(unc2, probe))
+            for name, out in (("fid_corr_displaced", corr), ("fid_uncorr_displaced", unc)):
                 moved = GaussianState(probe.mean, out.cov)
-                self.close(shifted[name][k], fidelity(moved, probe))
+                self.close(series[name][k], fidelity(moved, probe))
 
     @pytest.mark.parametrize("g, eta, xi", CONFIGS)
     def test_entanglement_matches_per_point(self, g, eta, xi):

@@ -160,6 +160,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             ChannelModel(1, 1.1, 0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, text",
+        [
+            ({"eta": [0.9, 0.8, 0.7]}, "eta has 3 values; need 1 or n_channels = 2"),
+            ({"thermal": []}, "thermal has 0 values; need 1 or n_channels = 2"),
+            ({"eta": [[0.9, 0.8]]}, "eta must be a scalar or a vector"),
+        ],
+    )
+    def test_per_channel_count(self, kwargs, text):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            ChannelModel(2, **kwargs)
+
     def test_coupling_length(self):
         with pytest.raises(ValueError):
             ChannelModel(2, 1.0, 0.0, (NoiseSource([1.0], 1.0),))

@@ -42,9 +42,8 @@ class TestSweepCoherent:
         assert manifest["outputs"] == ["fig3.csv", "fig3.csv.aux.csv"]
         assert "uncorrected_channel_2" not in manifest["extras"]["metadata"]
 
-    def test_sidecar_holds_the_metadata_curves(self, tmp_path):
-        from cvgec.analysis import coherent_sweep
-        from cvgec.cli import AUX_COLUMNS
+    def test_sidecar_holds_the_aux_series(self, tmp_path):
+        from cvgec.analysis import AUX_COLUMNS, coherent_sweep
         from test_analysis import unit_model
 
         out = tmp_path / "s.csv"
@@ -52,14 +51,10 @@ class TestSweepCoherent:
         assert main(argv + ["--eps-steps", "6", "--out", str(out)]) == 0
         header, cols = read_csv(tmp_path / "s.csv.aux.csv")
         assert tuple(header) == AUX_COLUMNS
-        meta = coherent_sweep(unit_model(0.7, 0.9, 0.02), (2.0, 0.0), np.linspace(0, 40, 6)).metadata
-        alt, shifted = meta["uncorrected_channel_2"], meta["displacement_corrected"]
+        res = coherent_sweep(unit_model(0.7, 0.9, 0.02), (2.0, 0.0), np.linspace(0, 40, 6))
         assert list(cols["eps_snu"]) == list(np.linspace(0, 40, 6))
-        assert list(cols["var_x_uncorr2_snu"]) == alt["var_x"]
-        assert list(cols["var_p_uncorr2_snu"]) == alt["var_p"]
-        assert list(cols["fid_uncorr2"]) == alt["fid"]
-        assert list(cols["fid_corr_displaced"]) == shifted["fid_corr"]
-        assert list(cols["fid_uncorr_displaced"]) == shifted["fid_uncorr"]
+        for name in AUX_COLUMNS[1:]:
+            assert list(cols[name]) == list(res.series[name])
 
     @pytest.mark.filterwarnings("error")
     def test_top_of_finite_range_keeps_manifest_valid_json(self, tmp_path):
@@ -229,6 +224,22 @@ class TestChannelConfigInSweeps:
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["channel.cfg"]
 
+    @pytest.mark.parametrize("command", ["sweep-coherent", "sweep-entangle", "trace"])
+    @pytest.mark.parametrize(
+        "line, text",
+        [
+            ("eta 0.9 0.9 0.9", "eta has 3 values; need 1 or n_channels = 2"),
+            ("thermal", "thermal has 0 values; need 1 or n_channels = 2"),
+        ],
+    )
+    def test_per_channel_count_refused(self, tmp_path, capsys, command, line, text):
+        cfg = tmp_path / "channel.cfg"
+        cfg.write_text(f"n_channels 2\n{line}\nsource s 5 1 1\n")
+        out = tmp_path / "out.csv"
+        assert main([command, "--channel-config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {text}\n"
+        assert not out.exists()
+
     def test_representable_config_accepted(self, tmp_path):
         cfg = tmp_path / "channel.cfg"
         cfg.write_text("n_channels 2\neta 0.9 0.9\nthermal 0 0\nsource s 5 1 1\n")
@@ -328,6 +339,14 @@ class TestTrace:
         assert main(argv) == 0
         assert sha256(out) == "59e15773ea640e183ecda0ab8a87282f039891c85527a0eb6903e7eceda17a41"
 
+    def test_pinned_bytes_over_several_blocks(self, tmp_path):
+        # 40000 shots: three row blocks, indices of 1 to 5 digits, own-noise
+        # streams drawn (xi > 0) and a modulated input
+        out = tmp_path / "t.csv"
+        argv = ["trace", "--n", "40000", "--xi", "0.02", "--modulation-period", "7"]
+        assert main(argv + ["--seed", "5", "--out", str(out)]) == 0
+        assert sha256(out) == "5b366d3749d6c61cfac1fbb224b3d7cb403c909c70b4209a61f1b6e4469e4002"
+
     def test_corrected_stage_variance(self, tmp_path):
         out = tmp_path / "t.csv"
         n = 100_000
@@ -357,6 +376,12 @@ class TestTrace:
         assert main(["trace", "--modulation-period", "-5", "--out", str(out)]) == 2
         assert "--modulation-period" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["trace", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --seed must be nonnegative\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSynth:
@@ -488,6 +513,20 @@ class TestHarness:
     def test_io_error_exits_4(self, tmp_path, capsys):
         missing = tmp_path / "nope" / "out.csv"
         assert main(["sweep-coherent", "--eps-steps", "3", "--out", str(missing)]) == 4
+
+    @pytest.mark.parametrize("command", ["sweep-coherent", "trace"])
+    def test_io_error_names_the_output_path(self, tmp_path, capsys, command):
+        missing = tmp_path / "nope" / "q.csv"
+        assert main([command, "--out", str(missing)]) == 4
+        err = capsys.readouterr().err
+        assert err == f"I/O error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        directory = tmp_path / "q.csv"
+        directory.mkdir()
+        assert main([command, "--out", str(directory)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and err.endswith(f": {str(directory)!r}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["q.csv"]
+        assert list(directory.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",

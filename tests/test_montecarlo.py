@@ -96,6 +96,12 @@ class TestSampleRun:
             sample_run(config(1.0), 10, seed=1, noise_dist="cauchy")
 
 
+@pytest.mark.parametrize("samples", [np.ones((2, 3)), np.float64(1.0), [[1.0]]])
+def test_trace_record_refuses_samples_that_are_not_a_vector(samples):
+    with pytest.raises(ValueError, match="^trace samples must be one-dimensional$"):
+        TraceRecord("input", "X", samples, seed=0)
+
+
 class TestEmpiricalCovariance:
     def test_constant_samples(self):
         rec = TraceRecord("input", "X", np.ones(50), seed=0)
@@ -105,6 +111,11 @@ class TestEmpiricalCovariance:
     def test_insufficient_samples(self):
         with pytest.raises(ValueError):
             empirical_covariance([TraceRecord("input", "X", np.ones(1), seed=0)])
+
+    def test_unequal_lengths(self):
+        records = [TraceRecord("input", q, np.ones(n), seed=0) for q, n in (("X", 5), ("P", 6))]
+        with pytest.raises(ValueError, match="^records must all have the same number of samples$"):
+            empirical_covariance(records)
 
     def test_vacuum_diagonal(self):
         n = 100_000

@@ -100,8 +100,8 @@ class TestEdges:
         assert new == ref
 
     def test_records_sharing_a_length_and_a_prefix_length(self):
-        # One index column serves every record of one length, and one row
-        # layout every prefix length; the prefix text changes per record.
+        # One row formatter serves every record of one length; each record's
+        # prefix is spliced into the formatted block, whatever its length.
         rng = np.random.default_rng(11)
         names = [("channel_1", "X"), ("input", "P"), ("corrected", "P"), ("input", "X")]
         records = [TraceRecord(s, q, rng.normal(0.0, 2.0, 20001), 0) for s, q in names]
