@@ -45,11 +45,9 @@ _EXPORTS = {
     "channel": (
         "ChannelModel",
         "NoiseSource",
-        "apply_channel",
         "excess_noise_snu",
         "mismatch_from_visibility",
         "standard_two_channel",
-        "with_mismatch",
     ),
     "patterns": ("NoProtectedSubspaceError", "NoisePatternSet", "null_space_encoder"),
     "protocol": (
@@ -58,7 +56,6 @@ _EXPORTS = {
         "incoherent_strategy",
         "n_channel_protocol",
         "optimal_splitting",
-        "run_protocol",
         "uncorrected_channel",
     ),
     "network": ("NetworkPlan", "decompose_network", "inverse_plan"),

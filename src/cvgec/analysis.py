@@ -229,13 +229,22 @@ def optimize_splitting(
     minimum noise, which a lossy enough channel allows, and then T is
     where the noise comes closest to D / 2 - 1.
     """
-    objective_fn = _objective(g1, g2, xi, eta, objective, eps_snu, amplitude)
+    if objective not in ("fidelity", "variance"):
+        raise ValueError("objective must be 'fidelity' or 'variance'")
+    if g1 <= 0 or g2 <= 0:
+        raise ValueError("noise magnitudes must be positive")
+    variance = 0.5 * eps_snu / g1
+    model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), variance),), xi)
     level = -math.inf
     if objective == "fidelity" and eps_snu > 0.0:
         shift = (1.0 - math.sqrt(eta)) ** 2 * (amplitude[0] ** 2 + amplitude[1] ** 2)
-        level = (0.5 * shift - 1.0) / (0.5 * eps_snu / g1)
+        level = (0.5 * shift - 1.0) / variance
     t = _splitting_for_noise(g1, g2, xi, level)
-    return t, t, objective_fn(t, t)
+    probe = displace(vacuum_state(1), 0, amplitude[0], amplitude[1])
+    out = corrected_channel(ProtocolConfig(t, t, model), probe)
+    if objective == "fidelity":
+        return t, t, -fidelity(out, probe)
+    return t, t, as_snu(0.5 * (out.cov[0, 0] + out.cov[1, 1]) - 0.5)
 
 
 def write_sweep_csv(result: SweepResult, stream, columns=SWEEP_COLUMNS) -> None:
@@ -373,22 +382,3 @@ def _splitting_for_noise(g1: float, g2: float, xi: float, level: float) -> float
         psi = 0.0 if g1 >= g2 else math.pi
     return 0.5 * (1.0 + math.cos(psi))
 
-
-def _objective(g1, g2, xi, eta, objective, eps_snu, amplitude):
-    if objective not in ("fidelity", "variance"):
-        raise ValueError("objective must be 'fidelity' or 'variance'")
-    if g1 <= 0 or g2 <= 0:
-        raise ValueError("noise magnitudes must be positive")
-    variance = 0.5 * eps_snu / g1
-    source = NoiseSource(np.sqrt([g1, g2]), variance)
-    model = ChannelModel(2, eta, 0.0, (source,), xi)
-    probe = displace(vacuum_state(1), 0, amplitude[0], amplitude[1])
-
-    def fn(te, td):
-        cfg = ProtocolConfig(te, td, model)
-        out = corrected_channel(cfg, probe)
-        if objective == "fidelity":
-            return -fidelity(out, probe)
-        return as_snu(0.5 * (out.cov[0, 0] + out.cov[1, 1]) - 0.5)
-
-    return fn

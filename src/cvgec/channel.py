@@ -19,11 +19,11 @@ is independent of xi, only its split between the two parts changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .states import VACUUM_VARIANCE, GaussianState
+from .states import VACUUM_VARIANCE
 from .transforms import GaussianMap, embed
 
 
@@ -100,13 +100,6 @@ class ChannelModel:
         return np.broadcast_to(values, (self.n_channels,)).copy()
 
 
-def with_mismatch(model: ChannelModel, xi: float) -> ChannelModel:
-    """Copy of the model with the mismatch fraction replaced."""
-    if not 0.0 <= xi < 1.0:
-        raise ValueError("mismatch fraction must lie in [0, 1)")
-    return replace(model, mismatch=xi)
-
-
 def mismatch_from_visibility(visibility: float) -> float:
     """Non-interfering power fraction xi = 1 - V^2 for interference visibility V."""
     if not 0.0 < visibility <= 1.0:
@@ -139,18 +132,6 @@ def channel_map(model: ChannelModel, modes, n_modes: int) -> GaussianMap:
     added += np.diag((1.0 - model.eta) * (VACUUM_VARIANCE + model.thermal) + own)
     x = embed(np.diag(np.repeat(np.sqrt(model.eta), 2)), modes, n_modes)
     return GaussianMap(x, embed(np.kron(added, np.eye(2)), modes, n_modes, fill=0.0))
-
-
-def apply_channel(state: GaussianState, modes, model: ChannelModel) -> GaussianState:
-    """Send the assigned modes of a state through the channel model.
-
-    ``modes[i]`` is the state mode carried by channel i.  Each one is
-    attenuated (mean by sqrt(eta), covariance toward the environment
-    variance 1/2 + thermal), then the classical sources add their
-    interfering and non-interfering covariance as described in the module
-    docstring.  The output holds the same modes as the input.
-    """
-    return channel_map(model, modes, state.n_modes).apply(state)
 
 
 def standard_two_channel(

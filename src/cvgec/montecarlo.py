@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import apply_channel
-from .protocol import ProtocolConfig, run_protocol
+from .channel import channel_map
+from .protocol import ProtocolConfig, _splitter, corrected_map
 from .states import displace, partial_trace, tensor, vacuum_state
-from .transforms import GaussianMap, beam_splitter
 
 #: Stage names in record order.
 STAGES = ("input", "channel_1", "channel_2", "corrected", "discarded")
@@ -41,7 +40,6 @@ class TraceRecord:
     stage: str
     quadrature: str
     samples: np.ndarray
-    seed: int
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=float)
@@ -132,11 +130,11 @@ def sample_run(
             b_out = b_out + std * own[s][0][q] - ctd * own[s][1][q]
             disc = disc - ctd * own[s][0][q] - std * own[s][1][q]
         quad = "X" if q == 0 else "P"
-        records.append(TraceRecord("input", quad, b_in[q], seed))
-        records.append(TraceRecord("channel_1", quad, ch1, seed))
-        records.append(TraceRecord("channel_2", quad, ch2, seed))
-        records.append(TraceRecord("corrected", quad, b_out, seed))
-        records.append(TraceRecord("discarded", quad, disc, seed))
+        records.append(TraceRecord("input", quad, b_in[q]))
+        records.append(TraceRecord("channel_1", quad, ch1))
+        records.append(TraceRecord("channel_2", quad, ch2))
+        records.append(TraceRecord("corrected", quad, b_out))
+        records.append(TraceRecord("discarded", quad, disc))
     order = {name: k for k, name in enumerate(STAGES)}
     records.sort(key=lambda r: (order[r.stage], r.quadrature != "X"))
     return records
@@ -174,16 +172,16 @@ def analytic_stage_moments(
     discarded entries are the two decoder ports.
     """
     inp = displace(vacuum_state(1), 0, amplitude[0], amplitude[1])
+    pair = tensor(inp, vacuum_state(1))  # modes: (signal, auxiliary)
     out = {}
     out["input"] = (inp.mean, inp.cov)
 
-    encoder = GaussianMap.of(beam_splitter(cfg.T_e), (0, 1), 2)
-    st = apply_channel(encoder.apply(tensor(inp, vacuum_state(1))), (0, 1), cfg.channel)
+    st = _splitter(cfg.T_e, (0, 1), 2).then(channel_map(cfg.channel, (0, 1), 2)).apply(pair)
     for i, stage in enumerate(("channel_1", "channel_2")):
         reduced = partial_trace(st, [i])
         out[stage] = (reduced.mean, reduced.cov)
 
-    joint = run_protocol(cfg, inp)  # modes: (corrected, discarded)
+    joint = corrected_map(cfg, 1).apply(pair)  # modes: (corrected, discarded)
     for i, stage in enumerate(("corrected", "discarded")):
         reduced = partial_trace(joint, [i])
         out[stage] = (reduced.mean, reduced.cov)

@@ -15,6 +15,11 @@ import numpy as np
 
 _ORTHO_TOL = 1e-10
 _RECOMPOSE_TOL = 1e-10
+#: A rotation is stored as t = c^2, and recomposing s = sqrt(1 - t) loses
+#: about 2**-54 / |s|: 5.5e-11 at this cut-off, half of _RECOMPOSE_TOL.
+#: Below it the rotation is stored as a quarter turn and the rotation by
+#: the complementary angle, whose t = s^2 keeps its relative precision.
+_SMALL_REFLECTIVITY = 1e-6
 
 
 @dataclass(frozen=True)
@@ -243,6 +248,9 @@ def _label(labels, k: int) -> str:
 
 def _rotation_elements(j: int, i: int, c: float, s: float) -> list:
     """Elements realizing the rotation ((c, s), (-s, c)) on modes (j, i)."""
+    if abs(s) < _SMALL_REFLECTIVITY:
+        # R(c, s) = R(s, -c) R(0, 1); planar rotations commute.
+        return [BeamSplitterElement(j, i, 0.0), *_rotation_elements(j, i, s, -c)]
     out = []
     if c < 0:  # pull out a global sign: R(theta) = R(theta - pi) * R(pi)
         out.append(PhaseShiftElement(j, np.pi))

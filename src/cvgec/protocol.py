@@ -28,17 +28,11 @@ from .transforms import BsConvention, GaussianMap, beam_splitter, beam_splitter_
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Settings for one run of the two-channel scheme.
-
-    ``signal_mode`` names the input mode of the state that enters the
-    encoder; the auxiliary encoder input is always a fresh vacuum appended
-    by the protocol.
-    """
+    """Splitter transmissivities and channel of the two-channel scheme."""
 
     T_e: float
     T_d: float
     channel: ChannelModel
-    signal_mode: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.T_e <= 1.0 or not 0.0 <= self.T_d <= 1.0:
@@ -62,7 +56,7 @@ def optimal_splitting_for(model: ChannelModel) -> float:
     return optimal_splitting(c[0] ** 2, c[1] ** 2)
 
 
-def corrected_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int | None = None) -> GaussianMap:
+def corrected_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int = 0) -> GaussianMap:
     """Encode, transmit, decode: one map on an N-mode state plus one mode.
 
     The appended mode is the auxiliary encoder input, which enters as
@@ -74,9 +68,8 @@ def corrected_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int | None = N
     """
     if cfg.channel.n_channels != 2:
         raise ValueError("the corrected scheme is defined for two channels")
-    sig = cfg.signal_mode if signal_mode is None else signal_mode
     n = n_modes + 1
-    ports = (sig, n - 1)
+    ports = (signal_mode, n - 1)
     return (
         _splitter(cfg.T_e, ports, n)
         .then(channel_map(cfg.channel, ports, n))
@@ -87,7 +80,7 @@ def corrected_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int | None = N
 def uncorrected_map(
     cfg: ProtocolConfig,
     n_modes: int,
-    signal_mode: int | None = None,
+    signal_mode: int = 0,
     channel: int = 0,
 ) -> GaussianMap:
     """Direct transmission through a single channel, no encoding.
@@ -96,16 +89,15 @@ def uncorrected_map(
     carries a fresh vacuum, appended after the N state modes.  This is the
     reference curve a decoder set to full transmission measures.
     """
-    sig = cfg.signal_mode if signal_mode is None else signal_mode
     model = cfg.channel
     if not 0 <= channel < model.n_channels:
         raise ValueError("channel index out of range")
     idle = iter(range(n_modes, n_modes + model.n_channels - 1))
-    carriers = [sig if i == channel else next(idle) for i in range(model.n_channels)]
+    carriers = [signal_mode if i == channel else next(idle) for i in range(model.n_channels)]
     return channel_map(model, carriers, n_modes + model.n_channels - 1)
 
 
-def incoherent_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int | None = None) -> GaussianMap:
+def incoherent_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int = 0) -> GaussianMap:
     """Measure-and-feedforward baseline on the idle channel.
 
     The signal travels channel 1 unencoded while channel 2 carries only
@@ -131,7 +123,6 @@ def incoherent_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int | None = 
     c1, c2 = model.sources[0].coupling
     if c2 == 0:
         raise ValueError("nothing to measure: the idle channel carries no noise")
-    sig = cfg.signal_mode if signal_mode is None else signal_mode
 
     n = n_modes + 2
     idle, anc = n_modes, n_modes + 1
@@ -140,23 +131,56 @@ def incoherent_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int | None = 
     # cancelling the correlated term follows from the port amplitudes; the
     # two entries below are G E_y of the map X = I + G E_y.
     feedforward = np.eye(2 * n)
-    feedforward[2 * sig, 2 * idle] = -c1 / (bs[0, 0] * c2)
-    feedforward[2 * sig + 1, 2 * anc + 1] = -c1 / (bs[1, 0] * c2)
+    feedforward[2 * signal_mode, 2 * idle] = -c1 / (bs[0, 0] * c2)
+    feedforward[2 * signal_mode + 1, 2 * anc + 1] = -c1 / (bs[1, 0] * c2)
 
     return (
-        channel_map(model, (sig, idle), n)
+        channel_map(model, (signal_mode, idle), n)
         .then(_splitter(0.5, (idle, anc), n))
         .then(GaussianMap(feedforward))
     )
 
 
-def run_protocol(cfg: ProtocolConfig, state: GaussianState, signal_mode: int | None = None) -> GaussianState:
-    """:func:`corrected_map` applied to a state, keeping both decoder ports:
-    the original modes plus the discarded port as the final mode."""
-    return _through(corrected_map(cfg, state.n_modes, signal_mode), state)
+def n_channel_map(
+    patterns,
+    eta: float,
+    variances,
+    n_modes: int,
+    signal_mode: int = 0,
+    xi: float = 0.0,
+) -> GaussianMap:
+    """Encode into the protected mode, transmit C channels, decode: one map
+    on ``n_modes`` state modes plus C - 1 appended carriers.
+
+    ``variances`` gives the per-quadrature variance of each pattern's
+    shared noise variable (natural units).  The encoder is an orthogonal
+    completion of the protected vector: the signal mode rides that vector
+    and the carriers, entering in vacuum, the rest.  With xi = 0 the signal
+    sees the pure-loss channel of transmissivity eta regardless of every
+    source variance.
+    """
+    from .network import complete_orthonormal
+
+    if not isinstance(patterns, NoisePatternSet):
+        patterns = NoisePatternSet(tuple(patterns))
+    variances = np.broadcast_to(
+        np.asarray(variances, dtype=float), (len(patterns.patterns),)
+    )
+    u = complete_orthonormal(null_space_encoder(patterns))
+    n = patterns.n_channels
+    carriers = (signal_mode,) + tuple(range(n_modes, n_modes + n - 1))
+    reg = n_modes + n - 1
+    sources = tuple(
+        NoiseSource(p, v, label=f"pattern{k}")
+        for k, (p, v) in enumerate(zip(patterns.patterns, variances))
+    )
+    model = ChannelModel(n, eta, 0.0, sources, xi)
+    encoder = GaussianMap.of(np.kron(u, np.eye(2)), carriers, reg)
+    decoder = GaussianMap.of(np.kron(u.T, np.eye(2)), carriers, reg)
+    return encoder.then(channel_map(model, carriers, reg)).then(decoder)
 
 
-def corrected_channel(cfg: ProtocolConfig, state: GaussianState, signal_mode: int | None = None) -> GaussianState:
+def corrected_channel(cfg: ProtocolConfig, state: GaussianState, signal_mode: int = 0) -> GaussianState:
     """:func:`corrected_map` applied to a state; the discarded port is dropped."""
     return _kept(corrected_map(cfg, state.n_modes, signal_mode), state)
 
@@ -164,14 +188,14 @@ def corrected_channel(cfg: ProtocolConfig, state: GaussianState, signal_mode: in
 def uncorrected_channel(
     cfg: ProtocolConfig,
     state: GaussianState,
-    signal_mode: int | None = None,
+    signal_mode: int = 0,
     channel: int = 0,
 ) -> GaussianState:
     """:func:`uncorrected_map` applied to a state; the idle carriers are dropped."""
     return _kept(uncorrected_map(cfg, state.n_modes, signal_mode, channel), state)
 
 
-def incoherent_strategy(cfg: ProtocolConfig, state: GaussianState, signal_mode: int | None = None) -> GaussianState:
+def incoherent_strategy(cfg: ProtocolConfig, state: GaussianState, signal_mode: int = 0) -> GaussianState:
     """:func:`incoherent_map` applied to a state; the measured modes are dropped."""
     return _kept(incoherent_map(cfg, state.n_modes, signal_mode), state)
 
@@ -184,36 +208,8 @@ def n_channel_protocol(
     signal_mode: int = 0,
     xi: float = 0.0,
 ) -> GaussianState:
-    """Encode into the protected mode, transmit N channels, decode.
-
-    ``variances`` gives the per-quadrature variance of each pattern's
-    shared noise variable (natural units).  With xi = 0 the output equals
-    the pure-loss channel of transmissivity eta regardless of every source
-    variance.
-    """
-    from .network import complete_orthonormal
-
-    if not isinstance(patterns, NoisePatternSet):
-        patterns = NoisePatternSet(tuple(patterns))
-    variances = np.broadcast_to(
-        np.asarray(variances, dtype=float), (len(patterns.patterns),)
-    )
-    s = null_space_encoder(patterns)
-    n = patterns.n_channels
-    u = complete_orthonormal(s)
-
-    n0 = state.n_modes
-    carriers = (signal_mode,) + tuple(range(n0, n0 + n - 1))
-    reg = n0 + n - 1
-    sources = tuple(
-        NoiseSource(p, v, label=f"pattern{k}")
-        for k, (p, v) in enumerate(zip(patterns.patterns, variances))
-    )
-    model = ChannelModel(n, eta, 0.0, sources, xi)
-    encoder = GaussianMap.of(np.kron(u, np.eye(2)), carriers, reg)
-    decoder = GaussianMap.of(np.kron(u.T, np.eye(2)), carriers, reg)
-    scheme = encoder.then(channel_map(model, carriers, reg)).then(decoder)
-    return _kept(scheme, state)
+    """:func:`n_channel_map` applied to a state; the other carriers are dropped."""
+    return _kept(n_channel_map(patterns, eta, variances, state.n_modes, signal_mode, xi), state)
 
 
 def _splitter(t: float, modes: tuple[int, int], n_modes: int) -> GaussianMap:
@@ -221,11 +217,8 @@ def _splitter(t: float, modes: tuple[int, int], n_modes: int) -> GaussianMap:
     return GaussianMap.of(beam_splitter(t, BsConvention.PI_FLIP), modes, n_modes)
 
 
-def _through(m: GaussianMap, state: GaussianState) -> GaussianState:
-    """Image of ``state`` under ``m``, the register's appended modes in vacuum."""
-    return m.apply(tensor(state, vacuum_state(m.n_modes - state.n_modes)))
-
-
 def _kept(m: GaussianMap, state: GaussianState) -> GaussianState:
-    """Image of ``state`` under ``m`` over the state's own modes."""
-    return partial_trace(_through(m, state), range(state.n_modes))
+    """Image of ``state`` under ``m``, the register's appended modes in
+    vacuum, over the state's own modes."""
+    full = m.apply(tensor(state, vacuum_state(m.n_modes - state.n_modes)))
+    return partial_trace(full, range(state.n_modes))

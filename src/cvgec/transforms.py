@@ -1,11 +1,13 @@
 """Affine Gaussian maps and the symplectic gates placed by them.
 
-Every stage and protocol of the package is an affine Gaussian map on a
-fixed register of N modes, mean -> X mean + d, cov -> X cov X^T + Y
-(Weedbrook et al., RMP 84, 621 (2012), sec. II), carried whole by
-:class:`GaussianMap`.  A gate (beam splitter, phase shift, squeezer) is the
-case Y = 0: each gate function returns its local 2k x 2k symplectic block,
-and :meth:`GaussianMap.of` places that block on k modes of a register.
+Every stage and protocol of the package is a Gaussian map on a fixed
+register of N modes, mean -> X mean, cov -> X cov X^T + Y (Weedbrook et
+al., RMP 84, 621 (2012), sec. II), carried whole by :class:`GaussianMap`.
+No map displaces the mean: the classical noise is zero-mean, and the
+incoherent baseline's feedforward is averaged into X.  A gate (beam
+splitter, phase shift, squeezer) is the case Y = 0: each gate function
+returns its local 2k x 2k symplectic block, and :meth:`GaussianMap.of`
+places that block on k modes of a register.
 """
 
 from __future__ import annotations
@@ -37,35 +39,32 @@ class BsConvention(Enum):
 
 @dataclass(frozen=True)
 class GaussianMap:
-    """Affine Gaussian map on a register of N modes.
+    """Gaussian map on a register of N modes.
 
     Args:
         X: real 2N x 2N matrix acting on the mean and, as X cov X^T, on the
             covariance.
         Y: real symmetric 2N x 2N covariance added after X (default 0).
-        d: length-2N displacement added to the mean after X (default 0).
     """
 
     X: np.ndarray
     Y: np.ndarray | None = None
-    d: np.ndarray | None = None
 
     def __post_init__(self):
         x = np.array(self.X, dtype=float)
         dim = len(x)
         y = np.zeros((dim, dim)) if self.Y is None else np.array(self.Y, dtype=float)
-        d = np.zeros(dim) if self.d is None else np.array(self.d, dtype=float)
-        if dim == 0 or dim % 2 or x.shape != (dim, dim) or y.shape != x.shape or d.shape != (dim,):
-            raise ValueError("need 2N x 2N matrices X and Y and a length-2N vector d")
-        if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(d).all()):
-            raise ValueError("X, Y and d must be finite")
-        for name, a in zip("XYd", (x, y, d)):
+        if dim == 0 or dim % 2 or x.shape != (dim, dim) or y.shape != x.shape:
+            raise ValueError("need 2N x 2N matrices X and Y")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("X and Y must be finite")
+        for name, a in zip("XY", (x, y)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
     @property
     def n_modes(self) -> int:
-        return self.d.size // 2
+        return len(self.X) // 2
 
     @classmethod
     def of(cls, block: np.ndarray, modes, n_modes: int) -> GaussianMap:
@@ -75,11 +74,11 @@ class GaussianMap:
     def then(self, after: GaussianMap) -> GaussianMap:
         """This map followed by ``after`` on the same register."""
         x = after.X
-        return GaussianMap(x @ self.X, x @ self.Y @ x.T + after.Y, x @ self.d + after.d)
+        return GaussianMap(x @ self.X, x @ self.Y @ x.T + after.Y)
 
     def apply(self, state: GaussianState) -> GaussianState:
         """Image of a state held in the same register."""
-        return GaussianState(self.X @ state.mean + self.d, self.X @ state.cov @ self.X.T + self.Y)
+        return GaussianState(self.X @ state.mean, self.X @ state.cov @ self.X.T + self.Y)
 
 
 def embed(block: np.ndarray, modes, n_modes: int, fill: float = 1.0) -> np.ndarray:

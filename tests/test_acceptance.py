@@ -16,7 +16,7 @@ from cvgec.analysis import (
     entanglement_sweep,
     optimize_splitting,
 )
-from cvgec.channel import ChannelModel, NoiseSource, apply_channel, standard_two_channel
+from cvgec.channel import ChannelModel, NoiseSource, channel_map, standard_two_channel
 from cvgec.fidelity import fidelity
 from cvgec.montecarlo import STAGES, analytic_stage_moments, empirical_covariance, sample_run
 from cvgec.network import decompose_network
@@ -208,7 +208,7 @@ def test_criterion_7_invariant_suite():
             rng.choice([0.0, 0.1]),
         )
         state = random_physical_state(rng, 2)
-        out = apply_channel(state, (0, 1), model)
+        out = channel_map(model, (0, 1), 2).apply(state)
         assert physicality_check(out)
 
     # fidelity oracles

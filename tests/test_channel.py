@@ -1,22 +1,28 @@
 """Channel model: loss, thermal noise, correlated sources, mismatch."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cvgec.channel import (
     ChannelModel,
     NoiseSource,
-    apply_channel,
+    channel_map,
     dump_channel_config,
     excess_noise_snu,
     mismatch_from_visibility,
     parse_channel_config,
     standard_two_channel,
-    with_mismatch,
 )
 from cvgec.states import as_snu, vacuum_state
 
 from test_states import random_physical_state
+
+
+def through_channel(state, modes, model):
+    """``state`` after the channel stage, placed on its own register."""
+    return channel_map(model, modes, state.n_modes).apply(state)
 
 
 def single_source(g1, g2, variance, xi=0.0, eta=1.0, thermal=0.0):
@@ -28,7 +34,7 @@ class TestApplyChannel:
     def test_unit_transmission_no_sources_is_identity(self):
         rng = np.random.default_rng(4)
         state = random_physical_state(rng, 2)
-        out = apply_channel(state, (0, 1), ChannelModel(2, 1.0, 0.0))
+        out = through_channel(state, (0, 1), ChannelModel(2, 1.0, 0.0))
         assert np.allclose(out.cov, state.cov, atol=1e-15)
         assert np.allclose(out.mean, state.mean, atol=1e-15)
 
@@ -36,7 +42,7 @@ class TestApplyChannel:
         # eta = 0.8, g = (1, 0), 5 natural units of source variance:
         # 0.8 * 0.5 + 0.2 * 0.5 + 5 = 5.5 natural (11 SNU)
         model = single_source(1.0, 0.0, 5.0, eta=0.8)
-        out = apply_channel(vacuum_state(2), (0, 1), model)
+        out = through_channel(vacuum_state(2), (0, 1), model)
         assert out.cov[0, 0] == pytest.approx(5.5, abs=1e-12)
         assert as_snu(out.cov[0, 0]) == pytest.approx(11.0, abs=1e-12)
 
@@ -44,30 +50,30 @@ class TestApplyChannel:
         # couplings (0.78, 1.0), variance v: cross covariance 0.78 * v
         v = 2.5
         model = ChannelModel(2, 1.0, 0.0, (NoiseSource([0.78, 1.0], v),))
-        out = apply_channel(vacuum_state(2), (0, 1), model)
+        out = through_channel(vacuum_state(2), (0, 1), model)
         assert out.cov[0, 2] == pytest.approx(0.78 * v, abs=1e-12)
         assert out.cov[1, 3] == pytest.approx(0.78 * v, abs=1e-12)
 
     def test_pure_loss_equals_vacuum_on_vacuum(self):
         model = ChannelModel(2, [0.3, 0.9], 0.0)
-        out = apply_channel(vacuum_state(2), (0, 1), model)
+        out = through_channel(vacuum_state(2), (0, 1), model)
         assert np.allclose(out.cov, vacuum_state(2).cov, atol=1e-15)
 
     def test_thermal_environment(self):
         model = ChannelModel(1, 0.6, 2.0)
-        out = apply_channel(vacuum_state(1), (0,), model)
+        out = through_channel(vacuum_state(1), (0,), model)
         assert out.cov[0, 0] == pytest.approx(0.6 * 0.5 + 0.4 * 2.5, abs=1e-14)
 
     def test_mean_attenuation(self):
         from cvgec.states import displace
 
         state = displace(vacuum_state(1), 0, 2.0, -1.0)
-        out = apply_channel(state, (0,), ChannelModel(1, 0.49, 0.0))
+        out = through_channel(state, (0,), ChannelModel(1, 0.49, 0.0))
         assert np.allclose(out.mean, [1.4, -0.7], atol=1e-14)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            apply_channel(vacuum_state(1), (0, 1), ChannelModel(2, 1.0, 0.0))
+            through_channel(vacuum_state(1), (0, 1), ChannelModel(2, 1.0, 0.0))
 
     def test_monotone_in_source_variance(self):
         # Loewner order: more source variance never decreases the covariance
@@ -77,8 +83,8 @@ class TestApplyChannel:
             lo, hi = np.sort(rng.uniform(0.0, 10.0, 2))
             xi = rng.uniform(0.0, 0.5)
             state = random_physical_state(rng, 2)
-            out_lo = apply_channel(state, (0, 1), single_source(g1, g2, lo, xi))
-            out_hi = apply_channel(state, (0, 1), single_source(g1, g2, hi, xi))
+            out_lo = through_channel(state, (0, 1), single_source(g1, g2, lo, xi))
+            out_hi = through_channel(state, (0, 1), single_source(g1, g2, hi, xi))
             diff = out_hi.cov - out_lo.cov
             assert np.linalg.eigvalsh(diff).min() >= -1e-12
 
@@ -88,7 +94,7 @@ class TestMismatchBookkeeping:
         # the non-interfering power sits on each channel's own diagonal:
         # xi * var * g_i on top of vacuum, and no mode is appended
         model = single_source(1.0, 2.0, 3.0, xi=0.25)
-        out = apply_channel(vacuum_state(3), (0, 2), model)
+        out = through_channel(vacuum_state(3), (0, 2), model)
         assert out.n_modes == 3
         assert out.cov[0, 0] == pytest.approx(0.5 + 3.0, abs=1e-14)
         assert out.cov[4, 4] == pytest.approx(0.5 + 2.0 * 3.0, abs=1e-14)
@@ -101,23 +107,23 @@ class TestMismatchBookkeeping:
         # carries the interfering fraction alone
         for xi in (0.0, 0.3, 0.9):
             model = single_source(1.5, 0.7, 4.0, xi=xi)
-            out = apply_channel(vacuum_state(2), (0, 1), model)
+            out = through_channel(vacuum_state(2), (0, 1), model)
             assert out.cov[0, 0] - 0.5 == pytest.approx(1.5 * 4.0, abs=1e-12)
             assert out.cov[2, 2] - 0.5 == pytest.approx(0.7 * 4.0, abs=1e-12)
             cross = (1.0 - xi) * np.sqrt(1.5 * 0.7) * 4.0
             assert out.cov[0, 2] == pytest.approx(cross, abs=1e-12)
 
     def test_half_mismatch_halves_interfering_power(self):
-        base = apply_channel(vacuum_state(2), (0, 1), single_source(1.0, 1.0, 6.0, xi=0.0))
-        half = apply_channel(vacuum_state(2), (0, 1), single_source(1.0, 1.0, 6.0, xi=0.5))
+        base = through_channel(vacuum_state(2), (0, 1), single_source(1.0, 1.0, 6.0, xi=0.0))
+        half = through_channel(vacuum_state(2), (0, 1), single_source(1.0, 1.0, 6.0, xi=0.5))
         assert half.cov[0, 2] == pytest.approx(0.5 * base.cov[0, 2], abs=1e-12)
 
     def test_with_mismatch(self):
         model = single_source(1.0, 1.0, 1.0)
-        assert with_mismatch(model, 0.01).mismatch == 0.01
+        assert replace(model, mismatch=0.01).mismatch == 0.01
         assert model.mismatch == 0.0  # original untouched
         with pytest.raises(ValueError):
-            with_mismatch(model, 1.0)
+            replace(model, mismatch=1.0)
 
     def test_visibility_mapping(self):
         assert mismatch_from_visibility(0.995) == pytest.approx(0.009975, abs=1e-12)
@@ -126,7 +132,7 @@ class TestMismatchBookkeeping:
     def test_zero_xi_adds_no_noninterfering_noise(self):
         # at xi = 0 the added covariance is exactly the rank-1 source term
         model = single_source(1.0, 1.0, 5.0, xi=0.0)
-        out = apply_channel(vacuum_state(2), (0, 1), model)
+        out = through_channel(vacuum_state(2), (0, 1), model)
         assert out.n_modes == 2
         expected = 0.5 * np.eye(4) + 5.0 * np.kron(np.ones((2, 2)), np.eye(2))
         assert np.allclose(out.cov, expected, atol=1e-15)
@@ -149,7 +155,7 @@ class TestExcessNoise:
     def test_independent_of_mismatch(self):
         model = single_source(1.0, 2.0, 3.0, xi=0.4)
         assert excess_noise_snu(model, 1) == pytest.approx(
-            excess_noise_snu(with_mismatch(model, 0.0), 1)
+            excess_noise_snu(replace(model, mismatch=0.0), 1)
         )
 
 

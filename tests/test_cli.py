@@ -419,6 +419,18 @@ class TestSynth:
         assert main(["synth", "--patterns", str(patterns), "--out", str(out)]) == 0
         assert sha256(out) == "f8371196dbbde11822dfa5ed24b17cb0d7084a3a767116fd7cd11a660478a8cb"
 
+    def test_small_reflectivity_mesh(self, tmp_path, capsys):
+        # the protected mode (1, -1.2e-7) needs a rotation with s = 1.2e-7
+        patterns = tmp_path / "p.txt"
+        patterns.write_text("0.00000012 1\n")
+        out = tmp_path / "plan.txt"
+        assert main(["synth", "--patterns", str(patterns), "--out", str(out)]) == 0
+        from cvgec.network import parse_plan
+
+        plan, _ = parse_plan(out.read_text())
+        signal = [float(x) for x in capsys.readouterr().out.split()[1:]]
+        assert np.abs(plan.target[:, 0] - signal).max() < 1e-15
+
     def test_uncoupled_patterns_protect_the_first_mode(self, tmp_path, capsys):
         patterns = tmp_path / "p.txt"
         patterns.write_text("0 0 0\n")

@@ -22,7 +22,6 @@ SURFACE = {
     "ProtocolConfig": "protocol",
     "VACUUM_VARIANCE": "states",
     "add_noise": "states",
-    "apply_channel": "channel",
     "as_snu": "states",
     "beam_splitter": "transforms",
     "channel": None,
@@ -43,7 +42,6 @@ SURFACE = {
     "phase_shift": "transforms",
     "physicality_check": "states",
     "protocol": None,
-    "run_protocol": "protocol",
     "squeeze": "transforms",
     "standard_two_channel": "channel",
     "states": None,
@@ -53,7 +51,6 @@ SURFACE = {
     "two_mode_squeezed": "transforms",
     "uncorrected_channel": "protocol",
     "vacuum_state": "states",
-    "with_mismatch": "channel",
 }
 
 LAYERS = (

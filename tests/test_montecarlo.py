@@ -99,21 +99,21 @@ class TestSampleRun:
 @pytest.mark.parametrize("samples", [np.ones((2, 3)), np.float64(1.0), [[1.0]]])
 def test_trace_record_refuses_samples_that_are_not_a_vector(samples):
     with pytest.raises(ValueError, match="^trace samples must be one-dimensional$"):
-        TraceRecord("input", "X", samples, seed=0)
+        TraceRecord("input", "X", samples)
 
 
 class TestEmpiricalCovariance:
     def test_constant_samples(self):
-        rec = TraceRecord("input", "X", np.ones(50), seed=0)
+        rec = TraceRecord("input", "X", np.ones(50))
         cov, se = empirical_covariance([rec])
         assert cov[0, 0] == 0.0
 
     def test_insufficient_samples(self):
         with pytest.raises(ValueError):
-            empirical_covariance([TraceRecord("input", "X", np.ones(1), seed=0)])
+            empirical_covariance([TraceRecord("input", "X", np.ones(1))])
 
     def test_unequal_lengths(self):
-        records = [TraceRecord("input", q, np.ones(n), seed=0) for q, n in (("X", 5), ("P", 6))]
+        records = [TraceRecord("input", q, np.ones(n)) for q, n in (("X", 5), ("P", 6))]
         with pytest.raises(ValueError, match="^records must all have the same number of samples$"):
             empirical_covariance(records)
 
@@ -191,9 +191,9 @@ class TestTraceCsv:
 
         values = [-0.0, 5e-324, 1e-300, 1e300, 0.1, -1.0 / 3.0, 2.0**53 + 2.0]
         records = [
-            TraceRecord("input", "X", values, 1),
-            TraceRecord("100%", "%d", values[::-1], 1),
-            TraceRecord("corrected", "P", values[:1], 1),
+            TraceRecord("input", "X", values),
+            TraceRecord("100%", "%d", values[::-1]),
+            TraceRecord("corrected", "P", values[:1]),
         ]
         new, ref = io.StringIO(), io.StringIO()
         write_trace_csv(records, new)

@@ -56,6 +56,19 @@ class TestDecompose:
             splitters = [e for e in plan.elements if isinstance(e, BeamSplitterElement)]
             assert len(splitters) <= n * (n - 1) // 2
 
+    @pytest.mark.parametrize("s", [1.2e-7, 1e-8, 1e-12])
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_small_reflectivity_recomposes(self, s, signs):
+        # Stored as t = c^2, s = sqrt(1 - t) would be off by about 1e-16 / 2s;
+        # the plan holds a quarter turn and the complementary rotation instead.
+        c = signs[0] * np.sqrt(1.0 - s * s)
+        u = np.array([[c, signs[1] * s], [-signs[1] * s, c]])
+        plan = decompose_network(u)
+        assert np.abs(_recompose(plan.elements, 2) - u).max() < 1e-15
+        assert np.abs(parse_plan(serialize_plan(plan))[0].target - u).max() < 1e-15
+        assert np.abs(inverse_plan(plan).target - u.T).max() < 1e-15
+        assert recompose_error(plan) < 1e-10
+
     def test_non_orthogonal_rejected(self):
         with pytest.raises(ValueError, match="orthogonal"):
             decompose_network(np.array([[1.0, 0.2], [0.0, 1.0]]))

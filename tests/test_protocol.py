@@ -13,19 +13,26 @@ from cvgec.protocol import (
     ProtocolConfig,
     _splitter,
     corrected_channel,
+    corrected_map,
     incoherent_strategy,
+    n_channel_map,
     n_channel_protocol,
     null_space_encoder,
     optimal_splitting,
     optimal_splitting_for,
-    run_protocol,
     uncorrected_channel,
 )
-from cvgec.states import GaussianState, as_snu, displace, duan_simon, vacuum_state
+from cvgec.states import GaussianState, as_snu, displace, duan_simon, tensor, vacuum_state
 from cvgec.transforms import beam_splitter, two_mode_squeezed
 
 from map_reference import characterize_single_mode_map, pure_loss_reference
 from test_states import random_physical_state
+
+
+def both_ports(cfg, state):
+    """The corrected map's image of ``state``, the discarded port kept as
+    the final mode."""
+    return corrected_map(cfg, state.n_modes).apply(tensor(state, vacuum_state(1)))
 
 
 def config(eps_snu, g_ratio=1.0, eta=1.0, xi=0.0):
@@ -124,13 +131,13 @@ class TestCorrectedChannel:
 
     def test_noise_separation_at_optimum(self):
         for eps in (5.0, 20.0):
-            joint = run_protocol(config(eps, g_ratio=0.7, eta=0.85), vacuum_state(1))
+            joint = both_ports(config(eps, g_ratio=0.7, eta=0.85), vacuum_state(1))
             cross = joint.cov[:2, 2:]
             assert np.abs(cross).max() < 1e-10
         # discarded-port variance grows affinely with the source variance
-        v1 = run_protocol(config(10.0), vacuum_state(1)).cov[2, 2]
-        v2 = run_protocol(config(20.0), vacuum_state(1)).cov[2, 2]
-        v3 = run_protocol(config(30.0), vacuum_state(1)).cov[2, 2]
+        v1 = both_ports(config(10.0), vacuum_state(1)).cov[2, 2]
+        v2 = both_ports(config(20.0), vacuum_state(1)).cov[2, 2]
+        v3 = both_ports(config(30.0), vacuum_state(1)).cov[2, 2]
         assert v2 - v1 == pytest.approx(v3 - v2, abs=1e-10)
         assert v2 > v1
 
@@ -404,6 +411,25 @@ class TestNChannelProtocol:
         pair = two_mode_squeezed(0.6)
         out = n_channel_protocol(self.FIG_PATTERNS, 1.0, 30.0, pair, signal_mode=1)
         assert duan_simon(out, (0, 1)) == pytest.approx(2 * np.exp(-1.2), abs=1e-10)
+
+    def test_map_signal_rows_are_pure_loss(self):
+        # at xi = 0 the signal mode's rows of X and Y are those of pure loss:
+        # no coupling to the other state modes or to the channel carriers
+        rng = np.random.default_rng(33)
+        for n, k in ((2, 1), (4, 2), (7, 3), (12, 8)):
+            patterns = rng.normal(size=(k, n))
+            variances = rng.uniform(0.1, 50.0, k)
+            eta = rng.uniform(0.05, 1.0)
+            n_modes, signal = 3, int(rng.integers(3))
+            m = n_channel_map(patterns, eta, variances, n_modes, signal)
+            assert m.n_modes == n_modes + n - 1
+            rows = slice(2 * signal, 2 * signal + 2)
+            x_ref = np.zeros((2, 2 * m.n_modes))
+            x_ref[:, rows] = np.sqrt(eta) * np.eye(2)
+            y_ref = np.zeros((2, 2 * m.n_modes))
+            y_ref[:, rows] = 0.5 * (1.0 - eta) * np.eye(2)
+            assert np.abs(m.X[rows] - x_ref).max() < 1e-12
+            assert np.abs(m.Y[rows] - y_ref).max() < 1e-12
 
     def test_pinned_bytes(self):
         # sha256 of one seeded 32-channel run, recorded before the encoder

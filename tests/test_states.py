@@ -195,11 +195,11 @@ class TestShotNoiseUnits:
 
     def test_loss_on_noisy_input(self):
         # 10 SNU input through eta = 0.8 loss: 0.8 * 10 + 0.2 * 1 = 8.2 SNU
-        from cvgec.channel import ChannelModel, apply_channel
+        from cvgec.channel import ChannelModel, channel_map
 
         noisy = add_noise(vacuum_state(1), np.diag([4.5, 4.5]))
         assert as_snu(noisy.cov[0, 0]) == 10.0
-        out = apply_channel(noisy, (0,), ChannelModel(1, 0.8, 0.0))
+        out = channel_map(ChannelModel(1, 0.8, 0.0), (0,), 1).apply(noisy)
         assert as_snu(out.cov[0, 0]) == pytest.approx(8.2, abs=1e-12)
 
 

@@ -26,7 +26,7 @@ def both(records):
 
 def assert_same_bytes(values, stage="input", quadrature="X"):
     values = np.asarray(values, dtype=float)
-    new, ref = both([TraceRecord(stage, quadrature, values, 0)])
+    new, ref = both([TraceRecord(stage, quadrature, values)])
     if new != ref:
         bad = [(a, b) for a, b in zip(new.splitlines(), ref.splitlines()) if a != b]
         pytest.fail(f"{len(bad)} rows differ, first {bad[:3]}")
@@ -34,7 +34,7 @@ def assert_same_bytes(values, stage="input", quadrature="X"):
 
 def cells(values):
     buf = io.StringIO()
-    write_trace_csv([TraceRecord("s", "X", values, 0)], buf)
+    write_trace_csv([TraceRecord("s", "X", values)], buf)
     return [line.rsplit(",", 1)[1] for line in buf.getvalue().splitlines()[1:]]
 
 
@@ -92,9 +92,9 @@ class TestEdges:
 
     def test_empty_and_mixed_records(self):
         records = [
-            TraceRecord("input", "X", [], 0),
-            TraceRecord("input", "P", [3.0, 1e-300], 0),
-            TraceRecord("corrected", "X", np.arange(12345.0) / 7.0, 0),
+            TraceRecord("input", "X", []),
+            TraceRecord("input", "P", [3.0, 1e-300]),
+            TraceRecord("corrected", "X", np.arange(12345.0) / 7.0),
         ]
         new, ref = both(records)
         assert new == ref
@@ -104,8 +104,8 @@ class TestEdges:
         # prefix is spliced into the formatted block, whatever its length.
         rng = np.random.default_rng(11)
         names = [("channel_1", "X"), ("input", "P"), ("corrected", "P"), ("input", "X")]
-        records = [TraceRecord(s, q, rng.normal(0.0, 2.0, 20001), 0) for s, q in names]
-        records.insert(2, TraceRecord("discarded", "X", rng.normal(0.0, 2.0, 7), 0))
+        records = [TraceRecord(s, q, rng.normal(0.0, 2.0, 20001)) for s, q in names]
+        records.insert(2, TraceRecord("discarded", "X", rng.normal(0.0, 2.0, 7)))
         new, ref = both(records)
         assert new == ref
 

@@ -199,10 +199,6 @@ class TestGaussianMap:
             assert np.abs(seq.cov - merged.cov).max() < 1e-12
             assert np.abs(seq.mean - merged.mean).max() < 1e-12
 
-    def test_displacement_field(self):
-        out = GaussianMap(np.eye(2), d=np.array([1.5, -0.5])).apply(vacuum_state(1))
-        assert np.allclose(out.mean, [1.5, -0.5], atol=0)
-
     def test_passive_transforms_preserve_mean_energy(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
@@ -238,10 +234,10 @@ class TestGaussianMap:
             embed(np.eye(2), (1.7,), 2)
         assert np.array_equal(embed(np.eye(2), (np.int64(1),), 2), embed(np.eye(2), (1,), 2))
 
-    @pytest.mark.parametrize("field", ["X", "Y", "d"])
+    @pytest.mark.parametrize("field", ["X", "Y"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, field, bad):
-        parts = {"X": np.eye(2), "Y": np.zeros((2, 2)), "d": np.zeros(2)}
+        parts = {"X": np.eye(2), "Y": np.zeros((2, 2))}
         parts[field] = np.full_like(parts[field], bad)
         with pytest.raises(ValueError, match="finite"):
             GaussianMap(**parts)
