@@ -3,12 +3,14 @@
 The noise axis ``eps`` scales every source variance of a sweep's channel
 model; the CLI scales its models to 1 SNU of channel-1 excess noise at the
 channel output (see :func:`cvgec.channel.standard_two_channel`).  Each
-strategy is one affine map whose signal-mode covariance is affine in the
-noise, cov -> X cov X^T + Y0 + eps Y1, because the optimal splitting and
-the couplings do not depend on eps.  So every map is built once per call,
-a sweep is one array operation over the whole grid, the entanglement
-breaking point is the root of a linear equation, and the best splitter
-setting is the lower eigenvector of a 2 x 2 noise form.
+strategy is one map built from the model; the corrected one,
+:func:`cvgec.protocol.n_channel_map`, encodes into the protected mode of
+the couplings, so the sweeps take any model that has one.  The signal-mode
+covariance is affine in the noise, cov -> X cov X^T + Y0 + eps Y1, because
+the encoder and the couplings do not depend on eps.  So every map is built
+once per call, a sweep is one array operation over the whole grid, the
+entanglement breaking point is the root of a linear equation, and the best
+splitter setting is the lower eigenvector of a 2 x 2 noise form.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from .fidelity import fidelity, fidelity_moments
 from .protocol import (
     ProtocolConfig,
     corrected_channel,
-    corrected_map,
     incoherent_map,
-    optimal_splitting_for,
+    n_channel_map,
     uncorrected_map,
 )
 from .states import VACUUM_VARIANCE, as_snu, displace, vacuum_state
@@ -90,7 +91,7 @@ class SweepResult:
 def coherent_sweep(model: ChannelModel, amplitude: tuple[float, float], eps_grid) -> SweepResult:
     """Variance and fidelity curves for a coherent input state.
 
-    For each noise level the corrected (optimal splitting), uncorrected
+    For each noise level the corrected (protected-mode), uncorrected
     (direct channel-1 transmission) and incoherent (measure/feedforward)
     outputs are evaluated.  Fidelities compare against the original input
     with no gain rescaling.  Besides the ``SWEEP_COLUMNS``, the series hold
@@ -103,9 +104,9 @@ def coherent_sweep(model: ChannelModel, amplitude: tuple[float, float], eps_grid
     (m_corr, v_corr), (m_unc, v_unc), (m_unc2, v_unc2), (m_inc, v_inc) = (
         _outputs(_noise_axis(strategy, model), mean, cov, eps_grid)
         for strategy in (
-            corrected_map,
+            n_channel_map,
             uncorrected_map,
-            lambda cfg, n_modes: uncorrected_map(cfg, n_modes, channel=1),
+            lambda model, n_modes: uncorrected_map(model, n_modes, channel=1),
             incoherent_map,
         )
     )
@@ -149,7 +150,7 @@ def entanglement_sweep(model: ChannelModel, r: float, eps_grid) -> SweepResult:
     eps_grid = _noise_values(eps_grid)
     transmitted = two_mode_squeezed(r).cov[2:, 2:]
     cols = {}
-    for tag, strategy in (("corr", corrected_map), ("uncorr", uncorrected_map)):
+    for tag, strategy in (("corr", n_channel_map), ("uncorr", uncorrected_map)):
         x, y0, y1 = axis = _noise_axis(strategy, model)
         _, cov = _outputs(axis, np.zeros(2), transmitted, eps_grid)
         s, d = _squeezing_weights(x)
@@ -273,7 +274,7 @@ def _strategy_axis(g_ratio: float, eta: float, xi: float, strategy: str):
     """Noise axis of a named strategy on the flags' two-channel model."""
     if strategy not in ("corrected", "uncorrected"):
         raise ValueError("strategy must be 'corrected' or 'uncorrected'")
-    strategy_map = corrected_map if strategy == "corrected" else uncorrected_map
+    strategy_map = n_channel_map if strategy == "corrected" else uncorrected_map
     return _noise_axis(strategy_map, standard_two_channel(1.0, g_ratio, eta, xi))
 
 
@@ -301,16 +302,15 @@ def _breaking_point(axis, r_max: float, eps_limit: float) -> float:
 def _noise_axis(strategy, model: ChannelModel):
     """(X, Y0, Y1) of a strategy on its signal mode: cov -> X cov X^T + Y0 + eps Y1.
 
-    ``strategy(cfg, n_modes)`` is one of the protocol's map builders, and
-    eps scales the variance of every source of ``model``.  The optimal
-    splitting and the couplings do not depend on eps, and the channel's
-    added covariance is linear in it, so two maps fix the axis: one with
-    every source silent and one on ``model`` itself.
+    ``strategy(model, n_modes)`` is one of the protocol's map builders, and
+    eps scales the variance of every source of ``model``.  The encoder and
+    the couplings do not depend on eps, and the channel's added covariance
+    is linear in it, so two maps fix the axis: one with every source silent
+    and one on ``model`` itself.
     """
-    t = optimal_splitting_for(model)
     silent = replace(model, sources=tuple(replace(s, variance=0.0) for s in model.sources))
-    x, y0 = _signal_block(strategy(ProtocolConfig(t, t, silent), 1))
-    _, y_unit = _signal_block(strategy(ProtocolConfig(t, t, model), 1))
+    x, y0 = _signal_block(strategy(silent, 1))
+    _, y_unit = _signal_block(strategy(model, 1))
     return x, y0, y_unit - y0
 
 

@@ -248,8 +248,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    from .network import complete_orthonormal, decompose_network, serialize_plan
-    from .patterns import NoisePatternSet, null_space_encoder
+    from .network import decompose_network, serialize_plan
+    from .patterns import NoisePatternSet, complete_orthonormal, null_space_encoder
 
     with open(args.patterns) as fh:
         rows = [

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import channel_map
-from .protocol import ProtocolConfig, _splitter, corrected_map
+from .protocol import ProtocolConfig, corrected_map
 from .states import displace, partial_trace, tensor, vacuum_state
+from .transforms import GaussianMap, beam_splitter
 
 #: Stage names in record order.
 STAGES = ("input", "channel_1", "channel_2", "corrected", "discarded")
@@ -176,7 +177,8 @@ def analytic_stage_moments(
     out = {}
     out["input"] = (inp.mean, inp.cov)
 
-    st = _splitter(cfg.T_e, (0, 1), 2).then(channel_map(cfg.channel, (0, 1), 2)).apply(pair)
+    encoder = GaussianMap.of(beam_splitter(cfg.T_e), (0, 1), 2)
+    st = encoder.then(channel_map(cfg.channel, (0, 1), 2)).apply(pair)
     for i, stage in enumerate(("channel_1", "channel_2")):
         reduced = partial_trace(st, [i])
         out[stage] = (reduced.mean, reduced.cov)

@@ -8,6 +8,7 @@ format (one element per line) used by the `synth` CLI command.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -120,37 +121,8 @@ def inverse_plan(plan: NetworkPlan) -> NetworkPlan:
     return NetworkPlan(tuple(elements), plan.target.T)
 
 
-def complete_orthonormal(first_column: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix whose first column is the given unit vector.
-
-    Remaining columns come from orthonormalizing the standard basis, so
-    the completion is deterministic.
-    """
-    s = np.asarray(first_column, dtype=float)
-    n = s.size
-    if abs(np.linalg.norm(s) - 1.0) > 1e-9:
-        raise ValueError("first column must be a unit vector")
-    cols = [s]
-    for k in range(n):
-        if len(cols) == n:
-            break
-        r = np.zeros(n)
-        r[k] = 1.0
-        for _ in range(2):
-            for q in cols:
-                r -= (q @ r) * q
-        norm = np.linalg.norm(r)
-        if norm > 1e-9:
-            cols.append(r / norm)
-    if len(cols) != n:
-        raise ValueError("failed to complete the basis")
-    return np.column_stack(cols)
-
-
 def target_checksum(target: np.ndarray) -> str:
     """Identity stamp of a target matrix: sha256 over 1e-12-rounded entries."""
-    import hashlib  # only synth stamps plans; n_channel_protocol imports this module too
-
     text = " ".join(format(x, ".12f") for x in np.asarray(target, dtype=float).ravel())
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -3,8 +3,9 @@
 Each independent noise source couples to the N channels with an amplitude
 vector.  A signal encoded into a direction orthogonal to every pattern
 never meets the shared noise; :func:`null_space_encoder` picks that
-direction.  The module needs only numpy, so ``cvgec synth`` loads no
-channel or state code.
+direction, and :func:`complete_orthonormal` completes it to the mode
+matrix that encodes into it.  The module needs only numpy, so ``cvgec
+synth`` loads no channel or state code, and the sweeps no mesh code.
 """
 
 from __future__ import annotations
@@ -73,6 +74,33 @@ def null_space_encoder(patterns) -> np.ndarray:
             first = np.flatnonzero(np.abs(s) > _NULL_TOL)[0]
             return s if s[first] > 0 else -s
     raise NoProtectedSubspaceError("no direction survives orthogonalization")
+
+
+def complete_orthonormal(first_column: np.ndarray) -> np.ndarray:
+    """Orthogonal matrix whose first column is the given unit vector.
+
+    Remaining columns come from orthonormalizing the standard basis, so
+    the completion is deterministic.
+    """
+    s = np.asarray(first_column, dtype=float)
+    n = s.size
+    if abs(np.linalg.norm(s) - 1.0) > 1e-9:
+        raise ValueError("first column must be a unit vector")
+    cols = [s]
+    for k in range(n):
+        if len(cols) == n:
+            break
+        r = np.zeros(n)
+        r[k] = 1.0
+        for _ in range(2):
+            for q in cols:
+                r -= (q @ r) * q
+        norm = np.linalg.norm(r)
+        if norm > 1e-9:
+            cols.append(r / norm)
+    if len(cols) != n:
+        raise ValueError("failed to complete the basis")
+    return np.column_stack(cols)
 
 
 def _orthonormalize(vectors, n: int) -> list[np.ndarray]:

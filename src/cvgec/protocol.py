@@ -1,16 +1,16 @@
-"""Beam-splitter encode/decode error correction for correlated noise.
+"""Encode/transmit/decode error correction for correlated noise.
 
-The two-channel scheme splits the signal and an auxiliary vacuum over the
-two noisy channels with an encoding beam splitter (pi-flip convention) and
-coherently recombines them with a decoding beam splitter.  At
-T_e = T_d = g2 / (g1 + g2) the shared classical noise exits entirely
-through the discarded decoder port and the signal port sees a purely lossy
-channel, for any noise variance.
+Both corrected schemes are one composition: a C x C mode matrix spreads
+the signal and C - 1 vacuum carriers over the C noisy channels, and a
+second one recombines them.  :func:`corrected_map` uses the paper's pi-flip
+beam splitters; at T_e = T_d = g2 / (g1 + g2) the shared noise exits
+through the discarded decoder port and the signal sees pure loss, for any
+noise variance.  :func:`n_channel_map` encodes into the protected mode,
+orthogonal to every coupling vector: the same scheme for two channels and
+couplings of either sign, and its N-channel generalization.
 
 Also provided: the direct (unencoded) transmission used as the
-"uncorrected" reference, an incoherent measure-and-feedforward baseline,
-and the N-channel generalization that encodes the signal into the common
-null space of all noise coupling patterns.
+"uncorrected" reference and an incoherent measure-and-feedforward baseline.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ import numpy as np
 from .channel import ChannelModel, NoiseSource, channel_map
 # The pattern names are part of this module's surface as well.
 from .patterns import NoProtectedSubspaceError, NoisePatternSet, null_space_encoder
+from .patterns import complete_orthonormal
 from .states import GaussianState, partial_trace, tensor, vacuum_state
-from .transforms import BsConvention, GaussianMap, beam_splitter, beam_splitter_matrix
+from .transforms import GaussianMap, beam_splitter, beam_splitter_matrix
 
 
 @dataclass(frozen=True)
@@ -49,15 +50,20 @@ def optimal_splitting(g1: float, g2: float) -> float:
 
 
 def optimal_splitting_for(model: ChannelModel) -> float:
-    """Optimal transmissivity read off a two-channel, single-source model."""
+    """Optimal transmissivity of a two-channel, single-source model whose couplings share a sign."""
     if model.n_channels != 2 or len(model.sources) != 1:
         raise ValueError("need a two-channel model with exactly one source")
     c = model.sources[0].coupling
+    if min(c) < 0.0 < max(c):
+        raise ValueError(
+            f"couplings {c[0]:g} and {c[1]:g} have opposite signs; "
+            "no pair of pi-flip splitters cancels that source"
+        )
     return optimal_splitting(c[0] ** 2, c[1] ** 2)
 
 
 def corrected_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int = 0) -> GaussianMap:
-    """Encode, transmit, decode: one map on an N-mode state plus one mode.
+    """The two-channel scheme: one map on an N-mode state plus one mode.
 
     The appended mode is the auxiliary encoder input, which enters as
     vacuum and leaves as the discarded decoder port; the signal slot holds
@@ -68,17 +74,13 @@ def corrected_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int = 0) -> Ga
     """
     if cfg.channel.n_channels != 2:
         raise ValueError("the corrected scheme is defined for two channels")
-    n = n_modes + 1
-    ports = (signal_mode, n - 1)
-    return (
-        _splitter(cfg.T_e, ports, n)
-        .then(channel_map(cfg.channel, ports, n))
-        .then(_splitter(cfg.T_d, ports, n))
-    )
+    # pi-flip splitters are symmetric: the decoder's transpose is itself
+    encoder, decoder = beam_splitter_matrix(cfg.T_e), beam_splitter_matrix(cfg.T_d)
+    return _encoded_map(cfg.channel, encoder, decoder, n_modes, signal_mode)
 
 
 def uncorrected_map(
-    cfg: ProtocolConfig,
+    model: ChannelModel,
     n_modes: int,
     signal_mode: int = 0,
     channel: int = 0,
@@ -89,7 +91,6 @@ def uncorrected_map(
     carries a fresh vacuum, appended after the N state modes.  This is the
     reference curve a decoder set to full transmission measures.
     """
-    model = cfg.channel
     if not 0 <= channel < model.n_channels:
         raise ValueError("channel index out of range")
     idle = iter(range(n_modes, n_modes + model.n_channels - 1))
@@ -97,7 +98,7 @@ def uncorrected_map(
     return channel_map(model, carriers, n_modes + model.n_channels - 1)
 
 
-def incoherent_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int = 0) -> GaussianMap:
+def incoherent_map(model: ChannelModel, n_modes: int, signal_mode: int = 0) -> GaussianMap:
     """Measure-and-feedforward baseline on the idle channel.
 
     The signal travels channel 1 unencoded while channel 2 carries only
@@ -115,7 +116,6 @@ def incoherent_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int = 0) -> G
     feedforward copies channel 2's onto the signal with the gain, so the
     signal gains xi var c_1^2 from each channel.
     """
-    model = cfg.channel
     if model.n_channels != 2:
         raise ValueError("the incoherent baseline is defined for two channels")
     if len(model.sources) != 1:
@@ -126,7 +126,7 @@ def incoherent_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int = 0) -> G
 
     n = n_modes + 2
     idle, anc = n_modes, n_modes + 1
-    bs = beam_splitter_matrix(0.5, BsConvention.PI_FLIP)
+    bs = beam_splitter_matrix(0.5)
     # Outcomes: x at the first splitter port, p at the second.  The gain
     # cancelling the correlated term follows from the port amplitudes; the
     # two entries below are G E_y of the map X = I + G E_y.
@@ -136,48 +136,25 @@ def incoherent_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int = 0) -> G
 
     return (
         channel_map(model, (signal_mode, idle), n)
-        .then(_splitter(0.5, (idle, anc), n))
+        .then(GaussianMap.of(beam_splitter(0.5), (idle, anc), n))
         .then(GaussianMap(feedforward))
     )
 
 
-def n_channel_map(
-    patterns,
-    eta: float,
-    variances,
-    n_modes: int,
-    signal_mode: int = 0,
-    xi: float = 0.0,
-) -> GaussianMap:
-    """Encode into the protected mode, transmit C channels, decode: one map
-    on ``n_modes`` state modes plus C - 1 appended carriers.
+def n_channel_map(model: ChannelModel, n_modes: int, signal_mode: int = 0) -> GaussianMap:
+    """Encode into the protected mode, transmit, decode: one map on
+    ``n_modes`` state modes plus C - 1 appended carriers.
 
-    ``variances`` gives the per-quadrature variance of each pattern's
-    shared noise variable (natural units).  The encoder is an orthogonal
-    completion of the protected vector: the signal mode rides that vector
-    and the carriers, entering in vacuum, the rest.  With xi = 0 the signal
-    sees the pure-loss channel of transmissivity eta regardless of every
-    source variance.
+    The encoder is an orthogonal completion of the protected vector, the
+    unit vector orthogonal to every source coupling of ``model``: the
+    signal mode rides that vector and the carriers, entering in vacuum,
+    the rest.  With no mismatch, equal loss eta and no thermal noise, the
+    signal sees the pure-loss channel of transmissivity eta regardless of
+    every source variance.  Raises :class:`NoProtectedSubspaceError` when
+    the couplings span every channel.
     """
-    from .network import complete_orthonormal
-
-    if not isinstance(patterns, NoisePatternSet):
-        patterns = NoisePatternSet(tuple(patterns))
-    variances = np.broadcast_to(
-        np.asarray(variances, dtype=float), (len(patterns.patterns),)
-    )
-    u = complete_orthonormal(null_space_encoder(patterns))
-    n = patterns.n_channels
-    carriers = (signal_mode,) + tuple(range(n_modes, n_modes + n - 1))
-    reg = n_modes + n - 1
-    sources = tuple(
-        NoiseSource(p, v, label=f"pattern{k}")
-        for k, (p, v) in enumerate(zip(patterns.patterns, variances))
-    )
-    model = ChannelModel(n, eta, 0.0, sources, xi)
-    encoder = GaussianMap.of(np.kron(u, np.eye(2)), carriers, reg)
-    decoder = GaussianMap.of(np.kron(u.T, np.eye(2)), carriers, reg)
-    return encoder.then(channel_map(model, carriers, reg)).then(decoder)
+    u = complete_orthonormal(null_space_encoder(src.coupling for src in model.sources))
+    return _encoded_map(model, u, u, n_modes, signal_mode)
 
 
 def corrected_channel(cfg: ProtocolConfig, state: GaussianState, signal_mode: int = 0) -> GaussianState:
@@ -192,12 +169,12 @@ def uncorrected_channel(
     channel: int = 0,
 ) -> GaussianState:
     """:func:`uncorrected_map` applied to a state; the idle carriers are dropped."""
-    return _kept(uncorrected_map(cfg, state.n_modes, signal_mode, channel), state)
+    return _kept(uncorrected_map(cfg.channel, state.n_modes, signal_mode, channel), state)
 
 
 def incoherent_strategy(cfg: ProtocolConfig, state: GaussianState, signal_mode: int = 0) -> GaussianState:
     """:func:`incoherent_map` applied to a state; the measured modes are dropped."""
-    return _kept(incoherent_map(cfg, state.n_modes, signal_mode), state)
+    return _kept(incoherent_map(cfg.channel, state.n_modes, signal_mode), state)
 
 
 def n_channel_protocol(
@@ -208,13 +185,33 @@ def n_channel_protocol(
     signal_mode: int = 0,
     xi: float = 0.0,
 ) -> GaussianState:
-    """:func:`n_channel_map` applied to a state; the other carriers are dropped."""
-    return _kept(n_channel_map(patterns, eta, variances, state.n_modes, signal_mode, xi), state)
+    """:func:`n_channel_map` applied to a state; the other carriers are dropped.
+
+    The channels share loss ``eta`` and no thermal noise; pattern k carries
+    a shared noise of per-quadrature variance ``variances[k]``, a fraction
+    ``xi`` of it non-interfering.
+    """
+    if not isinstance(patterns, NoisePatternSet):
+        patterns = NoisePatternSet(tuple(patterns))
+    variances = np.broadcast_to(np.asarray(variances, dtype=float), (len(patterns.patterns),))
+    sources = tuple(NoiseSource(p, v) for p, v in zip(patterns.patterns, variances))
+    model = ChannelModel(patterns.n_channels, eta, 0.0, sources, xi)
+    return _kept(n_channel_map(model, state.n_modes, signal_mode), state)
 
 
-def _splitter(t: float, modes: tuple[int, int], n_modes: int) -> GaussianMap:
-    """Pi-flip beam splitter of transmissivity t as a map on the register."""
-    return GaussianMap.of(beam_splitter(t, BsConvention.PI_FLIP), modes, n_modes)
+def _encoded_map(model: ChannelModel, encoder, decoder, n_modes: int, signal_mode: int) -> GaussianMap:
+    """Encode, transmit, decode on ``n_modes`` state modes plus C - 1 carriers.
+
+    The C x C mode matrix ``encoder`` spreads the signal and the carriers,
+    entering in vacuum, over the channels of ``model``; the transpose of
+    ``decoder`` recombines them, the signal into its own slot.
+    """
+    n = model.n_channels
+    carriers = (signal_mode,) + tuple(range(n_modes, n_modes + n - 1))
+    reg = n_modes + n - 1
+    encode = GaussianMap.of(np.kron(encoder, np.eye(2)), carriers, reg)
+    decode = GaussianMap.of(np.kron(np.transpose(decoder), np.eye(2)), carriers, reg)
+    return encode.then(channel_map(model, carriers, reg)).then(decode)
 
 
 def _kept(m: GaussianMap, state: GaussianState) -> GaussianState:

@@ -37,7 +37,7 @@ def infimum(eps, g_ratio, eta, xi, strategy, r_max=10.0):
     if strategy == "corrected":
         protocol = corrected_map(cfg, 2, signal_mode=1)
     else:
-        protocol = uncorrected_map(cfg, 2, signal_mode=1, channel=0)
+        protocol = uncorrected_map(model, 2, signal_mode=1, channel=0)
     spares = protocol.n_modes - 2
 
     def insep(r):

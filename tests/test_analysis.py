@@ -260,6 +260,13 @@ class TestBreakingPoint:
     def test_ideal_corrected_never_breaks(self):
         assert entanglement_breaking_point(1.0, 1.0, 0.0, "corrected") == math.inf
 
+    @pytest.mark.parametrize("g_ratio", [1e-12, 1e-300])
+    def test_corrected_never_breaks_at_extreme_noise_asymmetry(self, g_ratio):
+        # the protected mode is read off the couplings, so no transmissivity
+        # 1 - T rounds away the weak channel's share of the noise
+        bp = entanglement_breaking_point(g_ratio, 0.9, 0.0, "corrected", eps_limit=1e12)
+        assert bp == math.inf
+
     def test_uncorrected_two_methods_agree(self):
         # the closed form against both numeric searches of the oracle
         closed = entanglement_breaking_point(1.0, 1.0, 0.0, "uncorrected")

@@ -86,7 +86,9 @@ class TestSweepCoherent:
         for name in ("fid_corr", "fid_uncorr", "fid_incoh"):
             assert np.all((cols[name] >= 0.0) & (cols[name] <= 1.0))
             assert np.all(cols[name][1:] < 1e-190)
-        assert cols["fid_corr"][0] == 1.0
+        # exact pin of the protected-mode encoder's bytes; the transmissivity
+        # splitters wrote 1 here
+        assert cols["fid_corr"][0] == 0.99999999999999978
 
     def test_zero_steps_is_usage_error(self, tmp_path, capsys):
         code = main(["sweep-coherent", "--eps-steps", "0", "--out", str(tmp_path / "x.csv")])
@@ -105,9 +107,9 @@ class TestSweepCoherent:
         argv = ["sweep-coherent", "--g-ratio", "0.61", "--eta", "0.9", "--xi", "0"]
         argv += ["--amplitude", "1.5", "-0.5", "--eps-steps", "21", "--out", str(out)]
         assert main(argv) == 0
-        assert sha256(out) == "634a83430a99f7497b8fb0bbc0444de48a4376807e1819984abda25305fe7835"
+        assert sha256(out) == "4a191239747e3880c1aba2f9f4a9d77294cd99f649e65ebe87eb241458258bec"
         aux = tmp_path / "c.csv.aux.csv"
-        assert sha256(aux) == "269ead7baf856f58f46a9db8a8f7fc09b87dce1fccc05a58a828d04da440b261"
+        assert sha256(aux) == "9508b4ed5f1bb5f27edcdea5d4766c1dea7ae07d36a0260664345fedfb5df15f"
 
     def test_byte_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -202,26 +204,104 @@ class TestChannelConfigInSweeps:
         _, cols = read_csv(out)
         assert np.ptp(cols["insep_corr"]) < 1e-12
 
-    @pytest.mark.parametrize("command", ["sweep-coherent", "sweep-entangle"])
+    THREE_CHANNELS = "n_channels 3\nsource s 5 1 1 1\n"
+    QUIET_CHANNEL_2 = "n_channels 2\nsource s 5 1 0\n"
+    ANTI_CORRELATED = "n_channels 2\neta 0.8 0.8\nsource s 1 1 -0.7\n"
+
     @pytest.mark.parametrize(
-        "text",
+        "command, text, code",
         [
-            "n_channels 3\nsource s 5 1 1 1\n",
-            "n_channels 2\nsource a 5 1 1\nsource b 5 1 -1\n",
-            "n_channels 2\nsource s 5 0 1\n",
-            "n_channels 2\nsource s 5 1 0\n",
-            "n_channels 2\nsource s 0 1 1\n",
+            *(
+                (command, text, code)
+                for command in ("sweep-coherent", "sweep-entangle")
+                for text, code in (
+                    # no channel-1 noise to scale the axis by
+                    ("n_channels 2\nsource s 5 0 1\n", 2),
+                    ("n_channels 2\nsource s 0 1 1\n", 2),
+                    # the couplings span both channels: no protected mode
+                    ("n_channels 2\nsource a 5 1 1\nsource b 5 1 -1\n", 3),
+                )
+            ),
+            # the incoherent baseline needs two channels and a noisy channel 2
+            ("sweep-coherent", THREE_CHANNELS, 2),
+            ("sweep-coherent", QUIET_CHANNEL_2, 2),
         ],
     )
-    def test_config_without_a_noise_axis_refused(self, tmp_path, capsys, command, text):
+    def test_config_without_a_noise_axis_refused(self, tmp_path, capsys, command, text, code):
         cfg = tmp_path / "channel.cfg"
         cfg.write_text(text)
         out, dump = tmp_path / "out.csv", tmp_path / "dump.cfg"
         argv = [command, "--channel-config", str(cfg), "--eps-steps", "3"]
-        assert main(argv + ["--out", str(out), "--dump-config", str(dump)]) == 2
+        assert main(argv + ["--out", str(out), "--dump-config", str(dump)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["channel.cfg"]
+
+    @pytest.mark.parametrize("text", [THREE_CHANNELS, QUIET_CHANNEL_2])
+    def test_entangle_sweeps_a_config_with_a_protected_mode(self, tmp_path, capsys, text):
+        from cvgec.channel import excess_noise_snu, parse_channel_config
+        from cvgec.protocol import n_channel_protocol
+        from cvgec.states import as_snu, duan_simon
+        from cvgec.transforms import two_mode_squeezed
+
+        cfg = tmp_path / "channel.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        argv = ["sweep-entangle", "--channel-config", str(cfg), "--r", "0.5", "--eps-steps", "3"]
+        assert main(argv + ["--out", str(out)]) == 0
+        _, cols = read_csv(out)
+        model = parse_channel_config(text)
+        (source,) = model.sources
+        unit = source.variance / excess_noise_snu(model, 0)
+        for k, eps in enumerate(cols["eps_snu"]):
+            pair = n_channel_protocol(
+                [source.coupling], 1.0, eps * unit, two_mode_squeezed(0.5), signal_mode=1
+            )
+            assert cols["var_x_corr_snu"][k] == pytest.approx(as_snu(pair.cov[2, 2]), rel=1e-12)
+            assert cols["var_p_corr_snu"][k] == pytest.approx(as_snu(pair.cov[3, 3]), rel=1e-12)
+            assert cols["insep_corr"][k] == pytest.approx(duan_simon(pair, (0, 1)), rel=1e-12)
+        assert cols["insep_uncorr"][-1] > 2.0
+
+    def test_anti_correlated_couplings_give_pure_loss(self, tmp_path, capsys):
+        from cvgec.fidelity import fidelity
+        from cvgec.states import displace, vacuum_state
+
+        cfg = tmp_path / "channel.cfg"
+        cfg.write_text(self.ANTI_CORRELATED)
+        coherent, entangle = tmp_path / "c.csv", tmp_path / "e.csv"
+        argv = ["--channel-config", str(cfg), "--eps-max", "50", "--eps-steps", "6"]
+        assert main(["sweep-coherent", *argv, "--out", str(coherent)]) == 0
+        assert main(["sweep-entangle", *argv, "--r", "0.5", "--out", str(entangle)]) == 0
+        eta, r = 0.8, 0.5
+        # pure loss keeps a coherent state coherent, its amplitude times sqrt(eta)
+        probe = displace(vacuum_state(1), 0, 2.0, 0.0)
+        fid = fidelity(displace(vacuum_state(1), 0, 2.0 * np.sqrt(eta), 0.0), probe)
+        _, cols = read_csv(coherent)
+        assert np.allclose(cols["var_x_corr_snu"], 1.0, rtol=1e-12, atol=0)
+        assert np.allclose(cols["var_p_corr_snu"], 1.0, rtol=1e-12, atol=0)
+        assert np.allclose(cols["fid_corr"], fid, rtol=1e-12, atol=0)
+        assert cols["var_x_uncorr_snu"][-1] == pytest.approx(51.0, rel=1e-12)
+        # the transmitted half of a two-mode squeezed vacuum through pure loss
+        c, sh = np.cosh(2 * r), np.sinh(2 * r)
+        _, cols = read_csv(entangle)
+        var = eta * c + 1.0 - eta
+        insep = (1.0 + eta) * c + 1.0 - eta - 2.0 * np.sqrt(eta) * sh
+        assert np.allclose(cols["var_x_corr_snu"], var, rtol=1e-12, atol=0)
+        assert np.allclose(cols["var_p_corr_snu"], var, rtol=1e-12, atol=0)
+        assert np.allclose(cols["insep_corr"], insep, rtol=1e-12, atol=0)
+
+    def test_trace_refuses_anti_correlated_couplings(self, tmp_path, capsys):
+        # no pair of pi-flip splitters cancels a source of opposite-sign couplings
+        cfg = tmp_path / "channel.cfg"
+        cfg.write_text(self.ANTI_CORRELATED)
+        out, dump = tmp_path / "t.csv", tmp_path / "dump.cfg"
+        argv = ["trace", "--channel-config", str(cfg), "--n", "100"]
+        assert main(argv + ["--out", str(out), "--dump-config", str(dump)]) == 2
+        assert capsys.readouterr().err == (
+            "error: couplings 1 and -0.7 have opposite signs; "
+            "no pair of pi-flip splitters cancels that source\n"
+        )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["channel.cfg"]
 
     @pytest.mark.parametrize("command", ["sweep-coherent", "sweep-entangle", "trace"])
@@ -270,6 +350,25 @@ class TestChannelConfigInSweeps:
                 if row["stage"] == "channel_2" and row["quadrature"] == "X"
             ]
         assert np.var(samples, ddof=1) == pytest.approx(1.15, rel=0.05)
+
+
+class TestCorrectedSweepAtExtremeAsymmetry:
+    """The sweeps encode into the protected mode read off the couplings, so
+    no transmissivity 1 - T rounds away the weak channel's noise."""
+
+    @pytest.mark.parametrize("g_ratio", ["1e-300", "1e-12", "1e-4", "1e4", "1e12", "1e300"])
+    @pytest.mark.parametrize("command", ["sweep-coherent", "sweep-entangle"])
+    def test_ideal_channel_stays_vacuum(self, tmp_path, capsys, command, g_ratio):
+        out = tmp_path / "out.csv"
+        argv = [command, "--g-ratio", g_ratio, "--eta", "1", "--xi", "0"]
+        argv += ["--eps-max", "1e6", "--eps-steps", "2", "--out", str(out)]
+        if command == "sweep-entangle":
+            argv += ["--r", "0"]
+        assert main(argv) == 0
+        _, cols = read_csv(out)
+        for q in ("x", "p"):
+            assert np.all(np.abs(cols[f"var_{q}_corr_snu"] - 1.0) < 1e-9)
+        assert cols["var_x_uncorr_snu"][-1] == pytest.approx(1e6 + 1.0, rel=1e-12)
 
 
 class TestSweepEntangle:

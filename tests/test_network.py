@@ -7,7 +7,6 @@ from cvgec.network import (
     BeamSplitterElement,
     NetworkPlan,
     PhaseShiftElement,
-    complete_orthonormal,
     decompose_network,
     inverse_plan,
     parse_plan,
@@ -15,6 +14,8 @@ from cvgec.network import (
     serialize_plan,
     target_checksum,
 )
+
+from cvgec.patterns import complete_orthonormal
 
 from network_oracle import plan_symplectic
 

@@ -11,7 +11,6 @@ from cvgec.protocol import (
     NoProtectedSubspaceError,
     NoisePatternSet,
     ProtocolConfig,
-    _splitter,
     corrected_channel,
     corrected_map,
     incoherent_strategy,
@@ -23,7 +22,7 @@ from cvgec.protocol import (
     uncorrected_channel,
 )
 from cvgec.states import GaussianState, as_snu, displace, duan_simon, tensor, vacuum_state
-from cvgec.transforms import beam_splitter, two_mode_squeezed
+from cvgec.transforms import GaussianMap, beam_splitter, two_mode_squeezed
 
 from map_reference import characterize_single_mode_map, pure_loss_reference
 from test_states import random_physical_state
@@ -60,13 +59,21 @@ class TestOptimalSplitting:
         with pytest.raises(ValueError):
             optimal_splitting(1.0, -2.0)
 
+    def test_opposite_sign_couplings_refused(self):
+        # no pair of pi-flip splitters of one transmissivity cancels them
+        model = ChannelModel(2, 0.8, 0.0, (NoiseSource([1.0, -0.7], 1.0),))
+        with pytest.raises(ValueError, match="couplings 1 and -0.7 have opposite signs"):
+            optimal_splitting_for(model)
+        flipped = ChannelModel(2, 0.8, 0.0, (NoiseSource([-1.0, -0.7], 1.0),))
+        assert optimal_splitting_for(flipped) == optimal_splitting(1.0, 0.7**2)
+
 
 class TestEncodeDecode:
     """The protocol's splitter map, used both to encode and to decode."""
 
     def test_full_transmission_flips_aux(self):
         state = displace(displace(vacuum_state(2), 0, 1.0, 0.5), 1, 2.0, -1.0)
-        out = _splitter(1.0, (0, 1), 2).apply(state)
+        out = GaussianMap.of(beam_splitter(1.0), (0, 1), 2).apply(state)
         assert np.allclose(out.mean, [1.0, 0.5, -2.0, 1.0], atol=1e-15)
 
     def test_encode_then_decode_is_identity(self):
@@ -76,7 +83,8 @@ class TestEncodeDecode:
             assert np.abs(s @ s - np.eye(4)).max() < 1e-12
         rng = np.random.default_rng(12)
         state = random_physical_state(rng, 2)
-        out = _splitter(0.38, (0, 1), 2).then(_splitter(0.38, (0, 1), 2)).apply(state)
+        splitter = GaussianMap.of(beam_splitter(0.38), (0, 1), 2)
+        out = splitter.then(splitter).apply(state)
         assert np.abs(out.cov - state.cov).max() < 1e-12
         assert np.abs(out.mean - state.mean).max() < 1e-12
 
@@ -421,7 +429,8 @@ class TestNChannelProtocol:
             variances = rng.uniform(0.1, 50.0, k)
             eta = rng.uniform(0.05, 1.0)
             n_modes, signal = 3, int(rng.integers(3))
-            m = n_channel_map(patterns, eta, variances, n_modes, signal)
+            sources = tuple(NoiseSource(p, v) for p, v in zip(patterns, variances))
+            m = n_channel_map(ChannelModel(n, eta, 0.0, sources), n_modes, signal)
             assert m.n_modes == n_modes + n - 1
             rows = slice(2 * signal, 2 * signal + 2)
             x_ref = np.zeros((2, 2 * m.n_modes))
