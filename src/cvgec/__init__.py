@@ -23,10 +23,8 @@ _EXPORTS = {
     "states": (
         "GaussianState",
         "VACUUM_VARIANCE",
-        "add_noise",
         "as_snu",
         "displace",
-        "duan_simon",
         "partial_trace",
         "physicality_check",
         "symplectic_eigenvalues",
@@ -34,7 +32,6 @@ _EXPORTS = {
         "vacuum_state",
     ),
     "transforms": (
-        "BsConvention",
         "GaussianMap",
         "beam_splitter",
         "phase_shift",
@@ -46,7 +43,6 @@ _EXPORTS = {
         "ChannelModel",
         "NoiseSource",
         "excess_noise_snu",
-        "mismatch_from_visibility",
         "standard_two_channel",
     ),
     "patterns": ("NoProtectedSubspaceError", "NoisePatternSet", "null_space_encoder"),
@@ -58,7 +54,7 @@ _EXPORTS = {
         "optimal_splitting",
         "uncorrected_channel",
     ),
-    "network": ("NetworkPlan", "decompose_network", "inverse_plan"),
+    "network": ("NetworkPlan", "decompose_network"),
 }
 
 _ORIGIN = {name: layer for layer, names in _EXPORTS.items() for name in names}

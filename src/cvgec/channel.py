@@ -35,7 +35,8 @@ class NoiseSource:
         coupling: real amplitude per channel; channel i picks up
             coupling[i] * v for the shared random variable v.
         variance: per-quadrature variance of v in natural units.
-        label: optional name carried through configs.
+        label: optional name carried through configs; it may hold no
+            whitespace and no '#', which the config format cannot carry.
     """
 
     coupling: np.ndarray
@@ -50,6 +51,8 @@ class NoiseSource:
             raise ValueError("coupling must be finite")
         if not 0.0 <= self.variance < np.inf:
             raise ValueError("source variance must be finite and nonnegative")
+        if "#" in self.label or any(ch.isspace() for ch in self.label):
+            raise ValueError(f"source label {self.label!r} may hold no whitespace and no '#'")
         coupling.flags.writeable = False
         object.__setattr__(self, "coupling", coupling)
 
@@ -98,13 +101,6 @@ class ChannelModel:
                 f"{key} has {values.size} values; need 1 or n_channels = {self.n_channels}"
             )
         return np.broadcast_to(values, (self.n_channels,)).copy()
-
-
-def mismatch_from_visibility(visibility: float) -> float:
-    """Non-interfering power fraction xi = 1 - V^2 for interference visibility V."""
-    if not 0.0 < visibility <= 1.0:
-        raise ValueError("visibility must lie in (0, 1]")
-    return 1.0 - visibility**2
 
 
 def excess_noise_snu(model: ChannelModel, channel: int) -> float:
@@ -164,7 +160,7 @@ def standard_two_channel(
 #   thermal <float per channel>
 #   mismatch <float>
 #   source <label> <variance> <coupling per channel>
-# Blank lines and '#' comments are ignored; labels must not contain spaces.
+# Blank lines and '#' comments are ignored; labels hold no whitespace or '#'.
 
 
 def dump_channel_config(model: ChannelModel) -> str:

@@ -1,9 +1,11 @@
-"""Seeded sampling of explicit noise realizations through the protocol.
+"""Seeded sampling of explicit noise realizations through the protocol,
+and the trace CSV writer.
 
 This module regenerates quadrature time traces stage by stage and serves
 as an independent check of the analytic covariance pipeline: it propagates
 the linear amplitude relations of encode, channel and decode directly on
-sampled variables rather than reusing the covariance engine.
+sampled variables rather than reusing the covariance engine; the tests
+compare both in ``tests/montecarlo_oracle.py``.
 
 Sampling draws every elementary variable per quadrature as an independent
 stream (vacuum terms with variance 1/2, classical noise with the
@@ -23,10 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import channel_map
-from .protocol import ProtocolConfig, corrected_map
-from .states import displace, partial_trace, tensor, vacuum_state
-from .transforms import GaussianMap, beam_splitter
+from .protocol import ProtocolConfig
 
 #: Stage names in record order.
 STAGES = ("input", "channel_1", "channel_2", "corrected", "discarded")
@@ -139,56 +138,6 @@ def sample_run(
     order = {name: k for k, name in enumerate(STAGES)}
     records.sort(key=lambda r: (order[r.stage], r.quadrature != "X"))
     return records
-
-
-def empirical_covariance(records) -> tuple[np.ndarray, np.ndarray]:
-    """Unbiased sample covariance of the stacked records, with standard errors.
-
-    Rows follow the record order.  The standard error of entry (i, j) is
-    estimated as sqrt((C_ii C_jj + C_ij^2) / (n - 1)).
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("no records given")
-    n = records[0].samples.size
-    if any(r.samples.size != n for r in records):
-        raise ValueError("records must all have the same number of samples")
-    if n < 2:
-        raise ValueError("need at least two samples")
-    data = np.vstack([r.samples for r in records])
-    cov = np.cov(data, ddof=1)
-    cov = np.atleast_2d(cov)
-    diag = np.diag(cov)
-    se = np.sqrt((np.outer(diag, diag) + cov**2) / (n - 1))
-    return cov, se
-
-
-def analytic_stage_moments(
-    cfg: ProtocolConfig, amplitude: tuple[float, float] = (2.0, 0.0)
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-stage (mean, covariance) predicted by the covariance engine.
-
-    Channel stages include the port's own non-interfering noise, matching
-    what a detector parked at that point records; the corrected and
-    discarded entries are the two decoder ports.
-    """
-    inp = displace(vacuum_state(1), 0, amplitude[0], amplitude[1])
-    pair = tensor(inp, vacuum_state(1))  # modes: (signal, auxiliary)
-    out = {}
-    out["input"] = (inp.mean, inp.cov)
-
-    encoder = GaussianMap.of(beam_splitter(cfg.T_e), (0, 1), 2)
-    st = encoder.then(channel_map(cfg.channel, (0, 1), 2)).apply(pair)
-    for i, stage in enumerate(("channel_1", "channel_2")):
-        reduced = partial_trace(st, [i])
-        out[stage] = (reduced.mean, reduced.cov)
-
-    joint = corrected_map(cfg, 1).apply(pair)  # modes: (corrected, discarded)
-    for i, stage in enumerate(("corrected", "discarded")):
-        reduced = partial_trace(joint, [i])
-        out[stage] = (reduced.mean, reduced.cov)
-    out["corrected+discarded"] = (joint.mean, joint.cov)
-    return out
 
 
 def write_trace_csv(records, stream) -> None:

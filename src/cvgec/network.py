@@ -75,7 +75,7 @@ def decompose_network(u: np.ndarray) -> NetworkPlan:
     Subdiagonal entries are eliminated column by column with two-mode
     rotations; the leftover diagonal of signs becomes leading pi flips.
     The returned plan applies its elements in order to realize ``u``; the
-    decode plan for the transposed matrix is given by :func:`inverse_plan`.
+    decode mesh, which realizes the transpose, is ``decompose_network(u.T)``.
     """
     u = np.array(u, dtype=float)
     n = u.shape[0]
@@ -105,20 +105,6 @@ def decompose_network(u: np.ndarray) -> NetworkPlan:
     for j, i, c, s in reversed(givens):
         elements.extend(_rotation_elements(j, i, c, -s))
     return NetworkPlan(tuple(elements), u)
-
-
-def inverse_plan(plan: NetworkPlan) -> NetworkPlan:
-    """Plan realizing the transposed (inverse) target: reverse and invert."""
-    elements = []
-    for element in reversed(plan.elements):
-        if isinstance(element, PhaseShiftElement):
-            elements.append(PhaseShiftElement(element.mode, -element.phi))
-        else:
-            # BS(t)^T = F_b BS(t) F_b with F_b the sign flip on mode_b.
-            elements.append(PhaseShiftElement(element.mode_b, np.pi))
-            elements.append(BeamSplitterElement(element.mode_a, element.mode_b, element.t))
-            elements.append(PhaseShiftElement(element.mode_b, np.pi))
-    return NetworkPlan(tuple(elements), plan.target.T)
 
 
 def target_checksum(target: np.ndarray) -> str:

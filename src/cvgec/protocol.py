@@ -150,10 +150,12 @@ def n_channel_map(model: ChannelModel, n_modes: int, signal_mode: int = 0) -> Ga
     signal mode rides that vector and the carriers, entering in vacuum,
     the rest.  With no mismatch, equal loss eta and no thermal noise, the
     signal sees the pure-loss channel of transmissivity eta regardless of
-    every source variance.  Raises :class:`NoProtectedSubspaceError` when
-    the couplings span every channel.
+    every source variance; a model without sources encodes into e_0.  Raises
+    :class:`NoProtectedSubspaceError` when the couplings span every channel.
     """
-    u = complete_orthonormal(null_space_encoder(src.coupling for src in model.sources))
+    couplings = [src.coupling for src in model.sources]
+    signal = null_space_encoder(couplings) if couplings else np.eye(model.n_channels)[0]
+    u = complete_orthonormal(signal)
     return _encoded_map(model, u, u, n_modes, signal_mode)
 
 

@@ -5,6 +5,10 @@ matrix over the quadratures, interleaved as (x1, p1, ..., xN, pN).  We use
 the convention [x, p] = i, so the vacuum has variance 1/2 per quadrature;
 shot-noise units (SNU) normalize variances to that value.
 
+States are built (vacuum, displacement, tensor product, partial trace)
+and checked (symplectic spectrum, physicality) here; the tests' direct
+Duan number and noise helper live in ``tests/state_oracle.py``.
+
 All types are immutable values and every operation is a pure function of
 its inputs, so states can be shared and evaluated in parallel freely.
 """
@@ -20,7 +24,6 @@ import numpy as np
 VACUUM_VARIANCE = 0.5
 
 _SYMMETRY_TOL = 1e-12
-_NOISE_PSD_TOL = -1e-10
 _PHYSICALITY_TOL = 1e-9
 _RESOLUTION_LIMIT = 1e-6
 
@@ -99,22 +102,6 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     return GaussianState(mean, cov)
 
 
-def add_noise(state: GaussianState, noise_cov: np.ndarray) -> GaussianState:
-    """Add zero-mean classical noise with the given covariance.
-
-    ``noise_cov`` must be symmetric positive semidefinite (eigenvalues
-    >= -1e-10 to absorb rounding) and match the state dimension.
-    """
-    noise_cov = np.asarray(noise_cov, dtype=float)
-    if noise_cov.shape != state.cov.shape:
-        raise ValueError("noise covariance dimension mismatch")
-    if _asymmetric(noise_cov):
-        raise ValueError("noise covariance is not symmetric")
-    if np.linalg.eigvalsh(noise_cov).min() < _NOISE_PSD_TOL:
-        raise ValueError("noise covariance is not positive semidefinite")
-    return GaussianState(state.mean, state.cov + noise_cov)
-
-
 def partial_trace(state: GaussianState, keep) -> GaussianState:
     """Reduced state over the kept modes (ascending mode order)."""
     keep = sorted(set(keep))
@@ -129,30 +116,6 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
 def as_snu(variance: float) -> float:
     """Convert a natural-units variance to shot-noise units (vacuum = 1)."""
     return variance / VACUUM_VARIANCE
-
-
-def duan_simon(state: GaussianState, pair: tuple[int, int]) -> float:
-    """Inseparability number Var(x_i - x_j) + Var(p_i + p_j).
-
-    Second moments are taken about the mean.  Values below 2 certify
-    entanglement of the mode pair; any product of single-mode states
-    yields at least 2.
-    """
-    i, j = pair
-    if i == j:
-        raise ValueError("need two distinct modes")
-    _check_mode(state, i)
-    _check_mode(state, j)
-    return float(duan_number(state.cov, pair))
-
-
-def duan_number(cov: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
-    """:func:`duan_simon` over a stack of covariances of shape (..., 2N, 2N)."""
-    xi, xj = 2 * pair[0], 2 * pair[1]
-    pi, pj = xi + 1, xj + 1
-    var_x = cov[..., xi, xi] + cov[..., xj, xj] - 2.0 * cov[..., xi, xj]
-    var_p = cov[..., pi, pi] + cov[..., pj, pj] + 2.0 * cov[..., pi, pj]
-    return var_x + var_p
 
 
 def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:

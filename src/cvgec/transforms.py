@@ -7,34 +7,20 @@ No map displaces the mean: the classical noise is zero-mean, and the
 incoherent baseline's feedforward is averaged into X.  A gate (beam
 splitter, phase shift, squeezer) is the case Y = 0: each gate function
 returns its local 2k x 2k symplectic block, and :meth:`GaussianMap.of`
-places that block on k modes of a register.
+places that block on k modes of a register.  The beam splitter has the
+paper's pi-flip convention, so an encode/decode pair of equal
+transmissivity composes to the identity and correlated noise cancels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .states import GaussianState, _quad_indices, vacuum_state
 
 _MAX_SQUEEZING = 20.0
-
-
-class BsConvention(Enum):
-    """Sign convention of the beam-splitter amplitudes.
-
-    PI_FLIP places a relative pi phase on the second output, giving the
-    mode matrix ((sqrt(T), -sqrt(1-T)), (-sqrt(1-T), -sqrt(T))).  This is
-    the convention under which an encode/decode pair with equal
-    transmissivity composes to the identity and correlated noise cancels.
-    ROTATION is the proper rotation ((sqrt(T), sqrt(1-T)),
-    (-sqrt(1-T), sqrt(T))).
-    """
-
-    PI_FLIP = "pi_flip"
-    ROTATION = "rotation"
 
 
 @dataclass(frozen=True)
@@ -97,24 +83,24 @@ def embed(block: np.ndarray, modes, n_modes: int, fill: float = 1.0) -> np.ndarr
     return full
 
 
-def beam_splitter_matrix(t: float, convention: BsConvention = BsConvention.PI_FLIP) -> np.ndarray:
-    """2x2 mode-amplitude matrix of a beam splitter with transmissivity t."""
+def beam_splitter_matrix(t: float) -> np.ndarray:
+    """2x2 mode-amplitude matrix ((sqrt(t), -sqrt(1-t)), (-sqrt(1-t), -sqrt(t)))
+    of a beam splitter with transmissivity t and a relative pi phase on its
+    second output."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
     c = np.sqrt(t)
     s = np.sqrt(1.0 - t)
-    if convention is BsConvention.PI_FLIP:
-        return np.array([[c, -s], [-s, -c]])
-    return np.array([[c, s], [-s, c]])
+    return np.array([[c, -s], [-s, -c]])
 
 
-def beam_splitter(t: float, convention: BsConvention = BsConvention.PI_FLIP) -> np.ndarray:
+def beam_splitter(t: float) -> np.ndarray:
     """4x4 block of a beam splitter of transmissivity ``t`` on two modes.
 
     Both quadratures transform with the same real amplitude matrix, so the
     symplectic block is the mode matrix tensored with the 2x2 identity.
     """
-    return np.kron(beam_splitter_matrix(t, convention), np.eye(2))
+    return np.kron(beam_splitter_matrix(t), np.eye(2))
 
 
 def phase_shift(phi: float) -> np.ndarray:

@@ -1,21 +1,22 @@
 """Full phase-space recomposition of a network plan, kept as an oracle.
 
-Places the symplectic block of every plan element from the transforms
-module on a 2N x 2N register and multiplies them in application order, so it
-shares nothing with the two-row mode-matrix update in ``cvgec.network``
-beyond the element types.
+Places the symplectic block of every plan element on a 2N x 2N register
+and multiplies them in application order, so it shares nothing with the
+two-row mode-matrix update in ``cvgec.network`` beyond the element types.
 """
 
 import numpy as np
 
 from cvgec.network import BeamSplitterElement, PhaseShiftElement
-from cvgec.transforms import BsConvention, beam_splitter, embed, phase_shift
+from cvgec.transforms import embed, phase_shift
 
 
 def element_symplectic(element, n_modes: int) -> np.ndarray:
     """Full 2N x 2N symplectic matrix of a single plan element."""
     if isinstance(element, BeamSplitterElement):
-        block = beam_splitter(element.t, BsConvention.ROTATION)
+        # rotation convention: ((c, s), (-s, c)) on both quadratures
+        c, s = np.sqrt(element.t), np.sqrt(1.0 - element.t)
+        block = np.kron(np.array([[c, s], [-s, c]]), np.eye(2))
         modes = (element.mode_a, element.mode_b)
     elif isinstance(element, PhaseShiftElement):
         block, modes = phase_shift(element.phi), (element.mode,)

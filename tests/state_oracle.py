@@ -1,0 +1,40 @@
+"""Direct state-level references, kept as an oracle.
+
+``duan_simon`` reads the Duan inseparability number off a covariance
+entry by entry, so it shares nothing with the closed form in
+``cvgec.analysis`` that the sweeps write.  ``add_noise`` is a plain helper
+that adds a classical noise covariance to a state.
+"""
+
+import numpy as np
+
+from cvgec.states import GaussianState
+
+
+def add_noise(state: GaussianState, noise_cov) -> GaussianState:
+    """``state`` with zero-mean classical noise of covariance ``noise_cov`` added."""
+    return GaussianState(state.mean, state.cov + np.asarray(noise_cov, dtype=float))
+
+
+def duan_simon(state: GaussianState, pair: tuple[int, int]) -> float:
+    """Inseparability number Var(x_i - x_j) + Var(p_i + p_j).
+
+    Second moments are taken about the mean.  Values below 2 certify
+    entanglement of the mode pair; any product of single-mode states
+    yields at least 2.
+    """
+    i, j = pair
+    if i == j:
+        raise ValueError("need two distinct modes")
+    if not (0 <= i < state.n_modes and 0 <= j < state.n_modes):
+        raise ValueError(f"modes {pair} out of range for {state.n_modes} modes")
+    return float(duan_number(state.cov, pair))
+
+
+def duan_number(cov: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """:func:`duan_simon` over a stack of covariances of shape (..., 2N, 2N)."""
+    xi, xj = 2 * pair[0], 2 * pair[1]
+    pi, pj = xi + 1, xj + 1
+    var_x = cov[..., xi, xi] + cov[..., xj, xj] - 2.0 * cov[..., xi, xj]
+    var_p = cov[..., pi, pi] + cov[..., pj, pj] + 2.0 * cov[..., pi, pj]
+    return var_x + var_p

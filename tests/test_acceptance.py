@@ -18,7 +18,7 @@ from cvgec.analysis import (
 )
 from cvgec.channel import ChannelModel, NoiseSource, channel_map, standard_two_channel
 from cvgec.fidelity import fidelity
-from cvgec.montecarlo import STAGES, analytic_stage_moments, empirical_covariance, sample_run
+from cvgec.montecarlo import STAGES, sample_run
 from cvgec.network import decompose_network
 from cvgec.protocol import (
     NoisePatternSet,
@@ -28,20 +28,16 @@ from cvgec.protocol import (
     optimal_splitting,
     optimal_splitting_for,
 )
-from cvgec.states import (
-    displace,
-    duan_simon,
-    physicality_check,
-    symplectic_form,
-    vacuum_state,
-)
+from cvgec.states import displace, physicality_check, symplectic_form, vacuum_state
 from cvgec.transforms import GaussianMap, beam_splitter, phase_shift, squeeze
 
 import breaking_oracle
 from fock_oracle import fidelity_fock_states
 from map_reference import pure_loss_reference
+from montecarlo_oracle import analytic_stage_moments, empirical_covariance
 from network_oracle import plan_symplectic
 from splitting_oracle import grid_scan_splitting
+from state_oracle import duan_simon
 from test_analysis import unit_model
 from test_states import random_physical_state
 

@@ -27,11 +27,12 @@ from cvgec.protocol import (
     optimal_splitting_for,
     uncorrected_channel,
 )
-from cvgec.states import GaussianState, as_snu, displace, duan_number, duan_simon, vacuum_state
+from cvgec.states import GaussianState, as_snu, displace, vacuum_state
 from cvgec.transforms import two_mode_squeezed
 
 import breaking_oracle
 from splitting_oracle import golden_section, grid_scan_splitting, nested_search
+from state_oracle import duan_number, duan_simon
 from test_states import random_physical_state
 
 

@@ -1,9 +1,13 @@
 """Channel model: loss, thermal noise, correlated sources, mismatch."""
 
+import re
+import string
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvgec.channel import (
     ChannelModel,
@@ -11,7 +15,6 @@ from cvgec.channel import (
     channel_map,
     dump_channel_config,
     excess_noise_snu,
-    mismatch_from_visibility,
     parse_channel_config,
     standard_two_channel,
 )
@@ -125,10 +128,6 @@ class TestMismatchBookkeeping:
         with pytest.raises(ValueError):
             replace(model, mismatch=1.0)
 
-    def test_visibility_mapping(self):
-        assert mismatch_from_visibility(0.995) == pytest.approx(0.009975, abs=1e-12)
-        assert mismatch_from_visibility(1.0) == 0.0
-
     def test_zero_xi_adds_no_noninterfering_noise(self):
         # at xi = 0 the added covariance is exactly the rank-1 source term
         model = single_source(1.0, 1.0, 5.0, xi=0.0)
@@ -208,6 +207,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             build()
 
+    @pytest.mark.parametrize("label", ["my src", "tab\there", "end\n", "a#b", "#"])
+    def test_label_the_config_cannot_carry_refused(self, label):
+        # dump_channel_config would write a source line that
+        # parse_channel_config splits or cuts at the comment
+        with pytest.raises(ValueError, match=f"^source label {re.escape(repr(label))} may hold"):
+            NoiseSource([1.0, 1.0], 1.0, label)
+
 
 class TestConfigRoundTrip:
     def test_round_trip(self):
@@ -241,3 +247,37 @@ class TestConfigRoundTrip:
     def test_bad_line_reports_position(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_channel_config("n_channels 2\nbogus 1\n")
+
+
+@st.composite
+def channel_models(draw):
+    """Models the constructors accept, over the whole range of each field."""
+    n = draw(st.integers(1, 4))
+    per_channel = lambda values: st.lists(values, min_size=n, max_size=n)
+    eta = draw(per_channel(st.floats(0.0, 1.0, exclude_min=True)))
+    thermal = draw(per_channel(st.floats(0.0, 1e3)))
+    mismatch = draw(st.floats(0.0, 1.0, exclude_max=True))
+    source = st.builds(
+        NoiseSource,
+        per_channel(st.floats(allow_nan=False, allow_infinity=False)),
+        st.floats(0.0, 1e300),
+        st.text(string.ascii_letters + string.digits + "_.-"),
+    )
+    sources = draw(st.lists(source, max_size=3))
+    return ChannelModel(n, eta, thermal, tuple(sources), mismatch)
+
+
+@settings(max_examples=150, deadline=None)
+@given(channel_models())
+def test_config_round_trips_every_accepted_model(model):
+    text = dump_channel_config(model)
+    back = parse_channel_config(text)
+    assert dump_channel_config(back) == text
+    assert back.n_channels == model.n_channels
+    assert np.array_equal(back.eta, model.eta)
+    assert np.array_equal(back.thermal, model.thermal)
+    assert back.mismatch == model.mismatch
+    assert len(back.sources) == len(model.sources)
+    for a, b in zip(back.sources, model.sources):
+        assert np.array_equal(a.coupling, b.coupling)
+        assert a.variance == b.variance

@@ -242,8 +242,9 @@ class TestChannelConfigInSweeps:
     def test_entangle_sweeps_a_config_with_a_protected_mode(self, tmp_path, capsys, text):
         from cvgec.channel import excess_noise_snu, parse_channel_config
         from cvgec.protocol import n_channel_protocol
-        from cvgec.states import as_snu, duan_simon
+        from cvgec.states import as_snu
         from cvgec.transforms import two_mode_squeezed
+        from state_oracle import duan_simon
 
         cfg = tmp_path / "channel.cfg"
         cfg.write_text(text)

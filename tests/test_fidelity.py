@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from cvgec.fidelity import _fidelity_logs, fidelity, fidelity_moments
-from cvgec.states import add_noise, displace, vacuum_state
+from cvgec.states import displace, vacuum_state
 from cvgec.transforms import GaussianMap, phase_shift, squeeze
 
 from fock_oracle import fidelity_fock_states
+from state_oracle import add_noise
 from test_states import random_physical_state
 
 

@@ -11,7 +11,6 @@ import cvgec
 
 #: The package's public names and the layer each comes from.
 SURFACE = {
-    "BsConvention": "transforms",
     "ChannelModel": "channel",
     "GaussianMap": "transforms",
     "GaussianState": "states",
@@ -21,19 +20,15 @@ SURFACE = {
     "NoiseSource": "channel",
     "ProtocolConfig": "protocol",
     "VACUUM_VARIANCE": "states",
-    "add_noise": "states",
     "as_snu": "states",
     "beam_splitter": "transforms",
     "channel": None,
     "corrected_channel": "protocol",
     "decompose_network": "network",
     "displace": "states",
-    "duan_simon": "states",
     "excess_noise_snu": "channel",
     "fidelity": "fidelity",
     "incoherent_strategy": "protocol",
-    "inverse_plan": "network",
-    "mismatch_from_visibility": "channel",
     "n_channel_protocol": "protocol",
     "network": None,
     "null_space_encoder": "protocol",

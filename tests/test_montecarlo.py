@@ -7,13 +7,12 @@ from cvgec.channel import standard_two_channel
 from cvgec.montecarlo import (
     STAGES,
     TraceRecord,
-    analytic_stage_moments,
-    empirical_covariance,
     sample_run,
     write_trace_csv,
 )
 from cvgec.protocol import ProtocolConfig, optimal_splitting_for
 
+from montecarlo_oracle import analytic_stage_moments, empirical_covariance
 from trace_reference import write_trace_csv_per_cell
 
 

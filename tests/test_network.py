@@ -8,7 +8,6 @@ from cvgec.network import (
     NetworkPlan,
     PhaseShiftElement,
     decompose_network,
-    inverse_plan,
     parse_plan,
     _recompose,
     serialize_plan,
@@ -67,19 +66,11 @@ class TestDecompose:
         plan = decompose_network(u)
         assert np.abs(_recompose(plan.elements, 2) - u).max() < 1e-15
         assert np.abs(parse_plan(serialize_plan(plan))[0].target - u).max() < 1e-15
-        assert np.abs(inverse_plan(plan).target - u.T).max() < 1e-15
         assert recompose_error(plan) < 1e-10
 
     def test_non_orthogonal_rejected(self):
         with pytest.raises(ValueError, match="orthogonal"):
             decompose_network(np.array([[1.0, 0.2], [0.0, 1.0]]))
-
-    def test_inverse_plan_recomposes_transpose(self):
-        rng = np.random.default_rng(7)
-        u = random_orthogonal(rng, 5)
-        inv = inverse_plan(decompose_network(u))
-        assert np.abs(plan_symplectic(inv) - np.kron(u.T, np.eye(2))).max() < 1e-10
-
 
     @pytest.mark.parametrize("n", [*range(2, 9), 24, 48])
     def test_two_row_updates_match_full_recomposition(self, n):

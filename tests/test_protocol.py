@@ -21,10 +21,11 @@ from cvgec.protocol import (
     optimal_splitting_for,
     uncorrected_channel,
 )
-from cvgec.states import GaussianState, as_snu, displace, duan_simon, tensor, vacuum_state
+from cvgec.states import GaussianState, as_snu, displace, tensor, vacuum_state
 from cvgec.transforms import GaussianMap, beam_splitter, two_mode_squeezed
 
 from map_reference import characterize_single_mode_map, pure_loss_reference
+from state_oracle import duan_simon
 from test_states import random_physical_state
 
 
@@ -439,6 +440,21 @@ class TestNChannelProtocol:
             y_ref[:, rows] = 0.5 * (1.0 - eta) * np.eye(2)
             assert np.abs(m.X[rows] - x_ref).max() < 1e-12
             assert np.abs(m.Y[rows] - y_ref).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "eta, thermal", [([0.7, 0.4], [0.3, 2.0]), ([0.55, 0.9, 0.2], [1.5, 0.0, 4.0])]
+    )
+    def test_model_without_sources_keeps_the_signal_on_channel_0(self, eta, thermal):
+        # every mode is protected: the signal rides e_0, so it sees channel 0
+        # alone, X = sqrt(eta_0) I and Y = (1 - eta_0)(1/2 + n_0) I
+        m = n_channel_map(ChannelModel(len(eta), eta, thermal), 1)
+        assert m.n_modes == len(eta)
+        x_ref = np.zeros((2, 2 * m.n_modes))
+        x_ref[:, :2] = np.sqrt(eta[0]) * np.eye(2)
+        y_ref = np.zeros((2, 2 * m.n_modes))
+        y_ref[:, :2] = (1.0 - eta[0]) * (0.5 + thermal[0]) * np.eye(2)
+        assert np.array_equal(m.X[:2], x_ref)
+        assert np.array_equal(m.Y[:2], y_ref)
 
     def test_pinned_bytes(self):
         # sha256 of one seeded 32-channel run, recorded before the encoder

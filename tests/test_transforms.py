@@ -7,7 +7,6 @@ import pytest
 
 from cvgec.states import displace, physicality_check, symplectic_form, vacuum_state
 from cvgec.transforms import (
-    BsConvention,
     GaussianMap,
     beam_splitter,
     beam_splitter_matrix,
@@ -16,6 +15,7 @@ from cvgec.transforms import (
     squeeze,
     two_mode_squeezed,
 )
+from state_oracle import duan_simon
 from test_states import random_physical_state
 
 
@@ -30,7 +30,7 @@ def on(block, modes, state):
 
 
 GATE_GRID = [
-    *((beam_splitter, (t, c)) for t in (0.0, 0.17, 0.5, 0.62, 1.0) for c in BsConvention),
+    *((beam_splitter, (t,)) for t in (0.0, 0.17, 0.5, 0.62, 1.0)),
     *(
         (squeeze, (r, theta))
         for r in (-1.5, -0.3, 0.0, 0.9, 1.5)
@@ -41,8 +41,7 @@ GATE_GRID = [
 
 
 def gate_id(gate, args):
-    values = (a.value if isinstance(a, BsConvention) else f"{a:.4g}" for a in args)
-    return "-".join([gate.__name__, *values])
+    return "-".join([gate.__name__, *(f"{a:.4g}" for a in args)])
 
 
 @pytest.mark.parametrize("gate, args", GATE_GRID, ids=[gate_id(g, a) for g, a in GATE_GRID])
@@ -61,11 +60,8 @@ def test_strong_rotated_squeezer_is_symplectic_to_rounding(r, theta):
 
 
 class TestBeamSplitter:
-    def test_full_transmission_rotation_is_identity(self):
-        assert np.allclose(beam_splitter(1.0, BsConvention.ROTATION), np.eye(4), atol=0)
-
     def test_full_transmission_pi_flip_flips_second_port(self):
-        bs = beam_splitter(1.0, BsConvention.PI_FLIP)
+        bs = beam_splitter(1.0)
         assert np.allclose(bs, np.diag([1.0, 1.0, -1.0, -1.0]), atol=0)
 
     def test_balanced_pi_flip_is_an_involution(self):
@@ -147,8 +143,6 @@ class TestTwoModeSqueezed:
     @pytest.mark.parametrize("r", [0.3, 1.0])
     def test_inseparability_matches_hand_built_covariance(self, r):
         # independent oracle: explicit 4x4 covariance algebra
-        from cvgec.states import duan_simon
-
         s = np.sqrt(0.5)
         bs = np.kron(np.array([[s, -s], [-s, -s]]), np.eye(2))
         cov_in = np.diag([np.exp(-2 * r), np.exp(2 * r), np.exp(2 * r), np.exp(-2 * r)]) / 2
@@ -160,8 +154,6 @@ class TestTwoModeSqueezed:
         assert duan_simon(two_mode_squeezed(r), (0, 1)) == pytest.approx(expected, abs=1e-12)
 
     def test_frozen_values(self):
-        from cvgec.states import duan_simon
-
         assert duan_simon(two_mode_squeezed(0.3), (0, 1)) == pytest.approx(
             1.0976232721880528, abs=1e-12
         )
@@ -204,8 +196,7 @@ class TestGaussianMap:
         for _ in range(50):
             state = random_physical_state(rng, 2)
             t = rng.uniform(0, 1)
-            convention = rng.choice(list(BsConvention))
-            out = on(beam_splitter(t, convention), (0, 1), state)
+            out = on(beam_splitter(t), (0, 1), state)
             assert np.linalg.norm(out.mean) == pytest.approx(
                 np.linalg.norm(state.mean), abs=1e-10
             )
