@@ -251,12 +251,14 @@ def _cmd_synth(args) -> int:
     from .network import decompose_network, serialize_plan
     from .patterns import NoisePatternSet, complete_orthonormal, null_space_encoder
 
+    rows = []
     with open(args.patterns) as fh:
-        rows = [
-            [float(x) for x in line.split()]
-            for line in fh
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            if raw.strip() and not raw.lstrip().startswith("#"):
+                try:
+                    rows.append([float(x) for x in raw.split()])
+                except ValueError as exc:
+                    raise ValueError(f"bad pattern line {lineno}: {raw!r}") from exc
     if not rows:
         raise UsageError("pattern file contains no vectors")
     patterns = NoisePatternSet(tuple(rows))

@@ -1,9 +1,9 @@
 """Passive-network synthesis: orthogonal matrices as beam-splitter meshes.
 
 A real orthogonal N x N mode matrix is factored by triangular elimination
-with Givens-style two-mode rotations into at most N(N-1)/2 beam splitters
-plus single-mode pi phase flips.  Plans serialize to a line-oriented text
-format (one element per line) used by the `synth` CLI command.
+into at most N leading pi phase flips and one beam splitter per Givens
+rotation, two where its |s| < 1e-6.  Plans serialize to a line-oriented
+text format (one element per line) used by the `synth` CLI command.
 """
 
 from __future__ import annotations
@@ -73,13 +73,15 @@ def decompose_network(u: np.ndarray) -> NetworkPlan:
     """Factor a real orthogonal matrix into beam splitters and sign flips.
 
     Subdiagonal entries are eliminated column by column with two-mode
-    rotations; the leftover diagonal of signs becomes leading pi flips.
+    rotations whose cosines are >= 0, so every sign stays on the leftover
+    diagonal, which becomes at most N leading pi flips.  Each rotation is
+    one beam splitter, or two (a quarter turn first) where |s| < 1e-6.
     The returned plan applies its elements in order to realize ``u``; the
     decode mesh, which realizes the transpose, is ``decompose_network(u.T)``.
     """
     u = np.array(u, dtype=float)
     n = u.shape[0]
-    if u.shape != (n, n) or np.max(np.abs(u.T @ u - np.eye(n))) > _ORTHO_TOL:
+    if n == 0 or u.shape != (n, n) or np.max(np.abs(u.T @ u - np.eye(n))) > _ORTHO_TOL:
         raise ValueError("input must be a real orthogonal matrix")
 
     work = u.copy()
@@ -88,7 +90,7 @@ def decompose_network(u: np.ndarray) -> NetworkPlan:
         for i in range(j + 1, n):
             if work[i, j] == 0.0:
                 continue
-            h = np.hypot(work[j, j], work[i, j])
+            h = math.copysign(math.hypot(work[j, j], work[i, j]), work[j, j])
             c, s = work[j, j] / h, work[i, j] / h
             # Rows j and i, from column j on: the columns before j are
             # eliminated and never read again.
@@ -145,6 +147,8 @@ def parse_plan(text: str) -> tuple[NetworkPlan, str]:
         try:
             if parts[0] == "N":
                 n = int(parts[1])
+                if n < 1:
+                    raise ValueError("a plan needs at least one mode")
             elif parts[0] == "checksum":
                 checksum = parts[1]
             elif parts[0] == "BS":
@@ -175,7 +179,7 @@ def _recompose(elements, n: int, labels=None) -> np.ndarray:
         if isinstance(e, BeamSplitterElement):
             a, b, t = e.mode_a, e.mode_b, e.t
             if a == b or not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"{_label(labels, k)}: needs distinct modes of the plan")
+                raise ValueError(f"{_label(labels, k)}: needs two distinct modes among the plan's {n}")
             if not 0.0 <= t <= 1.0:
                 raise ValueError(f"{_label(labels, k)}: transmissivity must lie in [0, 1]")
             c, s = math.sqrt(t), math.sqrt(1.0 - t)
@@ -188,7 +192,7 @@ def _recompose(elements, n: int, labels=None) -> np.ndarray:
         elif isinstance(e, PhaseShiftElement):
             m, phi = e.mode, e.phi
             if not 0 <= m < n:
-                raise ValueError(f"{_label(labels, k)}: needs distinct modes of the plan")
+                raise ValueError(f"{_label(labels, k)}: mode {m} is outside the plan's {n} modes")
             if not (math.isfinite(phi) and abs(math.sin(phi)) <= _RECOMPOSE_TOL):
                 raise ValueError(
                     f"{_label(labels, k)}: phase {phi!r} would mix x and p; only 0 or +-pi"
@@ -205,21 +209,14 @@ def _label(labels, k: int) -> str:
 
 
 def _rotation_elements(j: int, i: int, c: float, s: float) -> list:
-    """Elements realizing the rotation ((c, s), (-s, c)) on modes (j, i)."""
-    if abs(s) < _SMALL_REFLECTIVITY:
-        # R(c, s) = R(s, -c) R(0, 1); planar rotations commute.
-        return [BeamSplitterElement(j, i, 0.0), *_rotation_elements(j, i, s, -c)]
-    out = []
-    if c < 0:  # pull out a global sign: R(theta) = R(theta - pi) * R(pi)
-        out.append(PhaseShiftElement(j, np.pi))
-        out.append(PhaseShiftElement(i, np.pi))
-        c, s = -c, -s
-    t = min(max(c * c, 0.0), 1.0)
-    if s >= 0:
-        out.append(BeamSplitterElement(j, i, t))
-    else:
-        # ((c, -|s|), (|s|, c)) = F_i BS(t) F_i
-        out.append(PhaseShiftElement(i, np.pi))
-        out.append(BeamSplitterElement(j, i, t))
-        out.append(PhaseShiftElement(i, np.pi))
-    return out
+    """Elements realizing the rotation ((c, s), (-s, c)) on modes (j, i), c >= 0.
+
+    The rotation by -s is the same splitter with its modes swapped, so the
+    sign of s only picks the orientation (a, b) of one splitter.
+    """
+    a, b = (j, i) if s >= 0 else (i, j)
+    s = abs(s)
+    if s < _SMALL_REFLECTIVITY:
+        # R(c, s) = R(s, -c) R(0, 1) on (a, b), and R(s, -c) is R(s, c) on (b, a).
+        return [BeamSplitterElement(a, b, 0.0), BeamSplitterElement(b, a, s * s)]
+    return [BeamSplitterElement(a, b, c * c)]

@@ -517,7 +517,7 @@ class TestSynth:
         patterns.write_text("".join(" ".join(f"{x:.6f}" for x in row) + "\n" for row in rows))
         out = tmp_path / "plan.txt"
         assert main(["synth", "--patterns", str(patterns), "--out", str(out)]) == 0
-        assert sha256(out) == "f8371196dbbde11822dfa5ed24b17cb0d7084a3a767116fd7cd11a660478a8cb"
+        assert sha256(out) == "1804ca88ca4b49d5d524265d0113eec7bf507de901c630d31227fef4f59e0985"
 
     def test_small_reflectivity_mesh(self, tmp_path, capsys):
         # the protected mode (1, -1.2e-7) needs a rotation with s = 1.2e-7
@@ -546,6 +546,14 @@ class TestSynth:
         out = tmp_path / "plan.txt"
         assert main(["synth", "--patterns", str(patterns), "--out", str(out)]) == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_pattern_line_named(self, tmp_path, capsys):
+        patterns = tmp_path / "p.txt"
+        patterns.write_text("# couplings\n1 x 0\n")
+        out = tmp_path / "plan.txt"
+        assert main(["synth", "--patterns", str(patterns), "--out", str(out)]) == 2
+        assert "bad pattern line 2: '1 x 0'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_full_rank_exits_3(self, tmp_path, capsys):

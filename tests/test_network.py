@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvgec.network import (
     BeamSplitterElement,
@@ -14,7 +16,7 @@ from cvgec.network import (
     target_checksum,
 )
 
-from cvgec.patterns import complete_orthonormal
+from cvgec.patterns import NoisePatternSet, complete_orthonormal, null_space_encoder
 
 from network_oracle import plan_symplectic
 
@@ -72,6 +74,10 @@ class TestDecompose:
         with pytest.raises(ValueError, match="orthogonal"):
             decompose_network(np.array([[1.0, 0.2], [0.0, 1.0]]))
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="input must be a real orthogonal matrix"):
+            decompose_network(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("n", [*range(2, 9), 24, 48])
     def test_two_row_updates_match_full_recomposition(self, n):
         rng = np.random.default_rng(200 + n)
@@ -83,6 +89,60 @@ class TestDecompose:
         # pi flips leave sin(pi) ~ 1e-16 in the oracle's x-p blocks
         assert np.abs(full[::2, 1::2]).max() < 1e-12
         assert np.abs(full[1::2, ::2]).max() < 1e-12
+
+
+def assert_mesh_shape(u, n_rotations):
+    """Plan of ``u``: recomposes to 1e-10, flips only ahead of the splitters
+    and at most N of them, one splitter per rotation or two where |s| < 1e-6."""
+    n = u.shape[0]
+    plan = decompose_network(u)
+    assert np.abs(_recompose(plan.elements, n) - u).max() <= 1e-10
+    assert np.abs(plan_symplectic(plan) - np.kron(u, np.eye(2))).max() <= 1e-10
+    kinds = [type(e) for e in plan.elements]
+    n_flips = kinds.count(PhaseShiftElement)
+    assert kinds == [PhaseShiftElement] * n_flips + [BeamSplitterElement] * (len(kinds) - n_flips)
+    assert n_flips <= n
+    splitters = plan.elements[n_flips:]
+    # a quarter turn (t = 0) is followed by the swapped splitter with t = s^2 < 1e-12
+    quarter_turns = [k for k, e in enumerate(splitters) if e.t == 0.0]
+    for k in quarter_turns:
+        first, second = splitters[k], splitters[k + 1]
+        assert (second.mode_a, second.mode_b) == (first.mode_b, first.mode_a)
+        assert second.t < 1e-12
+    assert len(splitters) == n_rotations + len(quarter_turns)
+    return plan
+
+
+@st.composite
+def orthogonal_matrices(draw):
+    """Haar-like Q from QR (sign of R's diagonal fixed), times a random sign
+    diagonal and a random column permutation."""
+    n = draw(st.integers(1, 10))
+    q = random_orthogonal(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n))
+    return (q * signs)[:, draw(st.permutations(range(n)))]
+
+
+class TestMeshShape:
+    @settings(max_examples=150, deadline=None)
+    @given(orthogonal_matrices())
+    def test_orthogonal_matrices(self, u):
+        n = u.shape[0]
+        # every subdiagonal entry of a dense matrix takes one rotation
+        assert_mesh_shape(u, n * (n - 1) // 2)
+
+    @pytest.mark.parametrize("s", [1e-12, 1.2e-7, 0.3])
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_two_mode_rotations(self, s, signs):
+        c, s = signs[0] * np.sqrt(1.0 - s * s), signs[1] * s
+        assert_mesh_shape(np.array([[c, s], [-s, c]]), 1)
+
+    def test_anti_correlated_pattern_is_one_splitter(self):
+        signal = null_space_encoder(NoisePatternSet(((0.78, -1.0),)))
+        plan = assert_mesh_shape(complete_orthonormal(signal), 1)
+        kinds = [type(e) for e in plan.elements]
+        assert kinds.count(BeamSplitterElement) == 1
+        assert kinds.count(PhaseShiftElement) <= 1
 
 
 class TestPlanValidation:
@@ -164,6 +224,15 @@ class TestSerialization:
         text = "N 2\nchecksum abc\n# a note\nBS 0 1 0.25\nPS 1 1.5707963267948966\n"
         with pytest.raises(ValueError, match=r"plan line 5: phase 1.5707963267948966"):
             parse_plan(text)
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_plan_without_modes_names_its_header(self, n):
+        with pytest.raises(ValueError, match=f"bad plan line 2: 'N {n}'"):
+            parse_plan(f"# empty\nN {n}\n")
+
+    def test_mode_outside_the_plan_named(self):
+        with pytest.raises(ValueError, match=r"plan line 2: mode 5 is outside the plan's 2 modes"):
+            parse_plan("N 2\nPS 5 3.1415926535897931\n")
 
     def test_pi_flips_parse(self):
         plan, _ = parse_plan("N 2\nPS 0 3.1415926535897931\nPS 1 -3.1415926535897931\n")
