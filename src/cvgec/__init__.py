@@ -51,7 +51,6 @@ _EXPORTS = {
         "corrected_channel",
         "incoherent_strategy",
         "n_channel_protocol",
-        "optimal_splitting",
         "uncorrected_channel",
     ),
     "network": ("NetworkPlan", "decompose_network"),

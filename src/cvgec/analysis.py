@@ -216,19 +216,21 @@ def optimize_splitting(
     objective: str = "variance",
     eps_snu: float = 10.0,
     amplitude: tuple[float, float] = (2.0, 0.0),
-) -> tuple[float, float, float]:
-    """Best encoder/decoder transmissivities, in closed form.
+) -> tuple[tuple[float, float], tuple[float, float], float]:
+    """Best encoder/decoder splitters, in closed form.
 
-    Returns ``(T, T, value)``, the objective evaluated once on the protocol
-    at T_e = T_d = T.  T_e enters only through the mean attenuation
-    sqrt(eta) cos(theta_e - theta_d), with T = cos^2 theta, which is best
-    at T_e = T_d; T_d alone sets the added noise var Q(T_d) at the signal
-    port.  The variance is smallest at the minimum of Q (g2 / (g1 + g2) at
-    xi = 0).  The coherent-probe fidelity exp(-D / 2u) / u, with
-    u = 1 + var Q and D = (1 - sqrt(eta))^2 |amplitude|^2, peaks at
-    u = D / 2; so it shares that optimum unless D / 2 - 1 exceeds the
-    minimum noise, which a lossy enough channel allows, and then T is
-    where the noise comes closest to D / 2 - 1.
+    Returns ``(pair, pair, value)``: the amplitude pair
+    (c, s) = (cos theta, sin theta) of both splitters and the objective
+    evaluated once on the protocol at that pair.  The encoder enters only
+    through the mean attenuation sqrt(eta) cos(theta_e - theta_d), which is
+    best at equal pairs; the decoder alone sets the added noise var Q at the
+    signal port.  The variance is smallest at the minimum of Q
+    (T = c^2 = g2 / (g1 + g2) at xi = 0).  The coherent-probe fidelity
+    exp(-D / 2u) / u, with u = 1 + var Q and
+    D = (1 - sqrt(eta))^2 |amplitude|^2, peaks at u = D / 2; so it shares
+    that optimum unless D / 2 - 1 exceeds the minimum noise, which a lossy
+    enough channel allows, and then the pair is where the noise comes
+    closest to D / 2 - 1.
     """
     if objective not in ("fidelity", "variance"):
         raise ValueError("objective must be 'fidelity' or 'variance'")
@@ -240,12 +242,12 @@ def optimize_splitting(
     if objective == "fidelity" and eps_snu > 0.0:
         shift = (1.0 - math.sqrt(eta)) ** 2 * (amplitude[0] ** 2 + amplitude[1] ** 2)
         level = (0.5 * shift - 1.0) / variance
-    t = _splitting_for_noise(g1, g2, xi, level)
+    pair = _splitting_for_noise(g1, g2, xi, level)
     probe = displace(vacuum_state(1), 0, amplitude[0], amplitude[1])
-    out = corrected_channel(ProtocolConfig(t, t, model), probe)
+    out = corrected_channel(ProtocolConfig(pair, pair, model), probe)
     if objective == "fidelity":
-        return t, t, -fidelity(out, probe)
-    return t, t, as_snu(0.5 * (out.cov[0, 0] + out.cov[1, 1]) - 0.5)
+        return pair, pair, -fidelity(out, probe)
+    return pair, pair, as_snu(0.5 * (out.cov[0, 0] + out.cov[1, 1]) - 0.5)
 
 
 def write_sweep_csv(result: SweepResult, stream, columns=SWEEP_COLUMNS) -> None:
@@ -354,31 +356,31 @@ def _squeezing_minimum(x: np.ndarray, r_max: float) -> float:
     return 0.5 * (s * math.exp(2.0 * r) + d * math.exp(-2.0 * r))
 
 
-def _splitting_for_noise(g1: float, g2: float, xi: float, level: float) -> float:
-    """Transmissivity T at which the noise form Q(T) comes closest to
-    ``level`` without going under its minimum.
+def _splitting_for_noise(g1: float, g2: float, xi: float, level: float) -> tuple[float, float]:
+    """Amplitude pair (c, s) = (cos psi/2, sin psi/2), psi in [0, pi], at
+    which the noise form Q comes closest to ``level`` without going under
+    its minimum.
 
-    Q(T) = (1 - xi)(sqrt(T g1) - sqrt((1 - T) g2))^2 + xi (T g1 + (1 - T) g2)
-    is a quadratic form in (sqrt T, sqrt(1 - T)) = (cos psi/2, sin psi/2),
-    Q = m - r cos(psi - psi*) with m = (g1 + g2) / 2 and
-    2 r = sqrt((g1 - g2)^2 + 4 (1 - xi)^2 g1 g2) > 0 for g1, g2 > 0 and
-    xi < 1.  Its minimum m - r, the lower eigenvalue of
-    [[g1, -(1 - xi) sqrt(g1 g2)], [-(1 - xi) sqrt(g1 g2), g2]], lies at
-    T* = (1 + cos psi*) / 2 = (1 + (g2 - g1) / 2r) / 2.  Above it,
-    Q = level at psi = psi* -+ acos((m - level) / r); a tie goes to the
-    larger T, and a level past both ends of [0, 1] to the end nearer it.
+    Q = (1 - xi)(c sqrt(g1) - s sqrt(g2))^2 + xi (c^2 g1 + s^2 g2)
+    = m - r cos(psi - psi*), with m = (g1 + g2) / 2, the cross term
+    k = 2 (1 - xi) sqrt(g1 g2) and 2 r = sqrt((g1 - g2)^2 + k^2) > 0 for
+    g1, g2 > 0 and xi < 1.  Its minimum m - r, the lower eigenvalue of
+    [[g1, -k / 2], [-k / 2, g2]], lies at psi* = atan2(k, g2 - g1), which
+    is T = c^2 = g2 / (g1 + g2) at xi = 0.  Above it, Q = level at
+    psi = psi* -+ acos((m - level) / r); a tie goes to the larger c, and a
+    level past both ends of [0, pi] to the end nearer it.  s is the sine of
+    psi / 2 and c that of (pi - psi) / 2, each half-angle taken from its own
+    atan2, so both keep their relative precision at any g1 / g2.
     """
-    root = math.hypot(g1 - g2, 2.0 * (1.0 - xi) * math.sqrt(g1) * math.sqrt(g2))
+    cross = 2.0 * (1.0 - xi) * math.sqrt(g1) * math.sqrt(g2)
+    half_root = 0.5 * math.hypot(g1 - g2, cross)
     spread = 0.5 * (g1 + g2) - level
-    if spread >= 0.5 * root:
-        return 0.5 * (1.0 + (g2 - g1) / root)
-    centre = math.acos((g2 - g1) / root)
-    turn = math.acos(max(spread / (0.5 * root), -1.0))
-    if centre >= turn:
-        psi = centre - turn
-    elif centre + turn <= math.pi:
-        psi = centre + turn
+    turn = math.acos(max(min(spread / half_root, 1.0), -1.0))
+    psi, rest = math.atan2(cross, g2 - g1), math.atan2(cross, g1 - g2)
+    if psi >= turn:
+        psi, rest = psi - turn, rest + turn
+    elif rest >= turn:
+        psi, rest = psi + turn, rest - turn
     else:
-        psi = 0.0 if g1 >= g2 else math.pi
-    return 0.5 * (1.0 + math.cos(psi))
-
+        return (1.0, 0.0) if g1 >= g2 else (0.0, 1.0)
+    return math.sin(0.5 * rest), math.sin(0.5 * psi)

@@ -231,10 +231,9 @@ def _cmd_trace(args) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be nonnegative")
     model = _effective_channel(args, eps=args.eps)
-    t = optimal_splitting_for(model)
-    cfg = ProtocolConfig(t, t, model)
+    pair = optimal_splitting_for(model)
     records = sample_run(
-        cfg,
+        ProtocolConfig(pair, pair, model),
         args.n,
         args.seed,
         amplitude=tuple(args.amplitude),
@@ -243,7 +242,7 @@ def _cmd_trace(args) -> int:
     _atomic_write(args.out, lambda fh: write_trace_csv(records, fh))
     _maybe_dump_config(args, model)
     channel = dump_channel_config(model).splitlines()
-    _write_manifest(args, seed=args.seed, extras={"splitting": t, "channel": channel})
+    _write_manifest(args, seed=args.seed, extras={"splitting": list(pair), "channel": channel})
     return 0
 
 
@@ -282,13 +281,13 @@ def _cmd_synth(args) -> int:
 def _cmd_optimize(args) -> int:
     from .analysis import optimize_splitting
 
-    te, td, value = optimize_splitting(
+    encoder, decoder, value = optimize_splitting(
         args.g1, args.g2, xi=args.xi, eta=args.eta,
         objective=args.objective, eps_snu=args.eps,
     )
     payload = {
-        "T_e": te,
-        "T_d": td,
+        "T_e": encoder[0] ** 2,
+        "T_d": decoder[0] ** 2,
         "objective": args.objective,
         "objective_value": value,
         "manifest": _manifest_payload(args),

@@ -61,6 +61,7 @@ def sample_run(
 ) -> list[TraceRecord]:
     """Draw ``n`` shots through the two-channel protocol.
 
+    The splitters act with the amplitude pairs (c, s) of ``cfg`` as given.
     Returns one record per (stage, quadrature).  ``noise_dist`` picks the
     distribution of the classical source variables (matched variance in
     every case); the corrected-stage statistics do not depend on it.  A
@@ -74,8 +75,6 @@ def sample_run(
     if modulation_period < 0:
         raise ValueError("modulation_period must be nonnegative")
     model = cfg.channel
-    if model.n_channels != 2:
-        raise ValueError("trace sampling drives the two-channel scheme")
 
     streams = _StreamPool(seed, n)
     vac = 0.5
@@ -89,9 +88,8 @@ def sample_run(
     b_in = [mean_x + streams.normal(vac), mean_p + streams.normal(vac)]
     b_aux = [streams.normal(vac), streams.normal(vac)]
 
-    te, td = cfg.T_e, cfg.T_d
-    ste, cte = np.sqrt(te), np.sqrt(1.0 - te)
-    std, ctd = np.sqrt(td), np.sqrt(1.0 - td)
+    ste, cte = cfg.encoder
+    std, ctd = cfg.decoder
     xi = model.mismatch
 
     # Shared classical variables and per-channel non-interfering parts.

@@ -57,9 +57,9 @@ class NetworkPlan:
         target.flags.writeable = False
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "elements", tuple(self.elements))
-        n = target.shape[0]
-        if target.shape != (n, n):
-            raise ValueError("target must be square")
+        if target.ndim != 2 or target.size == 0 or target.shape[0] != target.shape[1]:
+            raise ValueError("target must be a nonempty square matrix")
+        n = len(target)
         err = np.max(np.abs(_recompose(self.elements, n) - target))
         if not err <= _RECOMPOSE_TOL:
             raise ValueError(f"plan does not recompose its target (error {err:.3e})")

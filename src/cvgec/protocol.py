@@ -3,11 +3,10 @@
 Both corrected schemes are one composition: a C x C mode matrix spreads
 the signal and C - 1 vacuum carriers over the C noisy channels, and a
 second one recombines them.  :func:`corrected_map` uses the paper's pi-flip
-beam splitters; at T_e = T_d = g2 / (g1 + g2) the shared noise exits
-through the discarded decoder port and the signal sees pure loss, for any
-noise variance.  :func:`n_channel_map` encodes into the protected mode,
-orthogonal to every coupling vector: the same scheme for two channels and
-couplings of either sign, and its N-channel generalization.
+beam splitters; with both at the amplitude pair of T = g2 / (g1 + g2) the
+shared noise exits through the discarded decoder port and the signal sees
+pure loss, for any noise variance.  :func:`n_channel_map` encodes into the
+protected mode, orthogonal to every coupling vector: its N-channel form.
 
 Also provided: the direct (unencoded) transmission used as the
 "uncorrected" reference and an incoherent measure-and-feedforward baseline.
@@ -29,53 +28,55 @@ from .transforms import GaussianMap, beam_splitter, beam_splitter_matrix
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Splitter transmissivities and channel of the two-channel scheme."""
+    """Splitters and channel of the two-channel scheme.  Each splitter is a
+    unit amplitude pair (c, s) of either sign, transmissivity T = c^2: the
+    pi-flip mode matrix ((c, -s), (-s, -c)), which sends the signal into the
+    channels with amplitudes (c, -s)."""
 
-    T_e: float
-    T_d: float
+    encoder: tuple[float, float]
+    decoder: tuple[float, float]
     channel: ChannelModel
 
     def __post_init__(self):
-        if not 0.0 <= self.T_e <= 1.0 or not 0.0 <= self.T_d <= 1.0:
-            raise ValueError("transmissivities must lie in [0, 1]")
-        if self.channel.n_channels < 2:
-            raise ValueError("the protocol needs at least two channels")
+        for name in ("encoder", "decoder"):
+            c, s = pair = tuple(float(a) for a in getattr(self, name))
+            if not abs(c * c + s * s - 1.0) <= 1e-12:
+                raise ValueError(f"{name} must be a finite unit amplitude pair (c, s)")
+            object.__setattr__(self, name, pair)
+        if self.channel.n_channels != 2:
+            raise ValueError("the splitter scheme needs two channels")
 
 
-def optimal_splitting(g1: float, g2: float) -> float:
-    """Noise-cancelling transmissivity g2 / (g1 + g2) for both splitters."""
-    if g1 <= 0 or g2 <= 0:
-        raise ValueError("noise magnitudes must be positive")
-    return g2 / (g1 + g2)
-
-
-def optimal_splitting_for(model: ChannelModel) -> float:
-    """Optimal transmissivity of a two-channel, single-source model whose couplings share a sign."""
+def optimal_splitting_for(model: ChannelModel) -> tuple[float, float]:
+    """Noise-cancelling amplitude pair (c, s) of a two-channel, single-source
+    model: (|c2|, sign(c1 c2) |c1|) / |c| for couplings c = (c1, c2), so the
+    signal amplitudes (c, -s) are orthogonal to c.  Both come from the
+    couplings over the larger one, not from 1 - T, so neither loses relative
+    precision or underflows at any g1 / g2.  An uncoupled source gives (1, 0)."""
     if model.n_channels != 2 or len(model.sources) != 1:
         raise ValueError("need a two-channel model with exactly one source")
-    c = model.sources[0].coupling
-    if min(c) < 0.0 < max(c):
-        raise ValueError(
-            f"couplings {c[0]:g} and {c[1]:g} have opposite signs; "
-            "no pair of pi-flip splitters cancels that source"
-        )
-    return optimal_splitting(c[0] ** 2, c[1] ** 2)
+    c1, c2 = model.sources[0].coupling
+    top = max(abs(c1), abs(c2))
+    if top == 0.0:
+        return 1.0, 0.0
+    a, b = abs(c1) / top, abs(c2) / top
+    h = a * a + b * b
+    return np.sqrt(b) * np.sqrt(b / h), np.copysign(np.sqrt(a) * np.sqrt(a / h), c1 * c2)
 
 
 def corrected_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int = 0) -> GaussianMap:
     """The two-channel scheme: one map on an N-mode state plus one mode.
 
-    The appended mode is the auxiliary encoder input, which enters as
-    vacuum and leaves as the discarded decoder port; the signal slot holds
-    the corrected output.  Each channel's non-interfering noise reaches
-    both ports with the decoder amplitudes, without interference.  With
-    T_e = T_d = optimal_splitting(g1, g2) and no mismatch the signal sees a
-    pure-loss channel of transmissivity eta.
+    The splitters are the pi-flip matrices of the config's pairs.  The
+    appended mode is the auxiliary encoder input, which enters as vacuum
+    and leaves as the discarded decoder port; the signal slot holds the
+    corrected output.  Each channel's non-interfering noise reaches both
+    ports with the decoder amplitudes, without interference.  With both
+    pairs at optimal_splitting_for(cfg.channel) and no mismatch the signal
+    sees a pure-loss channel of transmissivity eta.
     """
-    if cfg.channel.n_channels != 2:
-        raise ValueError("the corrected scheme is defined for two channels")
     # pi-flip splitters are symmetric: the decoder's transpose is itself
-    encoder, decoder = beam_splitter_matrix(cfg.T_e), beam_splitter_matrix(cfg.T_d)
+    encoder, decoder = beam_splitter_matrix(*cfg.encoder), beam_splitter_matrix(*cfg.decoder)
     return _encoded_map(cfg.channel, encoder, decoder, n_modes, signal_mode)
 
 
@@ -126,17 +127,17 @@ def incoherent_map(model: ChannelModel, n_modes: int, signal_mode: int = 0) -> G
 
     n = n_modes + 2
     idle, anc = n_modes, n_modes + 1
-    bs = beam_splitter_matrix(0.5)
+    bs = beam_splitter(0.5)
     # Outcomes: x at the first splitter port, p at the second.  The gain
     # cancelling the correlated term follows from the port amplitudes; the
     # two entries below are G E_y of the map X = I + G E_y.
     feedforward = np.eye(2 * n)
     feedforward[2 * signal_mode, 2 * idle] = -c1 / (bs[0, 0] * c2)
-    feedforward[2 * signal_mode + 1, 2 * anc + 1] = -c1 / (bs[1, 0] * c2)
+    feedforward[2 * signal_mode + 1, 2 * anc + 1] = -c1 / (bs[2, 0] * c2)
 
     return (
         channel_map(model, (signal_mode, idle), n)
-        .then(GaussianMap.of(beam_splitter(0.5), (idle, anc), n))
+        .then(GaussianMap.of(bs, (idle, anc), n))
         .then(GaussianMap(feedforward))
     )
 

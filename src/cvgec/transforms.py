@@ -9,7 +9,7 @@ splitter, phase shift, squeezer) is the case Y = 0: each gate function
 returns its local 2k x 2k symplectic block, and :meth:`GaussianMap.of`
 places that block on k modes of a register.  The beam splitter has the
 paper's pi-flip convention, so an encode/decode pair of equal
-transmissivity composes to the identity and correlated noise cancels.
+amplitudes composes to the identity and correlated noise cancels.
 """
 
 from __future__ import annotations
@@ -83,24 +83,23 @@ def embed(block: np.ndarray, modes, n_modes: int, fill: float = 1.0) -> np.ndarr
     return full
 
 
-def beam_splitter_matrix(t: float) -> np.ndarray:
-    """2x2 mode-amplitude matrix ((sqrt(t), -sqrt(1-t)), (-sqrt(1-t), -sqrt(t)))
-    of a beam splitter with transmissivity t and a relative pi phase on its
-    second output."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("transmissivity must lie in [0, 1]")
-    c = np.sqrt(t)
-    s = np.sqrt(1.0 - t)
+def beam_splitter_matrix(c: float, s: float) -> np.ndarray:
+    """2x2 mode-amplitude matrix ((c, -s), (-s, -c)) of a beam splitter with
+    the unit amplitude pair (c, s), transmissivity c^2, and a relative pi
+    phase on its second output; it is its own inverse."""
     return np.array([[c, -s], [-s, -c]])
 
 
 def beam_splitter(t: float) -> np.ndarray:
-    """4x4 block of a beam splitter of transmissivity ``t`` on two modes.
+    """4x4 block of a beam splitter of transmissivity ``t`` on two modes,
+    amplitudes (sqrt(t), sqrt(1 - t)).
 
     Both quadratures transform with the same real amplitude matrix, so the
     symplectic block is the mode matrix tensored with the 2x2 identity.
     """
-    return np.kron(beam_splitter_matrix(t), np.eye(2))
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("transmissivity must lie in [0, 1]")
+    return np.kron(beam_splitter_matrix(np.sqrt(t), np.sqrt(1.0 - t)), np.eye(2))
 
 
 def phase_shift(phi: float) -> np.ndarray:

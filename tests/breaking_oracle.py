@@ -33,8 +33,8 @@ from state_oracle import duan_simon
 def infimum(eps, g_ratio, eta, xi, strategy, r_max=10.0):
     """Smallest inseparability over r in [0, r_max], by golden section."""
     model = standard_two_channel(eps, g_ratio, eta, xi)
-    t = optimal_splitting_for(model)
-    cfg = ProtocolConfig(t, t, model)
+    pair = optimal_splitting_for(model)
+    cfg = ProtocolConfig(pair, pair, model)
     if strategy == "corrected":
         protocol = corrected_map(cfg, 2, signal_mode=1)
     else:

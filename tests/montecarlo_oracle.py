@@ -11,7 +11,7 @@ import numpy as np
 from cvgec.channel import channel_map
 from cvgec.protocol import ProtocolConfig, corrected_map
 from cvgec.states import displace, partial_trace, tensor, vacuum_state
-from cvgec.transforms import GaussianMap, beam_splitter
+from cvgec.transforms import GaussianMap, beam_splitter_matrix
 
 
 def empirical_covariance(records) -> tuple[np.ndarray, np.ndarray]:
@@ -50,7 +50,7 @@ def analytic_stage_moments(
     out = {}
     out["input"] = (inp.mean, inp.cov)
 
-    encoder = GaussianMap.of(beam_splitter(cfg.T_e), (0, 1), 2)
+    encoder = GaussianMap.of(np.kron(beam_splitter_matrix(*cfg.encoder), np.eye(2)), (0, 1), 2)
     st = encoder.then(channel_map(cfg.channel, (0, 1), 2)).apply(pair)
     for i, stage in enumerate(("channel_1", "channel_2")):
         reduced = partial_trace(st, [i])

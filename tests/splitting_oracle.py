@@ -1,5 +1,9 @@
 """Numeric splitter searches, kept as oracles for the closed-form optimum.
 
+``optimal_splitting`` is the reference transmissivity g2 / (g1 + g2) of
+both splitters, and ``amplitudes`` the amplitude pair (sqrt T, sqrt(1 - T))
+that configures a splitter of transmissivity T.
+
 ``nested_search`` is a golden-section search for the optimum that
 ``cvgec.analysis.optimize_splitting`` gives in closed form: over T_d alone
 for the variance objective, and nested over (T_e, T_d) for the fidelity.
@@ -16,6 +20,16 @@ import numpy as np
 from cvgec.channel import ChannelModel, NoiseSource, channel_map
 from cvgec.fidelity import fidelity_moments
 from cvgec.states import as_snu, displace, tensor, vacuum_state
+
+
+def optimal_splitting(g1: float, g2: float) -> float:
+    """Noise-cancelling transmissivity g2 / (g1 + g2) of both splitters."""
+    return g2 / (g1 + g2)
+
+
+def amplitudes(t: float) -> tuple[float, float]:
+    """Amplitude pair (sqrt(t), sqrt(1 - t)) of a splitter of transmissivity t."""
+    return math.sqrt(t), math.sqrt(1.0 - t)
 
 
 def golden_section(f, a: float, b: float, tol: float = 1e-7) -> tuple[float, float]:

@@ -14,7 +14,6 @@ from cvgec.analysis import (
     coherent_sweep,
     entanglement_breaking_point,
     entanglement_sweep,
-    optimize_splitting,
 )
 from cvgec.channel import ChannelModel, NoiseSource, channel_map, standard_two_channel
 from cvgec.fidelity import fidelity
@@ -25,7 +24,6 @@ from cvgec.protocol import (
     ProtocolConfig,
     corrected_channel,
     n_channel_protocol,
-    optimal_splitting,
     optimal_splitting_for,
 )
 from cvgec.states import displace, physicality_check, symplectic_form, vacuum_state
@@ -36,9 +34,9 @@ from fock_oracle import fidelity_fock_states
 from map_reference import pure_loss_reference
 from montecarlo_oracle import analytic_stage_moments, empirical_covariance
 from network_oracle import plan_symplectic
-from splitting_oracle import grid_scan_splitting
+from splitting_oracle import amplitudes, grid_scan_splitting, optimal_splitting
 from state_oracle import duan_simon
-from test_analysis import unit_model
+from test_analysis import optimized, unit_model
 from test_states import random_physical_state
 
 
@@ -55,7 +53,7 @@ def test_criterion_1_pure_loss_equivalence():
         g1, g2 = rng.uniform(0.01, 10.0, 2)
         variance = rng.uniform(0.0, 50.0)  # up to 100 SNU
         model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), variance),))
-        t = optimal_splitting(g1, g2)
+        t = amplitudes(optimal_splitting(g1, g2))
         cfg = ProtocolConfig(t, t, model)
         state = random_physical_state(rng)
         out = corrected_channel(cfg, state)
@@ -172,8 +170,8 @@ def test_criterion_6_monte_carlo_agreement():
         eta = rng.uniform(0.4, 1.0)
         xi = rng.choice([0.0, 0.01, 0.05])
         model = standard_two_channel(eps, ratio, eta, xi)
-        t = optimal_splitting_for(model)
-        cfg = ProtocolConfig(t, t, model)
+        split = optimal_splitting_for(model)
+        cfg = ProtocolConfig(split, split, model)
         amplitude = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         # one seeded retry before failing
         ok = run(cfg, amplitude, seed=2000 + k) or run(cfg, amplitude, seed=9000 + k)
@@ -232,13 +230,13 @@ def test_criterion_8_optimizer_recovery():
     rng = np.random.default_rng(1008)
     for _ in range(20):
         g1, g2 = rng.uniform(0.05, 5.0, 2)
-        te, td, _ = optimize_splitting(g1, g2, xi=0.0, eta=rng.uniform(0.5, 1.0))
+        te, td, _ = optimized(g1, g2, xi=0.0, eta=rng.uniform(0.5, 1.0))
         expected = optimal_splitting(g1, g2)
         assert abs(te - expected) < 1e-4
         assert abs(td - expected) < 1e-4
 
     n = 200
-    te, td, _ = optimize_splitting(1.6, 0.9, xi=0.05, objective="fidelity")
+    te, td, _ = optimized(1.6, 0.9, xi=0.05, objective="fidelity")
     ge, gd, _ = grid_scan_splitting(1.6, 0.9, xi=0.05, objective="fidelity", n=n)
     step = 1.0 / (n - 1)
     assert abs(te - ge) <= step

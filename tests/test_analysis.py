@@ -9,6 +9,7 @@ import pytest
 from cvgec.analysis import (
     SWEEP_COLUMNS,
     SweepResult,
+    _splitting_for_noise,
     coherent_sweep,
     entanglement_breaking_point,
     entanglement_sweep,
@@ -23,7 +24,6 @@ from cvgec.protocol import (
     ProtocolConfig,
     corrected_channel,
     incoherent_strategy,
-    optimal_splitting,
     optimal_splitting_for,
     uncorrected_channel,
 )
@@ -31,7 +31,13 @@ from cvgec.states import GaussianState, as_snu, displace, vacuum_state
 from cvgec.transforms import two_mode_squeezed
 
 import breaking_oracle
-from splitting_oracle import golden_section, grid_scan_splitting, nested_search
+from splitting_oracle import (
+    amplitudes,
+    golden_section,
+    grid_scan_splitting,
+    nested_search,
+    optimal_splitting,
+)
 from state_oracle import duan_number, duan_simon
 from test_states import random_physical_state
 
@@ -39,15 +45,23 @@ from test_states import random_physical_state
 GRID = np.linspace(0.0, 40.0, 21)
 
 
-def protocol_objective(t, g1, g2, xi, eta, objective, eps_snu, amplitude=(2.0, 0.0)):
-    """The value ``optimize_splitting`` reports, on the corrected protocol at
-    T_e = T_d = t: the negated probe fidelity or the mean added variance in SNU."""
+def protocol_objective(pair, g1, g2, xi, eta, objective, eps_snu, amplitude=(2.0, 0.0)):
+    """The value ``optimize_splitting`` reports, on the corrected protocol with
+    both splitters at the amplitude pair ``pair``: the negated probe fidelity
+    or the mean added variance in SNU."""
     model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), 0.5 * eps_snu / g1),), xi)
     probe = displace(vacuum_state(1), 0, amplitude[0], amplitude[1])
-    out = corrected_channel(ProtocolConfig(t, t, model), probe)
+    out = corrected_channel(ProtocolConfig(pair, pair, model), probe)
     if objective == "fidelity":
         return -fidelity(out, probe)
     return as_snu(0.5 * (out.cov[0, 0] + out.cov[1, 1]) - 0.5)
+
+
+def optimized(*args, **kwargs):
+    """``optimize_splitting`` with its splitters as the transmissivities
+    T = c^2 that ``cvgec optimize`` prints."""
+    encoder, decoder, value = optimize_splitting(*args, **kwargs)
+    return encoder[0] ** 2, decoder[0] ** 2, value
 
 
 def unit_model(g_ratio, eta, xi):
@@ -87,8 +101,8 @@ class TestCoherentSweep:
         res = coherent_sweep(unit_model(1.0, 1.0, xi), (2.0, 0.0), np.array([eps]))
         predicted = res.series["var_x_corr_snu"][0]
         model = standard_two_channel(eps, 1.0, 1.0, xi)
-        t = optimal_splitting_for(model)
-        records = sample_run(ProtocolConfig(t, t, model), n, seed=11)
+        pair = optimal_splitting_for(model)
+        records = sample_run(ProtocolConfig(pair, pair, model), n, seed=11)
         samples = next(
             r.samples for r in records if r.stage == "corrected" and r.quadrature == "X"
         )
@@ -183,8 +197,8 @@ class TestVectorisedSweeps:
         series = res.series
         for k, eps in enumerate(grid):
             model = standard_two_channel(eps, g, eta, xi)
-            t = optimal_splitting_for(model)
-            cfg = ProtocolConfig(t, t, model)
+            split = optimal_splitting_for(model)
+            cfg = ProtocolConfig(split, split, model)
             corr = corrected_channel(cfg, probe)
             unc = uncorrected_channel(cfg, probe, channel=0)
             unc2 = uncorrected_channel(cfg, probe, channel=1)
@@ -210,8 +224,8 @@ class TestVectorisedSweeps:
         res = entanglement_sweep(unit_model(g, eta, xi), 0.8, grid)
         for k, eps in enumerate(grid):
             model = standard_two_channel(eps, g, eta, xi)
-            t = optimal_splitting_for(model)
-            cfg = ProtocolConfig(t, t, model)
+            split = optimal_splitting_for(model)
+            cfg = ProtocolConfig(split, split, model)
             corr = corrected_channel(cfg, pair, signal_mode=1)
             unc = uncorrected_channel(cfg, pair, signal_mode=1, channel=0)
             self.close(res.series["var_x_corr_snu"][k], 2 * corr.cov[2, 2])
@@ -230,8 +244,8 @@ class TestVectorisedSweeps:
         stacks = {"insep_corr": [], "insep_uncorr": []}
         for eps in grid:
             model = standard_two_channel(eps, g, eta, xi)
-            t = optimal_splitting_for(model)
-            cfg = ProtocolConfig(t, t, model)
+            split = optimal_splitting_for(model)
+            cfg = ProtocolConfig(split, split, model)
             stacks["insep_corr"].append(corrected_channel(cfg, pair, signal_mode=1).cov)
             stacks["insep_uncorr"].append(
                 uncorrected_channel(cfg, pair, signal_mode=1, channel=0).cov
@@ -344,18 +358,18 @@ class TestBreakingPoint:
 
 class TestOptimizer:
     def test_symmetric(self):
-        te, td, _ = optimize_splitting(1.0, 1.0, 0.0)
+        te, td, _ = optimized(1.0, 1.0, 0.0)
         assert te == pytest.approx(0.5, abs=1e-4)
         assert td == pytest.approx(0.5, abs=1e-4)
 
     def test_asymmetric_recovers_analytic_optimum(self):
-        te, td, _ = optimize_splitting(0.61, 1.0, 0.0)
+        te, td, _ = optimized(0.61, 1.0, 0.0)
         expected = optimal_splitting(0.61, 1.0)
         assert te == pytest.approx(expected, abs=1e-4)
         assert td == pytest.approx(expected, abs=1e-4)
 
     def test_fidelity_objective_decoder_coordinate(self):
-        te, td, _ = optimize_splitting(0.7, 1.4, 0.0, objective="fidelity")
+        te, td, _ = optimized(0.7, 1.4, 0.0, objective="fidelity")
         expected = optimal_splitting(0.7, 1.4)
         assert td == pytest.approx(expected, abs=1e-4)
         assert te == pytest.approx(expected, abs=2e-3)  # quartically flat axis
@@ -364,13 +378,13 @@ class TestOptimizer:
         rng = np.random.default_rng(50)
         for _ in range(5):
             g1, g2 = rng.uniform(0.1, 5.0, 2)
-            te, td, value = optimize_splitting(g1, g2, 0.0)
-            t = optimal_splitting(g1, g2)
+            te, td, value = optimized(g1, g2, 0.0)
+            t = amplitudes(optimal_splitting(g1, g2))
             assert value <= protocol_objective(t, g1, g2, 0.0, 1.0, "variance", 10.0) + 1e-9
 
     def test_mismatched_matches_grid_scan(self):
         n = 200
-        te, td, _ = optimize_splitting(1.6, 0.9, xi=0.05, objective="fidelity")
+        te, td, _ = optimized(1.6, 0.9, xi=0.05, objective="fidelity")
         ge, gd, _ = grid_scan_splitting(1.6, 0.9, xi=0.05, objective="fidelity", n=n)
         step = 1.0 / (n - 1)
         assert abs(te - ge) <= step
@@ -390,7 +404,7 @@ class TestOptimizer:
             g1, g2 = rng.uniform(0.05, 5.0, 2)
             xi, eta = rng.uniform(0.0, 0.9), rng.uniform(0.5, 1.0)
             for objective in ("variance", "fidelity"):
-                te, td, value = optimize_splitting(g1, g2, xi, eta, objective)
+                te, td, value = optimized(g1, g2, xi, eta, objective)
                 _, search_td, search_value = nested_search(g1, g2, xi, eta, objective)
                 assert te == td
                 assert abs(td - search_td) <= 1e-6
@@ -402,7 +416,7 @@ class TestOptimizer:
         for _ in range(10):
             g1, g2 = rng.uniform(0.05, 5.0, 2)
             xi, eta, eps = rng.uniform(0.0, 0.9), rng.uniform(0.001, 0.08), rng.uniform(0.1, 2.0)
-            te, td, value = optimize_splitting(g1, g2, xi, eta, "fidelity", eps)
+            te, td, value = optimized(g1, g2, xi, eta, "fidelity", eps)
             _, _, search_value = nested_search(g1, g2, xi, eta, "fidelity", eps)
             _, _, grid_value = grid_scan_splitting(g1, g2, xi, eta, "fidelity", eps)
             assert te == td
@@ -415,7 +429,7 @@ class TestOptimizer:
         rng = np.random.default_rng(56)
         for _ in range(20):
             g1, g2 = rng.uniform(0.05, 5.0, 2)
-            te, td, _ = optimize_splitting(g1, g2, 0.0)
+            te, td, _ = optimized(g1, g2, 0.0)
             assert te == td
             assert abs(td - optimal_splitting(g1, g2)) <= 1e-15
 
@@ -425,10 +439,22 @@ class TestOptimizer:
 
     def test_zero_noise(self):
         for objective in ("variance", "fidelity"):
-            te, td, value = optimize_splitting(1.6, 0.9, 0.05, 0.8, objective, eps_snu=0.0)
+            te, td, value = optimized(1.6, 0.9, 0.05, 0.8, objective, eps_snu=0.0)
             assert 0.0 <= te == td <= 1.0
             assert math.isfinite(value)
         assert value == pytest.approx(-math.exp(-4.0 * (1.0 - math.sqrt(0.8)) ** 2 / 2.0), abs=1e-12)
+
+    def test_pair_matches_the_coupling_pair_at_any_asymmetry(self):
+        # at xi = 0 the closed form is the protected pair of the couplings
+        # (sqrt g1, sqrt g2); each amplitude comes from its own angle, so
+        # neither loses its relative precision when the other is near 1
+        for exponent in np.linspace(-300.0, 300.0, 121):
+            half = 10.0 ** (exponent / 2)
+            for g1, g2 in ((10.0**exponent, 1.0), (half, 1.0 / half)):
+                model = ChannelModel(2, 1.0, 0.0, (NoiseSource(np.sqrt([g1, g2]), 1.0),))
+                want = optimal_splitting_for(model)
+                got = _splitting_for_noise(g1, g2, 0.0, -math.inf)
+                assert np.all(np.abs(np.subtract(got, want)) <= 1e-15 * np.abs(want)), (g1, g2)
 
     @pytest.mark.parametrize("g1, g2, xi", [(0.0, 1.0, 0.0), (1.0, -1.0, 0.0), (1.0, 1.0, 1.0)])
     def test_bad_channel(self, g1, g2, xi):

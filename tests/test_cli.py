@@ -14,6 +14,16 @@ def sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def trace_stage(path, stage, quadrature):
+    """The samples of one (stage, quadrature) record of a trace CSV."""
+    import csv
+
+    with open(path) as fh:
+        rows = csv.DictReader(fh)
+        key = (stage, quadrature)
+        return np.array([float(r["value"]) for r in rows if (r["stage"], r["quadrature"]) == key])
+
+
 def read_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -292,18 +302,23 @@ class TestChannelConfigInSweeps:
         assert np.allclose(cols["var_p_corr_snu"], var, rtol=1e-12, atol=0)
         assert np.allclose(cols["insep_corr"], insep, rtol=1e-12, atol=0)
 
-    def test_trace_refuses_anti_correlated_couplings(self, tmp_path, capsys):
-        # no pair of pi-flip splitters cancels a source of opposite-sign couplings
+    def test_trace_cancels_anti_correlated_couplings(self, tmp_path):
+        # the splitter pair carries the couplings' relative sign as s < 0, so
+        # the sampled corrected stage is pure loss: mean sqrt(eta) times the
+        # amplitude and the vacuum variance
         cfg = tmp_path / "channel.cfg"
-        cfg.write_text(self.ANTI_CORRELATED)
-        out, dump = tmp_path / "t.csv", tmp_path / "dump.cfg"
-        argv = ["trace", "--channel-config", str(cfg), "--n", "100"]
-        assert main(argv + ["--out", str(out), "--dump-config", str(dump)]) == 2
-        assert capsys.readouterr().err == (
-            "error: couplings 1 and -0.7 have opposite signs; "
-            "no pair of pi-flip splitters cancels that source\n"
-        )
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["channel.cfg"]
+        cfg.write_text("n_channels 2\neta 0.8 0.8\nsource s 1000 1 -0.7\n")
+        out, n = tmp_path / "t.csv", 20_000
+        argv = ["trace", "--channel-config", str(cfg), "--n", str(n), "--seed", "4"]
+        assert main(argv + ["--out", str(out)]) == 0
+        se = 0.5 * np.sqrt(2.0 / (n - 1))
+        for q, mean in (("X", 2.0 * np.sqrt(0.8)), ("P", 0.0)):
+            samples = trace_stage(out, "corrected", q)
+            assert abs(np.var(samples, ddof=1) - 0.5) < 5 * se
+            assert abs(samples.mean() - mean) < 5 * np.sqrt(0.5 / n)
+        manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+        pair = [0.7 / np.hypot(1.0, 0.7), -1.0 / np.hypot(1.0, 0.7)]
+        assert manifest["extras"]["splitting"] == pytest.approx(pair, rel=1e-15)
 
     @pytest.mark.parametrize("command", ["sweep-coherent", "sweep-entangle", "trace"])
     @pytest.mark.parametrize(
@@ -467,6 +482,22 @@ class TestTrace:
         manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
         assert manifest["master_seed"] == 3
 
+    @pytest.mark.parametrize("g_ratio", ["1e-300", "1e-12", "1e12", "1e300"])
+    def test_corrected_stage_is_pure_loss_at_extreme_asymmetry(self, tmp_path, g_ratio):
+        # the splitter amplitudes are read off the couplings; a pair rebuilt
+        # from a rounded T = c^2 loses the weak channel's amplitude, and the
+        # 1e6 SNU with it
+        out, n = tmp_path / "t.csv", 20_000
+        argv = ["trace", "--g-ratio", g_ratio, "--eps", "1e6", "--n", str(n), "--out", str(out)]
+        assert main(argv) == 0
+        se = 0.5 * np.sqrt(2.0 / (n - 1))
+        for q in ("X", "P"):
+            assert abs(np.var(trace_stage(out, "corrected", q), ddof=1) - 0.5) < 5 * se
+        manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+        g1 = float(g_ratio)
+        pair = [1.0 / np.sqrt(1.0 + g1), np.sqrt(g1 / (1.0 + g1))]
+        assert manifest["extras"]["splitting"] == pytest.approx(pair, rel=1e-15)
+
     def test_zero_shots_is_usage_error(self, tmp_path, capsys):
         assert main(["trace", "--n", "0", "--out", str(tmp_path / "x.csv")]) == 2
         assert not (tmp_path / "x.csv").exists()
@@ -601,6 +632,18 @@ class TestOptimize:
         assert main(argv) == 0
         payload = strict_json(capsys.readouterr().out)
         assert -1.0 <= payload["objective_value"] <= 0.0
+
+    @pytest.mark.parametrize(
+        "g1, g2", [("1e-300", "1"), ("1e-12", "1"), ("1", "1e-300"), ("1", "1e-12")]
+    )
+    def test_extreme_asymmetry_cancels_the_noise(self, capsys, g1, g2):
+        # the optimum adds no noise; an amplitude rebuilt as sqrt(1 - T) adds
+        # the whole 1e6 SNU at g1 = 1e-300 and 2e-3 SNU at 1e-12
+        argv = ["optimize", "--g1", g1, "--g2", g2, "--eps", "1e6", "--objective", "variance"]
+        assert main(argv) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert abs(payload["objective_value"]) <= 1e-9
+        assert payload["T_d"] == pytest.approx(float(g2) / (float(g1) + float(g2)), rel=1e-12)
 
     @pytest.mark.parametrize("objective", ["variance", "fidelity"])
     def test_zero_noise(self, capsys, objective):

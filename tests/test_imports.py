@@ -32,7 +32,6 @@ SURFACE = {
     "n_channel_protocol": "protocol",
     "network": None,
     "null_space_encoder": "protocol",
-    "optimal_splitting": "protocol",
     "partial_trace": "states",
     "phase_shift": "transforms",
     "physicality_check": "states",

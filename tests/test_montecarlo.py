@@ -18,8 +18,8 @@ from trace_reference import write_trace_csv_per_cell
 
 def config(eps_snu, g_ratio=1.0, eta=1.0, xi=0.0):
     model = standard_two_channel(eps_snu, g_ratio, eta, xi)
-    t = optimal_splitting_for(model)
-    return ProtocolConfig(t, t, model)
+    pair = optimal_splitting_for(model)
+    return ProtocolConfig(pair, pair, model)
 
 
 def by_stage(records):

@@ -177,6 +177,13 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="element 0"):
             NetworkPlan((element,), np.eye(2))
 
+    @pytest.mark.parametrize(
+        "target", [np.zeros((0, 0)), np.eye(3)[:2], np.ones(2), np.array(1.0)]
+    )
+    def test_target_must_be_a_nonempty_square_matrix(self, target):
+        with pytest.raises(ValueError, match="target must be a nonempty square matrix"):
+            NetworkPlan((), target)
+
     def test_non_finite_target_rejected(self):
         with pytest.raises(ValueError, match="recompose"):
             NetworkPlan((), np.array([[1.0, np.nan], [0.0, 1.0]]))

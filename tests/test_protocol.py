@@ -1,9 +1,12 @@
 """Encode/decode protocol, its optimum, baselines and N-channel form."""
 
 import hashlib
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvgec.channel import ChannelModel, NoiseSource, standard_two_channel
 from cvgec.fidelity import fidelity
@@ -17,7 +20,6 @@ from cvgec.protocol import (
     n_channel_map,
     n_channel_protocol,
     null_space_encoder,
-    optimal_splitting,
     optimal_splitting_for,
     uncorrected_channel,
 )
@@ -25,9 +27,14 @@ from cvgec.states import GaussianState, as_snu, displace, tensor, vacuum_state
 from cvgec.transforms import GaussianMap, beam_splitter, two_mode_squeezed
 
 from map_reference import characterize_single_mode_map, pure_loss_reference
+from splitting_oracle import amplitudes, optimal_splitting
 from state_oracle import duan_simon
 from test_states import random_physical_state
 
+HALF = amplitudes(0.5)  # a balanced splitter
+
+#: Coupling magnitudes log-uniform over 300 decades.
+log_uniform = st.floats(-150.0, 150.0).map(lambda e: 10.0**e)
 
 def both_ports(cfg, state):
     """The corrected map's image of ``state``, the discarded port kept as
@@ -37,36 +44,91 @@ def both_ports(cfg, state):
 
 def config(eps_snu, g_ratio=1.0, eta=1.0, xi=0.0):
     model = standard_two_channel(eps_snu, g_ratio, eta, xi)
-    t = optimal_splitting_for(model)
-    return ProtocolConfig(t, t, model)
+    pair = optimal_splitting_for(model)
+    return ProtocolConfig(pair, pair, model)
 
 
 class TestOptimalSplitting:
     def test_symmetric(self):
-        assert optimal_splitting(1.0, 1.0) == 0.5
+        half = np.sqrt(0.5)
+        assert optimal_splitting_for(standard_two_channel(1.0, 1.0)) == (half, half)
 
     def test_asymmetric_ratio(self):
-        # the complementary port convention would give g1/(g1+g2) = 0.3789...
-        t = optimal_splitting(0.61, 1.0)
-        assert t == pytest.approx(0.6211180124223602, abs=1e-12)
-        assert 1.0 - t == pytest.approx(0.37888198757763975, abs=1e-12)
+        # the complementary port convention would give T = g1/(g1+g2) = 0.3789...
+        c, s = optimal_splitting_for(standard_two_channel(1.0, 0.61))
+        assert c**2 == pytest.approx(0.6211180124223602, abs=1e-12)
+        assert s**2 == pytest.approx(0.37888198757763975, abs=1e-12)
+        assert c == np.sqrt(optimal_splitting(0.61, 1.0))
 
     def test_vanishing_g2_limit(self):
-        assert optimal_splitting(1.0, 1e-12) == pytest.approx(0.0, abs=1e-11)
+        c, s = optimal_splitting_for(standard_two_channel(1.0, 1e12))
+        assert c == pytest.approx(1e-6, rel=1e-15)
+        assert s == pytest.approx(1.0, rel=1e-15)
 
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            optimal_splitting(0.0, 1.0)
-        with pytest.raises(ValueError):
-            optimal_splitting(1.0, -2.0)
+    @pytest.mark.parametrize(
+        "coupling, pair",
+        [((0.0, 2.0), (1.0, 0.0)), ((3.0, 0.0), (0.0, 1.0)), ((0.0, 0.0), (1.0, 0.0))],
+    )
+    def test_uncoupled_channel_carries_the_signal(self, coupling, pair):
+        # the signal amplitudes (c, -s) go wholly to a channel the source
+        # misses; a source that reaches neither leaves them on channel 1
+        model = ChannelModel(2, 0.8, 0.0, (NoiseSource(coupling, 1.0),))
+        assert optimal_splitting_for(model) == pair
 
-    def test_opposite_sign_couplings_refused(self):
-        # no pair of pi-flip splitters of one transmissivity cancels them
-        model = ChannelModel(2, 0.8, 0.0, (NoiseSource([1.0, -0.7], 1.0),))
-        with pytest.raises(ValueError, match="couplings 1 and -0.7 have opposite signs"):
-            optimal_splitting_for(model)
+    def test_opposite_sign_couplings_give_negative_s(self):
+        # the pair keeps the sign of c1 c2: (0.7, -1) / |c| for (1, -0.7)
+        norm = np.hypot(1.0, 0.7)
+        for coupling in ([1.0, -0.7], [-1.0, 0.7]):
+            model = ChannelModel(2, 0.8, 0.0, (NoiseSource(coupling, 1.0),))
+            c, s = optimal_splitting_for(model)
+            assert c == pytest.approx(0.7 / norm, rel=1e-15)
+            assert s == pytest.approx(-1.0 / norm, rel=1e-15)
         flipped = ChannelModel(2, 0.8, 0.0, (NoiseSource([-1.0, -0.7], 1.0),))
-        assert optimal_splitting_for(flipped) == optimal_splitting(1.0, 0.7**2)
+        c, s = optimal_splitting_for(flipped)
+        assert (c, s) == pytest.approx((0.7 / norm, 1.0 / norm), rel=1e-15)
+
+    def test_anticorrelated_source_is_cancelled(self):
+        rng = np.random.default_rng(25)
+        model = ChannelModel(2, 0.8, 0.0, (NoiseSource([1.0, -0.7], 1000.0),))
+        pair = optimal_splitting_for(model)
+        state = random_physical_state(rng)
+        out = corrected_channel(ProtocolConfig(pair, pair, model), state)
+        ref = pure_loss_reference(state, 0.8)
+        assert np.abs(out.cov - ref.cov).max() < 1e-10
+        assert np.abs(out.mean - ref.mean).max() < 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(log_uniform, log_uniform), st.tuples(st.booleans(), st.booleans()))
+    def test_pair_keeps_its_precision_at_any_asymmetry(self, magnitudes, negative):
+        c1, c2 = (-m if flip else m for m, flip in zip(magnitudes, negative))
+        model = ChannelModel(2, 1.0, 0.0, (NoiseSource([c1, c2], 1.0),))
+        c, s = optimal_splitting_for(model)
+        assert abs(c * c + s * s - 1.0) <= 1e-15
+        top = max(abs(c1), abs(c2))
+        assert abs(c1 * c - c2 * s) <= 1e-15 * top
+        # each amplitude against (|c2|, sign(c1 c2) |c1|) / |c| in 28-digit decimals
+        norm = (Decimal(c1) ** 2 + Decimal(c2) ** 2).sqrt()
+        sign = Decimal(c1 * c2)
+        for got, want in ((c, abs(Decimal(c2))), (s, abs(Decimal(c1)).copy_sign(sign))):
+            assert abs(Decimal(got) - want / norm) <= Decimal(1e-15) * abs(want / norm)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(0.05, 20.0), st.floats(0.05, 20.0), st.booleans(), st.floats(0.05, 1.0),
+        st.floats(0.0, 0.5), st.floats(0.0, 50.0),
+    )
+    def test_pair_map_agrees_with_the_protected_mode_map(self, g1, g2, negative, eta, xi, var):
+        coupling = [np.sqrt(g1), -np.sqrt(g2) if negative else np.sqrt(g2)]
+        model = ChannelModel(2, eta, 0.0, (NoiseSource(coupling, var),), xi)
+        pair = optimal_splitting_for(model)
+        a = corrected_map(ProtocolConfig(pair, pair, model), 1)
+        b = n_channel_map(model, 1)
+        # the carrier's sign is free, so compare the signal rows of X and the
+        # signal block of Y, whose cancellation leaves rounding of the order
+        # of the channel noise
+        scale = 1.0 + var * (g1 + g2)
+        assert np.abs(a.X[:2] - b.X[:2]).max() <= 1e-15
+        assert np.abs(a.Y[:2, :2] - b.Y[:2, :2]).max() <= 1e-15 * scale
 
 
 class TestEncodeDecode:
@@ -95,7 +157,7 @@ class TestCorrectedChannel:
         rng = np.random.default_rng(13)
         for g1, g2, var in [(1.0, 1.0, 10.0), (0.2, 3.0, 40.0), (5.0, 0.5, 0.0)]:
             model = ChannelModel(2, 1.0, 0.0, (NoiseSource(np.sqrt([g1, g2]), var),))
-            t = optimal_splitting(g1, g2)
+            t = amplitudes(optimal_splitting(g1, g2))
             cfg = ProtocolConfig(t, t, model)
             state = random_physical_state(rng)
             out = corrected_channel(cfg, state)
@@ -116,7 +178,7 @@ class TestCorrectedChannel:
             g1, g2 = rng.uniform(0.01, 10.0, 2)
             var = rng.uniform(0.0, 50.0)
             model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), var),))
-            t = optimal_splitting(g1, g2)
+            t = amplitudes(optimal_splitting(g1, g2))
             cfg = ProtocolConfig(t, t, model)
             state = random_physical_state(rng)
             out = corrected_channel(cfg, state)
@@ -134,7 +196,7 @@ class TestCorrectedChannel:
     def test_decoder_set_to_full_transmission_keeps_channel_noise(self):
         # suboptimal T_d = 1 passes channel 1's 20 SNU straight through
         model = standard_two_channel(20.0, 1.0)
-        cfg = ProtocolConfig(optimal_splitting_for(model), 1.0, model)
+        cfg = ProtocolConfig(optimal_splitting_for(model), amplitudes(1.0), model)
         out = corrected_channel(cfg, vacuum_state(1))
         assert as_snu(out.cov[0, 0]) - 1.0 == pytest.approx(20.0, abs=1e-12)
 
@@ -158,11 +220,11 @@ class TestCorrectedChannel:
                 NoiseSource(np.array(pattern), 2.0),
             )
             model = ChannelModel(2, 1.0, 0.0, sources)
-            cfg = ProtocolConfig(0.5, 0.5, model)
+            cfg = ProtocolConfig(HALF, HALF, model)
             out = corrected_channel(cfg, vacuum_state(1))
             single = ChannelModel(2, 1.0, 0.0, (sources[1],))
             alone = uncorrected_channel(
-                ProtocolConfig(0.5, 0.5, single), vacuum_state(1), channel=channel
+                ProtocolConfig(HALF, HALF, single), vacuum_state(1), channel=channel
             )
             excess_corr = out.cov[0, 0] - 0.5
             excess_single = alone.cov[0, 0] - 0.5
@@ -179,7 +241,8 @@ class TestCorrectedChannel:
             var, xi = rng.uniform(0.0, 20.0), rng.uniform(0.0, 0.5)
             te, td, eta = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.1, 1.0)
             model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), var),), xi)
-            out = corrected_channel(ProtocolConfig(te, td, model), vacuum_state(1))
+            cfg = ProtocolConfig(amplitudes(te), amplitudes(td), model)
+            out = corrected_channel(cfg, vacuum_state(1))
             coherent = (np.sqrt(td * g1) - np.sqrt((1.0 - td) * g2)) ** 2
             incoherent = td * g1 + (1.0 - td) * g2
             expected = 0.5 + var * ((1.0 - xi) * coherent + xi * incoherent)
@@ -224,7 +287,7 @@ class TestIncoherentStrategy:
         rng = np.random.default_rng(15)
         for g1, g2, eta in [(1.0, 1.0, 1.0), (2.0, 1.0, 0.7), (0.61, 1.0, 0.9)]:
             model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), 0.0),))
-            t = optimal_splitting(g1, g2)
+            t = amplitudes(optimal_splitting(g1, g2))
             cfg = ProtocolConfig(t, t, model)
             state = random_physical_state(rng)
             out = incoherent_strategy(cfg, state)
@@ -249,7 +312,7 @@ class TestIncoherentStrategy:
         # sample the measure-and-feedforward loop explicitly
         g1, g2, eta, var = 1.3, 0.9, 0.8, 6.0
         model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), var),))
-        t = optimal_splitting(g1, g2)
+        t = amplitudes(optimal_splitting(g1, g2))
         out = incoherent_strategy(ProtocolConfig(t, t, model), vacuum_state(1))
 
         rng = np.random.default_rng(99)
@@ -288,7 +351,7 @@ class TestIncoherentStrategy:
         # penalty g1/g2
         g1, g2, eta, var, xi = 1.3, 0.9, 0.8, 6.0, 0.05
         model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), var),), xi)
-        t = optimal_splitting(g1, g2)
+        t = amplitudes(optimal_splitting(g1, g2))
         state = displace(vacuum_state(1), 0, 1.0, -0.5)
         out = incoherent_strategy(ProtocolConfig(t, t, model), state)
         ref = pure_loss_reference(state, eta)
@@ -298,7 +361,7 @@ class TestIncoherentStrategy:
     def test_idle_channel_without_noise_rejected(self):
         model = ChannelModel(2, 1.0, 0.0, (NoiseSource([1.0, 0.0], 1.0),))
         with pytest.raises(ValueError, match="measure"):
-            incoherent_strategy(ProtocolConfig(0.5, 0.5, model), vacuum_state(1))
+            incoherent_strategy(ProtocolConfig(HALF, HALF, model), vacuum_state(1))
 
 
 class TestNullSpaceEncoder:
@@ -382,7 +445,7 @@ class TestNChannelProtocol:
         rng = np.random.default_rng(21)
         g1, g2, eta, var = 0.7, 1.3, 0.85, 12.0
         model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), var),))
-        t = optimal_splitting(g1, g2)
+        t = amplitudes(optimal_splitting(g1, g2))
         state = random_physical_state(rng)
         a = corrected_channel(ProtocolConfig(t, t, model), state)
         b = n_channel_protocol(NoisePatternSet((np.sqrt([g1, g2]),)), eta, var, state)
@@ -471,11 +534,22 @@ class TestNChannelProtocol:
 
 
 class TestProtocolConfig:
-    def test_transmissivity_range(self):
+    @pytest.mark.parametrize(
+        "pair", [(1.2, 0.5), (0.5, 0.5), (np.nan, 0.0), (np.inf, 0.0), (1.0, 1e-5)]
+    )
+    def test_amplitudes_must_be_a_unit_pair(self, pair):
         model = standard_two_channel(1.0, 1.0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(1.2, 0.5, model)
+        with pytest.raises(ValueError, match="encoder must be a finite unit amplitude pair"):
+            ProtocolConfig(pair, HALF, model)
+        with pytest.raises(ValueError, match="decoder must be a finite unit amplitude pair"):
+            ProtocolConfig(HALF, pair, model)
+
+    def test_pairs_of_either_sign_accepted(self):
+        model = standard_two_channel(1.0, 1.0)
+        cfg = ProtocolConfig(np.array([0.6, -0.8]), (-0.8, 0.6), model)
+        assert cfg.encoder == (0.6, -0.8)
+        assert cfg.decoder == (-0.8, 0.6)
 
     def test_needs_two_channels(self):
         with pytest.raises(ValueError):
-            ProtocolConfig(0.5, 0.5, ChannelModel(1, 1.0, 0.0))
+            ProtocolConfig(HALF, HALF, ChannelModel(1, 1.0, 0.0))

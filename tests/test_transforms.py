@@ -86,8 +86,9 @@ class TestBeamSplitter:
             GaussianMap.of(beam_splitter(0.5), (1, 1), 2)
 
     def test_mode_matrix_orthogonal(self):
-        b = beam_splitter_matrix(0.3)
+        b = beam_splitter_matrix(np.sqrt(0.3), -np.sqrt(0.7))
         assert np.allclose(b @ b.T, np.eye(2), atol=1e-15)
+        assert np.allclose(b @ b, np.eye(2), atol=1e-15)
 
 
 class TestPhaseShift:
