@@ -25,16 +25,13 @@ _EXPORTS = {
         "VACUUM_VARIANCE",
         "as_snu",
         "displace",
-        "partial_trace",
         "physicality_check",
         "symplectic_eigenvalues",
-        "tensor",
         "vacuum_state",
     ),
     "transforms": (
         "GaussianMap",
         "beam_splitter",
-        "phase_shift",
         "squeeze",
         "two_mode_squeezed",
     ),

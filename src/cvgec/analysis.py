@@ -29,8 +29,8 @@ from .protocol import (
     n_channel_map,
     uncorrected_map,
 )
-from .states import VACUUM_VARIANCE, as_snu, displace, vacuum_state
-from .transforms import _MAX_SQUEEZING, GaussianMap, two_mode_squeezed
+from .states import as_snu, displace, vacuum_state
+from .transforms import _MAX_SQUEEZING, two_mode_squeezed
 
 #: CSV column order shared by both sweep commands.
 SWEEP_COLUMNS = (
@@ -149,9 +149,13 @@ def entanglement_sweep(model: ChannelModel, r: float, eps_grid) -> SweepResult:
     """
     eps_grid = _noise_values(eps_grid)
     transmitted = two_mode_squeezed(r).cov[2:, 2:]
+    axes = {
+        "corr": _noise_axis(n_channel_map, model),
+        "uncorr": _noise_axis(uncorrected_map, model),
+    }
     cols = {}
-    for tag, strategy in (("corr", n_channel_map), ("uncorr", uncorrected_map)):
-        x, y0, y1 = axis = _noise_axis(strategy, model)
+    for tag, axis in axes.items():
+        x, y0, y1 = axis
         _, cov = _outputs(axis, np.zeros(2), transmitted, eps_grid)
         s, d = _squeezing_weights(x)
         cols[f"var_x_{tag}_snu"] = as_snu(cov[:, 0, 0])
@@ -165,29 +169,9 @@ def entanglement_sweep(model: ChannelModel, r: float, eps_grid) -> SweepResult:
         "channel": dump_channel_config(model).splitlines(),
         "r": r,
         "inseparability_threshold": 2.0,
-        # on the loop's last axis, the uncorrected one
-        "uncorrected_breaking_point_snu": _breaking_point(axis, 10.0, 1000.0),
+        "uncorrected_breaking_point_snu": _breaking_point(axes["uncorr"], 10.0, 1000.0),
     }
     return SweepResult(eps_grid, cols, metadata)
-
-
-def inseparability_infimum(
-    eps: float,
-    g_ratio: float,
-    eta: float,
-    xi: float,
-    strategy: str,
-    r_max: float = 10.0,
-) -> float:
-    """Smallest inseparability over input squeezing r in [0, r_max].
-
-    Sending mode 1 of a two-mode squeezed vacuum through the single-mode
-    map cov -> X cov X^T + Y gives the Duan number
-    (s e^{2r} + d e^{-2r}) / 2 + tr Y (see :func:`_squeezing_weights`);
-    :func:`_squeezing_minimum` gives its minimum.
-    """
-    at_zero, slope = _infimum_line(_strategy_axis(g_ratio, eta, xi, strategy), r_max)
-    return at_zero + float(_noise_values(eps)) * slope
 
 
 def entanglement_breaking_point(
@@ -256,10 +240,9 @@ def write_sweep_csv(result: SweepResult, stream, columns=SWEEP_COLUMNS) -> None:
     The first column is the noise axis; the others name series of ``result``.
     """
     stream.write(",".join(columns) + "\n")
-    for k, eps in enumerate(result.axis):
-        row = [format(eps, ".17g")]
-        row += [format(result.series[name][k], ".17g") for name in columns[1:]]
-        stream.write(",".join(row) + "\n")
+    cells = [result.axis.tolist()] + [result.series[name].tolist() for name in columns[1:]]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    stream.writelines(row % values for values in zip(*cells))
 
 
 def _noise_values(eps) -> np.ndarray:
@@ -280,20 +263,16 @@ def _strategy_axis(g_ratio: float, eta: float, xi: float, strategy: str):
     return _noise_axis(strategy_map, standard_two_channel(1.0, g_ratio, eta, xi))
 
 
-def _infimum_line(axis, r_max: float):
-    """Inseparability infimum over r at eps = 0, and its slope in eps."""
+def _breaking_point(axis, r_max: float, eps_limit: float) -> float:
+    """Noise level at which the inseparability infimum over r in [0, r_max],
+    tr Y0 + eps tr Y1 plus the squeezing minimum, reaches 2 on one axis."""
+    if not eps_limit >= 0.0:
+        raise ValueError("eps_limit must be nonnegative")
     if not 0.0 <= r_max <= _MAX_SQUEEZING:
         raise ValueError("r_max must lie in [0, 20], the supported squeezing range")
     x, y0, y1 = axis
-    return float(np.trace(y0)) + _squeezing_minimum(x, r_max), float(np.trace(y1))
-
-
-def _breaking_point(axis, r_max: float, eps_limit: float) -> float:
-    """Noise level at which the inseparability infimum reaches 2 on one axis."""
-    if not eps_limit >= 0.0:
-        raise ValueError("eps_limit must be nonnegative")
-    at_zero, slope = _infimum_line(axis, r_max)
-    gap = at_zero - 2.0
+    gap = float(np.trace(y0)) + _squeezing_minimum(x, r_max) - 2.0
+    slope = float(np.trace(y1))
     if gap >= 0.0:
         return 0.0
     if slope <= 0.0 or -gap > slope * eps_limit:
@@ -311,16 +290,8 @@ def _noise_axis(strategy, model: ChannelModel):
     and one on ``model`` itself.
     """
     silent = replace(model, sources=tuple(replace(s, variance=0.0) for s in model.sources))
-    x, y0 = _signal_block(strategy(silent, 1))
-    _, y_unit = _signal_block(strategy(model, 1))
-    return x, y0, y_unit - y0
-
-
-def _signal_block(m: GaussianMap) -> tuple[np.ndarray, np.ndarray]:
-    """(X, Y) of a map restricted to mode 0, every other register mode
-    entering in vacuum; the strategies carry no displacement."""
-    x = m.X[:2]
-    return x[:, :2], m.Y[:2, :2] + VACUUM_VARIANCE * x[:, 2:] @ x[:, 2:].T
+    quiet = strategy(silent, 1).restricted(1)
+    return quiet.X, quiet.Y, strategy(model, 1).restricted(1).Y - quiet.Y
 
 
 def _outputs(axis, mean, cov, eps_grid):

@@ -22,7 +22,7 @@ from .channel import ChannelModel, NoiseSource, channel_map
 # The pattern names are part of this module's surface as well.
 from .patterns import NoProtectedSubspaceError, NoisePatternSet, null_space_encoder
 from .patterns import complete_orthonormal
-from .states import GaussianState, partial_trace, tensor, vacuum_state
+from .states import GaussianState
 from .transforms import GaussianMap, beam_splitter, beam_splitter_matrix
 
 
@@ -162,7 +162,7 @@ def n_channel_map(model: ChannelModel, n_modes: int, signal_mode: int = 0) -> Ga
 
 def corrected_channel(cfg: ProtocolConfig, state: GaussianState, signal_mode: int = 0) -> GaussianState:
     """:func:`corrected_map` applied to a state; the discarded port is dropped."""
-    return _kept(corrected_map(cfg, state.n_modes, signal_mode), state)
+    return corrected_map(cfg, state.n_modes, signal_mode).restricted(state.n_modes).apply(state)
 
 
 def uncorrected_channel(
@@ -172,12 +172,14 @@ def uncorrected_channel(
     channel: int = 0,
 ) -> GaussianState:
     """:func:`uncorrected_map` applied to a state; the idle carriers are dropped."""
-    return _kept(uncorrected_map(cfg.channel, state.n_modes, signal_mode, channel), state)
+    m = uncorrected_map(cfg.channel, state.n_modes, signal_mode, channel)
+    return m.restricted(state.n_modes).apply(state)
 
 
 def incoherent_strategy(cfg: ProtocolConfig, state: GaussianState, signal_mode: int = 0) -> GaussianState:
     """:func:`incoherent_map` applied to a state; the measured modes are dropped."""
-    return _kept(incoherent_map(cfg.channel, state.n_modes, signal_mode), state)
+    m = incoherent_map(cfg.channel, state.n_modes, signal_mode)
+    return m.restricted(state.n_modes).apply(state)
 
 
 def n_channel_protocol(
@@ -199,7 +201,8 @@ def n_channel_protocol(
     variances = np.broadcast_to(np.asarray(variances, dtype=float), (len(patterns.patterns),))
     sources = tuple(NoiseSource(p, v) for p, v in zip(patterns.patterns, variances))
     model = ChannelModel(patterns.n_channels, eta, 0.0, sources, xi)
-    return _kept(n_channel_map(model, state.n_modes, signal_mode), state)
+    m = n_channel_map(model, state.n_modes, signal_mode)
+    return m.restricted(state.n_modes).apply(state)
 
 
 def _encoded_map(model: ChannelModel, encoder, decoder, n_modes: int, signal_mode: int) -> GaussianMap:
@@ -216,9 +219,3 @@ def _encoded_map(model: ChannelModel, encoder, decoder, n_modes: int, signal_mod
     decode = GaussianMap.of(np.kron(np.transpose(decoder), np.eye(2)), carriers, reg)
     return encode.then(channel_map(model, carriers, reg)).then(decode)
 
-
-def _kept(m: GaussianMap, state: GaussianState) -> GaussianState:
-    """Image of ``state`` under ``m``, the register's appended modes in
-    vacuum, over the state's own modes."""
-    full = m.apply(tensor(state, vacuum_state(m.n_modes - state.n_modes)))
-    return partial_trace(full, range(state.n_modes))

@@ -5,9 +5,11 @@ matrix over the quadratures, interleaved as (x1, p1, ..., xN, pN).  We use
 the convention [x, p] = i, so the vacuum has variance 1/2 per quadrature;
 shot-noise units (SNU) normalize variances to that value.
 
-States are built (vacuum, displacement, tensor product, partial trace)
-and checked (symplectic spectrum, physicality) here; the tests' direct
-Duan number and noise helper live in ``tests/state_oracle.py``.
+States are built (vacuum, displacement) and checked (symplectic
+spectrum, physicality) here; a map restricted to the kept modes
+(:meth:`cvgec.transforms.GaussianMap.restricted`) stands in for the tensor
+product with vacua and the partial trace, which live with the tests'
+direct Duan number and noise helper in ``tests/state_oracle.py``.
 
 All types are immutable values and every operation is a pure function of
 its inputs, so states can be shared and evaluated in parallel freely.
@@ -90,27 +92,6 @@ def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianS
     mean[2 * mode] += dx
     mean[2 * mode + 1] += dp
     return GaussianState(mean, state.cov)
-
-
-def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Product state with the modes of ``b`` appended after those of ``a``."""
-    mean = np.concatenate([a.mean, b.mean])
-    cov = np.zeros((mean.size, mean.size))
-    na = a.mean.size
-    cov[:na, :na] = a.cov
-    cov[na:, na:] = b.cov
-    return GaussianState(mean, cov)
-
-
-def partial_trace(state: GaussianState, keep) -> GaussianState:
-    """Reduced state over the kept modes (ascending mode order)."""
-    keep = sorted(set(keep))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    for k in keep:
-        _check_mode(state, k)
-    idx = _quad_indices(keep)
-    return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)])
 
 
 def as_snu(variance: float) -> float:

@@ -5,7 +5,7 @@ register of N modes, mean -> X mean, cov -> X cov X^T + Y (Weedbrook et
 al., RMP 84, 621 (2012), sec. II), carried whole by :class:`GaussianMap`.
 No map displaces the mean: the classical noise is zero-mean, and the
 incoherent baseline's feedforward is averaged into X.  A gate (beam
-splitter, phase shift, squeezer) is the case Y = 0: each gate function
+splitter, squeezer) is the case Y = 0: each gate function
 returns its local 2k x 2k symplectic block, and :meth:`GaussianMap.of`
 places that block on k modes of a register.  The beam splitter has the
 paper's pi-flip convention, so an encode/decode pair of equal
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState, _quad_indices, vacuum_state
+from .states import VACUUM_VARIANCE, GaussianState, _quad_indices, vacuum_state
 
 _MAX_SQUEEZING = 20.0
 
@@ -66,6 +66,16 @@ class GaussianMap:
         """Image of a state held in the same register."""
         return GaussianState(self.X @ state.mean, self.X @ state.cov @ self.X.T + self.Y)
 
+    def restricted(self, k: int) -> GaussianMap:
+        """The map on the register's first ``k`` modes, every later mode
+        entering in vacuum and then dropped: (X_kk, Y_kk + X_ka X_ka^T / 2)."""
+        if not 1 <= k <= self.n_modes:
+            raise ValueError(f"cannot keep {k} of {self.n_modes} modes")
+        x = self.X[: 2 * k]
+        tail = x[:, 2 * k :]
+        y = self.Y[: 2 * k, : 2 * k] + VACUUM_VARIANCE * tail @ tail.T
+        return GaussianMap(x[:, : 2 * k], y)
+
 
 def embed(block: np.ndarray, modes, n_modes: int, fill: float = 1.0) -> np.ndarray:
     """Place a 2k x 2k block over ``modes`` into an N-mode register, with
@@ -100,14 +110,6 @@ def beam_splitter(t: float) -> np.ndarray:
     if not 0.0 <= t <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
     return np.kron(beam_splitter_matrix(np.sqrt(t), np.sqrt(1.0 - t)), np.eye(2))
-
-
-def phase_shift(phi: float) -> np.ndarray:
-    """2x2 block of a phase-space rotation by ``phi``; phi = pi flips signs."""
-    if not np.isfinite(phi):
-        raise ValueError("phase must be finite")
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, s], [-s, c]])
 
 
 def squeeze(r: float, theta: float = 0.0) -> np.ndarray:

@@ -23,11 +23,11 @@ from cvgec.protocol import (
     optimal_splitting_for,
     uncorrected_map,
 )
-from cvgec.states import partial_trace, tensor, vacuum_state
+from cvgec.states import vacuum_state
 from cvgec.transforms import two_mode_squeezed
 
 from splitting_oracle import golden_section
-from state_oracle import duan_simon
+from state_oracle import duan_simon, partial_trace, tensor
 
 
 def infimum(eps, g_ratio, eta, xi, strategy, r_max=10.0):

@@ -10,8 +10,10 @@ import numpy as np
 
 from cvgec.channel import channel_map
 from cvgec.protocol import ProtocolConfig, corrected_map
-from cvgec.states import displace, partial_trace, tensor, vacuum_state
+from cvgec.states import displace, vacuum_state
 from cvgec.transforms import GaussianMap, beam_splitter_matrix
+
+from state_oracle import partial_trace, tensor
 
 
 def empirical_covariance(records) -> tuple[np.ndarray, np.ndarray]:

@@ -3,12 +3,21 @@
 Places the symplectic block of every plan element on a 2N x 2N register
 and multiplies them in application order, so it shares nothing with the
 two-row mode-matrix update in ``cvgec.network`` beyond the element types.
+``phase_shift`` is the phase elements' 2 x 2 block, which no command needs.
 """
 
 import numpy as np
 
 from cvgec.network import BeamSplitterElement, PhaseShiftElement
-from cvgec.transforms import embed, phase_shift
+from cvgec.transforms import embed
+
+
+def phase_shift(phi: float) -> np.ndarray:
+    """2x2 block of a phase-space rotation by ``phi``; phi = pi flips signs."""
+    if not np.isfinite(phi):
+        raise ValueError("phase must be finite")
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([[c, s], [-s, c]])
 
 
 def element_symplectic(element, n_modes: int) -> np.ndarray:

@@ -19,7 +19,9 @@ import numpy as np
 
 from cvgec.channel import ChannelModel, NoiseSource, channel_map
 from cvgec.fidelity import fidelity_moments
-from cvgec.states import as_snu, displace, tensor, vacuum_state
+from cvgec.states import as_snu, displace, vacuum_state
+
+from state_oracle import tensor
 
 
 def optimal_splitting(g1: float, g2: float) -> float:

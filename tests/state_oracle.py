@@ -3,12 +3,15 @@
 ``duan_simon`` reads the Duan inseparability number off a covariance
 entry by entry, so it shares nothing with the closed form in
 ``cvgec.analysis`` that the sweeps write.  ``add_noise`` is a plain helper
-that adds a classical noise covariance to a state.
+that adds a classical noise covariance to a state.  ``tensor`` and
+``partial_trace`` restrict a map the long way: append vacua, apply the
+whole register map, keep the state's modes; the package's
+``GaussianMap.restricted`` does it in one formula.
 """
 
 import numpy as np
 
-from cvgec.states import GaussianState
+from cvgec.states import GaussianState, _check_mode, _quad_indices
 
 
 def add_noise(state: GaussianState, noise_cov) -> GaussianState:
@@ -38,3 +41,24 @@ def duan_number(cov: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
     var_x = cov[..., xi, xi] + cov[..., xj, xj] - 2.0 * cov[..., xi, xj]
     var_p = cov[..., pi, pi] + cov[..., pj, pj] + 2.0 * cov[..., pi, pj]
     return var_x + var_p
+
+
+def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
+    """Product state with the modes of ``b`` appended after those of ``a``."""
+    mean = np.concatenate([a.mean, b.mean])
+    cov = np.zeros((mean.size, mean.size))
+    na = a.mean.size
+    cov[:na, :na] = a.cov
+    cov[na:, na:] = b.cov
+    return GaussianState(mean, cov)
+
+
+def partial_trace(state: GaussianState, keep) -> GaussianState:
+    """Reduced state over the kept modes (ascending mode order)."""
+    keep = sorted(set(keep))
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    for k in keep:
+        _check_mode(state, k)
+    idx = _quad_indices(keep)
+    return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)])

@@ -27,13 +27,13 @@ from cvgec.protocol import (
     optimal_splitting_for,
 )
 from cvgec.states import displace, physicality_check, symplectic_form, vacuum_state
-from cvgec.transforms import GaussianMap, beam_splitter, phase_shift, squeeze
+from cvgec.transforms import GaussianMap, beam_splitter, squeeze
 
 import breaking_oracle
 from fock_oracle import fidelity_fock_states
 from map_reference import pure_loss_reference
 from montecarlo_oracle import analytic_stage_moments, empirical_covariance
-from network_oracle import plan_symplectic
+from network_oracle import phase_shift, plan_symplectic
 from splitting_oracle import amplitudes, grid_scan_splitting, optimal_splitting
 from state_oracle import duan_simon
 from test_analysis import optimized, unit_model

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from cvgec.analysis import (
+    AUX_COLUMNS,
     SWEEP_COLUMNS,
     SweepResult,
     _splitting_for_noise,
     coherent_sweep,
     entanglement_breaking_point,
     entanglement_sweep,
-    inseparability_infimum,
     optimize_splitting,
     write_sweep_csv,
 )
@@ -145,8 +145,6 @@ class TestCoherentSweep:
             coherent_sweep(unit_model(1.0, 1.0, 0.0), (2.0, 0.0), np.array([0.0, bad]))
         with pytest.raises(ValueError, match="nonnegative"):
             entanglement_sweep(unit_model(1.0, 1.0, 0.0), 0.5, np.array([bad]))
-        with pytest.raises(ValueError, match="nonnegative"):
-            inseparability_infimum(bad, 1.0, 0.9, 0.0, "uncorrected")
 
 
 class TestEntanglementSweep:
@@ -315,9 +313,7 @@ class TestBreakingPoint:
                 assert 0.0 < bp < 1000.0
                 at = lambda eps: breaking_oracle.infimum(eps, g, eta, xi, strategy, r_max)
                 assert at(bp - 1e-6) < 2.0 <= at(bp + 1e-6), (g, eta, xi, strategy)
-                closed = inseparability_infimum(bp, g, eta, xi, strategy, r_max)
-                assert closed == pytest.approx(2.0, abs=1e-12)
-                assert at(bp) == pytest.approx(closed, abs=1e-9)
+                assert at(bp) == pytest.approx(2.0, abs=1e-9)
 
     def test_lossy_uncorrected_oracle(self):
         eta = 0.9
@@ -329,11 +325,6 @@ class TestBreakingPoint:
         nearly = entanglement_breaking_point(1.0, 1.0, 0.999, "corrected")
         assert nearly == pytest.approx(uncorr, rel=0.01)
 
-    def test_infimum_independent_of_r_ceiling(self):
-        a = inseparability_infimum(5.0, 1.0, 0.9, 0.0, "uncorrected", r_max=5.0)
-        b = inseparability_infimum(5.0, 1.0, 0.9, 0.0, "uncorrected", r_max=10.0)
-        assert a == pytest.approx(b, abs=1e-6)
-
     def test_breaking_point_independent_of_r_ceiling(self):
         a = entanglement_breaking_point(1.0, 0.9, 0.0, "uncorrected", r_max=5.0)
         b = entanglement_breaking_point(1.0, 0.9, 0.0, "uncorrected", r_max=10.0)
@@ -341,12 +332,10 @@ class TestBreakingPoint:
 
     def test_bad_strategy(self):
         with pytest.raises(ValueError):
-            inseparability_infimum(1.0, 1.0, 1.0, 0.0, "sideways")
+            entanglement_breaking_point(1.0, 1.0, 0.0, "sideways")
 
     @pytest.mark.parametrize("r_max", [-1.0, 25.0, np.nan])
     def test_squeezing_ceiling_outside_supported_range(self, r_max):
-        with pytest.raises(ValueError, match="r_max"):
-            inseparability_infimum(1.0, 1.0, 1.0, 0.0, "uncorrected", r_max=r_max)
         with pytest.raises(ValueError, match="r_max"):
             entanglement_breaking_point(1.0, 1.0, 0.0, "uncorrected", r_max=r_max)
 
@@ -473,6 +462,28 @@ class TestSweepCsv:
         cells = lines[1].split(",")
         assert len(cells) == len(SWEEP_COLUMNS)
         assert cells[-1] == "nan"
+
+    @pytest.mark.parametrize("columns", [SWEEP_COLUMNS, AUX_COLUMNS], ids=["main", "aux"])
+    def test_cells_match_per_cell_format(self, columns):
+        # every cell as format(x, ".17g") writes it, the extremes included
+        odd = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, -2.5e-310]
+        # fidelities in [0, 1] and inseparabilities nonnegative, NaN aside
+        bounded = [np.nan, 1.0, 0.0, -0.0, 5e-324, 0.1, 1.0 / 3.0, 0.999999]
+        positive = [np.nan, np.inf, 1e300, -0.0, 5e-324, 0.1, 2.0 / 3.0, 7.0]
+        names = set(SWEEP_COLUMNS + AUX_COLUMNS) - {"eps_snu"}
+        pools = {"fid": bounded, "insep": positive}
+        series = {}
+        for k, name in enumerate(sorted(names)):
+            series[name] = np.roll(pools.get(name.split("_")[0], odd), k)
+        res = SweepResult(np.array(odd), series, {})
+        buf = io.StringIO()
+        write_sweep_csv(res, buf, columns)
+        rows = [",".join(columns)] + [
+            ",".join(format(x, ".17g") for x in [eps] + [res.series[c][k] for c in columns[1:]])
+            for k, eps in enumerate(res.axis)
+        ]
+        assert buf.getvalue() == "\n".join(rows) + "\n"
+        assert "-0," in buf.getvalue() and "4.9406564584124654e-324" in buf.getvalue()
 
     def test_series_validation(self):
         with pytest.raises(ValueError, match="axis length"):

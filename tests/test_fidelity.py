@@ -7,9 +7,10 @@ import pytest
 
 from cvgec.fidelity import _fidelity_logs, fidelity, fidelity_moments
 from cvgec.states import displace, vacuum_state
-from cvgec.transforms import GaussianMap, phase_shift, squeeze
+from cvgec.transforms import GaussianMap, squeeze
 
 from fock_oracle import fidelity_fock_states
+from network_oracle import phase_shift
 from state_oracle import add_noise
 from test_states import random_physical_state
 

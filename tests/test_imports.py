@@ -32,15 +32,12 @@ SURFACE = {
     "n_channel_protocol": "protocol",
     "network": None,
     "null_space_encoder": "protocol",
-    "partial_trace": "states",
-    "phase_shift": "transforms",
     "physicality_check": "states",
     "protocol": None,
     "squeeze": "transforms",
     "standard_two_channel": "channel",
     "states": None,
     "symplectic_eigenvalues": "states",
-    "tensor": "states",
     "transforms": None,
     "two_mode_squeezed": "transforms",
     "uncorrected_channel": "protocol",

@@ -23,12 +23,12 @@ from cvgec.protocol import (
     optimal_splitting_for,
     uncorrected_channel,
 )
-from cvgec.states import GaussianState, as_snu, displace, tensor, vacuum_state
+from cvgec.states import GaussianState, as_snu, displace, vacuum_state
 from cvgec.transforms import GaussianMap, beam_splitter, two_mode_squeezed
 
 from map_reference import characterize_single_mode_map, pure_loss_reference
 from splitting_oracle import amplitudes, optimal_splitting
-from state_oracle import duan_simon
+from state_oracle import duan_simon, tensor
 from test_states import random_physical_state
 
 HALF = amplitudes(0.5)  # a balanced splitter

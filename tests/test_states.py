@@ -7,15 +7,14 @@ from cvgec.states import (
     GaussianState,
     as_snu,
     displace,
-    partial_trace,
     physicality_check,
     symplectic_eigenvalues,
-    tensor,
     vacuum_state,
 )
-from cvgec.transforms import GaussianMap, phase_shift, squeeze, two_mode_squeezed
+from cvgec.transforms import GaussianMap, squeeze, two_mode_squeezed
 
-from state_oracle import add_noise, duan_simon
+from network_oracle import phase_shift
+from state_oracle import add_noise, duan_simon, partial_trace, tensor
 
 
 def random_physical_state(rng, n_modes=1):

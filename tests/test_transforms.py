@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvgec.states import displace, physicality_check, symplectic_form, vacuum_state
 from cvgec.transforms import (
@@ -11,11 +13,11 @@ from cvgec.transforms import (
     beam_splitter,
     beam_splitter_matrix,
     embed,
-    phase_shift,
     squeeze,
     two_mode_squeezed,
 )
-from state_oracle import duan_simon
+from network_oracle import phase_shift
+from state_oracle import duan_simon, partial_trace, tensor
 from test_states import random_physical_state
 
 
@@ -243,3 +245,34 @@ class TestGaussianMap:
     def test_embed_rejects_wrong_block_shape(self, shape, modes):
         with pytest.raises(ValueError, match="shape"):
             embed(np.ones(shape), modes, 2)
+
+
+def max_relative_error(value, reference):
+    """Largest entry error over the largest reference entry."""
+    return np.max(np.abs(value - reference)) / np.max(np.abs(reference))
+
+
+class TestRestricted:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_tensoring_with_vacua_and_tracing_out(self, sizes, seed):
+        # a random real X, a random positive semidefinite Y and a random state
+        n, k = sizes
+        rng = np.random.default_rng(seed)
+        noise = rng.normal(size=(2 * n, 2 * n))
+        m = GaussianMap(rng.normal(size=(2 * n, 2 * n)), noise @ noise.T)
+        state = random_physical_state(rng, k)
+        fast = m.restricted(k).apply(state)
+        register = tensor(state, vacuum_state(n - k)) if k < n else state
+        slow = partial_trace(m.apply(register), range(k))
+        assert fast.n_modes == k
+        assert max_relative_error(fast.mean, slow.mean) <= 1e-12
+        assert max_relative_error(fast.cov, slow.cov) <= 1e-12
+
+    @pytest.mark.parametrize("k", [0, -1, 3])
+    def test_keeps_between_one_and_every_mode(self, k):
+        with pytest.raises(ValueError, match="keep"):
+            GaussianMap(np.eye(4)).restricted(k)
