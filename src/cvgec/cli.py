@@ -38,8 +38,15 @@ from . import __version__
 #: Conventions echoed into every manifest and all --help texts.
 CONVENTIONS = {
     "snu": "shot-noise units: variance / 0.5, the vacuum quadrature variance in natural units",
-    "beam_splitter_sign": "pi_flip: amplitudes (sqrt(T), -sqrt(1-T); -sqrt(1-T), -sqrt(T))",
-    "port_labeling": "optimal splitting T_e = T_d = g2/(g1+g2); the signal exits the first decoder port",
+    "beam_splitter_sign": (
+        "pi_flip: a unit amplitude pair (c, s) of either sign, T = c^2, is the mode matrix"
+        " ((c, -s), (-s, -c))"
+    ),
+    "port_labeling": (
+        "the sweeps encode the signal into the protected mode, the unit vector orthogonal to every"
+        " source coupling, completed to an orthogonal encoder u and decoded by u^T; trace sets both"
+        " splitters to the noise-cancelling pair; the signal exits the first decoder port"
+    ),
     "noise_axis": "eps is channel 1's excess noise in SNU at the channel output, before detection",
     "uncorrected_reference": "direct transmission through channel 1, no encoding",
     "inseparability": "Var(x1-x2) + Var(p1+p2) in natural units; entangled below 2",
@@ -224,8 +231,7 @@ def _cmd_trace(args) -> int:
     from .montecarlo import sample_run, write_trace_csv
     from .protocol import ProtocolConfig, optimal_splitting_for
 
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
+    _count(args.n, "--n")
     if args.modulation_period < 0:
         raise UsageError("--modulation-period must be nonnegative")
     if args.seed < 0:
@@ -299,11 +305,23 @@ def _cmd_optimize(args) -> int:
 def _eps_grid(args):
     import numpy as np
 
-    if args.eps_steps < 1:
-        raise UsageError("--eps-steps must be at least 1")
+    _count(args.eps_steps, "--eps-steps")
     if args.eps_max < 0:
         raise UsageError("--eps-max must be nonnegative")
     return np.linspace(0.0, args.eps_max, args.eps_steps)
+
+
+def _count(value: int, flag: str) -> None:
+    """Refuse a count below 1, or one whose float array cannot be allocated
+    (numpy's size limit or no address space); the probe touches no memory."""
+    import numpy as np
+
+    if value < 1:
+        raise UsageError(f"{flag} must be at least 1")
+    try:
+        np.empty(value)
+    except (MemoryError, ValueError):
+        raise UsageError(f"{flag} {value} is more than an array can hold") from None
 
 
 def _effective_channel(args, eps: float = 10.0):

@@ -164,11 +164,6 @@ def write_trace_csv(records, stream) -> None:
 #: Rows per block of :func:`write_trace_csv`.
 _BLOCK_ROWS = 1 << 14
 
-#: A value field: sign, "0.000", the leading digit, then the other 16
-#: digits each behind a "." slot, as four ".d.d.d.d" octets.
-_FIELD = 39
-_FIELD_TEMPLATE = np.frombuffer(b"-0.0000" + b".0" * 16, np.uint8)
-
 #: Powers of ten up to 1e22 are exact doubles; each is split into two
 #: 26-bit halves for Dekker's product.
 _SPLITTER = 134217729.0  # 2**27 + 1
@@ -179,15 +174,25 @@ _POW10_LO = _POW10 - _POW10_HI
 
 @functools.cache
 def _digit_tables():
-    """Lookup tables over the 4-digit groups 0000..9999: the group as a
-    ".d.d.d.d" octet (uint64), as four digits (uint32), and its number of
-    trailing zeros."""
+    """Lookup tables of the value field: ``octets``, the 4-digit groups
+    0000..9999 as ".d.d.d.d" (uint64), and ``trailing``, their numbers of
+    trailing zeros; ``heads[e + 4]``, the "0.000" bytes that a value of
+    decimal exponent e prints before its leading digit; ``masks[e + 4, t]``,
+    four uint64 words that keep of the octets the digits and the point that
+    such a value prints when its last nonzero digit is digit t (digit 0
+    leading).  Every byte not printed is NUL."""
     digits = np.arange(10000).reshape(-1, 1) // 10 ** np.arange(3, -1, -1) % 10
-    text = (48 + digits).astype(np.uint8)
     octets = np.full((10000, 8), ord("."), np.uint8)
-    octets[:, 1::2] = text
+    octets[:, 1::2] = 48 + digits
     trailing = np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)
-    tables = octets.view(np.uint64).ravel(), text.view(np.uint32).ravel(), trailing
+    e = np.arange(-4, 17).reshape(-1, 1)
+    heads = np.where(np.arange(5) < np.where(e < 0, 1 - e, 0), np.frombuffer(b"0.000", np.uint8), 0)
+    e = e.reshape(-1, 1, 1)
+    # Octet byte 2j - 1 holds digit j = 1..16, byte 2j - 2 the point ahead of it.
+    j, t = np.arange(1, 17), np.arange(17).reshape(-1, 1)
+    masks = np.stack([(j == e + 1) & (j <= t), j <= np.maximum(e, t)], axis=-1)
+    masks = (255 * masks).astype(np.uint8).reshape(21, 17, 32).view(np.uint64)
+    tables = octets.view(np.uint64).ravel(), trailing, heads.astype(np.uint8), masks
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -245,62 +250,32 @@ class _RowFormatter:
     """Rows ``"\\n" + index + "," + format(v, '.17g')`` of the records of
     ``n`` samples, formatted a block at a time.
 
-    Every row is built in a fixed-width uint8 matrix whose layout does not
-    depend on the value: ["\\n"][index][","][value field].  The index is
-    zero-padded to a multiple of four digits; its digits, and its number of
-    digits as an offset into the keep table, are built here for all ``n``
-    rows.  The value field puts every decimal digit in a fixed column, with
-    a "." slot after each, so digits are stored without shifting.  Which
-    bytes a row keeps (the minus sign, "0." and leading zeros below 1, the
-    digits up to the last significant one, the one "." that is the decimal
-    point, the index without its leading zeros) depends only on the index
-    length, the sign, the exponent and the last significant digit, and is
-    looked up in a table built here.  One compaction of the kept bytes gives
-    the text.
-
-    Values outside the fixed-notation range (zeros, |v| < 1e-4, |v| >= 1e17)
-    are formatted one by one with ``%.17g`` into their value field.
+    Every row is a fixed-width uint8 row ["\\n"][index][","][sign][head]
+    [leading digit][four ".d.d.d.d" octets] in which each byte the row does
+    not print is NUL; deleting the NULs of a block gives its text.  The
+    index has as many digits as n - 1, leading zeros NUL; the sign is "-" or
+    NUL; the head and the mask of the octets come from the tables of
+    :func:`_digit_tables`.  Values outside the fixed-notation range (zeros,
+    |v| < 1e-4, |v| >= 1e17) are formatted one by one with ``%.17g`` into
+    their NUL-padded value field.
     """
 
     def __init__(self, n: int):
-        width = 4 * -(-len(str(max(n - 1, 0))) // 4)
-        quads = _digit_tables()[1]
-        k = np.arange(n)
-        groups = np.empty((n, width // 4), np.uint32)
-        rest = k
-        for i in range(width // 4 - 1, -1, -1):
-            rest, group = np.divmod(rest, 10**4)
-            groups[:, i] = quads[group]
-        self.digits = groups.view(np.uint8)
-        shorter = np.searchsorted(10 ** np.arange(1, width), k, side="right")
-        self.key = shorter * (2 * 21 * 17)
-
+        width = len(str(max(n - 1, 0)))
+        self.index = np.zeros((n, width), np.uint8)
+        rest = np.arange(n, dtype=np.min_scalar_type(n))
+        self.index[:, -1] = 48 + rest % 10
+        for i in range(width - 2, -1, -1):
+            rest = rest // 10
+            self.index[:, i] = np.where(rest > 0, 48 + rest % 10, 0)
         self.value = v = width + 2
-        row_len = v + _FIELD
-        self.rows = np.empty((min(n, _BLOCK_ROWS), row_len), np.uint8)
+        self.rows = np.empty((min(n, _BLOCK_ROWS), v + 39), np.uint8)  # 1 + 5 + 1 + 32 value bytes
         self.rows[:, 0] = ord("\n")
         self.rows[:, v - 1] = ord(",")
-        self.rows[:, v:] = _FIELD_TEMPLATE
-
-        # keep[index digits - 1, negative, e + 4, last digit kept, column]
-        digits = np.arange(1, width + 1).reshape(-1, 1, 1, 1, 1)
-        negative = np.arange(2).reshape(-1, 1, 1) == 1
-        e = np.arange(-4, 17).reshape(-1, 1, 1)
-        last = np.arange(17).reshape(-1, 1)
-        j = np.arange(17)
-        keep = np.zeros((width, 2, 21, 17, row_len), bool)
-        keep[..., 0] = True
-        keep[..., 1 : v - 1] = np.arange(width) >= width - digits
-        keep[..., v - 1] = True
-        keep[..., v] = negative
-        keep[..., v + 1 : v + 6] = np.arange(5) < np.where(e < 0, 1 - e, 0)
-        keep[..., v + 6 + 2 * j] = j <= last
-        keep[..., v + 7 + 2 * j[:16]] = (j[:16] == e) & (j[:16] < last)
-        self.keep = keep.reshape(-1, row_len)
 
     def text(self, start: int, values: np.ndarray) -> bytes:
         """Rows for ``values``, the samples with indices start, start+1, ..."""
-        octets, _, trailing = _digit_tables()
+        octets, trailing, heads, masks = _digit_tables()
         b, v = values.size, self.value
         rows = self.rows[:b]
         d, e, fast = _significands(values)
@@ -308,28 +283,23 @@ class _RowFormatter:
         top, low = np.divmod(d, 10**8)
         groups = [*np.divmod(top.astype(np.int32), 10**4), *np.divmod(low.astype(np.int32), 10**4)]
         lead, groups[0] = np.divmod(groups[0], 10**4)
-        rows[:, v + 6] = 48 + lead
-        rows[:, v + 7 :] = octets.take(np.stack(groups, axis=1)).view(np.uint8)
-        zeros = np.zeros(b, np.int64)
-        tail = np.ones(b, bool)
-        for group in groups[::-1]:
-            zeros += tail * trailing.take(group)
-            tail &= group == 0
+        zeros = 0  # trailing zeros of the 16 digits after the leading one
+        for group in groups:
+            zeros = trailing.take(group) + (group == 0) * zeros
 
-        rows[:, 1 : v - 1] = self.digits[start : start + b]
-        last = np.maximum(e, 16 - zeros)
-        key = self.key[start : start + b] + ((values < 0) * 21 + e + 4) * 17 + last
-        keep = self.keep.take(key, axis=0)
+        rows[:, 1 : v - 1] = self.index[start : start + b]
+        rows[:, v] = (values < 0) * ord("-")
+        rows[:, v + 1 : v + 6] = heads.take(e + 4, axis=0)
+        rows[:, v + 6] = 48 + lead
+        mask = masks.reshape(-1, 4).take((e + 4) * 17 + 16 - zeros, axis=0)
+        words = octets.take(np.stack(groups, axis=1)) & mask
+        rows[:, v + 7 :] = words.view(np.uint8)
 
         slow = np.flatnonzero(~fast)
         if slow.size:
             text = [b"%.17g" % x for x in values[slow].tolist()]
-            cells = np.array(text, dtype=f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
-            rows[slow, v:] = cells
-            keep[slow, v:] = cells != 0
-        out = np.compress(keep.ravel(), rows.ravel()).tobytes()
-        rows[slow, v:] = _FIELD_TEMPLATE
-        return out
+            rows[slow, v:] = np.array(text, dtype="S39").view(np.uint8).reshape(-1, 39)
+        return rows.tobytes().translate(None, b"\0")
 
 
 class _StreamPool:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cvgec.cli import main
+from cvgec.transforms import beam_splitter_matrix
 
 
 def sha256(path):
@@ -712,6 +713,40 @@ class TestHarness:
             main(argv)
         assert err.value.code == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-coherent", "--eps-steps", str(2**59)],
+            ["sweep-entangle", "--eps-steps", str(2**59)],
+            ["trace", "--n", str(2**59)],
+            ["sweep-coherent", "--eps-steps", str(2**63)],
+            ["sweep-entangle", "--eps-steps", str(2**63)],
+            ["trace", "--n", str(2**63)],
+        ],
+    )
+    def test_counts_no_array_can_hold_exit_2(self, tmp_path, capsys, argv):
+        # 2**59 doubles are 4 EiB, more than any address space: refused
+        # before any memory is touched
+        assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 2
+        flag, count = argv[1:]
+        assert capsys.readouterr().err == f"error: {flag} {count} is more than an array can hold\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_manifest_conventions_describe_the_splitters(self, tmp_path):
+        for argv in (["sweep-coherent", "--eps-steps", "2"], ["trace", "--n", "3"]):
+            out = tmp_path / f"{argv[0]}.csv"
+            assert main(argv + ["--out", str(out)]) == 0
+            manifest = json.loads((tmp_path / f"{argv[0]}.csv.manifest.json").read_text())
+            conventions = manifest["conventions"]
+            assert "amplitude pair (c, s)" in conventions["beam_splitter_sign"]
+            assert "((c, -s), (-s, -c))" in conventions["beam_splitter_sign"]
+            assert "sqrt(T)" not in conventions["beam_splitter_sign"]
+            assert "protected mode" in conventions["port_labeling"]
+            assert "noise-cancelling pair" in conventions["port_labeling"]
+            assert "T_e" not in conventions["port_labeling"]
+        c, s = 0.6, -0.8
+        assert beam_splitter_matrix(c, s).tolist() == [[c, -s], [-s, -c]]
 
     def test_stale_tmp_name_does_not_block_writes(self, tmp_path):
         out = tmp_path / "o.csv"

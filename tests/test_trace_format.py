@@ -81,7 +81,9 @@ class TestEdges:
         assert cells([1.0, 100.5, 0.000125, 1e16]) == ["1", "100.5", "0.000125", "10000000000000000"]
 
     @pytest.mark.parametrize(
-        "n", [1, 2, 3, 9, 10, 11, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
+        "n",
+        [1, 2, 3, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001]
+        + [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1],
     )
     def test_record_lengths(self, n):
         rng = np.random.default_rng(n)
@@ -111,9 +113,11 @@ class TestEdges:
 
 
 def test_digit_tables_match_the_string_reference():
-    for table, ref in zip(_digit_tables(), digit_tables_from_strings()):
-        assert table.dtype == ref.dtype
-        assert np.array_equal(table, ref)
+    tables, refs = _digit_tables(), digit_tables_from_strings()
+    assert len(tables) == len(refs) == 4
+    for name, table, ref in zip(("octets", "trailing", "heads", "masks"), tables, refs):
+        assert (table.dtype, table.shape) == (ref.dtype, ref.shape), name
+        assert np.array_equal(table, ref), name
 
 
 def test_million_random_bit_patterns():
