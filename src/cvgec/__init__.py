@@ -46,7 +46,6 @@ _EXPORTS = {
     "protocol": (
         "ProtocolConfig",
         "corrected_channel",
-        "incoherent_strategy",
         "n_channel_protocol",
         "uncorrected_channel",
     ),

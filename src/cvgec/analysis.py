@@ -200,10 +200,10 @@ def optimize_splitting(
     objective: str = "variance",
     eps_snu: float = 10.0,
     amplitude: tuple[float, float] = (2.0, 0.0),
-) -> tuple[tuple[float, float], tuple[float, float], float]:
+) -> tuple[tuple[float, float], float]:
     """Best encoder/decoder splitters, in closed form.
 
-    Returns ``(pair, pair, value)``: the amplitude pair
+    Returns ``(pair, value)``: the amplitude pair
     (c, s) = (cos theta, sin theta) of both splitters and the objective
     evaluated once on the protocol at that pair.  The encoder enters only
     through the mean attenuation sqrt(eta) cos(theta_e - theta_d), which is
@@ -221,6 +221,11 @@ def optimize_splitting(
     if g1 <= 0 or g2 <= 0:
         raise ValueError("noise magnitudes must be positive")
     variance = 0.5 * eps_snu / g1
+    if not math.isfinite(variance * g2):
+        raise ValueError(
+            f"channel-2 excess noise eps * g2 / g1 = {eps_snu:g} * {g2:g} / {g1:g} SNU "
+            "is beyond the float range"
+        )
     model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), variance),), xi)
     level = -math.inf
     if objective == "fidelity" and eps_snu > 0.0:
@@ -230,8 +235,8 @@ def optimize_splitting(
     probe = displace(vacuum_state(1), 0, amplitude[0], amplitude[1])
     out = corrected_channel(ProtocolConfig(pair, pair, model), probe)
     if objective == "fidelity":
-        return pair, pair, -fidelity(out, probe)
-    return pair, pair, as_snu(0.5 * (out.cov[0, 0] + out.cov[1, 1]) - 0.5)
+        return pair, -fidelity(out, probe)
+    return pair, as_snu(0.5 * (out.cov[0, 0] + out.cov[1, 1]) - 0.5)
 
 
 def write_sweep_csv(result: SweepResult, stream, columns=SWEEP_COLUMNS) -> None:

@@ -135,14 +135,14 @@ def standard_two_channel(
     g_ratio: float,
     eta: float = 1.0,
     xi: float = 0.0,
-    thermal: float = 0.0,
 ) -> ChannelModel:
     """Two-channel model from the sweep parameterization.
 
     ``eps_snu`` is the excess noise of channel 1 at the channel output in
     shot-noise units (the noise axis used throughout); channel 2 carries
     eps_snu / g_ratio where g_ratio = g1 / g2.  A single correlated source
-    with couplings (sqrt(g1), sqrt(g2)) realizes both.
+    with couplings (sqrt(g1), sqrt(g2)) realizes both.  Neither channel
+    has thermal noise; a :class:`ChannelModel` or a config carries it.
     """
     if not 0.0 < g_ratio < np.inf:
         raise ValueError("g ratio must be finite and positive")
@@ -151,7 +151,7 @@ def standard_two_channel(
     g1, g2 = g_ratio, 1.0
     variance = VACUUM_VARIANCE * eps_snu / g1
     source = NoiseSource(np.sqrt([g1, g2]), variance, label="correlated")
-    return ChannelModel(2, eta, thermal, (source,), xi)
+    return ChannelModel(2, eta, 0.0, (source,), xi)
 
 
 # Plain-text key/value configuration.  Lines:

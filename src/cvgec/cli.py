@@ -287,13 +287,13 @@ def _cmd_synth(args) -> int:
 def _cmd_optimize(args) -> int:
     from .analysis import optimize_splitting
 
-    encoder, decoder, value = optimize_splitting(
+    pair, value = optimize_splitting(
         args.g1, args.g2, xi=args.xi, eta=args.eta,
         objective=args.objective, eps_snu=args.eps,
     )
     payload = {
-        "T_e": encoder[0] ** 2,
-        "T_d": decoder[0] ** 2,
+        "T_e": pair[0] ** 2,
+        "T_d": pair[0] ** 2,
         "objective": args.objective,
         "objective_value": value,
         "manifest": _manifest_payload(args),

@@ -8,19 +8,24 @@ sampled variables rather than reusing the covariance engine; the tests
 compare both in ``tests/montecarlo_oracle.py``.
 
 Sampling draws every elementary variable per quadrature as an independent
-stream (vacuum terms with variance 1/2, classical noise with the
+normal stream (vacuum terms with variance 1/2, classical noise with the
 configured variance), so only second moments are validated; no claim of
 Heisenberg-exact joint sampling is made.
 
 Randomness comes from numpy's counter-based Philox generator.  Stream k of
-a run is seeded with SeedSequence((master_seed, k)), with streams assigned
-in a fixed documented order, so traces are reproducible and independent of
-any evaluation schedule.
+a run is seeded with SeedSequence((master_seed, k)), so traces are
+reproducible and independent of any evaluation schedule.  Streams are
+numbered in draw order: the input's vacuum in x then p, the auxiliary
+encoder input's; each source's shared variable in x and p; each source's
+non-interfering part on channel 1 then 2, in x and p; then per quadrature
+the environment of channel 1 and of channel 2.  A zero-variance variable
+still takes its number.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +34,6 @@ from .protocol import ProtocolConfig
 
 #: Stage names in record order.
 STAGES = ("input", "channel_1", "channel_2", "corrected", "discarded")
-
-_DISTRIBUTIONS = ("gaussian", "uniform", "two-point")
 
 
 @dataclass(frozen=True)
@@ -56,27 +59,30 @@ def sample_run(
     n: int,
     seed: int,
     amplitude: tuple[float, float] = (2.0, 0.0),
-    noise_dist: str = "gaussian",
     modulation_period: int = 0,
 ) -> list[TraceRecord]:
     """Draw ``n`` shots through the two-channel protocol.
 
     The splitters act with the amplitude pairs (c, s) of ``cfg`` as given.
-    Returns one record per (stage, quadrature).  ``noise_dist`` picks the
-    distribution of the classical source variables (matched variance in
-    every case); the corrected-stage statistics do not depend on it.  A
-    positive ``modulation_period`` applies a sinusoidal displacement to
-    the input mean, for trace rendering only.
+    Returns one record per (stage, quadrature).  A positive
+    ``modulation_period`` applies a sinusoidal displacement to the input
+    mean, for trace rendering only.
     """
     if n < 1:
         raise ValueError("need at least one shot")
-    if noise_dist not in _DISTRIBUTIONS:
-        raise ValueError(f"noise_dist must be one of {_DISTRIBUTIONS}")
     if modulation_period < 0:
         raise ValueError("modulation_period must be nonnegative")
     model = cfg.channel
+    keys = itertools.count()
 
-    streams = _StreamPool(seed, n)
+    def draw(variance: float) -> np.ndarray:
+        """n normal samples from the next stream; a zero variance still
+        uses up its stream."""
+        seq = np.random.SeedSequence((int(seed), next(keys)))
+        if variance == 0.0:
+            return np.zeros(n)
+        return np.random.Generator(np.random.Philox(seq)).normal(0.0, np.sqrt(variance), n)
+
     vac = 0.5
     # Input coherent state, both quadratures.
     mean_x = np.full(n, amplitude[0])
@@ -85,23 +91,17 @@ def sample_run(
         phase = np.sin(2.0 * np.pi * np.arange(n) / modulation_period)
         mean_x = amplitude[0] * phase
         mean_p = amplitude[1] * phase
-    b_in = [mean_x + streams.normal(vac), mean_p + streams.normal(vac)]
-    b_aux = [streams.normal(vac), streams.normal(vac)]
+    b_in = [mean_x + draw(vac), mean_p + draw(vac)]
+    b_aux = [draw(vac), draw(vac)]
 
     ste, cte = cfg.encoder
     std, ctd = cfg.decoder
     xi = model.mismatch
 
     # Shared classical variables and per-channel non-interfering parts.
-    v_c = [
-        [streams.classical(src.variance, noise_dist) for _ in (0, 1)]
-        for src in model.sources
-    ]
+    v_c = [[draw(src.variance) for _ in (0, 1)] for src in model.sources]
     own = [
-        [
-            [streams.normal(xi * src.variance * src.coupling[i] ** 2) for _ in (0, 1)]
-            for i in (0, 1)
-        ]
+        [[draw(xi * src.variance * src.coupling[i] ** 2) for _ in (0, 1)] for i in (0, 1)]
         for src in model.sources
     ]
 
@@ -111,7 +111,7 @@ def sample_run(
         a2 = -cte * b_in[q] - ste * b_aux[q]
         outs = []
         for i, a in enumerate((a1, a2)):
-            env = streams.normal(vac + model.thermal[i])
+            env = draw(vac + model.thermal[i])
             out = np.sqrt(model.eta[i]) * a + np.sqrt(1.0 - model.eta[i]) * env
             for s, src in enumerate(model.sources):
                 out = out + np.sqrt(1.0 - xi) * src.coupling[i] * v_c[s][q]
@@ -300,34 +300,3 @@ class _RowFormatter:
             text = [b"%.17g" % x for x in values[slow].tolist()]
             rows[slow, v:] = np.array(text, dtype="S39").view(np.uint8).reshape(-1, 39)
         return rows.tobytes().translate(None, b"\0")
-
-
-class _StreamPool:
-    """Independent Philox streams keyed by allocation order."""
-
-    def __init__(self, seed: int, n: int):
-        self.seed = int(seed)
-        self.n = int(n)
-        self.next_stream = 0
-
-    def _generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence((self.seed, self.next_stream))
-        self.next_stream += 1
-        return np.random.Generator(np.random.Philox(seq))
-
-    def normal(self, variance: float) -> np.ndarray:
-        gen = self._generator()
-        if variance == 0.0:
-            return np.zeros(self.n)
-        return gen.normal(0.0, np.sqrt(variance), self.n)
-
-    def classical(self, variance: float, dist: str) -> np.ndarray:
-        gen = self._generator()
-        if variance == 0.0:
-            return np.zeros(self.n)
-        if dist == "gaussian":
-            return gen.normal(0.0, np.sqrt(variance), self.n)
-        if dist == "uniform":
-            half = np.sqrt(3.0 * variance)
-            return gen.uniform(-half, half, self.n)
-        return np.sqrt(variance) * (2.0 * gen.integers(0, 2, self.n) - 1.0)

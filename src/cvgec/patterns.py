@@ -104,13 +104,17 @@ def complete_orthonormal(first_column: np.ndarray) -> np.ndarray:
 
 
 def _orthonormalize(vectors, n: int) -> list[np.ndarray]:
-    """Modified Gram-Schmidt in input order, dropping dependent vectors."""
+    """Modified Gram-Schmidt in input order, dropping dependent vectors.
+    Each is first scaled exactly by the power of two of its largest entry,
+    so its norm neither underflows nor overflows at any finite scale."""
     basis: list[np.ndarray] = []
     for v in vectors:
         r = np.array(v, dtype=float)
-        scale = np.linalg.norm(r)
-        if scale == 0.0:
+        top = np.max(np.abs(r), initial=0.0)
+        if top == 0.0:
             continue
+        r = np.ldexp(r, -np.frexp(top)[1])
+        scale = np.linalg.norm(r)
         for _ in range(2):
             for q in basis:
                 r -= (q @ r) * q

@@ -9,7 +9,10 @@ pure loss, for any noise variance.  :func:`n_channel_map` encodes into the
 protected mode, orthogonal to every coupling vector: its N-channel form.
 
 Also provided: the direct (unencoded) transmission used as the
-"uncorrected" reference and an incoherent measure-and-feedforward baseline.
+"uncorrected" reference and the incoherent measure-and-feedforward
+baseline, :func:`incoherent_map`, which needs no splitters.  The
+``*_channel`` and ``n_channel_protocol`` functions apply a map to a state
+and keep its modes, as ``m.restricted(state.n_modes).apply(state)``.
 """
 
 from __future__ import annotations
@@ -173,12 +176,6 @@ def uncorrected_channel(
 ) -> GaussianState:
     """:func:`uncorrected_map` applied to a state; the idle carriers are dropped."""
     m = uncorrected_map(cfg.channel, state.n_modes, signal_mode, channel)
-    return m.restricted(state.n_modes).apply(state)
-
-
-def incoherent_strategy(cfg: ProtocolConfig, state: GaussianState, signal_mode: int = 0) -> GaussianState:
-    """:func:`incoherent_map` applied to a state; the measured modes are dropped."""
-    m = incoherent_map(cfg.channel, state.n_modes, signal_mode)
     return m.restricted(state.n_modes).apply(state)
 
 

@@ -230,15 +230,13 @@ def test_criterion_8_optimizer_recovery():
     rng = np.random.default_rng(1008)
     for _ in range(20):
         g1, g2 = rng.uniform(0.05, 5.0, 2)
-        te, td, _ = optimized(g1, g2, xi=0.0, eta=rng.uniform(0.5, 1.0))
-        expected = optimal_splitting(g1, g2)
-        assert abs(te - expected) < 1e-4
-        assert abs(td - expected) < 1e-4
+        t, _ = optimized(g1, g2, xi=0.0, eta=rng.uniform(0.5, 1.0))
+        assert abs(t - optimal_splitting(g1, g2)) < 1e-4
 
     n = 200
-    te, td, _ = optimized(1.6, 0.9, xi=0.05, objective="fidelity")
+    t, _ = optimized(1.6, 0.9, xi=0.05, objective="fidelity")
     ge, gd, _ = grid_scan_splitting(1.6, 0.9, xi=0.05, objective="fidelity", n=n)
     step = 1.0 / (n - 1)
-    assert abs(te - ge) <= step
-    assert abs(td - gd) <= step
+    assert abs(t - ge) <= step
+    assert abs(t - gd) <= step
     report(8, "optimizer recovery", started)

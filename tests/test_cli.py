@@ -463,6 +463,19 @@ class TestTrace:
         assert main(argv + ["--seed", "5", "--out", str(out)]) == 0
         assert sha256(out) == "5b366d3749d6c61cfac1fbb224b3d7cb403c909c70b4209a61f1b6e4469e4002"
 
+    def test_pinned_bytes_of_a_config_drawing_every_stream_kind(self, tmp_path):
+        # unequal eta, thermal noise, anti-correlated couplings (s < 0) and
+        # mismatch: every stream of the sampler draws with nonzero variance
+        config, out = tmp_path / "c.cfg", tmp_path / "t.csv"
+        config.write_text(
+            "n_channels 2\neta 0.9 0.75\nthermal 0.3 0.3\nmismatch 0.05\nsource corr 4 1.3 -0.7\n"
+        )
+        argv = ["trace", "--channel-config", str(config), "--n", "3000", "--seed", "17"]
+        assert main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+        assert manifest["extras"]["splitting"][1] < 0
+        assert sha256(out) == "26046bc83489ee21b848c706a6b532d7f2a0d3a580432cfcaf4244b16476fad7"
+
     def test_corrected_stage_variance(self, tmp_path):
         out = tmp_path / "t.csv"
         n = 100_000
@@ -541,6 +554,16 @@ class TestSynth:
         assert len(lines) == 1
         _, _, _, t = lines[0].split()
         assert float(t) == pytest.approx(1.0 / (1.0 + 0.78**2), abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("row", ["1e-200 1e-200", "1e200 1e200", "1e308 1e308"])
+    def test_pattern_at_any_scale_gets_its_protected_mode(self, tmp_path, capsys, row):
+        patterns, out = tmp_path / "p.txt", tmp_path / "plan.txt"
+        patterns.write_text(row + "\n")
+        assert main(["synth", "--patterns", str(patterns), "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout == "signal 0.70710678118654746 -0.70710678118654746\n"
+        assert out.read_text().endswith("# " + stdout)
 
     def test_pinned_bytes(self, tmp_path, capsys):
         rng = np.random.default_rng(48)
@@ -654,6 +677,21 @@ class TestOptimize:
         assert payload["T_d"] == pytest.approx(1.0 / 1.61, abs=1e-15)
         expected = 0.0 if objective == "variance" else -1.0
         assert payload["objective_value"] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--g1", "1e-200", "--g2", "1e200", "--eps", "1"],
+            ["--g1", "1e-300", "--g2", "1e300", "--objective", "fidelity"],
+        ],
+    )
+    def test_channel_2_noise_past_the_float_range_is_refused(self, capsys, argv):
+        assert main(["optimize", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: channel-2 excess noise eps * g2 / g1 = ")
+        assert err.endswith(" SNU is beyond the float range\n")
 
     def test_bad_objective_lists_choices(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -28,7 +28,6 @@ SURFACE = {
     "displace": "states",
     "excess_noise_snu": "channel",
     "fidelity": "fidelity",
-    "incoherent_strategy": "protocol",
     "n_channel_protocol": "protocol",
     "network": None,
     "null_space_encoder": "protocol",

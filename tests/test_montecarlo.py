@@ -76,23 +76,9 @@ class TestSampleRun:
         ratio = classical2 / classical1
         assert ratio == pytest.approx(4.0, rel=0.05)
 
-    def test_corrected_stage_distribution_independent(self):
-        n = 150_000
-        results = {}
-        for dist in ("gaussian", "uniform", "two-point"):
-            records = by_stage(sample_run(config(30.0), n, seed=5, noise_dist=dist))
-            results[dist] = records[("corrected", "X")].samples.var(ddof=1)
-            ch = records[("channel_1", "X")].samples.var(ddof=1)
-            assert ch == pytest.approx(15.5, rel=0.03)  # matched second moments
-        se = 0.5 * np.sqrt(2.0 / (n - 1))
-        for value in results.values():
-            assert abs(value - 0.5) < 5 * se
-
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             sample_run(config(1.0), 0, seed=1)
-        with pytest.raises(ValueError):
-            sample_run(config(1.0), 10, seed=1, noise_dist="cauchy")
 
 
 @pytest.mark.parametrize("samples", [np.ones((2, 3)), np.float64(1.0), [[1.0]]])
@@ -172,8 +158,8 @@ class TestTraceCsv:
             (3, {}),
             (1000, {}),
             (1000, {"modulation_period": 37}),
-            (1000, {"noise_dist": "uniform"}),
-            (1000, {"noise_dist": "two-point"}),
+            (1000, {"amplitude": (0.0, 0.0)}),
+            (1000, {"amplitude": (-3.0, 1.5), "modulation_period": 5}),
         ],
     )
     def test_bytes_match_per_cell_reference(self, n, kwargs):

@@ -16,7 +16,7 @@ from cvgec.protocol import (
     ProtocolConfig,
     corrected_channel,
     corrected_map,
-    incoherent_strategy,
+    incoherent_map,
     n_channel_map,
     n_channel_protocol,
     null_space_encoder,
@@ -46,6 +46,11 @@ def config(eps_snu, g_ratio=1.0, eta=1.0, xi=0.0):
     model = standard_two_channel(eps_snu, g_ratio, eta, xi)
     pair = optimal_splitting_for(model)
     return ProtocolConfig(pair, pair, model)
+
+
+def incoherent(model, state):
+    """The incoherent baseline's image of ``state``, the measured modes dropped."""
+    return incoherent_map(model, state.n_modes).restricted(state.n_modes).apply(state)
 
 
 class TestOptimalSplitting:
@@ -287,10 +292,8 @@ class TestIncoherentStrategy:
         rng = np.random.default_rng(15)
         for g1, g2, eta in [(1.0, 1.0, 1.0), (2.0, 1.0, 0.7), (0.61, 1.0, 0.9)]:
             model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), 0.0),))
-            t = amplitudes(optimal_splitting(g1, g2))
-            cfg = ProtocolConfig(t, t, model)
             state = random_physical_state(rng)
-            out = incoherent_strategy(cfg, state)
+            out = incoherent(model, state)
             ref = pure_loss_reference(state, eta)
             penalty = out.cov - ref.cov
             assert np.allclose(penalty, (g1 / g2) * np.eye(2), atol=1e-10)
@@ -298,12 +301,12 @@ class TestIncoherentStrategy:
 
     def test_penalty_independent_of_noise_level(self):
         for eps in (0.0, 5.0, 50.0):
-            out = incoherent_strategy(config(eps, g_ratio=0.8), vacuum_state(1))
+            out = incoherent(standard_two_channel(eps, 0.8), vacuum_state(1))
             assert out.cov[0, 0] == pytest.approx(0.5 + 0.8, abs=1e-10)
 
     def test_penalty_scales_with_gain_squared(self):
-        base = incoherent_strategy(config(3.0, g_ratio=1.0), vacuum_state(1))
-        doubled = incoherent_strategy(config(3.0, g_ratio=2.0), vacuum_state(1))
+        base = incoherent(standard_two_channel(3.0, 1.0), vacuum_state(1))
+        doubled = incoherent(standard_two_channel(3.0, 2.0), vacuum_state(1))
         assert doubled.cov[0, 0] - 0.5 == pytest.approx(
             2.0 * (base.cov[0, 0] - 0.5), abs=1e-10
         )
@@ -312,8 +315,7 @@ class TestIncoherentStrategy:
         # sample the measure-and-feedforward loop explicitly
         g1, g2, eta, var = 1.3, 0.9, 0.8, 6.0
         model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), var),))
-        t = amplitudes(optimal_splitting(g1, g2))
-        out = incoherent_strategy(ProtocolConfig(t, t, model), vacuum_state(1))
+        out = incoherent(model, vacuum_state(1))
 
         rng = np.random.default_rng(99)
         n = 200_000
@@ -341,7 +343,7 @@ class TestIncoherentStrategy:
             for ratio in (0.25, 0.61, 1.0, 2.0):
                 cfg = config(eps, g_ratio=ratio, eta=0.9)
                 f_corr = fidelity(corrected_channel(cfg, probe), probe)
-                f_incoh = fidelity(incoherent_strategy(cfg, probe), probe)
+                f_incoh = fidelity(incoherent(cfg.channel, probe), probe)
                 assert f_corr > f_incoh
 
     def test_mismatch_rule(self):
@@ -351,9 +353,8 @@ class TestIncoherentStrategy:
         # penalty g1/g2
         g1, g2, eta, var, xi = 1.3, 0.9, 0.8, 6.0, 0.05
         model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), var),), xi)
-        t = amplitudes(optimal_splitting(g1, g2))
         state = displace(vacuum_state(1), 0, 1.0, -0.5)
-        out = incoherent_strategy(ProtocolConfig(t, t, model), state)
+        out = incoherent(model, state)
         ref = pure_loss_reference(state, eta)
         assert np.allclose(out.cov - ref.cov, (g1 / g2 + 2 * xi * var * g1) * np.eye(2), atol=1e-12)
         assert np.allclose(out.mean, ref.mean, atol=1e-12)
@@ -361,7 +362,7 @@ class TestIncoherentStrategy:
     def test_idle_channel_without_noise_rejected(self):
         model = ChannelModel(2, 1.0, 0.0, (NoiseSource([1.0, 0.0], 1.0),))
         with pytest.raises(ValueError, match="measure"):
-            incoherent_strategy(ProtocolConfig(HALF, HALF, model), vacuum_state(1))
+            incoherent(model, vacuum_state(1))
 
 
 class TestNullSpaceEncoder:
@@ -389,6 +390,25 @@ class TestNullSpaceEncoder:
     def test_full_rank_rejected(self):
         with pytest.raises(NoProtectedSubspaceError):
             null_space_encoder(NoisePatternSet(tuple(np.eye(3))))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "pattern, expected",
+        [
+            ([1e-200, 1e-200], [HALF[0], -HALF[0]]),
+            ([1e200, 1e200], [HALF[0], -HALF[0]]),
+            ([1e308, 1e308], [HALF[0], -HALF[0]]),
+            ([3e-162, 3e-162, 0.0], [HALF[0], -HALF[0], 0.0]),
+            ([5e-324, -5e-324], [HALF[0], HALF[0]]),
+            ([1.7e308, -1e-300, 0.0], [0.0, 1.0, 0.0]),
+        ],
+    )
+    def test_protected_at_any_pattern_scale(self, pattern, expected):
+        # a pattern's norm under- or overflows past about 1e-154 and 1e154;
+        # the encoder must still avoid it rather than fall back to e_0
+        s = null_space_encoder([pattern])
+        assert np.allclose(s, expected, rtol=0.0, atol=1e-15)
+        assert abs(s @ (np.array(pattern) / np.abs(pattern).max())) <= 1e-15
 
     def test_orthogonality_on_random_patterns(self):
         rng = np.random.default_rng(19)
