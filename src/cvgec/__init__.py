@@ -25,8 +25,6 @@ _EXPORTS = {
         "VACUUM_VARIANCE",
         "as_snu",
         "displace",
-        "physicality_check",
-        "symplectic_eigenvalues",
         "vacuum_state",
     ),
     "transforms": (

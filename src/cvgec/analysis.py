@@ -30,7 +30,13 @@ from .protocol import (
     uncorrected_map,
 )
 from .states import as_snu, displace, vacuum_state
-from .transforms import _MAX_SQUEEZING, two_mode_squeezed
+from .transforms import two_mode_squeezed
+
+#: The breaking point's squeezing range [0, R_MAX] and its noise limit in SNU.
+R_MAX = 10.0
+EPS_LIMIT = 1000.0
+#: Coherent probe amplitude of the fidelity objective.
+PROBE_AMPLITUDE = (2.0, 0.0)
 
 #: CSV column order shared by both sweep commands.
 SWEEP_COLUMNS = (
@@ -169,27 +175,21 @@ def entanglement_sweep(model: ChannelModel, r: float, eps_grid) -> SweepResult:
         "channel": dump_channel_config(model).splitlines(),
         "r": r,
         "inseparability_threshold": 2.0,
-        "uncorrected_breaking_point_snu": _breaking_point(axes["uncorr"], 10.0, 1000.0),
+        "uncorrected_breaking_point_snu": _breaking_point(axes["uncorr"]),
     }
     return SweepResult(eps_grid, cols, metadata)
 
 
-def entanglement_breaking_point(
-    g_ratio: float,
-    eta: float,
-    xi: float,
-    strategy: str,
-    r_max: float = 10.0,
-    eps_limit: float = 1000.0,
-) -> float:
-    """Smallest noise level at which no input state stays entangled.
+def entanglement_breaking_point(g_ratio: float, eta: float, xi: float, strategy: str) -> float:
+    """Smallest noise level at which no two-mode squeezed input with
+    r in [0, R_MAX] stays entangled.
 
     Only tr Y depends on the noise, and it is affine in it, so the
     infimum of the inseparability reaches 2 at the root of a linear
     equation.  Returns ``math.inf`` if the channel never breaks at or below
-    ``eps_limit``, which is the ideal corrected case.
+    EPS_LIMIT SNU, which is the ideal corrected case.
     """
-    return _breaking_point(_strategy_axis(g_ratio, eta, xi, strategy), r_max, eps_limit)
+    return _breaking_point(_strategy_axis(g_ratio, eta, xi, strategy))
 
 
 def optimize_splitting(
@@ -199,7 +199,6 @@ def optimize_splitting(
     eta: float = 1.0,
     objective: str = "variance",
     eps_snu: float = 10.0,
-    amplitude: tuple[float, float] = (2.0, 0.0),
 ) -> tuple[tuple[float, float], float]:
     """Best encoder/decoder splitters, in closed form.
 
@@ -211,7 +210,7 @@ def optimize_splitting(
     signal port.  The variance is smallest at the minimum of Q
     (T = c^2 = g2 / (g1 + g2) at xi = 0).  The coherent-probe fidelity
     exp(-D / 2u) / u, with u = 1 + var Q and
-    D = (1 - sqrt(eta))^2 |amplitude|^2, peaks at u = D / 2; so it shares
+    D = (1 - sqrt(eta))^2 |PROBE_AMPLITUDE|^2, peaks at u = D / 2; so it shares
     that optimum unless D / 2 - 1 exceeds the minimum noise, which a lossy
     enough channel allows, and then the pair is where the noise comes
     closest to D / 2 - 1.
@@ -229,10 +228,10 @@ def optimize_splitting(
     model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), variance),), xi)
     level = -math.inf
     if objective == "fidelity" and eps_snu > 0.0:
-        shift = (1.0 - math.sqrt(eta)) ** 2 * (amplitude[0] ** 2 + amplitude[1] ** 2)
+        shift = (1.0 - math.sqrt(eta)) ** 2 * math.hypot(*PROBE_AMPLITUDE) ** 2
         level = (0.5 * shift - 1.0) / variance
     pair = _splitting_for_noise(g1, g2, xi, level)
-    probe = displace(vacuum_state(1), 0, amplitude[0], amplitude[1])
+    probe = displace(vacuum_state(1), 0, *PROBE_AMPLITUDE)
     out = corrected_channel(ProtocolConfig(pair, pair, model), probe)
     if objective == "fidelity":
         return pair, -fidelity(out, probe)
@@ -268,19 +267,15 @@ def _strategy_axis(g_ratio: float, eta: float, xi: float, strategy: str):
     return _noise_axis(strategy_map, standard_two_channel(1.0, g_ratio, eta, xi))
 
 
-def _breaking_point(axis, r_max: float, eps_limit: float) -> float:
-    """Noise level at which the inseparability infimum over r in [0, r_max],
+def _breaking_point(axis) -> float:
+    """Noise level at which the inseparability infimum over r in [0, R_MAX],
     tr Y0 + eps tr Y1 plus the squeezing minimum, reaches 2 on one axis."""
-    if not eps_limit >= 0.0:
-        raise ValueError("eps_limit must be nonnegative")
-    if not 0.0 <= r_max <= _MAX_SQUEEZING:
-        raise ValueError("r_max must lie in [0, 20], the supported squeezing range")
     x, y0, y1 = axis
-    gap = float(np.trace(y0)) + _squeezing_minimum(x, r_max) - 2.0
+    gap = float(np.trace(y0)) + _squeezing_minimum(x) - 2.0
     slope = float(np.trace(y1))
     if gap >= 0.0:
         return 0.0
-    if slope <= 0.0 or -gap > slope * eps_limit:
+    if slope <= 0.0 or -gap > slope * EPS_LIMIT:
         return math.inf
     return -gap / slope
 
@@ -318,17 +313,17 @@ def _squeezing_weights(x: np.ndarray) -> tuple[float, float]:
     return 0.5 * float(np.sum((x - eye) ** 2)), 0.5 * float(np.sum((x + eye) ** 2))
 
 
-def _squeezing_minimum(x: np.ndarray, r_max: float) -> float:
-    """Minimum over r in [0, r_max] of (s e^{2r} + d e^{-2r}) / 2.
+def _squeezing_minimum(x: np.ndarray) -> float:
+    """Minimum over r in [0, R_MAX] of (s e^{2r} + d e^{-2r}) / 2.
 
     The minimiser is r* = atanh(-b / a) / 2 = ln(d / s) / 4 when b < 0,
-    capped at r_max, and 0 otherwise.
+    capped at R_MAX, and 0 otherwise.
     """
     s, d = _squeezing_weights(x)
     if d <= s:
         r = 0.0
     else:
-        r = r_max if s == 0.0 else min(0.25 * math.log(d / s), r_max)
+        r = R_MAX if s == 0.0 else min(0.25 * math.log(d / s), R_MAX)
     return 0.5 * (s * math.exp(2.0 * r) + d * math.exp(-2.0 * r))
 
 
@@ -346,8 +341,13 @@ def _splitting_for_noise(g1: float, g2: float, xi: float, level: float) -> tuple
     psi = psi* -+ acos((m - level) / r); a tie goes to the larger c, and a
     level past both ends of [0, pi] to the end nearer it.  s is the sine of
     psi / 2 and c that of (pi - psi) / 2, each half-angle taken from its own
-    atan2, so both keep their relative precision at any g1 / g2.
+    atan2, so both keep their relative precision at any g1 / g2.  From
+    2**1021 up, where the sums near overflow, g1, g2 and ``level`` are first
+    scaled down by an even power of two, which every term, the square roots
+    included, takes exactly.
     """
+    k = max(math.frexp(max(g1, g2))[1] - 1020, 0) & ~1
+    g1, g2, level = math.ldexp(g1, -k), math.ldexp(g2, -k), math.ldexp(level, -k)
     cross = 2.0 * (1.0 - xi) * math.sqrt(g1) * math.sqrt(g2)
     half_root = 0.5 * math.hypot(g1 - g2, cross)
     spread = 0.5 * (g1 + g2) - level

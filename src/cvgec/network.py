@@ -3,7 +3,7 @@
 A real orthogonal N x N mode matrix is factored by triangular elimination
 into at most N leading pi phase flips and one beam splitter per Givens
 rotation, two where its |s| < 1e-6.  Plans serialize to a line-oriented
-text format (one element per line) used by the `synth` CLI command.
+text format (one element per line), which the `synth` CLI command writes.
 """
 
 from __future__ import annotations
@@ -128,60 +128,18 @@ def serialize_plan(plan: NetworkPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_plan(text: str) -> tuple[NetworkPlan, str]:
-    """Parse the text format; returns the plan and the header checksum.
-
-    The plan's target is reconstructed by recomposing the elements, so the
-    checksum serves as an identity stamp for consumers that hold the
-    original matrix ('#' lines are ignored).
-    """
-    n = None
-    checksum = ""
-    elements = []
-    labels = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "N":
-                n = int(parts[1])
-                if n < 1:
-                    raise ValueError("a plan needs at least one mode")
-            elif parts[0] == "checksum":
-                checksum = parts[1]
-            elif parts[0] == "BS":
-                elements.append(
-                    BeamSplitterElement(int(parts[1]), int(parts[2]), float(parts[3]))
-                )
-                labels.append(f"plan line {lineno}")
-            elif parts[0] == "PS":
-                elements.append(PhaseShiftElement(int(parts[1]), float(parts[2])))
-                labels.append(f"plan line {lineno}")
-            else:
-                raise ValueError(f"unknown element {parts[0]!r}")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"bad plan line {lineno}: {raw!r}") from exc
-    if n is None:
-        raise ValueError("plan is missing its N header")
-    target = _recompose(elements, n, labels)
-    return NetworkPlan(tuple(elements), target), checksum
-
-
-def _recompose(elements, n: int, labels=None) -> np.ndarray:
+def _recompose(elements, n: int) -> np.ndarray:
     """N x N mode matrix of the elements applied in order, by two-row
-    updates; ``labels[k]`` names element k in errors.  Elements act on x
-    and p alike, so a plan is a real mode matrix: a phase other than 0 or
-    +-pi would mix x into p and is refused."""
+    updates.  Elements act on x and p alike, so a plan is a real mode
+    matrix: a phase other than 0 or +-pi would mix x into p and is refused."""
     total = np.eye(n)
     for k, e in enumerate(elements):
         if isinstance(e, BeamSplitterElement):
             a, b, t = e.mode_a, e.mode_b, e.t
             if a == b or not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"{_label(labels, k)}: needs two distinct modes among the plan's {n}")
+                raise ValueError(f"element {k}: needs two distinct modes among the plan's {n}")
             if not 0.0 <= t <= 1.0:
-                raise ValueError(f"{_label(labels, k)}: transmissivity must lie in [0, 1]")
+                raise ValueError(f"element {k}: transmissivity must lie in [0, 1]")
             c, s = math.sqrt(t), math.sqrt(1.0 - t)
             row_a, row_b = total[a], total[b]
             s_b = s * row_b
@@ -192,20 +150,13 @@ def _recompose(elements, n: int, labels=None) -> np.ndarray:
         elif isinstance(e, PhaseShiftElement):
             m, phi = e.mode, e.phi
             if not 0 <= m < n:
-                raise ValueError(f"{_label(labels, k)}: mode {m} is outside the plan's {n} modes")
+                raise ValueError(f"element {k}: mode {m} is outside the plan's {n} modes")
             if not (math.isfinite(phi) and abs(math.sin(phi)) <= _RECOMPOSE_TOL):
-                raise ValueError(
-                    f"{_label(labels, k)}: phase {phi!r} would mix x and p; only 0 or +-pi"
-                )
+                raise ValueError(f"element {k}: phase {phi!r} would mix x and p; only 0 or +-pi")
             total[m] *= math.cos(phi)
         else:
             raise TypeError(f"unknown plan element {e!r}")
     return total
-
-
-def _label(labels, k: int) -> str:
-    """Name of element k in errors."""
-    return labels[k] if labels else f"element {k}"
 
 
 def _rotation_elements(j: int, i: int, c: float, s: float) -> list:

@@ -5,11 +5,13 @@ matrix over the quadratures, interleaved as (x1, p1, ..., xN, pN).  We use
 the convention [x, p] = i, so the vacuum has variance 1/2 per quadrature;
 shot-noise units (SNU) normalize variances to that value.
 
-States are built (vacuum, displacement) and checked (symplectic
-spectrum, physicality) here; a map restricted to the kept modes
-(:meth:`cvgec.transforms.GaussianMap.restricted`) stands in for the tensor
-product with vacua and the partial trace, which live with the tests'
-direct Duan number and noise helper in ``tests/state_oracle.py``.
+States are built here (vacuum, displacement); validity is checked on the
+maps that act on them.  A map (X, Y) is a Gaussian channel iff
+Y + i (Omega - X Omega X^T) / 2 >= 0, with Omega the symplectic form
+(Holevo & Werner, PRA 63, 032312 (2001)); the tests' ``channel_margin`` in
+``tests/state_oracle.py`` is its smallest eigenvalue.  A map restricted to
+the kept modes (:meth:`cvgec.transforms.GaussianMap.restricted`) stands in
+for the tensor product with vacua and the partial trace.
 
 All types are immutable values and every operation is a pure function of
 its inputs, so states can be shared and evaluated in parallel freely.
@@ -26,8 +28,6 @@ import numpy as np
 VACUUM_VARIANCE = 0.5
 
 _SYMMETRY_TOL = 1e-12
-_PHYSICALITY_TOL = 1e-9
-_RESOLUTION_LIMIT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class GaussianState:
             natural units (vacuum variance 1/2).
 
     Finite entries and symmetry of ``cov`` to 1e-12 are enforced on
-    construction.  Physicality (symplectic eigenvalues >= 1/2) is *not*
-    enforced here; use :func:`physicality_check` to test it.
+    construction.  Physicality (cov + i Omega / 2 >= 0) is not; the tests
+    check validity on the maps that act on states.
     """
 
     mean: np.ndarray
@@ -73,11 +73,6 @@ class GaussianState:
         return self.mean.size // 2
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """The 2N x 2N symplectic form for the (x, p)-interleaved ordering."""
-    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
 def vacuum_state(n: int) -> GaussianState:
     """N-mode vacuum: zero mean, covariance (1/2) * identity."""
     if n < 1:
@@ -97,43 +92,6 @@ def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianS
 def as_snu(variance: float) -> float:
     """Convert a natural-units variance to shot-noise units (vacuum = 1)."""
     return variance / VACUUM_VARIANCE
-
-
-def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
-    """Symplectic spectrum of the covariance matrix, ascending.
-
-    Uses the symmetric Williamson form: with cov = L L^T (Cholesky), the
-    Hermitian matrix i L^T Omega L has eigenvalues +-nu_k.  A physical state
-    has all nu_k >= 1/2.  Rounding cov to doubles alone moves each nu_k by
-    up to about cond(cov) * 2**-52 relative to it.  Raises ValueError if cov
-    is not positive definite: such a matrix has no symplectic spectrum.
-    """
-    n = state.n_modes
-    try:
-        chol = np.linalg.cholesky(state.cov)
-    except np.linalg.LinAlgError:
-        raise ValueError("covariance matrix is not positive definite") from None
-    return np.linalg.eigvalsh(1j * (chol.T @ symplectic_form(n) @ chol))[n:]
-
-
-def physicality_check(state: GaussianState) -> bool:
-    """True if the state is certified to satisfy the uncertainty principle.
-
-    Checks min symplectic eigenvalue >= 1/2 - tol, where tol is 1e-9 or
-    half the resolution cond(cov) * 2**-52, whichever is larger.  Returns
-    False without computing a spectrum when cov is not positive definite
-    (no physical covariance is, though rounding can make a strongly squeezed
-    one so) or when its resolution exceeds 1e-6, where doubles cannot
-    decide (a two-mode squeezed vacuum beyond r of about 5.6).  Never raises.
-    """
-    resolution = np.linalg.cond(state.cov) * 2.0**-52
-    if not resolution <= _RESOLUTION_LIMIT:
-        return False
-    try:
-        nu = symplectic_eigenvalues(state)
-    except ValueError:
-        return False
-    return bool(nu.min() >= VACUUM_VARIANCE - max(_PHYSICALITY_TOL, 0.5 * resolution))
 
 
 def _check_mode(state: GaussianState, mode: int) -> None:

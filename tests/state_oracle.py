@@ -6,12 +6,35 @@ entry by entry, so it shares nothing with the closed form in
 that adds a classical noise covariance to a state.  ``tensor`` and
 ``partial_trace`` restrict a map the long way: append vacua, apply the
 whole register map, keep the state's modes; the package's
-``GaussianMap.restricted`` does it in one formula.
+``GaussianMap.restricted`` does it in one formula.  ``channel_margin``
+says whether a map is a valid Gaussian channel, and ``preparation`` turns
+a state into the map that prepares it, so one check covers both.
 """
 
 import numpy as np
 
 from cvgec.states import GaussianState, _check_mode, _quad_indices
+from cvgec.transforms import GaussianMap
+
+
+def channel_margin(m: GaussianMap) -> float:
+    """Smallest eigenvalue of Y + (i/2)(Omega - X Omega X^T), with Omega the
+    symplectic form of the (x, p)-interleaved order.
+
+    It is nonnegative iff the map is a Gaussian channel (Holevo & Werner,
+    PRA 63, 032312 (2001)), and it is the noise the map adds above a
+    quantum-limited one.  A gate (Y = 0) has minus half the spectral norm of
+    its symplectic defect X Omega X^T - Omega; a preparation (X = 0,
+    Y = cov) has that of its state's uncertainty, cov + i Omega / 2.
+    """
+    omega = np.kron(np.eye(m.n_modes), [[0.0, 1.0], [-1.0, 0.0]])
+    return float(np.linalg.eigvalsh(m.Y + 0.5j * (omega - m.X @ omega @ m.X.T))[0])
+
+
+def preparation(state: GaussianState) -> GaussianMap:
+    """The map that replaces any input by ``state``'s covariance: X = 0,
+    Y = cov.  It is a channel iff the state is physical."""
+    return GaussianMap(np.zeros_like(state.cov), state.cov)
 
 
 def add_noise(state: GaussianState, noise_cov) -> GaussianState:

@@ -26,7 +26,7 @@ from cvgec.protocol import (
     n_channel_protocol,
     optimal_splitting_for,
 )
-from cvgec.states import displace, physicality_check, symplectic_form, vacuum_state
+from cvgec.states import displace, vacuum_state
 from cvgec.transforms import GaussianMap, beam_splitter, squeeze
 
 import breaking_oracle
@@ -35,7 +35,7 @@ from map_reference import pure_loss_reference
 from montecarlo_oracle import analytic_stage_moments, empirical_covariance
 from network_oracle import phase_shift, plan_symplectic
 from splitting_oracle import amplitudes, grid_scan_splitting, optimal_splitting
-from state_oracle import duan_simon
+from state_oracle import channel_margin, duan_simon, preparation
 from test_analysis import optimized, unit_model
 from test_states import random_physical_state
 
@@ -141,7 +141,8 @@ def test_criterion_5_four_channel_separation():
         q, rmat = np.linalg.qr(rng.normal(size=(n, n)))
         q = q * np.sign(np.diag(rmat))
         plan = decompose_network(q)
-        err = np.abs(plan_symplectic(plan) - np.kron(q, np.eye(2))).max()
+        full = plan_symplectic(plan.elements, plan.n_modes)
+        err = np.abs(full - np.kron(q, np.eye(2))).max()
         assert err < 1e-10
         count += 1
     elapsed = time.perf_counter() - started
@@ -185,25 +186,26 @@ def test_criterion_7_invariant_suite():
     started = time.perf_counter()
     rng = np.random.default_rng(1007)
 
-    # symplectic identity of every gate block
+    # symplectic identity of every gate block: a noiseless channel, whose
+    # margin is minus half the spectral norm of X Omega X^T - Omega
     for _ in range(50):
         for s in (
             beam_splitter(rng.uniform(0, 1)),
             phase_shift(rng.uniform(0, 2 * np.pi)),
             squeeze(rng.uniform(-1.5, 1.5), rng.uniform(0, np.pi)),
         ):
-            omega = symplectic_form(len(s) // 2)
-            assert np.abs(s @ omega @ s.T - omega).max() < 1e-12
+            assert channel_margin(GaussianMap(s)) > -0.5e-12
 
-    # physicality after every channel application
+    # every channel application is a channel, and so is preparing its output
     for _ in range(100):
         model = standard_two_channel(
             rng.uniform(0, 60.0), rng.uniform(0.2, 3.0), rng.uniform(0.05, 1.0),
             rng.choice([0.0, 0.1]),
         )
         state = random_physical_state(rng, 2)
-        out = channel_map(model, (0, 1), 2).apply(state)
-        assert physicality_check(out)
+        m = channel_map(model, (0, 1), 2)
+        assert channel_margin(m) >= -1e-9
+        assert channel_margin(preparation(state).then(m)) >= -1e-9
 
     # fidelity oracles
     state = random_physical_state(rng)

@@ -10,6 +10,7 @@ from cvgec.analysis import (
     AUX_COLUMNS,
     SWEEP_COLUMNS,
     SweepResult,
+    _noise_axis,
     _splitting_for_noise,
     coherent_sweep,
     entanglement_breaking_point,
@@ -24,11 +25,13 @@ from cvgec.protocol import (
     ProtocolConfig,
     corrected_channel,
     incoherent_map,
+    n_channel_map,
     optimal_splitting_for,
     uncorrected_channel,
+    uncorrected_map,
 )
 from cvgec.states import GaussianState, as_snu, displace, vacuum_state
-from cvgec.transforms import two_mode_squeezed
+from cvgec.transforms import GaussianMap, two_mode_squeezed
 
 import breaking_oracle
 from splitting_oracle import (
@@ -38,19 +41,19 @@ from splitting_oracle import (
     nested_search,
     optimal_splitting,
 )
-from state_oracle import duan_number, duan_simon
+from state_oracle import channel_margin, duan_number, duan_simon
 from test_states import random_physical_state
 
 
 GRID = np.linspace(0.0, 40.0, 21)
 
 
-def protocol_objective(pair, g1, g2, xi, eta, objective, eps_snu, amplitude=(2.0, 0.0)):
+def protocol_objective(pair, g1, g2, xi, eta, objective, eps_snu):
     """The value ``optimize_splitting`` reports, on the corrected protocol with
-    both splitters at the amplitude pair ``pair``: the negated probe fidelity
-    or the mean added variance in SNU."""
+    both splitters at the amplitude pair ``pair``: the negated fidelity of
+    the coherent probe of amplitude (2, 0), or the mean added variance in SNU."""
     model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), 0.5 * eps_snu / g1),), xi)
-    probe = displace(vacuum_state(1), 0, amplitude[0], amplitude[1])
+    probe = displace(vacuum_state(1), 0, 2.0, 0.0)
     out = corrected_channel(ProtocolConfig(pair, pair, model), probe)
     if objective == "fidelity":
         return -fidelity(out, probe)
@@ -276,9 +279,12 @@ class TestBreakingPoint:
     @pytest.mark.parametrize("g_ratio", [1e-12, 1e-300])
     def test_corrected_never_breaks_at_extreme_noise_asymmetry(self, g_ratio):
         # the protected mode is read off the couplings, so no transmissivity
-        # 1 - T rounds away the weak channel's share of the noise
-        bp = entanglement_breaking_point(g_ratio, 0.9, 0.0, "corrected", eps_limit=1e12)
-        assert bp == math.inf
+        # 1 - T rounds away the weak channel's share of the noise; a pair
+        # still entangled at 1e12 SNU, far beyond EPS_LIMIT, puts the root
+        # past that
+        assert entanglement_breaking_point(g_ratio, 0.9, 0.0, "corrected") == math.inf
+        res = entanglement_sweep(unit_model(g_ratio, 0.9, 0.0), 1.0, np.array([1e12]))
+        assert res.series["insep_corr"][0] < 2.0
 
     def test_uncorrected_two_methods_agree(self):
         # the closed form against both numeric searches of the oracle
@@ -292,26 +298,26 @@ class TestBreakingPoint:
 
     def test_root_above_largest_power_of_two_below_limit(self):
         # the corrected pair breaks at eta (1 + g) / xi = 600 SNU, inside
-        # (512, 1000]; a root at or below eps_limit is returned as it is
+        # (512, 1000]; a root at or below EPS_LIMIT is returned as it is
         bp = entanglement_breaking_point(1.0, 0.9, 0.003, "corrected")
         assert bp == pytest.approx(600.0, rel=1e-12)
-        assert entanglement_breaking_point(1.0, 0.9, 0.003, "corrected", eps_limit=600.001) == bp
-        assert entanglement_breaking_point(1.0, 0.9, 0.003, "corrected", eps_limit=599.0) == math.inf
+        below = entanglement_breaking_point(1.0, 0.9, 1.8 / 999.5, "corrected")
+        assert below == pytest.approx(999.5, rel=1e-12)
+        assert entanglement_breaking_point(1.0, 0.9, 1.8 / 1000.5, "corrected") == math.inf
 
     def test_matches_numeric_oracle_on_random_configs(self):
         # The oracle's gap (golden-section infimum minus 2) is increasing in
         # eps, so a sign change across [bp - 1e-6, bp + 1e-6] puts the
         # oracle's root within 1e-6 of the closed form.
         rng = np.random.default_rng(73)
-        for k in range(20):
+        for _ in range(20):
             g = float(np.exp(rng.uniform(np.log(0.3), np.log(3.0))))
             eta = float(rng.uniform(0.6, 0.98))
             xi = float(rng.uniform(0.005, 0.5))
-            r_max = (5.0, 10.0)[k % 2]
             for strategy in ("corrected", "uncorrected"):
-                bp = entanglement_breaking_point(g, eta, xi, strategy, r_max=r_max)
+                bp = entanglement_breaking_point(g, eta, xi, strategy)
                 assert 0.0 < bp < 1000.0
-                at = lambda eps: breaking_oracle.infimum(eps, g, eta, xi, strategy, r_max)
+                at = lambda eps: breaking_oracle.infimum(eps, g, eta, xi, strategy)
                 assert at(bp - 1e-6) < 2.0 <= at(bp + 1e-6), (g, eta, xi, strategy)
                 assert at(bp) == pytest.approx(2.0, abs=1e-9)
 
@@ -326,23 +332,14 @@ class TestBreakingPoint:
         assert nearly == pytest.approx(uncorr, rel=0.01)
 
     def test_breaking_point_independent_of_r_ceiling(self):
-        a = entanglement_breaking_point(1.0, 0.9, 0.0, "uncorrected", r_max=5.0)
-        b = entanglement_breaking_point(1.0, 0.9, 0.0, "uncorrected", r_max=10.0)
+        # the oracle's search over r in [0, 5] finds the root of [0, R_MAX]
+        a = breaking_oracle.breaking_point(1.0, 0.9, 0.0, "uncorrected", r_max=5.0)
+        b = entanglement_breaking_point(1.0, 0.9, 0.0, "uncorrected")
         assert a == pytest.approx(b, abs=1e-5)
 
     def test_bad_strategy(self):
         with pytest.raises(ValueError):
             entanglement_breaking_point(1.0, 1.0, 0.0, "sideways")
-
-    @pytest.mark.parametrize("r_max", [-1.0, 25.0, np.nan])
-    def test_squeezing_ceiling_outside_supported_range(self, r_max):
-        with pytest.raises(ValueError, match="r_max"):
-            entanglement_breaking_point(1.0, 1.0, 0.0, "uncorrected", r_max=r_max)
-
-    @pytest.mark.parametrize("eps_limit", [-1.0, np.nan])
-    def test_bad_eps_limit(self, eps_limit):
-        with pytest.raises(ValueError, match="eps_limit"):
-            entanglement_breaking_point(1.0, 0.9, 0.0, "uncorrected", eps_limit=eps_limit)
 
 
 class TestOptimizer:
@@ -415,8 +412,8 @@ class TestOptimizer:
             assert abs(t - optimal_splitting(g1, g2)) <= 1e-15
 
     def test_value_is_the_protocol_at_the_optimum(self):
-        pair, value = optimize_splitting(1.6, 0.9, 0.3, 0.8, "fidelity", 7.0, (1.0, -0.5))
-        assert value == protocol_objective(pair, 1.6, 0.9, 0.3, 0.8, "fidelity", 7.0, (1.0, -0.5))
+        pair, value = optimize_splitting(1.6, 0.9, 0.3, 0.8, "fidelity", 7.0)
+        assert value == protocol_objective(pair, 1.6, 0.9, 0.3, 0.8, "fidelity", 7.0)
 
     def test_zero_noise(self):
         for objective in ("variance", "fidelity"):
@@ -437,6 +434,27 @@ class TestOptimizer:
                 got = _splitting_for_noise(g1, g2, 0.0, -math.inf)
                 assert np.all(np.abs(np.subtract(got, want)) <= 1e-15 * np.abs(want)), (g1, g2)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("objective", ["variance", "fidelity"])
+    @pytest.mark.parametrize("g", [1e308, 1.7e308])
+    def test_top_of_the_float_range_matches_1e300(self, g, objective):
+        # only g1 / g2 sets the pair, also where g1 + g2 overflows
+        got = optimize_splitting(g, g, eps_snu=1.0, objective=objective)
+        assert got == optimize_splitting(1e300, 1e300, eps_snu=1.0, objective=objective)
+        assert got[0][0] ** 2 == pytest.approx(0.5, rel=1e-15)
+
+    def test_pair_is_unchanged_by_an_even_power_of_two_up_to_the_float_range(self):
+        # the pair depends on g1, g2 and the level only through their ratios;
+        # these reach 2**1024, past where g1 + g2 and the hypot overflow
+        rng = np.random.default_rng(58)
+        for _ in range(200):
+            g1, g2 = (float(g) for g in np.exp2(rng.uniform(0.0, 8.0, 2)))
+            xi = float(rng.choice([0.0, rng.uniform(0.0, 0.99)]))
+            level = float(rng.choice([-math.inf, rng.uniform(-1.0, 1.0) * max(g1, g2)]))
+            want = _splitting_for_noise(g1, g2, xi, level)
+            up = [math.ldexp(v, 1016) for v in (g1, g2, level)]
+            assert _splitting_for_noise(up[0], up[1], xi, up[2]) == want
+
     @pytest.mark.parametrize("g1, g2, xi", [(0.0, 1.0, 0.0), (1.0, -1.0, 0.0), (1.0, 1.0, 1.0)])
     def test_bad_channel(self, g1, g2, xi):
         with pytest.raises(ValueError):
@@ -449,6 +467,24 @@ class TestOptimizer:
         # left to fail inside numpy
         with pytest.raises(ValueError, match="^channel-2 excess noise eps \\* g2 / g1 = "):
             optimize_splitting(g1, g2, eps_snu=eps)
+
+
+class TestChannelMargin:
+    """The sweeps' signal maps (X, Y0 + eps Y1) are channels with the
+    paper's margins, in natural units: none for the corrected one at no
+    mismatch, the eps / 2 excess of the direct channel, and the g1 / g2
+    feedforward penalty of the incoherent one at any noise level."""
+
+    @pytest.mark.parametrize("eta", [1.0, 0.8])
+    def test_closed_forms_on_the_noise_axis(self, eta):
+        model = unit_model(0.61, eta, 0.0)
+        strategies = (n_channel_map, uncorrected_map, incoherent_map)
+        corr, unc, inc = (_noise_axis(strategy, model) for strategy in strategies)
+        for eps in GRID:
+            margin = lambda axis: channel_margin(GaussianMap(axis[0], axis[1] + eps * axis[2]))
+            assert abs(margin(corr)) <= 1e-12 * (1.0 + eps)
+            assert margin(unc) == pytest.approx(0.5 * eps, rel=1e-12, abs=1e-12)
+            assert margin(inc) == pytest.approx(0.61, rel=1e-12)
 
 
 class TestSweepCsv:

@@ -9,6 +9,8 @@ import pytest
 from cvgec.cli import main
 from cvgec.transforms import beam_splitter_matrix
 
+from network_oracle import read_plan
+
 
 def sha256(path):
     with open(path, "rb") as fh:
@@ -540,9 +542,7 @@ class TestSynth:
         text = out.read_text()
         assert text.startswith("N 4\n")
         assert "# signal 0.5 -0.5 -0.5 0.5" in text
-        from cvgec.network import parse_plan
-
-        plan, _ = parse_plan(text)
+        plan, _ = read_plan(text)
         assert plan.n_modes == 4
 
     def test_single_pattern_one_splitter(self, tmp_path, capsys):
@@ -580,9 +580,7 @@ class TestSynth:
         patterns.write_text("0.00000012 1\n")
         out = tmp_path / "plan.txt"
         assert main(["synth", "--patterns", str(patterns), "--out", str(out)]) == 0
-        from cvgec.network import parse_plan
-
-        plan, _ = parse_plan(out.read_text())
+        plan, _ = read_plan(out.read_text())
         signal = [float(x) for x in capsys.readouterr().out.split()[1:]]
         assert np.abs(plan.target[:, 0] - signal).max() < 1e-15
 
@@ -677,6 +675,19 @@ class TestOptimize:
         assert payload["T_d"] == pytest.approx(1.0 / 1.61, abs=1e-15)
         expected = 0.0 if objective == "variance" else -1.0
         assert payload["objective_value"] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("objective", ["variance", "fidelity"])
+    def test_top_of_the_float_range_prints_the_1e300_optimum(self, capsys, objective):
+        # only g1 / g2 sets the pair, also where g1 + g2 overflows
+        def printed(g):
+            argv = ["optimize", "--g1", g, "--g2", g, "--eps", "1", "--objective", objective]
+            assert main(argv) == 0
+            payload = strict_json(capsys.readouterr().out)
+            return [payload[k] for k in ("T_e", "T_d", "objective_value")]
+
+        assert printed("1e308") == printed("1e300")
+        assert printed("1e308")[1] == pytest.approx(0.5, rel=1e-15)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

@@ -31,12 +31,10 @@ SURFACE = {
     "n_channel_protocol": "protocol",
     "network": None,
     "null_space_encoder": "protocol",
-    "physicality_check": "states",
     "protocol": None,
     "squeeze": "transforms",
     "standard_two_channel": "channel",
     "states": None,
-    "symplectic_eigenvalues": "states",
     "transforms": None,
     "two_mode_squeezed": "transforms",
     "uncorrected_channel": "protocol",

@@ -7,14 +7,12 @@ from cvgec.states import (
     GaussianState,
     as_snu,
     displace,
-    physicality_check,
-    symplectic_eigenvalues,
     vacuum_state,
 )
 from cvgec.transforms import GaussianMap, squeeze, two_mode_squeezed
 
 from network_oracle import phase_shift
-from state_oracle import add_noise, duan_simon, partial_trace, tensor
+from state_oracle import add_noise, channel_margin, duan_simon, partial_trace, preparation, tensor
 
 
 def random_physical_state(rng, n_modes=1):
@@ -36,10 +34,10 @@ class TestVacuum:
         assert np.array_equal(vac.mean, np.zeros(2))
         assert np.array_equal(vac.cov, np.diag([0.5, 0.5]))
 
-    def test_three_modes_symplectic_spectrum(self):
+    def test_three_modes_are_pure(self):
         vac = vacuum_state(3)
         assert vac.cov.shape == (6, 6)
-        assert np.allclose(symplectic_eigenvalues(vac), 0.5, atol=1e-12)
+        assert channel_margin(preparation(vac)) == 0.0
 
     def test_zero_modes_rejected(self):
         with pytest.raises(ValueError):
@@ -204,37 +202,41 @@ class TestDuanSimon:
             assert duan_simon(state, (0, 1)) >= 2.0 - 1e-9
 
 
-class TestSymplecticSpectrum:
+class TestChannelMargin:
+    """The oracle's margin against closed forms, on maps and preparations."""
+
     def test_two_mode_squeezed_is_pure(self):
         state = two_mode_squeezed(0.8)
         # purity oracle: det(2 cov) = 1 for pure states
         assert np.linalg.det(2.0 * state.cov) == pytest.approx(1.0, abs=1e-10)
-        assert np.allclose(symplectic_eigenvalues(state), 0.5, atol=1e-10)
-
-    def test_subvacuum_isotropic_fails(self):
-        state = GaussianState(np.zeros(2), 0.4 * np.eye(2))
-        assert not physicality_check(state)
-
-    def test_vacuum_passes(self):
-        assert physicality_check(vacuum_state(2))
+        assert channel_margin(preparation(state)) == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("r", np.linspace(0.0, 5.0, 11))
     def test_two_mode_squeezed_is_certified_up_to_r5(self, r):
-        state = two_mode_squeezed(r)
-        nu = symplectic_eigenvalues(state)
-        # a double covariance resolves nu ~ 1/2 only to cond(cov) * 2**-53
-        resolution = max(1e-9, 0.5 * np.linalg.cond(state.cov) * 2.0**-52)
-        assert np.all(np.abs(nu - 0.5) <= resolution)
-        if r <= 4.5:
-            assert np.all(np.abs(nu - 0.5) <= 1e-9)
-        assert physicality_check(state)
+        assert abs(channel_margin(preparation(two_mode_squeezed(r)))) <= 1e-9
 
-    @pytest.mark.parametrize("r", [8.0, 10.0, 15.0, 20.0])
-    def test_unresolvable_squeezing_is_not_certified(self, r):
-        assert not physicality_check(two_mode_squeezed(r))
-
-    def test_indefinite_covariance_has_no_spectrum(self):
+    def test_indefinite_covariance_is_not_a_state(self):
+        # [[1, i/2], [-i/2, -1]] has eigenvalues -+ sqrt(1 + 1/4)
         state = GaussianState(np.zeros(2), np.diag([1.0, -1.0]))
-        with pytest.raises(ValueError, match="positive definite"):
-            symplectic_eigenvalues(state)
-        assert not physicality_check(state)
+        assert channel_margin(preparation(state)) == pytest.approx(-np.sqrt(1.25), rel=1e-15)
+
+    def test_subvacuum_isotropic_fails(self):
+        state = GaussianState(np.zeros(2), 0.4 * np.eye(2))
+        assert channel_margin(preparation(state)) == pytest.approx(-0.1, abs=1e-15)
+
+    def test_vacuum_passes(self):
+        assert channel_margin(preparation(vacuum_state(2))) == 0.0
+
+    @pytest.mark.parametrize("eta", [0.05, 0.5, 1.0])
+    def test_pure_loss_is_quantum_limited(self, eta):
+        # X = sqrt(eta) I, Y = (1 - eta) / 2 I: eigenvalues (1 - eta)(1 -+ 1) / 2
+        m = GaussianMap(np.sqrt(eta) * np.eye(4), 0.5 * (1.0 - eta) * np.eye(4))
+        assert channel_margin(m) == pytest.approx(0.0, abs=1e-15)
+        noisy = GaussianMap(m.X, m.Y + 0.3 * np.eye(4))
+        assert channel_margin(noisy) == pytest.approx(0.3, abs=1e-15)
+
+    def test_noiseless_amplifier_is_not_a_channel(self):
+        # an amplifier of gain 2 must add at least (2 - 1) / 2 per quadrature
+        gain = np.sqrt(2.0) * np.eye(2)
+        assert channel_margin(GaussianMap(gain)) == pytest.approx(-0.5)
+        assert channel_margin(GaussianMap(gain, 0.5 * np.eye(2))) == pytest.approx(0.0, abs=1e-15)

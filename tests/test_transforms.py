@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvgec.states import displace, physicality_check, symplectic_form, vacuum_state
+from cvgec.states import displace, vacuum_state
 from cvgec.transforms import (
     GaussianMap,
     beam_splitter,
@@ -17,13 +17,14 @@ from cvgec.transforms import (
     two_mode_squeezed,
 )
 from network_oracle import phase_shift
-from state_oracle import duan_simon, partial_trace, tensor
+from state_oracle import channel_margin, duan_simon, partial_trace, preparation, tensor
 from test_states import random_physical_state
 
 
-def symplectic_defect(matrix, n_modes):
-    omega = symplectic_form(n_modes)
-    return np.abs(matrix @ omega @ matrix.T - omega).max()
+def symplectic_defect(block):
+    """Spectral norm of X Omega X^T - Omega, no less than its largest entry:
+    twice minus the channel margin of the gate as a noiseless map."""
+    return -2.0 * channel_margin(GaussianMap(block))
 
 
 def on(block, modes, state):
@@ -49,7 +50,7 @@ def gate_id(gate, args):
 @pytest.mark.parametrize("gate, args", GATE_GRID, ids=[gate_id(g, a) for g, a in GATE_GRID])
 def test_symplectic_identity(gate, args):
     block = gate(*args)
-    assert symplectic_defect(block, len(block) // 2) < 1e-12
+    assert symplectic_defect(block) < 1e-12
 
 
 @pytest.mark.parametrize("r", [-20.0, -8.0, 8.0, 20.0])
@@ -58,7 +59,7 @@ def test_strong_rotated_squeezer_is_symplectic_to_rounding(r, theta):
     # entries of order exp(|r|) cancel to Omega; the defect is rounding of
     # products of order exp(2|r|)
     block = squeeze(r, theta)
-    assert symplectic_defect(block, 1) < 1e-12 * np.abs(block).max() ** 2
+    assert symplectic_defect(block) < 1e-12 * np.abs(block).max() ** 2
 
 
 class TestBeamSplitter:
@@ -210,7 +211,9 @@ class TestGaussianMap:
             state = random_physical_state(rng, 2)
             bs = GaussianMap.of(beam_splitter(rng.uniform(0, 1)), (0, 1), 2)
             sq = GaussianMap.of(squeeze(rng.uniform(-1, 1), rng.uniform(0, np.pi)), (0,), 2)
-            assert physicality_check(sq.then(bs).apply(state))
+            gates = sq.then(bs)
+            assert channel_margin(gates) >= -1e-9
+            assert channel_margin(preparation(state).then(gates)) >= -1e-9
 
     def test_negative_modes_rejected(self):
         with pytest.raises(ValueError, match="outside the register"):
