@@ -80,12 +80,6 @@ class SweepResult:
         for name, values in series.items():
             if values.shape != axis.shape:
                 raise ValueError(f"series {name!r} does not match the axis length")
-        for name in ("fid_corr", "fid_uncorr", "fid_incoh"):
-            if name in series:
-                vals = series[name]
-                good = vals[~np.isnan(vals)]
-                if np.any(good < 0) or np.any(good > 1):
-                    raise ValueError("fidelities must lie in [0, 1]")
         for name in ("insep_corr", "insep_uncorr"):
             if name in series:
                 good = series[name][~np.isnan(series[name])]

@@ -9,6 +9,10 @@ atomically renamed, so no partial output survives an error.
 Exit codes: 0 success, 2 usage error, 3 domain error (e.g. no protected
 subspace), 4 I/O error.
 
+Each flag is declared once, in ``_FLAGS``; ``_COMMANDS`` lists the flags of
+each command and what differs for it.  ``_write_outputs`` writes every file
+a command makes, and the manifest lists exactly those.
+
 Each command imports only the layers it runs, inside its handler:
 
 * ``sweep-coherent``, ``sweep-entangle`` and ``optimize``: analysis, and
@@ -55,6 +59,8 @@ CONVENTIONS = {
 _EPILOG = "Units and conventions:\n" + "\n".join(
     f"  {key}: {value}" for key, value in CONVENTIONS.items()
 )
+#: The help layout of cvgec and of every subcommand.
+_HELP_FORMAT = {"epilog": _EPILOG, "formatter_class": argparse.RawDescriptionHelpFormatter}
 
 
 class UsageError(Exception):
@@ -73,7 +79,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -86,147 +92,45 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cvgec",
-        description="Correlated-noise Gaussian channel error correction toolkit",
-        epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("--version", action="version", version=f"cvgec {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(
-            name,
-            help=help_text,
-            epilog=_EPILOG,
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-        )
-        return p
-
-    p = add("sweep-coherent", "variance and fidelity vs channel noise for a coherent state")
-    p.add_argument("--g-ratio", type=_finite_float, default=0.61, help="noise asymmetry g1/g2")
-    p.add_argument("--eta", type=_finite_float, default=1.0, help="channel transmissivity")
-    p.add_argument("--xi", type=_finite_float, default=0.0, help="non-interfering noise fraction")
-    p.add_argument(
-        "--amplitude", type=_finite_float, nargs=2, default=(2.0, 0.0), metavar=("X", "P"),
-        help="input coherent amplitude, natural units",
-    )
-    p.add_argument("--eps-max", type=_finite_float, default=40.0, help="top of the noise axis, SNU")
-    p.add_argument("--eps-steps", type=int, default=41, help="number of grid points")
-    p.add_argument("--channel-config", help="load the channel from a config file instead")
-    p.add_argument(
-        "--dump-config",
-        help="also write the channel config here (source variance at a 10 SNU point)",
-    )
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_sweep_coherent)
-
-    p = add("sweep-entangle", "inseparability vs channel noise for an entangled pair")
-    p.add_argument(
-        "--r", type=_finite_float, default=0.5, help="input two-mode squeezing parameter"
-    )
-    p.add_argument("--g-ratio", type=_finite_float, default=1.0, help="noise asymmetry g1/g2")
-    p.add_argument("--eta", type=_finite_float, default=1.0, help="channel transmissivity")
-    p.add_argument("--xi", type=_finite_float, default=0.0, help="non-interfering noise fraction")
-    p.add_argument("--eps-max", type=_finite_float, default=40.0, help="top of the noise axis, SNU")
-    p.add_argument("--eps-steps", type=int, default=41, help="number of grid points")
-    p.add_argument("--channel-config", help="load the channel from a config file instead")
-    p.add_argument(
-        "--dump-config",
-        help="also write the channel config here (source variance at a 10 SNU point)",
-    )
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_sweep_entangle)
-
-    p = add("trace", "sampled quadrature traces per protocol stage")
-    p.add_argument("--eps", type=_finite_float, default=25.0, help="channel-1 excess noise, SNU")
-    p.add_argument("--g-ratio", type=_finite_float, default=1.0, help="noise asymmetry g1/g2")
-    p.add_argument("--eta", type=_finite_float, default=1.0, help="channel transmissivity")
-    p.add_argument("--xi", type=_finite_float, default=0.0, help="non-interfering noise fraction")
-    p.add_argument(
-        "--amplitude", type=_finite_float, nargs=2, default=(2.0, 0.0), metavar=("X", "P"),
-        help="input coherent amplitude, natural units",
-    )
-    p.add_argument("--n", type=int, default=1000, help="number of shots")
-    p.add_argument("--seed", type=int, default=1, help="master seed")
-    p.add_argument(
-        "--modulation-period", type=int, default=0,
-        help="sinusoidal input modulation period in samples (0 = constant)",
-    )
-    p.add_argument("--channel-config", help="load the channel from a config file instead")
-    p.add_argument("--dump-config", help="also write the effective channel config here")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_trace)
-
-    p = add("synth", "protected signal mode and network plan from noise patterns")
-    p.add_argument("--patterns", required=True, help="text file, one coupling vector per line")
-    p.add_argument("--out", required=True, help="output plan path")
-    p.set_defaults(func=_cmd_synth)
-
-    p = add("optimize", "closed-form best splitter settings")
-    p.add_argument("--g1", type=_finite_float, required=True, help="channel-1 noise magnitude")
-    p.add_argument("--g2", type=_finite_float, required=True, help="channel-2 noise magnitude")
-    p.add_argument("--xi", type=_finite_float, default=0.0, help="non-interfering noise fraction")
-    p.add_argument("--eta", type=_finite_float, default=1.0, help="channel transmissivity")
-    p.add_argument("--eps", type=_finite_float, default=10.0, help="channel-1 excess noise, SNU")
-    p.add_argument(
-        "--objective", choices=("variance", "fidelity"), default="variance",
-        help="quantity to optimize",
-    )
-    p.set_defaults(func=_cmd_optimize)
-
-    return parser
-
-
-def _cmd_sweep_coherent(args) -> int:
+def _cmd_sweep_coherent(args) -> None:
     from .analysis import AUX_COLUMNS, SWEEP_COLUMNS, coherent_sweep, write_sweep_csv
 
-    grid = _eps_grid(args)
-    model = _effective_channel(args)
-    result = coherent_sweep(_sweep_model(args, model), tuple(args.amplitude), grid)
-    aux_path = args.out + ".aux.csv"
-    _atomic_write(args.out, lambda fh: write_sweep_csv(result, fh, SWEEP_COLUMNS))
-    _atomic_write(aux_path, lambda fh: write_sweep_csv(result, fh, AUX_COLUMNS))
-    _maybe_dump_config(args, model)
-    _write_manifest(
-        args,
-        extras={
-            "metadata": result.metadata,
-            "columns": list(SWEEP_COLUMNS),
-            "aux_columns": list(AUX_COLUMNS),
-        },
-        outputs=[aux_path],
-    )
-    return 0
+    grid, model, swept = _sweep_inputs(args)
+    result = coherent_sweep(swept, tuple(args.amplitude), grid)
+    files = [
+        (args.out, lambda fh: write_sweep_csv(result, fh, SWEEP_COLUMNS)),
+        (args.out + ".aux.csv", lambda fh: write_sweep_csv(result, fh, AUX_COLUMNS)),
+    ]
+    extras = {
+        "metadata": result.metadata,
+        "columns": list(SWEEP_COLUMNS),
+        "aux_columns": list(AUX_COLUMNS),
+    }
+    _write_outputs(args, files, extras, model=model)
 
 
-def _cmd_sweep_entangle(args) -> int:
+def _cmd_sweep_entangle(args) -> None:
     from .analysis import SWEEP_COLUMNS, entanglement_sweep, write_sweep_csv
 
-    grid = _eps_grid(args)
-    model = _effective_channel(args)
-    result = entanglement_sweep(_sweep_model(args, model), args.r, grid)
+    grid, model, swept = _sweep_inputs(args)
+    result = entanglement_sweep(swept, args.r, grid)
     metadata = dict(result.metadata)
     breaking = metadata.pop("uncorrected_breaking_point_snu")
-    _atomic_write(args.out, lambda fh: write_sweep_csv(result, fh))
-    print(f"uncorrected breaking point: {format(breaking, '.17g')} SNU")
-    _maybe_dump_config(args, model)
-    _write_manifest(
-        args,
-        extras={
-            "metadata": metadata,
-            "columns": list(SWEEP_COLUMNS),
-            "uncorrected_breaking_point_snu": breaking,
-        },
+    extras = {
+        "metadata": metadata,
+        "columns": list(SWEEP_COLUMNS),
+        "uncorrected_breaking_point_snu": breaking,
+    }
+    _write_outputs(
+        args, [(args.out, lambda fh: write_sweep_csv(result, fh))], extras, model=model,
+        say=f"uncorrected breaking point: {format(breaking, '.17g')} SNU",
     )
-    return 0
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args) -> None:
     from .channel import dump_channel_config
     from .montecarlo import sample_run, write_trace_csv
     from .protocol import ProtocolConfig, optimal_splitting_for
@@ -245,14 +149,12 @@ def _cmd_trace(args) -> int:
         amplitude=tuple(args.amplitude),
         modulation_period=args.modulation_period,
     )
-    _atomic_write(args.out, lambda fh: write_trace_csv(records, fh))
-    _maybe_dump_config(args, model)
-    channel = dump_channel_config(model).splitlines()
-    _write_manifest(args, seed=args.seed, extras={"splitting": list(pair), "channel": channel})
-    return 0
+    extras = {"splitting": list(pair), "channel": dump_channel_config(model).splitlines()}
+    files = [(args.out, lambda fh: write_trace_csv(records, fh))]
+    _write_outputs(args, files, extras, seed=args.seed, model=model)
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> None:
     from .network import decompose_network, serialize_plan
     from .patterns import NoisePatternSet, complete_orthonormal, null_space_encoder
 
@@ -271,20 +173,16 @@ def _cmd_synth(args) -> int:
     plan = decompose_network(complete_orthonormal(signal))
     signal_line = " ".join(format(x, ".17g") for x in signal)
     text = serialize_plan(plan) + f"# signal {signal_line}\n"
-    _atomic_write(args.out, lambda fh: fh.write(text))
-    print(f"signal {signal_line}")
-    _write_manifest(
-        args,
-        extras={
-            "signal": signal.tolist(),
-            "n_channels": patterns.n_channels,
-            "n_elements": len(plan.elements),
-        },
-    )
-    return 0
+    extras = {
+        "signal": signal.tolist(),
+        "n_channels": patterns.n_channels,
+        "n_elements": len(plan.elements),
+    }
+    files = [(args.out, lambda fh: fh.write(text))]
+    _write_outputs(args, files, extras, say=f"signal {signal_line}")
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> None:
     from .analysis import optimize_splitting
 
     pair, value = optimize_splitting(
@@ -299,16 +197,88 @@ def _cmd_optimize(args) -> int:
         "manifest": _manifest_payload(args),
     }
     print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
-    return 0
 
 
-def _eps_grid(args):
-    import numpy as np
+#: Every flag's add_argument keywords, declared once.  A command lists the
+#: flags it takes, in --help order, and states only what differs for it.
+_FLAGS = {
+    "--r": {"type": _finite_float, "default": 0.5, "help": "input two-mode squeezing parameter"},
+    "--eps": {"type": _finite_float, "help": "channel-1 excess noise, SNU"},
+    "--g-ratio": {"type": _finite_float, "default": 1.0, "help": "noise asymmetry g1/g2"},
+    "--g1": {"type": _finite_float, "required": True, "help": "channel-1 noise magnitude"},
+    "--g2": {"type": _finite_float, "required": True, "help": "channel-2 noise magnitude"},
+    "--eta": {"type": _finite_float, "default": 1.0, "help": "channel transmissivity"},
+    "--xi": {"type": _finite_float, "default": 0.0, "help": "non-interfering noise fraction"},
+    "--amplitude": {
+        "type": _finite_float, "nargs": 2, "default": (2.0, 0.0), "metavar": ("X", "P"),
+        "help": "input coherent amplitude, natural units",
+    },
+    "--eps-max": {"type": _finite_float, "default": 40.0, "help": "top of the noise axis, SNU"},
+    "--eps-steps": {"type": int, "default": 41, "help": "number of grid points"},
+    "--n": {"type": int, "default": 1000, "help": "number of shots"},
+    "--seed": {"type": int, "default": 1, "help": "master seed"},
+    "--modulation-period": {
+        "type": int, "default": 0,
+        "help": "sinusoidal input modulation period in samples (0 = constant)",
+    },
+    "--objective": {
+        "choices": ("variance", "fidelity"), "default": "variance", "help": "quantity to optimize"
+    },
+    "--patterns": {"required": True, "help": "text file, one coupling vector per line"},
+    "--channel-config": {"help": "load the channel from a config file instead"},
+    "--dump-config": {
+        "help": "also write the channel config here (source variance at a 10 SNU point)"
+    },
+    "--out": {"required": True, "help": "output CSV path"},
+}
 
-    _count(args.eps_steps, "--eps-steps")
-    if args.eps_max < 0:
-        raise UsageError("--eps-max must be nonnegative")
-    return np.linspace(0.0, args.eps_max, args.eps_steps)
+_SWEEP_FLAGS = ("--eps-max", "--eps-steps", "--channel-config", "--dump-config", "--out")
+
+#: Subcommand -> (help, handler, flags in --help order).  A flag is a key of
+#: _FLAGS, or a (key, keywords) pair that overrides what differs.
+_COMMANDS = {
+    "sweep-coherent": (
+        "variance and fidelity vs channel noise for a coherent state", _cmd_sweep_coherent,
+        (("--g-ratio", {"default": 0.61}), "--eta", "--xi", "--amplitude", *_SWEEP_FLAGS),
+    ),
+    "sweep-entangle": (
+        "inseparability vs channel noise for an entangled pair", _cmd_sweep_entangle,
+        ("--r", "--g-ratio", "--eta", "--xi", *_SWEEP_FLAGS),
+    ),
+    "trace": (
+        "sampled quadrature traces per protocol stage", _cmd_trace,
+        (
+            ("--eps", {"default": 25.0}), "--g-ratio", "--eta", "--xi", "--amplitude", "--n",
+            "--seed", "--modulation-period", "--channel-config",
+            ("--dump-config", {"help": "also write the effective channel config here"}), "--out",
+        ),
+    ),
+    "synth": (
+        "protected signal mode and network plan from noise patterns", _cmd_synth,
+        ("--patterns", ("--out", {"help": "output plan path"})),
+    ),
+    "optimize": (
+        "closed-form best splitter settings", _cmd_optimize,
+        ("--g1", "--g2", "--xi", "--eta", ("--eps", {"default": 10.0}), "--objective"),
+    ),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cvgec",
+        description="Correlated-noise Gaussian channel error correction toolkit",
+        **_HELP_FORMAT,
+    )
+    parser.add_argument("--version", action="version", version=f"cvgec {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, **_HELP_FORMAT)
+        for flag in flags:
+            flag, changes = (flag, {}) if isinstance(flag, str) else flag
+            p.add_argument(flag, **{**_FLAGS[flag], **changes})
+        p.set_defaults(func=handler)
+    return parser
 
 
 def _count(value: int, flag: str) -> None:
@@ -336,27 +306,50 @@ def _effective_channel(args, eps: float = 10.0):
     return standard_two_channel(eps, args.g_ratio, args.eta, args.xi)
 
 
-def _sweep_model(args, model):
-    """The model a sweep runs: the flags' model at 1 SNU, or the config with every
+def _sweep_inputs(args):
+    """A sweep's noise grid, the channel named on the command line, and the
+    model the sweep runs: the flags' model at 1 SNU, or the config with every
     source variance divided by its channel-1 excess noise in SNU."""
     from dataclasses import replace
 
+    import numpy as np
+
     from .channel import excess_noise_snu
 
+    _count(args.eps_steps, "--eps-steps")
+    if args.eps_max < 0:
+        raise UsageError("--eps-max must be nonnegative")
+    grid = np.linspace(0.0, args.eps_max, args.eps_steps)
+    model = _effective_channel(args)
     if not args.channel_config:
-        return _effective_channel(args, eps=1.0)
+        return grid, model, _effective_channel(args, eps=1.0)
     noise = excess_noise_snu(model, 0)
     if not 0.0 < noise < math.inf:
         raise UsageError("a sweep needs finite, nonzero channel-1 excess noise in the config")
     sources = tuple(replace(s, variance=s.variance / noise) for s in model.sources)
-    return replace(model, sources=sources)
+    return grid, model, replace(model, sources=sources)
 
 
-def _maybe_dump_config(args, model) -> None:
-    if getattr(args, "dump_config", None):
+def _write_outputs(args, files, extras, seed=None, model=None, say=None) -> None:
+    """Write a command's files, in this order: ``files``, (path, write)
+    pairs with --out first; after ``say`` goes to stdout, the --dump-config
+    copy of ``model`` if one was asked for; last the manifest, which lists
+    every file before it."""
+    config = []
+    if model is not None and args.dump_config:
         from .channel import dump_channel_config
 
-        _atomic_write(args.dump_config, lambda fh: fh.write(dump_channel_config(model)))
+        config = [(args.dump_config, lambda fh: fh.write(dump_channel_config(model)))]
+    for path, write in files:
+        _atomic_write(path, write)
+    if say is not None:
+        print(say)
+    for path, write in config:
+        _atomic_write(path, write)
+    outputs = [path for path, _ in files + config]
+    payload = _manifest_payload(args, seed=seed, extras=extras, outputs=outputs)
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    _atomic_write(args.out + ".manifest.json", lambda fh: fh.write(text))
 
 
 def _manifest_payload(args, seed=None, extras=None, outputs=()) -> dict:
@@ -373,18 +366,9 @@ def _manifest_payload(args, seed=None, extras=None, outputs=()) -> dict:
         payload["master_seed"] = seed
     if extras:
         payload["extras"] = extras
-    if getattr(args, "out", None):
-        written = [args.out, *outputs]
-        if getattr(args, "dump_config", None):
-            written.append(args.dump_config)
-        payload["outputs"] = [os.path.basename(path) for path in written]
+    if outputs:
+        payload["outputs"] = [os.path.basename(path) for path in outputs]
     return payload
-
-
-def _write_manifest(args, seed=None, extras=None, outputs=()) -> None:
-    payload = _manifest_payload(args, seed=seed, extras=extras, outputs=outputs)
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    _atomic_write(args.out + ".manifest.json", lambda fh: fh.write(text))
 
 
 def _atomic_write(path: str, write) -> None:

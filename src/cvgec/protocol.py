@@ -102,7 +102,7 @@ def uncorrected_map(
     return channel_map(model, carriers, n_modes + model.n_channels - 1)
 
 
-def incoherent_map(model: ChannelModel, n_modes: int, signal_mode: int = 0) -> GaussianMap:
+def incoherent_map(model: ChannelModel, n_modes: int) -> GaussianMap:
     """Measure-and-feedforward baseline on the idle channel.
 
     The signal travels channel 1 unencoded while channel 2 carries only
@@ -114,11 +114,11 @@ def incoherent_map(model: ChannelModel, n_modes: int, signal_mode: int = 0) -> G
     g1 / g2 natural units per quadrature, independent of the noise level.
     Averaged over the outcomes, displacing by ``G y`` for measured
     quadratures y is the linear map X = I + G E_y, so the whole strategy is
-    one map on the N state modes plus two appended vacua: the idle-channel
-    carrier and the heterodyne ancilla.  Each channel carries its own
-    non-interfering noise, xi var c_i^2, as in :func:`channel_map`; the
-    feedforward copies channel 2's onto the signal with the gain, so the
-    signal gains xi var c_1^2 from each channel.
+    one map on the N state modes, the signal first, plus two appended
+    vacua: the idle-channel carrier and the heterodyne ancilla.  Each
+    channel carries its own non-interfering noise, xi var c_i^2, as in
+    :func:`channel_map`; the feedforward copies channel 2's onto the signal
+    with the gain, so the signal gains xi var c_1^2 from each channel.
     """
     if model.n_channels != 2:
         raise ValueError("the incoherent baseline is defined for two channels")
@@ -135,11 +135,11 @@ def incoherent_map(model: ChannelModel, n_modes: int, signal_mode: int = 0) -> G
     # cancelling the correlated term follows from the port amplitudes; the
     # two entries below are G E_y of the map X = I + G E_y.
     feedforward = np.eye(2 * n)
-    feedforward[2 * signal_mode, 2 * idle] = -c1 / (bs[0, 0] * c2)
-    feedforward[2 * signal_mode + 1, 2 * anc + 1] = -c1 / (bs[2, 0] * c2)
+    feedforward[0, 2 * idle] = -c1 / (bs[0, 0] * c2)
+    feedforward[1, 2 * anc + 1] = -c1 / (bs[2, 0] * c2)
 
     return (
-        channel_map(model, (signal_mode, idle), n)
+        channel_map(model, (0, idle), n)
         .then(GaussianMap.of(bs, (idle, anc), n))
         .then(GaussianMap(feedforward))
     )
@@ -185,19 +185,18 @@ def n_channel_protocol(
     variances,
     state: GaussianState,
     signal_mode: int = 0,
-    xi: float = 0.0,
 ) -> GaussianState:
     """:func:`n_channel_map` applied to a state; the other carriers are dropped.
 
     The channels share loss ``eta`` and no thermal noise; pattern k carries
-    a shared noise of per-quadrature variance ``variances[k]``, a fraction
-    ``xi`` of it non-interfering.
+    a shared noise of per-quadrature variance ``variances[k]``, all of it
+    interfering.
     """
     if not isinstance(patterns, NoisePatternSet):
         patterns = NoisePatternSet(tuple(patterns))
     variances = np.broadcast_to(np.asarray(variances, dtype=float), (len(patterns.patterns),))
     sources = tuple(NoiseSource(p, v) for p, v in zip(patterns.patterns, variances))
-    model = ChannelModel(patterns.n_channels, eta, 0.0, sources, xi)
+    model = ChannelModel(patterns.n_channels, eta, 0.0, sources)
     m = n_channel_map(model, state.n_modes, signal_mode)
     return m.restricted(state.n_modes).apply(state)
 

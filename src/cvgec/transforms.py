@@ -112,20 +112,14 @@ def beam_splitter(t: float) -> np.ndarray:
     return np.kron(beam_splitter_matrix(np.sqrt(t), np.sqrt(1.0 - t)), np.eye(2))
 
 
-def squeeze(r: float, theta: float = 0.0) -> np.ndarray:
-    """2x2 block of a single-mode squeezer.
-
-    At theta = 0 the x variance scales by exp(-2r) and the p variance by
-    exp(+2r); theta rotates the squeezing axis.  |r| > 20 is rejected to
-    avoid overflow, far beyond any regime of interest.
+def squeeze(r: float) -> np.ndarray:
+    """2x2 block of a single-mode squeezer along x: the x variance scales by
+    exp(-2r) and the p variance by exp(+2r).  |r| > 20 is rejected to avoid
+    overflow, far beyond any regime of interest.
     """
     if not np.isfinite(r) or abs(r) > _MAX_SQUEEZING:
         raise ValueError("squeezing parameter out of supported range")
-    if not np.isfinite(theta):
-        raise ValueError("squeezing angle must be finite")
-    rot = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
-    core = np.diag([np.exp(-r), np.exp(r)])
-    return rot @ core @ rot.T
+    return np.diag([np.exp(-r), np.exp(r)])
 
 
 def two_mode_squeezed(r: float) -> GaussianState:

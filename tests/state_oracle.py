@@ -9,12 +9,16 @@ whole register map, keep the state's modes; the package's
 ``GaussianMap.restricted`` does it in one formula.  ``channel_margin``
 says whether a map is a valid Gaussian channel, and ``preparation`` turns
 a state into the map that prepares it, so one check covers both.
+``rotated_squeeze`` turns the package's squeezer, which squeezes x, to
+any axis, for random test states.
 """
 
 import numpy as np
 
 from cvgec.states import GaussianState, _check_mode, _quad_indices
-from cvgec.transforms import GaussianMap
+from cvgec.transforms import GaussianMap, squeeze
+
+from network_oracle import phase_shift
 
 
 def channel_margin(m: GaussianMap) -> float:
@@ -35,6 +39,13 @@ def preparation(state: GaussianState) -> GaussianMap:
     """The map that replaces any input by ``state``'s covariance: X = 0,
     Y = cov.  It is a channel iff the state is physical."""
     return GaussianMap(np.zeros_like(state.cov), state.cov)
+
+
+def rotated_squeeze(r: float, theta: float) -> np.ndarray:
+    """2x2 block of a squeezer whose squeezing axis is rotated by ``theta``:
+    R squeeze(r) R^T, with R the phase-space rotation by ``theta``."""
+    rot = phase_shift(theta)
+    return rot @ squeeze(r) @ rot.T
 
 
 def add_noise(state: GaussianState, noise_cov) -> GaussianState:

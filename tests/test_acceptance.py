@@ -35,7 +35,7 @@ from map_reference import pure_loss_reference
 from montecarlo_oracle import analytic_stage_moments, empirical_covariance
 from network_oracle import phase_shift, plan_symplectic
 from splitting_oracle import amplitudes, grid_scan_splitting, optimal_splitting
-from state_oracle import channel_margin, duan_simon, preparation
+from state_oracle import channel_margin, duan_simon, preparation, rotated_squeeze
 from test_analysis import optimized, unit_model
 from test_states import random_physical_state
 
@@ -192,7 +192,7 @@ def test_criterion_7_invariant_suite():
         for s in (
             beam_splitter(rng.uniform(0, 1)),
             phase_shift(rng.uniform(0, 2 * np.pi)),
-            squeeze(rng.uniform(-1.5, 1.5), rng.uniform(0, np.pi)),
+            rotated_squeeze(rng.uniform(-1.5, 1.5), rng.uniform(0, np.pi)),
         ):
             assert channel_margin(GaussianMap(s)) > -0.5e-12
 
@@ -217,7 +217,7 @@ def test_criterion_7_invariant_suite():
     low_energy = displace(
         vacuum_state(1), 0, rng.uniform(-1, 1), rng.uniform(-1, 1)
     )
-    low_energy = GaussianMap.of(squeeze(0.5, 0.7), (0,), 1).apply(low_energy)
+    low_energy = GaussianMap.of(rotated_squeeze(0.5, 0.7), (0,), 1).apply(low_energy)
     assert fidelity(low_energy, vac) == pytest.approx(
         fidelity_fock_states(low_energy, vac, dim=40), abs=1e-6
     )

@@ -524,5 +524,5 @@ class TestSweepCsv:
     def test_series_validation(self):
         with pytest.raises(ValueError, match="axis length"):
             SweepResult(np.array([1.0, 2.0]), {"fid_corr": np.array([0.5])}, {})
-        with pytest.raises(ValueError, match="0, 1"):
-            SweepResult(np.array([1.0]), {"fid_corr": np.array([1.5])}, {})
+        with pytest.raises(ValueError, match="inseparabilities must be nonnegative"):
+            SweepResult(np.array([1.0]), {"insep_corr": np.array([-0.5])}, {})

@@ -1,4 +1,5 @@
-"""The CI workflow installs what the package and its tests declare."""
+"""The CI workflow installs what the package and its tests declare, and
+tests the oldest Python the package admits."""
 
 import re
 from pathlib import Path
@@ -15,3 +16,13 @@ def test_ci_installs_the_dependencies_and_the_test_extra():
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
     installs = re.findall(r"^\s*run: python -m pip install (.*)$", workflow, re.MULTILINE)
     assert [line.split() for line in installs] == [names + project["optional-dependencies"]["test"]]
+
+
+def test_ci_matrix_starts_at_the_oldest_python_the_package_admits():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    (lower,) = re.findall(r'^requires-python = ">=(\d+\.\d+)"$', pyproject, re.MULTILINE)
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    (matrix,) = re.findall(r"^\s*python-version: \[(.*)\]$", workflow, re.MULTILINE)
+    versions = re.findall(r'"(\d+\.\d+)"', matrix)
+    assert versions[0] == lower
+    assert versions == sorted(versions, key=lambda v: tuple(map(int, v.split("."))))

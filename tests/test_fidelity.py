@@ -11,7 +11,7 @@ from cvgec.transforms import GaussianMap, squeeze
 
 from fock_oracle import fidelity_fock_states
 from network_oracle import phase_shift
-from state_oracle import add_noise
+from state_oracle import add_noise, rotated_squeeze
 from test_states import random_physical_state
 
 
@@ -157,15 +157,15 @@ class TestFockTruncationAgreement:
             checked += 1
 
     def test_pure_squeezed_pair(self):
-        a = GaussianMap.of(squeeze(0.4, 0.0), (0,), 1).apply(vacuum_state(1))
+        a = GaussianMap.of(squeeze(0.4), (0,), 1).apply(vacuum_state(1))
         shifted = displace(vacuum_state(1), 0, 0.5, -0.3)
-        b = GaussianMap.of(squeeze(0.6, 0.9), (0,), 1).apply(shifted)
+        b = GaussianMap.of(rotated_squeeze(0.6, 0.9), (0,), 1).apply(shifted)
         assert fidelity(a, b) == pytest.approx(fidelity_fock_states(a, b), abs=1e-6)
 
 
 def _low_energy_state(rng):
     state = vacuum_state(1)
-    sq = squeeze(rng.uniform(-0.6, 0.6), rng.uniform(0, np.pi))
+    sq = rotated_squeeze(rng.uniform(-0.6, 0.6), rng.uniform(0, np.pi))
     state = GaussianMap.of(sq, (0,), 1).apply(state)
     state = GaussianMap.of(phase_shift(rng.uniform(0, 2 * np.pi)), (0,), 1).apply(state)
     state = displace(state, 0, rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))

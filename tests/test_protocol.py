@@ -489,7 +489,9 @@ class TestNChannelProtocol:
             xi, eta = 0.03, 0.8
             signal = null_space_encoder(patterns)
             state = displace(vacuum_state(1), 0, 0.7, 1.1)
-            out = n_channel_protocol(patterns, eta, variances, state, xi=xi)
+            sources = tuple(NoiseSource(p, v) for p, v in zip(patterns.patterns, variances))
+            m = n_channel_map(ChannelModel(n, eta, 0.0, sources, xi), 1)
+            out = m.restricted(1).apply(state)
             residual = xi * sum(
                 v * np.sum(signal**2 * p**2) for p, v in zip(patterns.patterns, variances)
             )
@@ -547,7 +549,9 @@ class TestNChannelProtocol:
         variances = rng.uniform(0.5, 10.0, 12)
         a = rng.standard_normal((4, 4))
         state = GaussianState(rng.standard_normal(4), a @ a.T + 0.5 * np.eye(4))
-        out = n_channel_protocol(patterns, 0.8, variances, state, signal_mode=1, xi=0.02)
+        sources = tuple(NoiseSource(p, v) for p, v in zip(patterns, variances))
+        m = n_channel_map(ChannelModel(32, 0.8, 0.0, sources, 0.02), 2, signal_mode=1)
+        out = m.restricted(2).apply(state)
         data = np.concatenate([out.mean, out.cov.ravel()]).astype("<f8")
         digest = hashlib.sha256(data.tobytes()).hexdigest()
         assert digest == "14a3877d6ab8142075b2b285a4932464bc7ae079e7b1bd24d14467d707bd0735"

@@ -12,14 +12,22 @@ from cvgec.states import (
 from cvgec.transforms import GaussianMap, squeeze, two_mode_squeezed
 
 from network_oracle import phase_shift
-from state_oracle import add_noise, channel_margin, duan_simon, partial_trace, preparation, tensor
+from state_oracle import (
+    add_noise,
+    channel_margin,
+    duan_simon,
+    partial_trace,
+    preparation,
+    rotated_squeeze,
+    tensor,
+)
 
 
 def random_physical_state(rng, n_modes=1):
     """Random squeezed, rotated, displaced, classically noisy state."""
     state = vacuum_state(n_modes)
     for mode in range(n_modes):
-        sq = squeeze(rng.uniform(-1.2, 1.2), rng.uniform(0, np.pi))
+        sq = rotated_squeeze(rng.uniform(-1.2, 1.2), rng.uniform(0, np.pi))
         state = GaussianMap.of(sq, (mode,), n_modes).apply(state)
         ps = phase_shift(rng.uniform(0, 2 * np.pi))
         state = GaussianMap.of(ps, (mode,), n_modes).apply(state)
