@@ -4,7 +4,7 @@ The noise axis ``eps`` scales every source variance of a sweep's channel
 model; the CLI scales its models to 1 SNU of channel-1 excess noise at the
 channel output (see :func:`cvgec.channel.standard_two_channel`).  Each
 strategy is one map built from the model; the corrected one,
-:func:`cvgec.protocol.n_channel_map`, encodes into the protected mode of
+:func:`cvgec.protocol.corrected_map`, encodes into the protected mode of
 the couplings, so the sweeps take any model that has one.  The signal-mode
 covariance is affine in the noise, cov -> X cov X^T + Y0 + eps Y1, because
 the encoder and the couplings do not depend on eps.  So every map is built
@@ -22,13 +22,7 @@ import numpy as np
 
 from .channel import ChannelModel, NoiseSource, dump_channel_config, standard_two_channel
 from .fidelity import fidelity, fidelity_moments
-from .protocol import (
-    ProtocolConfig,
-    corrected_channel,
-    incoherent_map,
-    n_channel_map,
-    uncorrected_map,
-)
+from .protocol import corrected_map, incoherent_map, uncorrected_map
 from .states import as_snu, displace, vacuum_state
 from .transforms import two_mode_squeezed
 
@@ -104,7 +98,7 @@ def coherent_sweep(model: ChannelModel, amplitude: tuple[float, float], eps_grid
     (m_corr, v_corr), (m_unc, v_unc), (m_unc2, v_unc2), (m_inc, v_inc) = (
         _outputs(_noise_axis(strategy, model), mean, cov, eps_grid)
         for strategy in (
-            n_channel_map,
+            corrected_map,
             uncorrected_map,
             lambda model, n_modes: uncorrected_map(model, n_modes, channel=1),
             incoherent_map,
@@ -150,7 +144,7 @@ def entanglement_sweep(model: ChannelModel, r: float, eps_grid) -> SweepResult:
     eps_grid = _noise_values(eps_grid)
     transmitted = two_mode_squeezed(r).cov[2:, 2:]
     axes = {
-        "corr": _noise_axis(n_channel_map, model),
+        "corr": _noise_axis(corrected_map, model),
         "uncorr": _noise_axis(uncorrected_map, model),
     }
     cols = {}
@@ -226,7 +220,8 @@ def optimize_splitting(
         level = (0.5 * shift - 1.0) / variance
     pair = _splitting_for_noise(g1, g2, xi, level)
     probe = displace(vacuum_state(1), 0, *PROBE_AMPLITUDE)
-    out = corrected_channel(ProtocolConfig(pair, pair, model), probe)
+    c, s = pair
+    out = corrected_map(model, 1, signal=(c, -s)).restricted(1).apply(probe)
     if objective == "fidelity":
         return pair, -fidelity(out, probe)
     return pair, as_snu(0.5 * (out.cov[0, 0] + out.cov[1, 1]) - 0.5)
@@ -257,7 +252,7 @@ def _strategy_axis(g_ratio: float, eta: float, xi: float, strategy: str):
     """Noise axis of a named strategy on the flags' two-channel model."""
     if strategy not in ("corrected", "uncorrected"):
         raise ValueError("strategy must be 'corrected' or 'uncorrected'")
-    strategy_map = n_channel_map if strategy == "corrected" else uncorrected_map
+    strategy_map = corrected_map if strategy == "corrected" else uncorrected_map
     return _noise_axis(strategy_map, standard_two_channel(1.0, g_ratio, eta, xi))
 
 

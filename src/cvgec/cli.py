@@ -3,8 +3,9 @@
 Every command that writes files also writes a JSON manifest alongside
 (``<out>.manifest.json``) echoing the full parameter set, seed, tool
 version, output list and the conventions in force, so a run can be
-reproduced byte-for-byte.  Files are written to a temporary name and
-atomically renamed, so no partial output survives an error.
+reproduced byte-for-byte.  A run writes each file to a temporary name and
+renames them only once all of them exist, so an error leaves no partial
+file and no manifest beside data it does not describe.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (e.g. no protected
 subspace), 4 I/O error.
@@ -31,6 +32,7 @@ multiplies every source variance.  Manifests echo the model that ran.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -133,7 +135,7 @@ def _cmd_sweep_entangle(args) -> None:
 def _cmd_trace(args) -> None:
     from .channel import dump_channel_config
     from .montecarlo import sample_run, write_trace_csv
-    from .protocol import ProtocolConfig, optimal_splitting_for
+    from .protocol import optimal_splitting_for
 
     _count(args.n, "--n")
     if args.modulation_period < 0:
@@ -143,7 +145,8 @@ def _cmd_trace(args) -> None:
     model = _effective_channel(args, eps=args.eps)
     pair = optimal_splitting_for(model)
     records = sample_run(
-        ProtocolConfig(pair, pair, model),
+        model,
+        pair,
         args.n,
         args.seed,
         amplitude=tuple(args.amplitude),
@@ -331,25 +334,42 @@ def _sweep_inputs(args):
 
 
 def _write_outputs(args, files, extras, seed=None, model=None, say=None) -> None:
-    """Write a command's files, in this order: ``files``, (path, write)
-    pairs with --out first; after ``say`` goes to stdout, the --dump-config
-    copy of ``model`` if one was asked for; last the manifest, which lists
-    every file before it."""
-    config = []
+    """Write all of a command's files or none: ``files``, (path, write)
+    pairs with --out first, then the --dump-config copy of ``model`` if one
+    was asked for, last the manifest, which lists every file before it.
+    Each is written to a temporary file beside its target; only once all
+    exist are they renamed, the manifest last, and ``say`` printed.  The
+    renames are not atomic as a set, so the previous manifest goes first: a
+    manifest on disk lists only files that its own run wrote."""
     if model is not None and args.dump_config:
         from .channel import dump_channel_config
 
-        config = [(args.dump_config, lambda fh: fh.write(dump_channel_config(model)))]
-    for path, write in files:
-        _atomic_write(path, write)
+        config = dump_channel_config(model)
+        files = files + [(args.dump_config, lambda fh: fh.write(config))]
+    manifest = args.out + ".manifest.json"
+    payload = _manifest_payload(args, seed=seed, extras=extras, outputs=[p for p, _ in files])
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    staged = []
+    try:
+        for target, write in files + [(manifest, lambda fh: fh.write(text))]:
+            staged.append((target, _staged_copy(target, write)))
+        target = manifest
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(manifest)
+        while staged:
+            target, tmp = staged[0]
+            os.replace(tmp, target)
+            staged.pop(0)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # name the target, not a temporary name
+        raise OSError(exc.errno, exc.strerror, target) from None
+    finally:
+        for _, tmp in staged:
+            os.unlink(tmp)
     if say is not None:
         print(say)
-    for path, write in config:
-        _atomic_write(path, write)
-    outputs = [path for path, _ in files + config]
-    payload = _manifest_payload(args, seed=seed, extras=extras, outputs=outputs)
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    _atomic_write(args.out + ".manifest.json", lambda fh: fh.write(text))
 
 
 def _manifest_payload(args, seed=None, extras=None, outputs=()) -> dict:
@@ -371,27 +391,22 @@ def _manifest_payload(args, seed=None, extras=None, outputs=()) -> dict:
     return payload
 
 
-def _atomic_write(path: str, write) -> None:
-    """Call ``write`` on a unique temporary file in the target directory,
-    then rename; the file gets the mode a plain open() would give it.  On
-    any failure the temporary file is removed and ``path`` is untouched."""
+def _staged_copy(path: str, write) -> str:
+    """Call ``write`` on a new temporary file in the directory of ``path``,
+    with the mode a plain open() would give it, and return its name; on any
+    failure the temporary file is removed."""
     directory, name = os.path.split(path)
-    tmp = None
+    fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=directory or ".")
     try:
-        fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=directory or ".")
         with os.fdopen(fd, "w", newline="\n") as fh:
             write(fh)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if tmp is not None:
-            os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.filename is not None:
-            # name the target, not the random temporary name
-            raise OSError(exc.errno, exc.strerror, path) from None
+    except BaseException:
+        os.unlink(tmp)
         raise
+    return tmp
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import ProtocolConfig
+from .channel import ChannelModel
 
 #: Stage names in record order.
 STAGES = ("input", "channel_1", "channel_2", "corrected", "discarded")
@@ -55,15 +55,18 @@ class TraceRecord:
 
 
 def sample_run(
-    cfg: ProtocolConfig,
+    model: ChannelModel,
+    pair: tuple[float, float],
     n: int,
     seed: int,
     amplitude: tuple[float, float] = (2.0, 0.0),
     modulation_period: int = 0,
 ) -> list[TraceRecord]:
-    """Draw ``n`` shots through the two-channel protocol.
+    """Draw ``n`` shots through the two-channel protocol on the channel
+    ``model``.
 
-    The splitters act with the amplitude pairs (c, s) of ``cfg`` as given.
+    Both splitters act with the unit amplitude pair ``pair`` = (c, s) as
+    given: the pi-flip mode matrix ((c, -s), (-s, -c)), its own inverse.
     Returns one record per (stage, quadrature).  A positive
     ``modulation_period`` applies a sinusoidal displacement to the input
     mean, for trace rendering only.
@@ -72,7 +75,6 @@ def sample_run(
         raise ValueError("need at least one shot")
     if modulation_period < 0:
         raise ValueError("modulation_period must be nonnegative")
-    model = cfg.channel
     keys = itertools.count()
 
     def draw(variance: float) -> np.ndarray:
@@ -94,8 +96,7 @@ def sample_run(
     b_in = [mean_x + draw(vac), mean_p + draw(vac)]
     b_aux = [draw(vac), draw(vac)]
 
-    ste, cte = cfg.encoder
-    std, ctd = cfg.decoder
+    c, s = pair
     xi = model.mismatch
 
     # Shared classical variables and per-channel non-interfering parts.
@@ -107,26 +108,26 @@ def sample_run(
 
     records = []
     for q in (0, 1):
-        a1 = ste * b_in[q] - cte * b_aux[q]
-        a2 = -cte * b_in[q] - ste * b_aux[q]
+        a1 = c * b_in[q] - s * b_aux[q]
+        a2 = -s * b_in[q] - c * b_aux[q]
         outs = []
         for i, a in enumerate((a1, a2)):
             env = draw(vac + model.thermal[i])
             out = np.sqrt(model.eta[i]) * a + np.sqrt(1.0 - model.eta[i]) * env
-            for s, src in enumerate(model.sources):
-                out = out + np.sqrt(1.0 - xi) * src.coupling[i] * v_c[s][q]
+            for k, src in enumerate(model.sources):
+                out = out + np.sqrt(1.0 - xi) * src.coupling[i] * v_c[k][q]
             outs.append(out)
-        b_out = std * outs[0] - ctd * outs[1]
-        disc = -ctd * outs[0] - std * outs[1]
+        b_out = c * outs[0] - s * outs[1]
+        disc = -s * outs[0] - c * outs[1]
         # Detectors see their own port's non-interfering noise; the decoder
         # routes it with its row amplitudes, without interference.
         ch1 = outs[0].copy()
         ch2 = outs[1].copy()
-        for s in range(len(model.sources)):
-            ch1 += own[s][0][q]
-            ch2 += own[s][1][q]
-            b_out = b_out + std * own[s][0][q] - ctd * own[s][1][q]
-            disc = disc - ctd * own[s][0][q] - std * own[s][1][q]
+        for k in range(len(model.sources)):
+            ch1 += own[k][0][q]
+            ch2 += own[k][1][q]
+            b_out = b_out + c * own[k][0][q] - s * own[k][1][q]
+            disc = disc - s * own[k][0][q] - c * own[k][1][q]
         quad = "X" if q == 0 else "P"
         records.append(TraceRecord("input", quad, b_in[q]))
         records.append(TraceRecord("channel_1", quad, ch1))

@@ -1,12 +1,12 @@
 """Encode/transmit/decode error correction for correlated noise.
 
-Both corrected schemes are one composition: a C x C mode matrix spreads
-the signal and C - 1 vacuum carriers over the C noisy channels, and a
-second one recombines them.  :func:`corrected_map` uses the paper's pi-flip
-beam splitters; with both at the amplitude pair of T = g2 / (g1 + g2) the
-shared noise exits through the discarded decoder port and the signal sees
-pure loss, for any noise variance.  :func:`n_channel_map` encodes into the
-protected mode, orthogonal to every coupling vector: its N-channel form.
+The corrected scheme is one map, :func:`corrected_map`: an orthogonal
+C x C mode matrix spreads the signal and C - 1 vacuum carriers over the C
+noisy channels, and its transpose recombines them.  The signal rides the
+protected mode, orthogonal to every noise coupling, unless given another.
+For two channels that is the signal column (c, -s) of the paper's splitter
+pair at T = c^2 = g2 / (g1 + g2): the shared noise exits the discarded
+port and the signal sees pure loss, for any noise variance.
 
 Also provided: the direct (unencoded) transmission used as the
 "uncorrected" reference and the incoherent measure-and-feedforward
@@ -26,15 +26,16 @@ from .channel import ChannelModel, NoiseSource, channel_map
 from .patterns import NoProtectedSubspaceError, NoisePatternSet, null_space_encoder
 from .patterns import complete_orthonormal
 from .states import GaussianState
-from .transforms import GaussianMap, beam_splitter, beam_splitter_matrix
+from .transforms import GaussianMap, beam_splitter
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Splitters and channel of the two-channel scheme.  Each splitter is a
-    unit amplitude pair (c, s) of either sign, transmissivity T = c^2: the
-    pi-flip mode matrix ((c, -s), (-s, -c)), which sends the signal into the
-    channels with amplitudes (c, -s)."""
+    """Splitter pair and channel of the two-channel scheme: a unit amplitude
+    pair (c, s) of either sign, T = c^2, the pi-flip mode matrix
+    ((c, -s), (-s, -c)) that sends the signal along (c, -s).  Encoder and
+    decoder are one pair; ``decoder`` stays, and must equal ``encoder``,
+    only because ``perfbench/child.py`` builds ``ProtocolConfig(t, t, model)``."""
 
     encoder: tuple[float, float]
     decoder: tuple[float, float]
@@ -46,6 +47,8 @@ class ProtocolConfig:
             if not abs(c * c + s * s - 1.0) <= 1e-12:
                 raise ValueError(f"{name} must be a finite unit amplitude pair (c, s)")
             object.__setattr__(self, name, pair)
+        if self.encoder != self.decoder:
+            raise ValueError("the encoder and the decoder must be one amplitude pair")
         if self.channel.n_channels != 2:
             raise ValueError("the splitter scheme needs two channels")
 
@@ -67,20 +70,21 @@ def optimal_splitting_for(model: ChannelModel) -> tuple[float, float]:
     return np.sqrt(b) * np.sqrt(b / h), np.copysign(np.sqrt(a) * np.sqrt(a / h), c1 * c2)
 
 
-def corrected_map(cfg: ProtocolConfig, n_modes: int, signal_mode: int = 0) -> GaussianMap:
-    """The two-channel scheme: one map on an N-mode state plus one mode.
-
-    The splitters are the pi-flip matrices of the config's pairs.  The
-    appended mode is the auxiliary encoder input, which enters as vacuum
-    and leaves as the discarded decoder port; the signal slot holds the
-    corrected output.  Each channel's non-interfering noise reaches both
-    ports with the decoder amplitudes, without interference.  With both
-    pairs at optimal_splitting_for(cfg.channel) and no mismatch the signal
-    sees a pure-loss channel of transmissivity eta.
-    """
-    # pi-flip splitters are symmetric: the decoder's transpose is itself
-    encoder, decoder = beam_splitter_matrix(*cfg.encoder), beam_splitter_matrix(*cfg.decoder)
-    return _encoded_map(cfg.channel, encoder, decoder, n_modes, signal_mode)
+def corrected_map(
+    model: ChannelModel, n_modes: int, signal_mode: int = 0, signal=None
+) -> GaussianMap:
+    """Encode, transmit, decode: one map on ``n_modes`` state modes plus
+    C - 1 carriers entering in vacuum.  The orthogonal encoder's first column
+    is ``signal``, a unit vector of channel amplitudes (a two-channel pair
+    (c, s) sends the signal along (c, -s)), or else the protected vector,
+    orthogonal to every source coupling of ``model``: with no mismatch, equal
+    loss eta and no thermal noise, that mode sees pure loss eta at any source
+    variance.  A model without sources encodes into e_0; couplings that span
+    every channel raise :class:`NoProtectedSubspaceError`."""
+    if signal is None:
+        couplings = [src.coupling for src in model.sources]
+        signal = null_space_encoder(couplings) if couplings else np.eye(model.n_channels)[0]
+    return _encoded_map(model, complete_orthonormal(signal), n_modes, signal_mode)
 
 
 def uncorrected_map(
@@ -145,27 +149,12 @@ def incoherent_map(model: ChannelModel, n_modes: int) -> GaussianMap:
     )
 
 
-def n_channel_map(model: ChannelModel, n_modes: int, signal_mode: int = 0) -> GaussianMap:
-    """Encode into the protected mode, transmit, decode: one map on
-    ``n_modes`` state modes plus C - 1 appended carriers.
-
-    The encoder is an orthogonal completion of the protected vector, the
-    unit vector orthogonal to every source coupling of ``model``: the
-    signal mode rides that vector and the carriers, entering in vacuum,
-    the rest.  With no mismatch, equal loss eta and no thermal noise, the
-    signal sees the pure-loss channel of transmissivity eta regardless of
-    every source variance; a model without sources encodes into e_0.  Raises
-    :class:`NoProtectedSubspaceError` when the couplings span every channel.
-    """
-    couplings = [src.coupling for src in model.sources]
-    signal = null_space_encoder(couplings) if couplings else np.eye(model.n_channels)[0]
-    u = complete_orthonormal(signal)
-    return _encoded_map(model, u, u, n_modes, signal_mode)
-
-
 def corrected_channel(cfg: ProtocolConfig, state: GaussianState, signal_mode: int = 0) -> GaussianState:
-    """:func:`corrected_map` applied to a state; the discarded port is dropped."""
-    return corrected_map(cfg, state.n_modes, signal_mode).restricted(state.n_modes).apply(state)
+    """:func:`corrected_map` with the signal column (c, -s) of the config's
+    pair, applied to a state; the discarded port is dropped."""
+    c, s = cfg.encoder
+    m = corrected_map(cfg.channel, state.n_modes, signal_mode, signal=(c, -s))
+    return m.restricted(state.n_modes).apply(state)
 
 
 def uncorrected_channel(
@@ -186,7 +175,8 @@ def n_channel_protocol(
     state: GaussianState,
     signal_mode: int = 0,
 ) -> GaussianState:
-    """:func:`n_channel_map` applied to a state; the other carriers are dropped.
+    """:func:`corrected_map` into the protected mode of ``patterns``, applied
+    to a state; the other carriers are dropped.
 
     The channels share loss ``eta`` and no thermal noise; pattern k carries
     a shared noise of per-quadrature variance ``variances[k]``, all of it
@@ -197,21 +187,16 @@ def n_channel_protocol(
     variances = np.broadcast_to(np.asarray(variances, dtype=float), (len(patterns.patterns),))
     sources = tuple(NoiseSource(p, v) for p, v in zip(patterns.patterns, variances))
     model = ChannelModel(patterns.n_channels, eta, 0.0, sources)
-    m = n_channel_map(model, state.n_modes, signal_mode)
+    m = corrected_map(model, state.n_modes, signal_mode)
     return m.restricted(state.n_modes).apply(state)
 
 
-def _encoded_map(model: ChannelModel, encoder, decoder, n_modes: int, signal_mode: int) -> GaussianMap:
-    """Encode, transmit, decode on ``n_modes`` state modes plus C - 1 carriers.
-
-    The C x C mode matrix ``encoder`` spreads the signal and the carriers,
-    entering in vacuum, over the channels of ``model``; the transpose of
-    ``decoder`` recombines them, the signal into its own slot.
-    """
+def _encoded_map(model: ChannelModel, encoder, n_modes: int, signal_mode: int) -> GaussianMap:
+    """``encoder`` spreads the signal and the C - 1 carriers over the channels
+    of ``model``, and its transpose recombines them, the signal into its slot."""
     n = model.n_channels
     carriers = (signal_mode,) + tuple(range(n_modes, n_modes + n - 1))
     reg = n_modes + n - 1
     encode = GaussianMap.of(np.kron(encoder, np.eye(2)), carriers, reg)
-    decode = GaussianMap.of(np.kron(np.transpose(decoder), np.eye(2)), carriers, reg)
+    decode = GaussianMap.of(np.kron(encoder.T, np.eye(2)), carriers, reg)
     return encode.then(channel_map(model, carriers, reg)).then(decode)
-

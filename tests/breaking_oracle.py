@@ -2,7 +2,9 @@
 
 Builds the protocol's map once per noise level and applies it to a
 two-mode squeezed vacuum at each trial squeezing, so it shares nothing
-with the closed form in ``cvgec.analysis`` beyond the protocol itself.
+with the closed form in ``cvgec.analysis`` beyond the channel model: the
+corrected map composes the noise-cancelling splitter pair with the channel
+map here, as ``splitting_oracle`` does.
 The inseparability infimum over r is a golden-section search; the
 breaking point is found by doubling to a bracket (capped at
 ``eps_limit``) and then bisecting, or by a 101-point scan of the bracket
@@ -16,15 +18,10 @@ import math
 
 import numpy as np
 
-from cvgec.channel import standard_two_channel
-from cvgec.protocol import (
-    ProtocolConfig,
-    corrected_map,
-    optimal_splitting_for,
-    uncorrected_map,
-)
+from cvgec.channel import channel_map, standard_two_channel
+from cvgec.protocol import optimal_splitting_for, uncorrected_map
 from cvgec.states import vacuum_state
-from cvgec.transforms import two_mode_squeezed
+from cvgec.transforms import GaussianMap, beam_splitter_matrix, two_mode_squeezed
 
 from splitting_oracle import golden_section
 from state_oracle import duan_simon, partial_trace, tensor
@@ -33,10 +30,11 @@ from state_oracle import duan_simon, partial_trace, tensor
 def infimum(eps, g_ratio, eta, xi, strategy, r_max=10.0):
     """Smallest inseparability over r in [0, r_max], by golden section."""
     model = standard_two_channel(eps, g_ratio, eta, xi)
-    pair = optimal_splitting_for(model)
-    cfg = ProtocolConfig(pair, pair, model)
     if strategy == "corrected":
-        protocol = corrected_map(cfg, 2, signal_mode=1)
+        # modes (local, signal, auxiliary); the pi-flip splitter decodes too
+        splitter = np.kron(beam_splitter_matrix(*optimal_splitting_for(model)), np.eye(2))
+        splitter = GaussianMap.of(splitter, (1, 2), 3)
+        protocol = splitter.then(channel_map(model, (1, 2), 3)).then(splitter)
     else:
         protocol = uncorrected_map(model, 2, signal_mode=1, channel=0)
     spares = protocol.n_modes - 2

@@ -3,13 +3,15 @@
 ``empirical_covariance`` estimates the covariance of sampled records with
 standard errors; ``analytic_stage_moments`` predicts each stage's moments
 with the covariance engine.  ``cvgec.montecarlo`` samples the stages from
-amplitude relations alone, so agreement checks one against the other.
+amplitude relations alone, so agreement checks one against the other.  The
+prediction composes the splitters with the channel map itself, as
+``splitting_oracle`` does, so it shares only the channel stage with the
+package's corrected map.
 """
 
 import numpy as np
 
-from cvgec.channel import channel_map
-from cvgec.protocol import ProtocolConfig, corrected_map
+from cvgec.channel import ChannelModel, channel_map
 from cvgec.states import displace, vacuum_state
 from cvgec.transforms import GaussianMap, beam_splitter_matrix
 
@@ -39,26 +41,29 @@ def empirical_covariance(records) -> tuple[np.ndarray, np.ndarray]:
 
 
 def analytic_stage_moments(
-    cfg: ProtocolConfig, amplitude: tuple[float, float] = (2.0, 0.0)
+    model: ChannelModel, pair: tuple[float, float], amplitude: tuple[float, float] = (2.0, 0.0)
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-stage (mean, covariance) predicted by the covariance engine.
+    """Per-stage (mean, covariance) predicted by the covariance engine, with
+    both splitters at the amplitude pair ``pair``.
 
     Channel stages include the port's own non-interfering noise, matching
     what a detector parked at that point records; the corrected and
     discarded entries are the two decoder ports.
     """
     inp = displace(vacuum_state(1), 0, amplitude[0], amplitude[1])
-    pair = tensor(inp, vacuum_state(1))  # modes: (signal, auxiliary)
+    ports = tensor(inp, vacuum_state(1))  # modes: (signal, auxiliary)
     out = {}
     out["input"] = (inp.mean, inp.cov)
 
-    encoder = GaussianMap.of(np.kron(beam_splitter_matrix(*cfg.encoder), np.eye(2)), (0, 1), 2)
-    st = encoder.then(channel_map(cfg.channel, (0, 1), 2)).apply(pair)
+    # the pi-flip splitter is its own inverse, so it also decodes
+    splitter = GaussianMap.of(np.kron(beam_splitter_matrix(*pair), np.eye(2)), (0, 1), 2)
+    channel = splitter.then(channel_map(model, (0, 1), 2))
+    st = channel.apply(ports)
     for i, stage in enumerate(("channel_1", "channel_2")):
         reduced = partial_trace(st, [i])
         out[stage] = (reduced.mean, reduced.cov)
 
-    joint = corrected_map(cfg, 1).apply(pair)  # modes: (corrected, discarded)
+    joint = channel.then(splitter).apply(ports)  # modes: (corrected, discarded)
     for i, stage in enumerate(("corrected", "discarded")):
         reduced = partial_trace(joint, [i])
         out[stage] = (reduced.mean, reduced.cov)

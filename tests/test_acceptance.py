@@ -155,9 +155,9 @@ def test_criterion_6_monte_carlo_agreement():
     rng = np.random.default_rng(1006)
     n = 100_000
 
-    def run(cfg, amplitude, seed):
-        records = {(r.stage, r.quadrature): r for r in sample_run(cfg, n, seed, amplitude)}
-        predicted = analytic_stage_moments(cfg, amplitude)
+    def run(model, pair, amplitude, seed):
+        records = {(r.stage, r.quadrature): r for r in sample_run(model, pair, n, seed, amplitude)}
+        predicted = analytic_stage_moments(model, pair, amplitude)
         for stage in STAGES:
             pair = [records[(stage, "X")], records[(stage, "P")]]
             cov, se = empirical_covariance(pair)
@@ -172,10 +172,11 @@ def test_criterion_6_monte_carlo_agreement():
         xi = rng.choice([0.0, 0.01, 0.05])
         model = standard_two_channel(eps, ratio, eta, xi)
         split = optimal_splitting_for(model)
-        cfg = ProtocolConfig(split, split, model)
         amplitude = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         # one seeded retry before failing
-        ok = run(cfg, amplitude, seed=2000 + k) or run(cfg, amplitude, seed=9000 + k)
+        ok = run(model, split, amplitude, seed=2000 + k) or run(
+            model, split, amplitude, seed=9000 + k
+        )
         assert ok, f"config {k} disagrees with the analytic covariance"
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0

@@ -24,8 +24,8 @@ from cvgec.fidelity import fidelity, fidelity_moments
 from cvgec.protocol import (
     ProtocolConfig,
     corrected_channel,
+    corrected_map,
     incoherent_map,
-    n_channel_map,
     optimal_splitting_for,
     uncorrected_channel,
     uncorrected_map,
@@ -105,7 +105,7 @@ class TestCoherentSweep:
         predicted = res.series["var_x_corr_snu"][0]
         model = standard_two_channel(eps, 1.0, 1.0, xi)
         pair = optimal_splitting_for(model)
-        records = sample_run(ProtocolConfig(pair, pair, model), n, seed=11)
+        records = sample_run(model, pair, n, seed=11)
         samples = next(
             r.samples for r in records if r.stage == "corrected" and r.quadrature == "X"
         )
@@ -478,7 +478,7 @@ class TestChannelMargin:
     @pytest.mark.parametrize("eta", [1.0, 0.8])
     def test_closed_forms_on_the_noise_axis(self, eta):
         model = unit_model(0.61, eta, 0.0)
-        strategies = (n_channel_map, uncorrected_map, incoherent_map)
+        strategies = (corrected_map, uncorrected_map, incoherent_map)
         corr, unc, inc = (_noise_axis(strategy, model) for strategy in strategies)
         for eps in GRID:
             margin = lambda axis: channel_margin(GaussianMap(axis[0], axis[1] + eps * axis[2]))

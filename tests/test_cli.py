@@ -627,6 +627,22 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+#: sha256 of ``cvgec optimize`` stdout by objective and --g1, for the
+#: parameter sets of TestOptimize.test_pinned_bytes.
+OPTIMIZE_PINS = {
+    ("variance", "0.61"): "627e805008d6ce4116156bd758f273e1b1840fffc44c6be8b4dfae323aaf464a",
+    ("variance", "1.6"): "f7d2490784e721b2884daf90cb266bf2b75b8e948a6cb864fa966e9c040a31c4",
+    ("variance", "1.3"): "118e7a043116b7732b4e6a303a9e4159e07267236d3b494150a98aece5bacc43",
+    ("variance", "1e-12"): "ebd9ce68a9ea857eba733790b35021fddb9810e965c4fbaaabd8ee108e13727a",
+    ("variance", "0.8"): "ea3bd051bb663443258e15caec0a13354fb4a596f3f6dab5a7dfee5c119ce14a",
+    ("fidelity", "0.61"): "f56365d780fdcaedfa2f86fce56b591a0526f88f013bf7b78a2bcf0f08c36a7b",
+    ("fidelity", "1.6"): "ebbb1bb273ca3ab7aae078e0e603a7a0e5dee63baeba9533456dadac7855950b",
+    ("fidelity", "1.3"): "a3268e555cdc10241d060fb001a18aa67d7274f7ffa0754e6fc42fcb028e512d",
+    ("fidelity", "1e-12"): "adbf3a3515033fadc958f19843d95a16efcd1590356c260034b26689271ce2e3",
+    ("fidelity", "0.8"): "deb826ef6463ab9cde6bbe15a073611b11f41bc0db15d04e43b9b7b0ed81500a",
+}
+
+
 class TestOptimize:
     def test_symmetric(self, capsys):
         assert main(["optimize", "--g1", "1", "--g2", "1", "--xi", "0"]) == 0
@@ -703,6 +719,26 @@ class TestOptimize:
         assert out == ""
         assert err.startswith("error: channel-2 excess noise eps * g2 / g1 = ")
         assert err.endswith(" SNU is beyond the float range\n")
+
+    @pytest.mark.parametrize("objective", ["variance", "fidelity"])
+    @pytest.mark.parametrize(
+        "g1, g2, xi, eta, eps",
+        [
+            ("0.61", "1", "0", "1", "10"),
+            ("1.6", "0.9", "0.05", "0.8", "10"),
+            ("1.3", "0.7", "0.02", "0.3", "25"),
+            ("1e-12", "1", "0.1", "0.9", "1e6"),
+            ("0.8", "1.2", "0.03", "0.05", "0.5"),
+        ],
+    )
+    def test_pinned_bytes(self, capsys, objective, g1, g2, xi, eta, eps):
+        # sha256 of the printed JSON, recorded while the objective was still
+        # scored on the pi-flip splitter matrices; at eta = 0.05 the
+        # fidelity optimum leaves the noise-cancelling pair
+        argv = ["optimize", "--g1", g1, "--g2", g2, "--xi", xi, "--eta", eta, "--eps", eps]
+        assert main(argv + ["--objective", objective]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == OPTIMIZE_PINS[objective, g1]
 
     def test_bad_objective_lists_choices(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -816,15 +852,74 @@ class TestHarness:
         assert out.stat().st_mode & 0o777 == 0o640
 
     def test_failing_writer_leaves_nothing(self, tmp_path):
-        from cvgec.cli import _atomic_write
+        import argparse
+
+        from cvgec.cli import _write_outputs
 
         def writer(fh):
             fh.write("stage,quadrature,index,value\n")
             raise ValueError("formatting failed")
 
+        out = str(tmp_path / "o.csv")
+        args = argparse.Namespace(command="trace", out=out, dump_config=None)
+        files = [(out, lambda fh: fh.write("eps_snu\n")), (out + ".aux.csv", writer)]
         with pytest.raises(ValueError, match="formatting failed"):
-            _atomic_write(str(tmp_path / "o.csv"), writer)
+            _write_outputs(args, files, {}, say="never printed")
         assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_dump_config_leaves_no_output(self, tmp_path, capsys):
+        # every file is staged before any is renamed: no e1.csv without its
+        # manifest, and no breaking-point line for a run that wrote nothing
+        out = tmp_path / "e1.csv"
+        argv = ["sweep-entangle", "--eps-steps", "3", "--dump-config", str(tmp_path / "nodir" / "x.cfg")]
+        assert main(argv + ["--out", str(out)]) == 4
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.endswith(f": {str(tmp_path / 'nodir' / 'x.cfg')!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("sweep-coherent", ["--eps-steps", "3", "--g-ratio"]),
+            ("sweep-entangle", ["--eps-steps", "3", "--r"]),
+            ("trace", ["--n", "5", "--eps"]),
+        ],
+    )
+    @pytest.mark.parametrize("failing", ["out", "dump-config", "manifest"])
+    def test_failed_rerun_keeps_the_previous_run(self, tmp_path, capsys, command, argv, failing):
+        # a rerun with other values that fails at any one output leaves the
+        # directory as the first run left it
+        out = tmp_path / "e1.csv"
+        assert main([command, *argv, "0.5", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        out_arg, config_arg = str(out), str(tmp_path / "x.cfg")
+        if failing == "out":
+            out_arg = str(tmp_path / "nodir" / "e1.csv")
+        elif failing == "dump-config":
+            config_arg = str(tmp_path / "nodir" / "x.cfg")
+        else:
+            (tmp_path / "e1.csv.manifest.json").unlink()
+            (tmp_path / "e1.csv.manifest.json").mkdir()
+            before.pop("e1.csv.manifest.json")
+        rerun = [command, *argv, "2", "--out", out_arg, "--dump-config", config_arg]
+        assert main(rerun) == 4
+        assert capsys.readouterr().out == ""
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert after == before
+
+    def test_failed_rename_leaves_no_stale_manifest(self, tmp_path, capsys):
+        # the renames are not atomic as a set: when one fails after another
+        # succeeded, no manifest is left to describe the mixed files
+        out = tmp_path / "e1.csv"
+        assert main(["sweep-entangle", "--eps-steps", "3", "--out", str(out)]) == 0
+        (tmp_path / "x.cfg").mkdir()
+        argv = ["sweep-entangle", "--eps-steps", "3", "--r", "2", "--dump-config"]
+        assert main(argv + [str(tmp_path / "x.cfg"), "--out", str(out)]) == 4
+        assert capsys.readouterr().out.count("breaking point") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e1.csv", "x.cfg"]
+        assert list((tmp_path / "x.cfg").iterdir()) == []
 
     def test_no_partial_files_on_error(self, tmp_path):
         missing_dir = tmp_path / "nope"

@@ -10,16 +10,16 @@ from cvgec.montecarlo import (
     sample_run,
     write_trace_csv,
 )
-from cvgec.protocol import ProtocolConfig, optimal_splitting_for
+from cvgec.protocol import optimal_splitting_for
 
 from montecarlo_oracle import analytic_stage_moments, empirical_covariance
 from trace_reference import write_trace_csv_per_cell
 
 
 def config(eps_snu, g_ratio=1.0, eta=1.0, xi=0.0):
+    """The flags' two-channel model and its noise-cancelling splitter pair."""
     model = standard_two_channel(eps_snu, g_ratio, eta, xi)
-    pair = optimal_splitting_for(model)
-    return ProtocolConfig(pair, pair, model)
+    return model, optimal_splitting_for(model)
 
 
 def by_stage(records):
@@ -29,27 +29,27 @@ def by_stage(records):
 class TestSampleRun:
     def test_deterministic_in_seed(self):
         cfg = config(10.0)
-        a = sample_run(cfg, 500, seed=7)
-        b = sample_run(cfg, 500, seed=7)
+        a = sample_run(*cfg, 500, seed=7)
+        b = sample_run(*cfg, 500, seed=7)
         for ra, rb in zip(a, b):
             assert ra.stage == rb.stage and ra.quadrature == rb.quadrature
             assert np.array_equal(ra.samples, rb.samples)
-        c = sample_run(cfg, 500, seed=8)
+        c = sample_run(*cfg, 500, seed=8)
         assert not np.array_equal(a[0].samples, c[0].samples)
 
     def test_negative_modulation_period_rejected(self):
         with pytest.raises(ValueError, match="modulation_period"):
-            sample_run(config(5.0), 10, seed=1, modulation_period=-5)
+            sample_run(*config(5.0), 10, seed=1, modulation_period=-5)
 
     def test_all_stages_present(self):
-        records = sample_run(config(5.0), 10, seed=1)
+        records = sample_run(*config(5.0), 10, seed=1)
         assert {r.stage for r in records} == set(STAGES)
         assert {r.quadrature for r in records} == {"X", "P"}
         assert all(r.samples.size == 10 for r in records)
 
     def test_vacuum_only_variances(self):
         n = 100_000
-        records = by_stage(sample_run(config(0.0), n, seed=2, amplitude=(0.0, 0.0)))
+        records = by_stage(sample_run(*config(0.0), n, seed=2, amplitude=(0.0, 0.0)))
         se = 0.5 * np.sqrt(2.0 / (n - 1))
         for stage in ("input", "corrected"):
             var = records[(stage, "X")].samples.var(ddof=1)
@@ -58,7 +58,7 @@ class TestSampleRun:
     def test_noisy_channel_stage_variances(self):
         # eps = 25 SNU symmetric: channel variance 0.5 + 12.5, corrected 0.5
         n = 100_000
-        records = by_stage(sample_run(config(25.0), n, seed=3))
+        records = by_stage(sample_run(*config(25.0), n, seed=3))
         ch = records[("channel_1", "X")].samples.var(ddof=1)
         assert abs(ch - 13.0) < 5 * 13.0 * np.sqrt(2.0 / (n - 1))
         corr = records[("corrected", "P")].samples.var(ddof=1)
@@ -69,8 +69,8 @@ class TestSampleRun:
     def test_classical_scaling_is_quadratic(self):
         # doubling the source standard deviation quadruples its variance share
         n = 200_000
-        var1 = by_stage(sample_run(config(10.0), n, seed=4))[("channel_1", "X")]
-        var2 = by_stage(sample_run(config(40.0), n, seed=4))[("channel_1", "X")]
+        var1 = by_stage(sample_run(*config(10.0), n, seed=4))[("channel_1", "X")]
+        var2 = by_stage(sample_run(*config(40.0), n, seed=4))[("channel_1", "X")]
         classical1 = var1.samples.var(ddof=1) - 0.5
         classical2 = var2.samples.var(ddof=1) - 0.5
         ratio = classical2 / classical1
@@ -78,7 +78,7 @@ class TestSampleRun:
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            sample_run(config(1.0), 0, seed=1)
+            sample_run(*config(1.0), 0, seed=1)
 
 
 @pytest.mark.parametrize("samples", [np.ones((2, 3)), np.float64(1.0), [[1.0]]])
@@ -104,7 +104,7 @@ class TestEmpiricalCovariance:
 
     def test_vacuum_diagonal(self):
         n = 100_000
-        records = sample_run(config(0.0), n, seed=6, amplitude=(0.0, 0.0))
+        records = sample_run(*config(0.0), n, seed=6, amplitude=(0.0, 0.0))
         cov, se = empirical_covariance(records)
         assert np.all(np.abs(np.diag(cov) - 0.5) < 5 * np.diag(se))
 
@@ -118,8 +118,8 @@ class TestEmpiricalCovariance:
             xi = rng.choice([0.0, 0.02, 0.1])
             cfg = config(eps, ratio, eta, xi)
             amp = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-            records = by_stage(sample_run(cfg, n, seed=rng.integers(1 << 30), amplitude=amp))
-            predicted = analytic_stage_moments(cfg, amp)
+            records = by_stage(sample_run(*cfg, n, seed=rng.integers(1 << 30), amplitude=amp))
+            predicted = analytic_stage_moments(*cfg, amp)
             for stage in STAGES:
                 pair = [records[(stage, "X")], records[(stage, "P")]]
                 cov, se = empirical_covariance(pair)
@@ -140,7 +140,7 @@ class TestTraceCsv:
     def test_format(self, tmp_path):
         import io
 
-        records = sample_run(config(1.0), 3, seed=9)
+        records = sample_run(*config(1.0), 3, seed=9)
         buf = io.StringIO()
         write_trace_csv(records, buf)
         lines = buf.getvalue().splitlines()
@@ -165,7 +165,7 @@ class TestTraceCsv:
     def test_bytes_match_per_cell_reference(self, n, kwargs):
         import io
 
-        records = sample_run(config(12.0, g_ratio=0.7, eta=0.8, xi=0.02), n, seed=21, **kwargs)
+        records = sample_run(*config(12.0, g_ratio=0.7, eta=0.8, xi=0.02), n, seed=21, **kwargs)
         new, ref = io.StringIO(), io.StringIO()
         write_trace_csv(records, new)
         write_trace_csv_per_cell(records, ref)

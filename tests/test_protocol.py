@@ -17,7 +17,6 @@ from cvgec.protocol import (
     corrected_channel,
     corrected_map,
     incoherent_map,
-    n_channel_map,
     n_channel_protocol,
     null_space_encoder,
     optimal_splitting_for,
@@ -27,7 +26,7 @@ from cvgec.states import GaussianState, as_snu, displace, vacuum_state
 from cvgec.transforms import GaussianMap, beam_splitter, two_mode_squeezed
 
 from map_reference import characterize_single_mode_map, pure_loss_reference
-from splitting_oracle import amplitudes, optimal_splitting
+from splitting_oracle import amplitudes, optimal_splitting, splitting_objective
 from state_oracle import duan_simon, tensor
 from test_states import random_physical_state
 
@@ -37,9 +36,11 @@ HALF = amplitudes(0.5)  # a balanced splitter
 log_uniform = st.floats(-150.0, 150.0).map(lambda e: 10.0**e)
 
 def both_ports(cfg, state):
-    """The corrected map's image of ``state``, the discarded port kept as
-    the final mode."""
-    return corrected_map(cfg, state.n_modes).apply(tensor(state, vacuum_state(1)))
+    """The corrected map's image of ``state`` through the config's pair, the
+    discarded port kept as the final mode."""
+    c, s = cfg.encoder
+    m = corrected_map(cfg.channel, state.n_modes, signal=(c, -s))
+    return m.apply(tensor(state, vacuum_state(1)))
 
 
 def config(eps_snu, g_ratio=1.0, eta=1.0, xi=0.0):
@@ -125,9 +126,9 @@ class TestOptimalSplitting:
     def test_pair_map_agrees_with_the_protected_mode_map(self, g1, g2, negative, eta, xi, var):
         coupling = [np.sqrt(g1), -np.sqrt(g2) if negative else np.sqrt(g2)]
         model = ChannelModel(2, eta, 0.0, (NoiseSource(coupling, var),), xi)
-        pair = optimal_splitting_for(model)
-        a = corrected_map(ProtocolConfig(pair, pair, model), 1)
-        b = n_channel_map(model, 1)
+        c, s = optimal_splitting_for(model)
+        a = corrected_map(model, 1, signal=(c, -s))
+        b = corrected_map(model, 1)
         # the carrier's sign is free, so compare the signal rows of X and the
         # signal block of Y, whose cancellation leaves rounding of the order
         # of the channel noise
@@ -199,9 +200,13 @@ class TestCorrectedChannel:
             assert np.abs(out.cov - base.cov).max() < 1e-12
 
     def test_decoder_set_to_full_transmission_keeps_channel_noise(self):
-        # suboptimal T_d = 1 passes channel 1's 20 SNU straight through
+        # suboptimal T_d = 1 passes channel 1's 20 SNU straight through, for
+        # the optimal T_e as for T_e = T_d = 1
+        score = splitting_objective(1.0, 1.0, objective="variance", eps_snu=20.0)
+        added = score(np.array([optimal_splitting(1.0, 1.0), 1.0]), np.array([1.0]))
+        assert added[:, 0] == pytest.approx([20.0, 20.0], abs=1e-12)
         model = standard_two_channel(20.0, 1.0)
-        cfg = ProtocolConfig(optimal_splitting_for(model), amplitudes(1.0), model)
+        cfg = ProtocolConfig(amplitudes(1.0), amplitudes(1.0), model)
         out = corrected_channel(cfg, vacuum_state(1))
         assert as_snu(out.cov[0, 0]) - 1.0 == pytest.approx(20.0, abs=1e-12)
 
@@ -239,18 +244,22 @@ class TestCorrectedChannel:
     def test_closed_form_vacuum_variance(self):
         # vacuum in, no thermal noise: the signal port keeps the interfering
         # amplitude sqrt(T_d g1) - sqrt((1-T_d) g2) and the incoherent sum
-        # of each channel's non-interfering power, for any T_e and eta
+        # of each channel's non-interfering power, for any T_e and eta.  The
+        # oracle composes the unequal pair; the package runs T_e = T_d.
         rng = np.random.default_rng(23)
         for _ in range(40):
             g1, g2 = rng.uniform(0.05, 4.0, 2)
             var, xi = rng.uniform(0.0, 20.0), rng.uniform(0.0, 0.5)
             te, td, eta = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.1, 1.0)
-            model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), var),), xi)
-            cfg = ProtocolConfig(amplitudes(te), amplitudes(td), model)
-            out = corrected_channel(cfg, vacuum_state(1))
             coherent = (np.sqrt(td * g1) - np.sqrt((1.0 - td) * g2)) ** 2
             incoherent = td * g1 + (1.0 - td) * g2
             expected = 0.5 + var * ((1.0 - xi) * coherent + xi * incoherent)
+            score = splitting_objective(g1, g2, xi, eta, "variance", 2.0 * var * g1)
+            added = score(np.array([te, td]), np.array([td]))[:, 0]
+            assert np.allclose(0.5 + 0.5 * added, expected, rtol=1e-12, atol=1e-12)
+            model = ChannelModel(2, eta, 0.0, (NoiseSource(np.sqrt([g1, g2]), var),), xi)
+            cfg = ProtocolConfig(amplitudes(td), amplitudes(td), model)
+            out = corrected_channel(cfg, vacuum_state(1))
             assert np.allclose(out.cov, expected * np.eye(2), rtol=1e-12, atol=1e-12)
 
     def test_map_characterization(self):
@@ -490,7 +499,7 @@ class TestNChannelProtocol:
             signal = null_space_encoder(patterns)
             state = displace(vacuum_state(1), 0, 0.7, 1.1)
             sources = tuple(NoiseSource(p, v) for p, v in zip(patterns.patterns, variances))
-            m = n_channel_map(ChannelModel(n, eta, 0.0, sources, xi), 1)
+            m = corrected_map(ChannelModel(n, eta, 0.0, sources, xi), 1)
             out = m.restricted(1).apply(state)
             residual = xi * sum(
                 v * np.sum(signal**2 * p**2) for p, v in zip(patterns.patterns, variances)
@@ -516,7 +525,7 @@ class TestNChannelProtocol:
             eta = rng.uniform(0.05, 1.0)
             n_modes, signal = 3, int(rng.integers(3))
             sources = tuple(NoiseSource(p, v) for p, v in zip(patterns, variances))
-            m = n_channel_map(ChannelModel(n, eta, 0.0, sources), n_modes, signal)
+            m = corrected_map(ChannelModel(n, eta, 0.0, sources), n_modes, signal)
             assert m.n_modes == n_modes + n - 1
             rows = slice(2 * signal, 2 * signal + 2)
             x_ref = np.zeros((2, 2 * m.n_modes))
@@ -532,7 +541,7 @@ class TestNChannelProtocol:
     def test_model_without_sources_keeps_the_signal_on_channel_0(self, eta, thermal):
         # every mode is protected: the signal rides e_0, so it sees channel 0
         # alone, X = sqrt(eta_0) I and Y = (1 - eta_0)(1/2 + n_0) I
-        m = n_channel_map(ChannelModel(len(eta), eta, thermal), 1)
+        m = corrected_map(ChannelModel(len(eta), eta, thermal), 1)
         assert m.n_modes == len(eta)
         x_ref = np.zeros((2, 2 * m.n_modes))
         x_ref[:, :2] = np.sqrt(eta[0]) * np.eye(2)
@@ -550,7 +559,7 @@ class TestNChannelProtocol:
         a = rng.standard_normal((4, 4))
         state = GaussianState(rng.standard_normal(4), a @ a.T + 0.5 * np.eye(4))
         sources = tuple(NoiseSource(p, v) for p, v in zip(patterns, variances))
-        m = n_channel_map(ChannelModel(32, 0.8, 0.0, sources, 0.02), 2, signal_mode=1)
+        m = corrected_map(ChannelModel(32, 0.8, 0.0, sources, 0.02), 2, signal_mode=1)
         out = m.restricted(2).apply(state)
         data = np.concatenate([out.mean, out.cov.ravel()]).astype("<f8")
         digest = hashlib.sha256(data.tobytes()).hexdigest()
@@ -570,9 +579,19 @@ class TestProtocolConfig:
 
     def test_pairs_of_either_sign_accepted(self):
         model = standard_two_channel(1.0, 1.0)
-        cfg = ProtocolConfig(np.array([0.6, -0.8]), (-0.8, 0.6), model)
-        assert cfg.encoder == (0.6, -0.8)
-        assert cfg.decoder == (-0.8, 0.6)
+        for pair in ((0.6, -0.8), (-0.8, 0.6)):
+            cfg = ProtocolConfig(np.array(pair), pair, model)
+            assert cfg.encoder == cfg.decoder == pair
+
+    @pytest.mark.parametrize(
+        "encoder, decoder", [(HALF, amplitudes(1.0)), ((0.6, -0.8), (-0.6, 0.8))]
+    )
+    def test_unequal_pairs_refused(self, encoder, decoder):
+        # the encoder and the decoder are one splitter pair; unequal pairs
+        # are scored by tests/splitting_oracle.py alone
+        model = standard_two_channel(1.0, 1.0)
+        with pytest.raises(ValueError, match="^the encoder and the decoder must be one"):
+            ProtocolConfig(encoder, decoder, model)
 
     def test_needs_two_channels(self):
         with pytest.raises(ValueError):
