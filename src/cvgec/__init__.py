@@ -10,8 +10,6 @@ loads neither numpy nor any layer until one of them is asked for.
 """
 
 import importlib
-import sys
-import types
 
 __version__ = "0.1.0"
 
@@ -30,10 +28,8 @@ _EXPORTS = {
     "transforms": (
         "GaussianMap",
         "beam_splitter",
-        "squeeze",
         "two_mode_squeezed",
     ),
-    "fidelity": ("fidelity",),
     "channel": (
         "ChannelModel",
         "NoiseSource",
@@ -69,21 +65,3 @@ def __getattr__(name):
 def __dir__():
     return sorted({*globals(), *__all__})
 
-
-class _Package(types.ModuleType):
-    """``cvgec.fidelity`` names the function, not the layer of the same
-    name.  Loading that layer binds the module on its parent; the setter
-    keeps the function in its place."""
-
-    @property
-    def fidelity(self):
-        from .fidelity import fidelity
-
-        return fidelity
-
-    @fidelity.setter
-    def fidelity(self, value):
-        pass
-
-
-sys.modules[__name__].__class__ = _Package

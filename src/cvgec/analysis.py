@@ -7,7 +7,9 @@ strategy is one map built from the model; the corrected one,
 :func:`cvgec.protocol.corrected_map`, encodes into the protected mode of
 the couplings, so the sweeps take any model that has one.  The signal-mode
 covariance is affine in the noise, cov -> X cov X^T + Y0 + eps Y1, because
-the encoder and the couplings do not depend on eps.  So every map is built
+the encoder and the couplings, and so the maps' noise inputs, do not depend
+on eps; Y1 is read off the source variances, so the corrected one is a
+squared leak u . c, never negative.  So every map is built
 once per call, a sweep is one array operation over the whole grid, the
 entanglement breaking point is the root of a linear equation, and the best
 splitter setting is the lower eigenvector of a 2 x 2 noise form.
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelModel, NoiseSource, dump_channel_config, standard_two_channel
-from .fidelity import fidelity, fidelity_moments
+from .fidelity import fidelity_moments
 from .protocol import corrected_map, incoherent_map, uncorrected_map
 from .states import as_snu, displace, vacuum_state
 from .transforms import two_mode_squeezed
@@ -192,7 +194,7 @@ def optimize_splitting(
 
     Returns ``(pair, value)``: the amplitude pair
     (c, s) = (cos theta, sin theta) of both splitters and the objective
-    evaluated once on the protocol at that pair.  The encoder enters only
+    evaluated once on the protocol's noise axis at that pair.  The encoder enters only
     through the mean attenuation sqrt(eta) cos(theta_e - theta_d), which is
     best at equal pairs; the decoder alone sets the added noise var Q at the
     signal port.  The variance is smallest at the minimum of Q
@@ -219,12 +221,15 @@ def optimize_splitting(
         shift = (1.0 - math.sqrt(eta)) ** 2 * math.hypot(*PROBE_AMPLITUDE) ** 2
         level = (0.5 * shift - 1.0) / variance
     pair = _splitting_for_noise(g1, g2, xi, level)
-    probe = displace(vacuum_state(1), 0, *PROBE_AMPLITUDE)
     c, s = pair
-    out = corrected_map(model, 1, signal=(c, -s)).restricted(1).apply(probe)
+    x, y0, y1 = _noise_axis(
+        lambda model, n_modes: corrected_map(model, n_modes, signal=(c, -s)), model
+    )
+    probe = displace(vacuum_state(1), 0, *PROBE_AMPLITUDE)
+    mean, cov = x @ probe.mean, x @ probe.cov @ x.T + y0 + y1
     if objective == "fidelity":
-        return pair, -fidelity(out, probe)
-    return pair, as_snu(0.5 * (out.cov[0, 0] + out.cov[1, 1]) - 0.5)
+        return pair, -float(fidelity_moments(mean, cov, probe.mean, probe.cov))
+    return pair, as_snu(0.5 * (cov[0, 0] + cov[1, 1]) - 0.5)
 
 
 def write_sweep_csv(result: SweepResult, stream, columns=SWEEP_COLUMNS) -> None:
@@ -274,13 +279,15 @@ def _noise_axis(strategy, model: ChannelModel):
 
     ``strategy(model, n_modes)`` is one of the protocol's map builders, and
     eps scales the variance of every source of ``model``.  The encoder and
-    the couplings do not depend on eps, and the channel's added covariance
-    is linear in it, so two maps fix the axis: one with every source silent
-    and one on ``model`` itself.
+    the couplings do not depend on eps, so a map with every source silent
+    and one on ``model`` itself have the same noise inputs F; only their
+    variances differ, and Y1 is read off the loud ones, no matrices
+    subtracted.
     """
     silent = replace(model, sources=tuple(replace(s, variance=0.0) for s in model.sources))
     quiet = strategy(silent, 1).restricted(1)
-    return quiet.X, quiet.Y, strategy(model, 1).restricted(1).Y - quiet.Y
+    loud = strategy(model, 1).restricted(1)
+    return quiet.X, quiet.Y, (loud.F * (loud.v - quiet.v)) @ loud.F.T
 
 
 def _outputs(axis, mean, cov, eps_grid):

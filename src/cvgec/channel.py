@@ -11,10 +11,13 @@ Mode mismatch: a fraction ``mismatch`` (xi) of each source's power is
 carried by spatial modes orthogonal to the signal, which do not interfere
 at any downstream beam splitter: independent noise
 xi * sum_s variance_s c_s[i]^2 on each channel.  :func:`channel_map` is
-the whole stage as one affine Gaussian map; per quadrature its added
-covariance is (1 - eta_i)(1/2 + n_i) + that noise on the diagonal plus the
-interfering (1 - xi) variance_s c_s c_s^T.  The total per-channel excess
-is independent of xi, only its split between the two parts changes.
+the whole stage as one affine Gaussian map whose added noise is three kinds
+of independent input per quadrature: per channel, the loss and thermal
+noise (1 - eta_i)(1/2 + n_i) and the non-interfering noise; per source, the
+column c_s of interfering variance (1 - xi) variance_s.  The columns depend
+on the couplings alone, and every variance enters only its own input.  The
+total per-channel excess is independent of xi, only its split between the
+two parts changes.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import VACUUM_VARIANCE
+from .states import VACUUM_VARIANCE, _quad_indices
 from .transforms import GaussianMap, embed
 
 
@@ -119,15 +122,17 @@ def channel_map(model: ChannelModel, modes, n_modes: int) -> GaussianMap:
     if len(modes) != model.n_channels:
         raise ValueError("mode assignment length must equal n_channels")
 
-    xi = model.mismatch
-    own = np.zeros(model.n_channels)  # non-interfering variance per channel
-    added = np.zeros((model.n_channels, model.n_channels))  # per quadrature
-    for src in model.sources:
-        own += xi * src.variance * src.coupling**2
-        added += (1.0 - xi) * src.variance * np.outer(src.coupling, src.coupling)
-    added += np.diag((1.0 - model.eta) * (VACUUM_VARIANCE + model.thermal) + own)
     x = embed(np.diag(np.repeat(np.sqrt(model.eta), 2)), modes, n_modes)
-    return GaussianMap(x, embed(np.kron(added, np.eye(2)), modes, n_modes, fill=0.0))
+    xi = model.mismatch
+    # non-interfering variance per channel
+    own = sum((xi * src.variance * src.coupling**2 for src in model.sources), np.zeros(len(modes)))
+    eye = np.eye(model.n_channels)
+    columns = np.column_stack([eye, eye, *(src.coupling for src in model.sources)])
+    loss = (1.0 - model.eta) * (VACUUM_VARIANCE + model.thermal)
+    variances = np.concatenate([loss, own, [(1.0 - xi) * src.variance for src in model.sources]])
+    f = np.zeros((2 * n_modes, 2 * len(variances)))
+    f[_quad_indices(modes)] = np.kron(columns, np.eye(2))
+    return GaussianMap(x, f, np.repeat(variances, 2))
 
 
 def standard_two_channel(

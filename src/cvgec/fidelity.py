@@ -13,16 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import GaussianState
-
 _LOG_4 = np.log(4.0)
-
-
-def fidelity(a: GaussianState, b: GaussianState) -> float:
-    """Fidelity between two single-mode Gaussian states, in [0, 1]."""
-    if a.n_modes != 1 or b.n_modes != 1:
-        raise ValueError("fidelity is implemented for single-mode states only")
-    return float(fidelity_moments(a.mean, a.cov, b.mean, b.cov))
 
 
 def fidelity_moments(mean_a, cov_a, mean_b, cov_b) -> np.ndarray:

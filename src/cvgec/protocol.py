@@ -6,7 +6,9 @@ noisy channels, and its transpose recombines them.  The signal rides the
 protected mode, orthogonal to every noise coupling, unless given another.
 For two channels that is the signal column (c, -s) of the paper's splitter
 pair at T = c^2 = g2 / (g1 + g2): the shared noise exits the discarded
-port and the signal sees pure loss, for any noise variance.
+port and the signal sees pure loss, for any noise variance: each source
+reaches the signal as the one dot product u . c of the encoder's signal
+column with its coupling, an input whose variance stays its own.
 
 Also provided: the direct (unencoded) transmission used as the
 "uncorrected" reference and the incoherent measure-and-feedforward

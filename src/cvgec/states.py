@@ -8,8 +8,10 @@ shot-noise units (SNU) normalize variances to that value.
 States are built here (vacuum, displacement); validity is checked on the
 maps that act on them.  A map (X, Y) is a Gaussian channel iff
 Y + i (Omega - X Omega X^T) / 2 >= 0, with Omega the symplectic form
-(Holevo & Werner, PRA 63, 032312 (2001)); the tests' ``channel_margin`` in
-``tests/state_oracle.py`` is its smallest eigenvalue.  A map restricted to
+(Holevo & Werner, PRA 63, 032312 (2001)); the tests' ``channel_margin(x, y)``
+in ``tests/state_oracle.py`` is its smallest eigenvalue.  A map's Y is a
+sum of independent noise inputs, so it is positive semidefinite by
+construction, and a state is checked as its preparation (0, cov).  A map restricted to
 the kept modes (:meth:`cvgec.transforms.GaussianMap.restricted`) stands in
 for the tensor product with vacua and the partial trace.
 

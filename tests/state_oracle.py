@@ -7,38 +7,52 @@ that adds a classical noise covariance to a state.  ``tensor`` and
 ``partial_trace`` restrict a map the long way: append vacua, apply the
 whole register map, keep the state's modes; the package's
 ``GaussianMap.restricted`` does it in one formula.  ``channel_margin``
-says whether a map is a valid Gaussian channel, and ``preparation`` turns
-a state into the map that prepares it, so one check covers both.
-``rotated_squeeze`` turns the package's squeezer, which squeezes x, to
-any axis, for random test states.
+says whether a pair of matrices (X, Y) is a valid Gaussian channel, and
+``preparation`` turns a state into the pair that prepares it, so one check
+covers both; a map passes ``m.X, m.Y``.  ``squeeze`` is the single-mode
+squeezer block, which no command needs, and ``rotated_squeeze`` turns it
+to any axis, for random test states.  ``fidelity`` is the package's
+closed form on two single-mode states.
 """
 
 import numpy as np
 
+from cvgec.fidelity import fidelity_moments
 from cvgec.states import GaussianState, _check_mode, _quad_indices
-from cvgec.transforms import GaussianMap, squeeze
+from cvgec.transforms import _MAX_SQUEEZING
 
 from network_oracle import phase_shift
 
 
-def channel_margin(m: GaussianMap) -> float:
+def channel_margin(x: np.ndarray, y: np.ndarray) -> float:
     """Smallest eigenvalue of Y + (i/2)(Omega - X Omega X^T), with Omega the
     symplectic form of the (x, p)-interleaved order.
 
-    It is nonnegative iff the map is a Gaussian channel (Holevo & Werner,
-    PRA 63, 032312 (2001)), and it is the noise the map adds above a
-    quantum-limited one.  A gate (Y = 0) has minus half the spectral norm of
-    its symplectic defect X Omega X^T - Omega; a preparation (X = 0,
-    Y = cov) has that of its state's uncertainty, cov + i Omega / 2.
+    It is nonnegative iff the map cov -> X cov X^T + Y is a Gaussian channel
+    (Holevo & Werner, PRA 63, 032312 (2001)), and it is the noise the map
+    adds above a quantum-limited one.  A gate (Y = 0) has minus half the
+    spectral norm of its symplectic defect X Omega X^T - Omega; a
+    preparation (X = 0, Y = cov) has that of its state's uncertainty,
+    cov + i Omega / 2.
     """
-    omega = np.kron(np.eye(m.n_modes), [[0.0, 1.0], [-1.0, 0.0]])
-    return float(np.linalg.eigvalsh(m.Y + 0.5j * (omega - m.X @ omega @ m.X.T))[0])
+    omega = np.kron(np.eye(len(x) // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    return float(np.linalg.eigvalsh(y + 0.5j * (omega - x @ omega @ x.T))[0])
 
 
-def preparation(state: GaussianState) -> GaussianMap:
-    """The map that replaces any input by ``state``'s covariance: X = 0,
-    Y = cov.  It is a channel iff the state is physical."""
-    return GaussianMap(np.zeros_like(state.cov), state.cov)
+def preparation(state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
+    """The map (X, Y) = (0, cov) that replaces any input by ``state``'s
+    covariance.  It is a channel iff the state is physical."""
+    return np.zeros_like(state.cov), state.cov
+
+
+def squeeze(r: float) -> np.ndarray:
+    """2x2 block of a single-mode squeezer along x: the x variance scales by
+    exp(-2r) and the p variance by exp(+2r).  |r| > 20 is rejected to avoid
+    overflow, far beyond any regime of interest.
+    """
+    if not np.isfinite(r) or abs(r) > _MAX_SQUEEZING:
+        raise ValueError("squeezing parameter out of supported range")
+    return np.diag([np.exp(-r), np.exp(r)])
 
 
 def rotated_squeeze(r: float, theta: float) -> np.ndarray:
@@ -46,6 +60,13 @@ def rotated_squeeze(r: float, theta: float) -> np.ndarray:
     R squeeze(r) R^T, with R the phase-space rotation by ``theta``."""
     rot = phase_shift(theta)
     return rot @ squeeze(r) @ rot.T
+
+
+def fidelity(a: GaussianState, b: GaussianState) -> float:
+    """Fidelity between two single-mode Gaussian states, in [0, 1]."""
+    if a.n_modes != 1 or b.n_modes != 1:
+        raise ValueError("fidelity is implemented for single-mode states only")
+    return float(fidelity_moments(a.mean, a.cov, b.mean, b.cov))
 
 
 def add_noise(state: GaussianState, noise_cov) -> GaussianState:

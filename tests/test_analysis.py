@@ -2,9 +2,13 @@
 
 import io
 import math
+from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvgec.analysis import (
     AUX_COLUMNS,
@@ -20,7 +24,7 @@ from cvgec.analysis import (
 )
 from cvgec.channel import ChannelModel, NoiseSource, standard_two_channel
 from cvgec.montecarlo import sample_run
-from cvgec.fidelity import fidelity, fidelity_moments
+from cvgec.fidelity import fidelity_moments
 from cvgec.protocol import (
     ProtocolConfig,
     corrected_channel,
@@ -31,7 +35,7 @@ from cvgec.protocol import (
     uncorrected_map,
 )
 from cvgec.states import GaussianState, as_snu, displace, vacuum_state
-from cvgec.transforms import GaussianMap, two_mode_squeezed
+from cvgec.transforms import two_mode_squeezed
 
 import breaking_oracle
 from splitting_oracle import (
@@ -41,7 +45,7 @@ from splitting_oracle import (
     nested_search,
     optimal_splitting,
 )
-from state_oracle import channel_margin, duan_number, duan_simon
+from state_oracle import channel_margin, duan_number, duan_simon, fidelity
 from test_states import random_physical_state
 
 
@@ -481,10 +485,74 @@ class TestChannelMargin:
         strategies = (corrected_map, uncorrected_map, incoherent_map)
         corr, unc, inc = (_noise_axis(strategy, model) for strategy in strategies)
         for eps in GRID:
-            margin = lambda axis: channel_margin(GaussianMap(axis[0], axis[1] + eps * axis[2]))
+            margin = lambda axis: channel_margin(axis[0], axis[1] + eps * axis[2])
             assert abs(margin(corr)) <= 1e-12 * (1.0 + eps)
             assert margin(unc) == pytest.approx(0.5 * eps, rel=1e-12, abs=1e-12)
             assert margin(inc) == pytest.approx(0.61, rel=1e-12)
+
+
+class TestExactCancellation:
+    """The corrected channel is pure loss at any noise level: each source
+    reaches the signal mode as one dot product u . c, squared, so the noise
+    axis is read off the source variances and nothing cancels by
+    subtraction."""
+
+    GRID = np.concatenate([[0.0], np.logspace(-3.0, 15.0, 19)])
+    G_RATIOS = (0.05, 0.3, 0.61, 1.0, 2.7, 17.0)
+
+    @staticmethod
+    def pure_loss_duan(r, eta):
+        """Duan number of a two-mode squeezed vacuum whose mode 1 passes pure
+        loss eta, (1 + eta) cosh 2r - 2 sqrt(eta) sinh 2r + 1 - eta, in
+        40-digit decimals."""
+        with localcontext() as ctx:
+            ctx.prec = 40
+            e, eta = Decimal(2.0 * r).exp(), Decimal(eta)
+            cosh, sinh = (e + 1 / e) / 2, (e - 1 / e) / 2
+            return float((1 + eta) * cosh - 2 * eta.sqrt() * sinh + 1 - eta)
+
+    @pytest.mark.parametrize("eta", [1.0, 0.8])
+    @pytest.mark.parametrize("g_ratio", G_RATIOS)
+    def test_coherent_variance_stays_pure_loss(self, g_ratio, eta):
+        series = coherent_sweep(unit_model(g_ratio, eta, 0.0), (2.0, 0.0), self.GRID).series
+        for name in ("var_x_corr_snu", "var_p_corr_snu"):
+            assert np.all(np.diff(series[name]) >= 0.0), name
+            assert np.all(np.abs(series[name] - 1.0) <= 1e-15), name
+
+    @pytest.mark.parametrize("eta", [1.0, 0.8])
+    @pytest.mark.parametrize("g_ratio", G_RATIOS)
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    def test_inseparability_stays_pure_loss(self, g_ratio, eta, r):
+        res = entanglement_sweep(unit_model(g_ratio, eta, 0.0), r, self.GRID)
+        insep = res.series["insep_corr"]
+        assert np.all(np.diff(insep) >= 0.0)
+        # the noise adds nothing beyond 1e-15 SNU; the noiseless value rounds
+        # a few ulp of cosh 2r in the squeezing weights
+        assert np.all(np.abs(insep - insep[0]) <= 1e-15 * max(insep[0], 1.0))
+        assert insep[0] == pytest.approx(self.pure_loss_duan(r, eta), rel=1e-14, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-300.0, 300.0), st.floats(0.01, 1.0), st.floats(0.0, 0.99))
+    def test_corrected_slope_has_a_nonnegative_diagonal(self, log_g, eta, xi):
+        _, _, y1 = _noise_axis(corrected_map, unit_model(10.0**log_g, eta, xi))
+        assert np.all(np.diag(y1) >= 0.0)
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [corrected_map, uncorrected_map, incoherent_map],
+        ids=["corrected", "uncorrected", "incoherent"],
+    )
+    @pytest.mark.parametrize(
+        "g_ratio, eta, xi", [(0.61, 1.0, 0.0), (1e-12, 0.8, 0.05), (17.0, 0.3, 0.4)]
+    )
+    def test_silent_and_loud_maps_share_their_noise_inputs(self, strategy, g_ratio, eta, xi):
+        # the noise axis reads Y1 off the variances alone, so the inputs F
+        # must not depend on them
+        model = unit_model(g_ratio, eta, xi)
+        silent = replace(model, sources=tuple(replace(s, variance=0.0) for s in model.sources))
+        loud, quiet = (strategy(m, 1).restricted(1) for m in (model, silent))
+        assert np.array_equal(loud.F, quiet.F)
+        assert np.array_equal(loud.X, quiet.X)
 
 
 class TestSweepCsv:

@@ -120,9 +120,9 @@ class TestSweepCoherent:
         argv = ["sweep-coherent", "--g-ratio", "0.61", "--eta", "0.9", "--xi", "0"]
         argv += ["--amplitude", "1.5", "-0.5", "--eps-steps", "21", "--out", str(out)]
         assert main(argv) == 0
-        assert sha256(out) == "4a191239747e3880c1aba2f9f4a9d77294cd99f649e65ebe87eb241458258bec"
+        assert sha256(out) == "b4afb2550f2c14d3b77f7d2f7cd01ff89bf18a4a3c57afaac0290a3b5d4079f2"
         aux = tmp_path / "c.csv.aux.csv"
-        assert sha256(aux) == "9508b4ed5f1bb5f27edcdea5d4766c1dea7ae07d36a0260664345fedfb5df15f"
+        assert sha256(aux) == "32161712532690a5e36c79567b9a1c3ec71a0e21b7cfba03ea2aab0cca894d27"
 
     def test_byte_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -278,8 +278,8 @@ class TestChannelConfigInSweeps:
         assert cols["insep_uncorr"][-1] > 2.0
 
     def test_anti_correlated_couplings_give_pure_loss(self, tmp_path, capsys):
-        from cvgec.fidelity import fidelity
         from cvgec.states import displace, vacuum_state
+        from state_oracle import fidelity
 
         cfg = tmp_path / "channel.cfg"
         cfg.write_text(self.ANTI_CORRELATED)
@@ -390,6 +390,45 @@ class TestCorrectedSweepAtExtremeAsymmetry:
         assert cols["var_x_uncorr_snu"][-1] == pytest.approx(1e6 + 1.0, rel=1e-12)
 
 
+class TestPureLossAtLargeNoise:
+    """At no mismatch the corrected channel is pure loss whatever the noise:
+    large but accepted noise levels write the noiseless values, exit 0."""
+
+    @pytest.mark.parametrize("g_ratio", ["0.61", "0.05"])
+    def test_coherent_variance_is_the_vacuum(self, tmp_path, capsys, g_ratio):
+        out = tmp_path / "c.csv"
+        argv = ["sweep-coherent", "--g-ratio", g_ratio, "--eps-max", "1e12", "--eps-steps", "2"]
+        assert main(argv + ["--out", str(out)]) == 0
+        _, cols = read_csv(out)
+        for q in ("x", "p"):
+            assert np.all(np.abs(cols[f"var_{q}_corr_snu"] - 1.0) <= 1e-15)
+            assert cols[f"var_{q}_corr_snu"][1] == cols[f"var_{q}_corr_snu"][0]
+
+    @pytest.mark.parametrize("g_ratio", ["0.05", "0.3", "0.61", "1", "2.7", "17"])
+    def test_inseparability_is_the_noiseless_one(self, tmp_path, capsys, g_ratio):
+        out = tmp_path / "e.csv"
+        argv = ["sweep-entangle", "--r", "1", "--eta", "0.8", "--g-ratio", g_ratio]
+        argv += ["--eps-max", "1e16", "--eps-steps", "2", "--out", str(out)]
+        assert main(argv) == 0
+        _, cols = read_csv(out)
+        insep = cols["insep_corr"]
+        assert insep[1] >= insep[0]
+        assert insep == pytest.approx(0.48402711047170011, rel=1e-15, abs=0.0)
+        if g_ratio == "2.7":
+            assert insep.tolist() == [0.48402711047170011] * 2
+
+    def test_optimized_variance_adds_no_noise(self, capsys):
+        argv = ["optimize", "--g1", "1e-12", "--g2", "1", "--eps", "1e6"]
+        assert main(argv + ["--objective", "variance"]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["objective_value"]) <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    def test_fidelity_at_the_top_of_the_noise_range_is_one(self, capsys):
+        argv = ["optimize", "--g1", "1", "--g2", "1", "--eps", "1e308", "--objective", "fidelity"]
+        assert main(argv) == 0
+        assert strict_json(capsys.readouterr().out)["objective_value"] == -1.0
+
+
 class TestSweepEntangle:
     def test_reference_run(self, tmp_path, capsys):
         out = tmp_path / "fig4.csv"
@@ -411,7 +450,7 @@ class TestSweepEntangle:
         argv = ["sweep-entangle", "--r", "0.7", "--g-ratio", "0.8", "--eta", "0.85"]
         argv += ["--xi", "0.02", "--eps-steps", "21", "--out", str(out)]
         assert main(argv) == 0
-        assert sha256(out) == "328a6a99ba54d1d91a809c724eeed45c76ebfcfd038e03213b3a82c60376d319"
+        assert sha256(out) == "64162120deb41c293e453a8ddd9e05c1e597866c4e2d07e36f51a8b261423d15"
         printed = capsys.readouterr().out
         assert printed == "uncorrected breaking point: 1.7000000000000002 SNU\n"
         manifest = json.loads((tmp_path / "e.csv.manifest.json").read_text())
@@ -630,16 +669,16 @@ def strict_json(text):
 #: sha256 of ``cvgec optimize`` stdout by objective and --g1, for the
 #: parameter sets of TestOptimize.test_pinned_bytes.
 OPTIMIZE_PINS = {
-    ("variance", "0.61"): "627e805008d6ce4116156bd758f273e1b1840fffc44c6be8b4dfae323aaf464a",
-    ("variance", "1.6"): "f7d2490784e721b2884daf90cb266bf2b75b8e948a6cb864fa966e9c040a31c4",
-    ("variance", "1.3"): "118e7a043116b7732b4e6a303a9e4159e07267236d3b494150a98aece5bacc43",
-    ("variance", "1e-12"): "ebd9ce68a9ea857eba733790b35021fddb9810e965c4fbaaabd8ee108e13727a",
-    ("variance", "0.8"): "ea3bd051bb663443258e15caec0a13354fb4a596f3f6dab5a7dfee5c119ce14a",
+    ("variance", "0.61"): "f1a75201b55d11dcf179a9cd244a0056d0e77e1801aefed1f0c29aa1176acd73",
+    ("variance", "1.6"): "4e26081e4ed57298e8be26179ab475ddb1c6b7e1129ecb6b0d10b0fee3eccc9f",
+    ("variance", "1.3"): "47fdf1f5b0fadf0a6edff400dfefb8520cff81e73507b068b00ee207cb82808d",
+    ("variance", "1e-12"): "7073d29768210a180b6159bb1e303752cf0983d33ad8a441f3c7cdc7e43c95cc",
+    ("variance", "0.8"): "2880389fe8be0ab4662e5753bfc8ec240b73ea8b1c876a6d4a7106e3e049943c",
     ("fidelity", "0.61"): "f56365d780fdcaedfa2f86fce56b591a0526f88f013bf7b78a2bcf0f08c36a7b",
-    ("fidelity", "1.6"): "ebbb1bb273ca3ab7aae078e0e603a7a0e5dee63baeba9533456dadac7855950b",
-    ("fidelity", "1.3"): "a3268e555cdc10241d060fb001a18aa67d7274f7ffa0754e6fc42fcb028e512d",
-    ("fidelity", "1e-12"): "adbf3a3515033fadc958f19843d95a16efcd1590356c260034b26689271ce2e3",
-    ("fidelity", "0.8"): "deb826ef6463ab9cde6bbe15a073611b11f41bc0db15d04e43b9b7b0ed81500a",
+    ("fidelity", "1.6"): "fc12b205fafcea9f14d4a3dedcd041b0f58c481e9a0875f3a04d5cbcc276124e",
+    ("fidelity", "1.3"): "4c3de2aca153640126869124ab4f69f3cfdea25b47a51a0b47050a69560028c9",
+    ("fidelity", "1e-12"): "ed28893647bc33a4e77980e1e2e322e5b464def52e9136e126fcd4ff5f36b7be",
+    ("fidelity", "0.8"): "bb182ef8ff56ee203bc83bcd71846962921162d31f389587e1b8eff7206404b1",
 }
 
 
@@ -732,8 +771,8 @@ class TestOptimize:
         ],
     )
     def test_pinned_bytes(self, capsys, objective, g1, g2, xi, eta, eps):
-        # sha256 of the printed JSON, recorded while the objective was still
-        # scored on the pi-flip splitter matrices; at eta = 0.05 the
+        # sha256 of the printed JSON, recorded once the objective was read
+        # off the noise axis of independent noise inputs; at eta = 0.05 the
         # fidelity optimum leaves the noise-cancelling pair
         argv = ["optimize", "--g1", g1, "--g2", g2, "--xi", xi, "--eta", eta, "--eps", eps]
         assert main(argv + ["--objective", objective]) == 0

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from cvgec.fidelity import _fidelity_logs, fidelity, fidelity_moments
+from cvgec.fidelity import _fidelity_logs, fidelity_moments
 from cvgec.states import displace, vacuum_state
-from cvgec.transforms import GaussianMap, squeeze
+from cvgec.transforms import GaussianMap
 
 from fock_oracle import fidelity_fock_states
 from network_oracle import phase_shift
-from state_oracle import add_noise, rotated_squeeze
+from state_oracle import add_noise, fidelity, rotated_squeeze, squeeze
 from test_states import random_physical_state
 
 

@@ -27,12 +27,10 @@ SURFACE = {
     "decompose_network": "network",
     "displace": "states",
     "excess_noise_snu": "channel",
-    "fidelity": "fidelity",
     "n_channel_protocol": "protocol",
     "network": None,
     "null_space_encoder": "protocol",
     "protocol": None,
-    "squeeze": "transforms",
     "standard_two_channel": "channel",
     "states": None,
     "transforms": None,
@@ -85,17 +83,6 @@ def test_names_resolve_to_the_layer_objects():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         cvgec.nope
-
-
-def test_fidelity_stays_the_function_after_its_layer_loads():
-    # Loading cvgec.analysis loads cvgec.fidelity, which binds the module
-    # on the package; the package must still answer the function.
-    out = run_python(
-        "-c",
-        "import cvgec, cvgec.analysis, cvgec.fidelity as f; "
-        "print(cvgec.fidelity is cvgec.analysis.fidelity, f is cvgec.analysis.fidelity)",
-    )
-    assert out.stdout.split() == ["True", "True"]
 
 
 @pytest.mark.parametrize("flag", ["--version", "--help"])

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvgec.channel import ChannelModel, NoiseSource, standard_two_channel
-from cvgec.fidelity import fidelity
 from cvgec.protocol import (
     NoProtectedSubspaceError,
     NoisePatternSet,
@@ -27,7 +26,7 @@ from cvgec.transforms import GaussianMap, beam_splitter, two_mode_squeezed
 
 from map_reference import characterize_single_mode_map, pure_loss_reference
 from splitting_oracle import amplitudes, optimal_splitting, splitting_objective
-from state_oracle import duan_simon, tensor
+from state_oracle import duan_simon, fidelity, tensor
 from test_states import random_physical_state
 
 HALF = amplitudes(0.5)  # a balanced splitter
@@ -551,8 +550,8 @@ class TestNChannelProtocol:
         assert np.array_equal(m.Y[:2], y_ref)
 
     def test_pinned_bytes(self):
-        # sha256 of one seeded 32-channel run, recorded before the encoder
-        # and decoder became placed blocks
+        # sha256 of one seeded 32-channel run, recorded once the added noise
+        # became a list of independent inputs (F, v)
         rng = np.random.default_rng(32)
         patterns = rng.standard_normal((12, 32))
         variances = rng.uniform(0.5, 10.0, 12)
@@ -563,7 +562,7 @@ class TestNChannelProtocol:
         out = m.restricted(2).apply(state)
         data = np.concatenate([out.mean, out.cov.ravel()]).astype("<f8")
         digest = hashlib.sha256(data.tobytes()).hexdigest()
-        assert digest == "14a3877d6ab8142075b2b285a4932464bc7ae079e7b1bd24d14467d707bd0735"
+        assert digest == "4e016cf5ab5e9b632113cdcd3d211c2bf88efe8dba3925a53003092d7a397f93"
 
 
 class TestProtocolConfig:

@@ -9,7 +9,7 @@ from cvgec.states import (
     displace,
     vacuum_state,
 )
-from cvgec.transforms import GaussianMap, squeeze, two_mode_squeezed
+from cvgec.transforms import GaussianMap, two_mode_squeezed
 
 from network_oracle import phase_shift
 from state_oracle import (
@@ -19,6 +19,7 @@ from state_oracle import (
     partial_trace,
     preparation,
     rotated_squeeze,
+    squeeze,
     tensor,
 )
 
@@ -45,7 +46,7 @@ class TestVacuum:
     def test_three_modes_are_pure(self):
         vac = vacuum_state(3)
         assert vac.cov.shape == (6, 6)
-        assert channel_margin(preparation(vac)) == 0.0
+        assert channel_margin(*preparation(vac)) == 0.0
 
     def test_zero_modes_rejected(self):
         with pytest.raises(ValueError):
@@ -217,34 +218,36 @@ class TestChannelMargin:
         state = two_mode_squeezed(0.8)
         # purity oracle: det(2 cov) = 1 for pure states
         assert np.linalg.det(2.0 * state.cov) == pytest.approx(1.0, abs=1e-10)
-        assert channel_margin(preparation(state)) == pytest.approx(0.0, abs=1e-10)
+        assert channel_margin(*preparation(state)) == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("r", np.linspace(0.0, 5.0, 11))
     def test_two_mode_squeezed_is_certified_up_to_r5(self, r):
-        assert abs(channel_margin(preparation(two_mode_squeezed(r)))) <= 1e-9
+        assert abs(channel_margin(*preparation(two_mode_squeezed(r)))) <= 1e-9
 
     def test_indefinite_covariance_is_not_a_state(self):
         # [[1, i/2], [-i/2, -1]] has eigenvalues -+ sqrt(1 + 1/4)
         state = GaussianState(np.zeros(2), np.diag([1.0, -1.0]))
-        assert channel_margin(preparation(state)) == pytest.approx(-np.sqrt(1.25), rel=1e-15)
+        assert channel_margin(*preparation(state)) == pytest.approx(-np.sqrt(1.25), rel=1e-15)
 
     def test_subvacuum_isotropic_fails(self):
         state = GaussianState(np.zeros(2), 0.4 * np.eye(2))
-        assert channel_margin(preparation(state)) == pytest.approx(-0.1, abs=1e-15)
+        assert channel_margin(*preparation(state)) == pytest.approx(-0.1, abs=1e-15)
 
     def test_vacuum_passes(self):
-        assert channel_margin(preparation(vacuum_state(2))) == 0.0
+        assert channel_margin(*preparation(vacuum_state(2))) == 0.0
 
     @pytest.mark.parametrize("eta", [0.05, 0.5, 1.0])
     def test_pure_loss_is_quantum_limited(self, eta):
         # X = sqrt(eta) I, Y = (1 - eta) / 2 I: eigenvalues (1 - eta)(1 -+ 1) / 2
-        m = GaussianMap(np.sqrt(eta) * np.eye(4), 0.5 * (1.0 - eta) * np.eye(4))
-        assert channel_margin(m) == pytest.approx(0.0, abs=1e-15)
-        noisy = GaussianMap(m.X, m.Y + 0.3 * np.eye(4))
-        assert channel_margin(noisy) == pytest.approx(0.3, abs=1e-15)
+        m = GaussianMap(np.sqrt(eta) * np.eye(4), np.eye(4), np.full(4, 0.5 * (1.0 - eta)))
+        assert channel_margin(m.X, m.Y) == pytest.approx(0.0, abs=1e-15)
+        noisy = GaussianMap(m.X, m.F, m.v + 0.3)
+        assert channel_margin(noisy.X, noisy.Y) == pytest.approx(0.3, abs=1e-15)
 
     def test_noiseless_amplifier_is_not_a_channel(self):
         # an amplifier of gain 2 must add at least (2 - 1) / 2 per quadrature
         gain = np.sqrt(2.0) * np.eye(2)
-        assert channel_margin(GaussianMap(gain)) == pytest.approx(-0.5)
-        assert channel_margin(GaussianMap(gain, 0.5 * np.eye(2))) == pytest.approx(0.0, abs=1e-15)
+        noiseless = GaussianMap(gain)
+        assert channel_margin(noiseless.X, noiseless.Y) == pytest.approx(-0.5)
+        noisy = GaussianMap(gain, np.eye(2), np.full(2, 0.5))
+        assert channel_margin(noisy.X, noisy.Y) == pytest.approx(0.0, abs=1e-15)

@@ -13,7 +13,6 @@ from cvgec.transforms import (
     beam_splitter,
     beam_splitter_matrix,
     embed,
-    squeeze,
     two_mode_squeezed,
 )
 from network_oracle import phase_shift
@@ -23,6 +22,7 @@ from state_oracle import (
     partial_trace,
     preparation,
     rotated_squeeze,
+    squeeze,
     tensor,
 )
 from test_states import random_physical_state
@@ -31,7 +31,7 @@ from test_states import random_physical_state
 def symplectic_defect(block):
     """Spectral norm of X Omega X^T - Omega, no less than its largest entry:
     twice minus the channel margin of the gate as a noiseless map."""
-    return -2.0 * channel_margin(GaussianMap(block))
+    return -2.0 * channel_margin(block, np.zeros_like(block))
 
 
 def on(block, modes, state):
@@ -167,12 +167,25 @@ class TestTwoModeSqueezed:
             0.2706705664732254, abs=1e-12
         )
 
+    @pytest.mark.parametrize("r", np.linspace(-20.0, 20.0, 81))
+    def test_closed_form_matches_squeezers_and_a_splitter(self, r):
+        # the construction the closed form replaced: vacua squeezed by +r and
+        # -r, interfered on the balanced pi-flip splitter
+        squeezers = GaussianMap.of(squeeze(r), (0,), 2).then(GaussianMap.of(squeeze(-r), (1,), 2))
+        built = squeezers.then(GaussianMap.of(beam_splitter(0.5), (0, 1), 2)).apply(vacuum_state(2))
+        assert max_relative_error(two_mode_squeezed(r).cov, built.cov) <= 1e-15
+
+    @pytest.mark.parametrize("r", [20.5, -21.0, np.nan, np.inf, -np.inf])
+    def test_out_of_range_squeezing_refused(self, r):
+        with pytest.raises(ValueError, match="squeezing parameter out of supported range"):
+            two_mode_squeezed(r)
+
     def test_pinned_bytes(self):
         # sha256 of the covariances over the whole supported range of r,
-        # recorded before the gates became bare blocks
+        # recorded once the state came from its closed-form covariance
         covs = np.stack([two_mode_squeezed(r).cov for r in np.linspace(0.0, 20.0, 41)])
         digest = hashlib.sha256(covs.astype("<f8").tobytes()).hexdigest()
-        assert digest == "42b0b88631442a0f9163b5f13772ff75a8f6a6523e6f2620131f7c1ea780fc96"
+        assert digest == "b93d3e7c693741f64309f0f2e8a1d90fd9ff685b026fb6387fe1017506d9d685"
 
 
 class TestGaussianMap:
@@ -214,8 +227,8 @@ class TestGaussianMap:
             bs = GaussianMap.of(beam_splitter(rng.uniform(0, 1)), (0, 1), 2)
             sq = GaussianMap.of(rotated_squeeze(rng.uniform(-1, 1), rng.uniform(0, np.pi)), (0,), 2)
             gates = sq.then(bs)
-            assert channel_margin(gates) >= -1e-9
-            assert channel_margin(preparation(state).then(gates)) >= -1e-9
+            assert channel_margin(gates.X, gates.Y) >= -1e-9
+            assert channel_margin(*preparation(gates.apply(state))) >= -1e-9
 
     def test_negative_modes_rejected(self):
         with pytest.raises(ValueError, match="outside the register"):
@@ -233,13 +246,51 @@ class TestGaussianMap:
             embed(np.eye(2), (1.7,), 2)
         assert np.array_equal(embed(np.eye(2), (np.int64(1),), 2), embed(np.eye(2), (1,), 2))
 
-    @pytest.mark.parametrize("field", ["X", "Y"])
+    @pytest.mark.parametrize("field", ["X", "F", "v"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, field, bad):
-        parts = {"X": np.eye(2), "Y": np.zeros((2, 2))}
+        parts = {"X": np.eye(2), "F": np.eye(2), "v": np.ones(2)}
         parts[field] = np.full_like(parts[field], bad)
         with pytest.raises(ValueError, match="finite"):
             GaussianMap(**parts)
+
+    def test_negative_variance_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            GaussianMap(np.eye(2), np.eye(2), np.array([1.0, -1e-300]))
+
+    @pytest.mark.parametrize(
+        "f, v",
+        [
+            (np.eye(4), np.ones(4)),
+            (np.ones(2), np.ones(1)),
+            (np.eye(2), np.ones(3)),
+            (None, np.ones(1)),
+        ],
+        ids=["rows", "vector", "variances", "no inputs"],
+    )
+    def test_wrong_input_shapes_rejected(self, f, v):
+        with pytest.raises(ValueError, match="2N x k matrix F and k variances"):
+            GaussianMap(np.eye(2), f, v)
+
+    def test_y_is_the_weighted_sum_of_input_outer_products(self):
+        f = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0]])
+        m = GaussianMap(np.eye(2), f, [0.5, 2.0, 0.0])
+        want = 0.5 * np.outer(f[:, 0], f[:, 0]) + 2.0 * np.outer(f[:, 1], f[:, 1])
+        assert np.array_equal(m.Y, want)
+        assert np.array_equal(GaussianMap(np.eye(4)).Y, np.zeros((4, 4)))
+
+    def test_noisy_composition_matches_the_dense_rule(self):
+        # (X2 X1, X2 Y1 X2^T + Y2), the rule of a dense added covariance
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            first, second = (
+                GaussianMap(rng.normal(size=(4, 4)), rng.normal(size=(4, k)), rng.uniform(0, 2, k))
+                for k in rng.integers(1, 6, 2)
+            )
+            both = first.then(second)
+            assert np.array_equal(both.X, second.X @ first.X)
+            dense = second.X @ first.Y @ second.X.T + second.Y
+            assert max_relative_error(both.Y, dense) <= 1e-12
 
     def test_embed_rejects_repeated_modes(self):
         # a second placement on the same mode would overwrite the first
@@ -264,11 +315,11 @@ class TestRestricted:
         st.integers(0, 2**32 - 1),
     )
     def test_matches_tensoring_with_vacua_and_tracing_out(self, sizes, seed):
-        # a random real X, a random positive semidefinite Y and a random state
+        # a random real X, random noise inputs and a random state
         n, k = sizes
         rng = np.random.default_rng(seed)
         noise = rng.normal(size=(2 * n, 2 * n))
-        m = GaussianMap(rng.normal(size=(2 * n, 2 * n)), noise @ noise.T)
+        m = GaussianMap(rng.normal(size=(2 * n, 2 * n)), noise, rng.uniform(0.0, 2.0, 2 * n))
         state = random_physical_state(rng, k)
         fast = m.restricted(k).apply(state)
         register = tensor(state, vacuum_state(n - k)) if k < n else state
