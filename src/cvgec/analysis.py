@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import ChannelModel, NoiseSource, dump_channel_config, standard_two_channel
 from .fidelity import fidelity_moments
-from .protocol import corrected_map, incoherent_map, uncorrected_map
+from .protocol import corrected_map, incoherent_map
 from .states import as_snu, displace, vacuum_state
 from .transforms import two_mode_squeezed
 
@@ -101,8 +101,8 @@ def coherent_sweep(model: ChannelModel, amplitude: tuple[float, float], eps_grid
         _outputs(_noise_axis(strategy, model), mean, cov, eps_grid)
         for strategy in (
             corrected_map,
-            uncorrected_map,
-            lambda model, n_modes: uncorrected_map(model, n_modes, channel=1),
+            _direct(0),
+            _direct(1),
             incoherent_map,
         )
     )
@@ -147,7 +147,7 @@ def entanglement_sweep(model: ChannelModel, r: float, eps_grid) -> SweepResult:
     transmitted = two_mode_squeezed(r).cov[2:, 2:]
     axes = {
         "corr": _noise_axis(corrected_map, model),
-        "uncorr": _noise_axis(uncorrected_map, model),
+        "uncorr": _noise_axis(_direct(0), model),
     }
     cols = {}
     for tag, axis in axes.items():
@@ -257,8 +257,17 @@ def _strategy_axis(g_ratio: float, eta: float, xi: float, strategy: str):
     """Noise axis of a named strategy on the flags' two-channel model."""
     if strategy not in ("corrected", "uncorrected"):
         raise ValueError("strategy must be 'corrected' or 'uncorrected'")
-    strategy_map = corrected_map if strategy == "corrected" else uncorrected_map
+    strategy_map = corrected_map if strategy == "corrected" else _direct(0)
     return _noise_axis(strategy_map, standard_two_channel(1.0, g_ratio, eta, xi))
+
+
+def _direct(channel: int):
+    """Builder of the uncorrected reference, direct transmission through
+    ``channel``: the corrected scheme at full transmission, its signal
+    along e_channel."""
+    return lambda model, n_modes: corrected_map(
+        model, n_modes, signal=np.eye(model.n_channels)[channel]
+    )
 
 
 def _breaking_point(axis) -> float:

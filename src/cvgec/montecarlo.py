@@ -1,25 +1,26 @@
 """Seeded sampling of explicit noise realizations through the protocol,
 and the trace CSV writer.
 
-This module regenerates quadrature time traces stage by stage and serves
-as an independent check of the analytic covariance pipeline: it propagates
-the linear amplitude relations of encode, channel and decode directly on
-sampled variables rather than reusing the covariance engine; the tests
-compare both in ``tests/montecarlo_oracle.py``.
+This module regenerates quadrature time traces stage by stage from the
+engine's own maps: each stage is a row of a :class:`GaussianMap` built from
+the splitter and :func:`cvgec.channel.channel_map`, evaluated on one
+sample per input of that map.  The independent check is
+``tests/montecarlo_oracle.py``, which writes the encode, channel and
+decode amplitude relations out by hand, draws the same streams and must
+match the trace sample by sample.
 
-Sampling draws every elementary variable per quadrature as an independent
-normal stream (vacuum terms with variance 1/2, classical noise with the
-configured variance), so only second moments are validated; no claim of
-Heisenberg-exact joint sampling is made.
+Sampling draws every input of the maps as an independent normal stream
+(vacuum terms with variance 1/2, the noise inputs with their variances),
+so only second moments are validated; no claim of Heisenberg-exact joint
+sampling is made.
 
 Randomness comes from numpy's counter-based Philox generator.  Stream k of
 a run is seeded with SeedSequence((master_seed, k)), so traces are
-reproducible and independent of any evaluation schedule.  Streams are
-numbered in draw order: the input's vacuum in x then p, the auxiliary
-encoder input's; each source's shared variable in x and p; each source's
-non-interfering part on channel 1 then 2, in x and p; then per quadrature
-the environment of channel 1 and of channel 2.  A zero-variance variable
-still takes its number.
+reproducible and independent of any evaluation schedule.  Stream k is the
+k-th input of the maps: the input's x and p (vacuum plus the mean), the
+auxiliary carrier's x and p, then the noise columns F of
+:func:`cvgec.channel.channel_map` in order.  A zero-variance input still
+takes its number.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel
+from .channel import ChannelModel, channel_map
+from .transforms import GaussianMap, beam_splitter_matrix
 
 #: Stage names in record order.
 STAGES = ("input", "channel_1", "channel_2", "corrected", "discarded")
@@ -67,7 +69,7 @@ def sample_run(
 
     Both splitters act with the unit amplitude pair ``pair`` = (c, s) as
     given: the pi-flip mode matrix ((c, -s), (-s, -c)), its own inverse.
-    Returns one record per (stage, quadrature).  A positive
+    Returns one record per (stage, quadrature), in CSV order.  A positive
     ``modulation_period`` applies a sinusoidal displacement to the input
     mean, for trace rendering only.
     """
@@ -77,66 +79,40 @@ def sample_run(
         raise ValueError("modulation_period must be nonnegative")
     keys = itertools.count()
 
-    def draw(variance: float) -> np.ndarray:
+    def draw(variance: float) -> np.ndarray | None:
         """n normal samples from the next stream; a zero variance still
-        uses up its stream."""
+        uses up its stream, and gives None."""
         seq = np.random.SeedSequence((int(seed), next(keys)))
         if variance == 0.0:
-            return np.zeros(n)
+            return None
         return np.random.Generator(np.random.Philox(seq)).normal(0.0, np.sqrt(variance), n)
 
-    vac = 0.5
-    # Input coherent state, both quadratures.
-    mean_x = np.full(n, amplitude[0])
-    mean_p = np.full(n, amplitude[1])
+    phase = np.ones(n)
     if modulation_period > 0:
         phase = np.sin(2.0 * np.pi * np.arange(n) / modulation_period)
-        mean_x = amplitude[0] * phase
-        mean_p = amplitude[1] * phase
-    b_in = [mean_x + draw(vac), mean_p + draw(vac)]
-    b_aux = [draw(vac), draw(vac)]
+    vac = 0.5
+    inputs = [a * phase + draw(vac) for a in amplitude] + [draw(vac), draw(vac)]
 
-    c, s = pair
-    xi = model.mismatch
-
-    # Shared classical variables and per-channel non-interfering parts.
-    v_c = [[draw(src.variance) for _ in (0, 1)] for src in model.sources]
-    own = [
-        [[draw(xi * src.variance * src.coupling[i] ** 2) for _ in (0, 1)] for i in (0, 1)]
-        for src in model.sources
-    ]
-
-    records = []
-    for q in (0, 1):
-        a1 = c * b_in[q] - s * b_aux[q]
-        a2 = -s * b_in[q] - c * b_aux[q]
-        outs = []
-        for i, a in enumerate((a1, a2)):
-            env = draw(vac + model.thermal[i])
-            out = np.sqrt(model.eta[i]) * a + np.sqrt(1.0 - model.eta[i]) * env
-            for k, src in enumerate(model.sources):
-                out = out + np.sqrt(1.0 - xi) * src.coupling[i] * v_c[k][q]
-            outs.append(out)
-        b_out = c * outs[0] - s * outs[1]
-        disc = -s * outs[0] - c * outs[1]
-        # Detectors see their own port's non-interfering noise; the decoder
-        # routes it with its row amplitudes, without interference.
-        ch1 = outs[0].copy()
-        ch2 = outs[1].copy()
-        for k in range(len(model.sources)):
-            ch1 += own[k][0][q]
-            ch2 += own[k][1][q]
-            b_out = b_out + c * own[k][0][q] - s * own[k][1][q]
-            disc = disc - s * own[k][0][q] - c * own[k][1][q]
-        quad = "X" if q == 0 else "P"
-        records.append(TraceRecord("input", quad, b_in[q]))
-        records.append(TraceRecord("channel_1", quad, ch1))
-        records.append(TraceRecord("channel_2", quad, ch2))
-        records.append(TraceRecord("corrected", quad, b_out))
-        records.append(TraceRecord("discarded", quad, disc))
-    order = {name: k for k, name in enumerate(STAGES)}
-    records.sort(key=lambda r: (order[r.stage], r.quadrature != "X"))
+    # modes (signal, auxiliary); the pi-flip splitter decodes too
+    splitter = GaussianMap.of(np.kron(beam_splitter_matrix(*pair), np.eye(2)), (0, 1), 2)
+    channel = splitter.then(channel_map(model, (0, 1), 2))
+    inputs += [draw(v) for v in channel.v]
+    records = [TraceRecord(STAGES[0], q, inputs[k]) for k, q in enumerate("XP")]
+    for stages, m in ((STAGES[1:3], channel), (STAGES[3:], channel.then(splitter))):
+        rows = np.hstack([m.X, m.F])
+        for row, (stage, q) in zip(rows, itertools.product(stages, "XP")):
+            records.append(TraceRecord(stage, q, _combine(row, inputs)))
     return records
+
+
+def _combine(weights, inputs) -> np.ndarray:
+    """sum_k weights[k] * inputs[k], term by term in input order, skipping
+    zero weights and silent (None) inputs."""
+    total, term = np.zeros_like(inputs[0]), np.empty_like(inputs[0])
+    for a, x in zip(weights, inputs):
+        if a != 0.0 and x is not None:
+            total += np.multiply(a, x, out=term)
+    return total
 
 
 def write_trace_csv(records, stream) -> None:

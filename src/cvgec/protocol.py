@@ -10,11 +10,13 @@ port and the signal sees pure loss, for any noise variance: each source
 reaches the signal as the one dot product u . c of the encoder's signal
 column with its coupling, an input whose variance stays its own.
 
-Also provided: the direct (unencoded) transmission used as the
-"uncorrected" reference and the incoherent measure-and-feedforward
-baseline, :func:`incoherent_map`, which needs no splitters.  The
-``*_channel`` and ``n_channel_protocol`` functions apply a map to a state
-and keep its modes, as ``m.restricted(state.n_modes).apply(state)``.
+The "uncorrected" reference, direct transmission through channel k, is
+the same map with the signal along e_k, the scheme at full transmission:
+the signal rides channel k alone and fresh vacua the others.  The other
+baseline is the incoherent measure-and-feedforward one,
+:func:`incoherent_map`, which needs no splitters.  The ``*_channel`` and
+``n_channel_protocol`` functions apply a map to a state and keep its modes,
+as ``m.restricted(state.n_modes).apply(state)``.
 """
 
 from __future__ import annotations
@@ -89,25 +91,6 @@ def corrected_map(
     return _encoded_map(model, complete_orthonormal(signal), n_modes, signal_mode)
 
 
-def uncorrected_map(
-    model: ChannelModel,
-    n_modes: int,
-    signal_mode: int = 0,
-    channel: int = 0,
-) -> GaussianMap:
-    """Direct transmission through a single channel, no encoding.
-
-    The signal mode is assigned to ``channel``; every other channel
-    carries a fresh vacuum, appended after the N state modes.  This is the
-    reference curve a decoder set to full transmission measures.
-    """
-    if not 0 <= channel < model.n_channels:
-        raise ValueError("channel index out of range")
-    idle = iter(range(n_modes, n_modes + model.n_channels - 1))
-    carriers = [signal_mode if i == channel else next(idle) for i in range(model.n_channels)]
-    return channel_map(model, carriers, n_modes + model.n_channels - 1)
-
-
 def incoherent_map(model: ChannelModel, n_modes: int) -> GaussianMap:
     """Measure-and-feedforward baseline on the idle channel.
 
@@ -165,8 +148,13 @@ def uncorrected_channel(
     signal_mode: int = 0,
     channel: int = 0,
 ) -> GaussianState:
-    """:func:`uncorrected_map` applied to a state; the idle carriers are dropped."""
-    m = uncorrected_map(cfg.channel, state.n_modes, signal_mode, channel)
+    """Direct transmission through ``channel``, no encoding, applied to a
+    state: :func:`corrected_map` with the signal along e_channel, the scheme
+    at full transmission; the idle carriers are dropped."""
+    if not 0 <= channel < cfg.channel.n_channels:
+        raise ValueError("channel index out of range")
+    signal = np.eye(cfg.channel.n_channels)[channel]
+    m = corrected_map(cfg.channel, state.n_modes, signal_mode, signal=signal)
     return m.restricted(state.n_modes).apply(state)
 
 

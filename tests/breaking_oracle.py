@@ -4,7 +4,8 @@ Builds the protocol's map once per noise level and applies it to a
 two-mode squeezed vacuum at each trial squeezing, so it shares nothing
 with the closed form in ``cvgec.analysis`` beyond the channel model: the
 corrected map composes the noise-cancelling splitter pair with the channel
-map here, as ``splitting_oracle`` does.
+map here, as ``splitting_oracle`` does, and the uncorrected one places the
+signal on channel 1 of the channel map, as ``map_reference`` does.
 The inseparability infimum over r is a golden-section search; the
 breaking point is found by doubling to a bracket (capped at
 ``eps_limit``) and then bisecting, or by a 101-point scan of the bracket
@@ -19,10 +20,11 @@ import math
 import numpy as np
 
 from cvgec.channel import channel_map, standard_two_channel
-from cvgec.protocol import optimal_splitting_for, uncorrected_map
+from cvgec.protocol import optimal_splitting_for
 from cvgec.states import vacuum_state
 from cvgec.transforms import GaussianMap, beam_splitter_matrix, two_mode_squeezed
 
+from map_reference import direct_transmission_map
 from splitting_oracle import golden_section
 from state_oracle import duan_simon, partial_trace, tensor
 
@@ -36,7 +38,7 @@ def infimum(eps, g_ratio, eta, xi, strategy, r_max=10.0):
         splitter = GaussianMap.of(splitter, (1, 2), 3)
         protocol = splitter.then(channel_map(model, (1, 2), 3)).then(splitter)
     else:
-        protocol = uncorrected_map(model, 2, signal_mode=1, channel=0)
+        protocol = direct_transmission_map(model, 2, signal_mode=1, channel=0)
     spares = protocol.n_modes - 2
 
     def insep(r):

@@ -2,11 +2,13 @@
 
 ``pure_loss_reference`` writes the pure-loss channel out entry by entry;
 ``characterize_single_mode_map`` reads any single-mode Gaussian map back
-from its action on three probe states.
+from its action on three probe states; ``direct_transmission_map`` places
+the signal on one channel of the channel stage, with no encoder.
 """
 
 import numpy as np
 
+from cvgec.channel import channel_map
 from cvgec.states import GaussianState, displace, vacuum_state
 
 
@@ -35,3 +37,12 @@ def pure_loss_reference(state: GaussianState, eta: float, mode: int = 0) -> Gaus
     cov[2 * mode, 2 * mode] += (1.0 - eta) * 0.5
     cov[2 * mode + 1, 2 * mode + 1] += (1.0 - eta) * 0.5
     return GaussianState(scale * state.mean, cov)
+
+
+def direct_transmission_map(model, n_modes, signal_mode=0, channel=0):
+    """Direct transmission through a single channel, no encoding: the signal
+    mode is carried by ``channel`` and every other channel by a fresh
+    vacuum, appended after the N state modes."""
+    idle = iter(range(n_modes, n_modes + model.n_channels - 1))
+    carriers = [signal_mode if i == channel else next(idle) for i in range(model.n_channels)]
+    return channel_map(model, carriers, n_modes + model.n_channels - 1)

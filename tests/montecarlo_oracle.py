@@ -1,21 +1,68 @@
-"""Sampled and predicted stage moments of a trace, kept as an oracle.
+"""The trace written out by hand, and sampled and predicted stage moments,
+kept as an oracle.
 
-``empirical_covariance`` estimates the covariance of sampled records with
-standard errors; ``analytic_stage_moments`` predicts each stage's moments
-with the covariance engine.  ``cvgec.montecarlo`` samples the stages from
-amplitude relations alone, so agreement checks one against the other.  The
-prediction composes the splitters with the channel map itself, as
-``splitting_oracle`` does, so it shares only the channel stage with the
-package's corrected map.
+``sample_by_hand`` regenerates the trace of ``cvgec.montecarlo.sample_run``
+from the amplitude relations of encode, channel and decode, written out
+here on the same Philox streams rather than read off the package's maps,
+so the two must agree sample by sample.  ``empirical_covariance``
+estimates the covariance of sampled records with standard errors;
+``analytic_stage_moments`` predicts each stage's moments with the
+covariance engine, composing the splitters with the channel map itself,
+as ``splitting_oracle`` does.
 """
 
 import numpy as np
 
 from cvgec.channel import ChannelModel, channel_map
+from cvgec.montecarlo import STAGES
 from cvgec.states import displace, vacuum_state
 from cvgec.transforms import GaussianMap, beam_splitter_matrix
 
 from state_oracle import partial_trace, tensor
+
+
+def sample_by_hand(model, pair, n, seed, amplitude=(2.0, 0.0), modulation_period=0):
+    """{(stage, quadrature): samples} of the two-channel protocol, in CSV
+    order, from the amplitude relations on ``sample_run``'s streams.
+
+    Stream j is seeded with SeedSequence((seed, j)).  Per quadrature q:
+    streams q and 2 + q are the input's and the auxiliary carrier's vacuum;
+    4 + 2i + q is channel i's loss input, of variance (1 - eta_i)(1/2 + n_i);
+    8 + 2i + q its non-interfering noise, xi sum_k var_k c_k[i]^2; and
+    12 + 2k + q source k's shared variable, of variance (1 - xi) var_k.
+    """
+
+    def stream(k, variance):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k))))
+        return rng.normal(0.0, np.sqrt(variance), n)
+
+    phase = np.ones(n)
+    if modulation_period > 0:
+        phase = np.sin(2.0 * np.pi * np.arange(n) / modulation_period)
+    c, s = pair
+    xi, sources = model.mismatch, model.sources
+    out = {}
+    for q, quad in enumerate("XP"):
+        b_in = amplitude[q] * phase + stream(q, 0.5)
+        b_aux = stream(2 + q, 0.5)
+        # encoder: the pi-flip splitter ((c, -s), (-s, -c))
+        a = (c * b_in - s * b_aux, -s * b_in - c * b_aux)
+        outs = []
+        for i in (0, 1):
+            loss = stream(4 + 2 * i + q, (1.0 - model.eta[i]) * (0.5 + model.thermal[i]))
+            own = xi * sum(src.variance * src.coupling[i] ** 2 for src in sources)
+            own = stream(8 + 2 * i + q, own)
+            shared = sum(
+                src.coupling[i] * stream(12 + 2 * k + q, (1.0 - xi) * src.variance)
+                for k, src in enumerate(sources)
+            )
+            outs.append(np.sqrt(model.eta[i]) * a[i] + loss + own + shared)
+        out["input", quad] = b_in
+        out["channel_1", quad], out["channel_2", quad] = outs
+        # decoder: the same splitter, its own inverse
+        out["corrected", quad] = c * outs[0] - s * outs[1]
+        out["discarded", quad] = -s * outs[0] - c * outs[1]
+    return {(stage, quad): out[stage, quad] for stage in STAGES for quad in "XP"}
 
 
 def empirical_covariance(records) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,7 @@ from cvgec.analysis import (
     AUX_COLUMNS,
     SWEEP_COLUMNS,
     SweepResult,
+    _direct,
     _noise_axis,
     _splitting_for_noise,
     coherent_sweep,
@@ -32,7 +33,6 @@ from cvgec.protocol import (
     incoherent_map,
     optimal_splitting_for,
     uncorrected_channel,
-    uncorrected_map,
 )
 from cvgec.states import GaussianState, as_snu, displace, vacuum_state
 from cvgec.transforms import two_mode_squeezed
@@ -482,7 +482,7 @@ class TestChannelMargin:
     @pytest.mark.parametrize("eta", [1.0, 0.8])
     def test_closed_forms_on_the_noise_axis(self, eta):
         model = unit_model(0.61, eta, 0.0)
-        strategies = (corrected_map, uncorrected_map, incoherent_map)
+        strategies = (corrected_map, _direct(0), incoherent_map)
         corr, unc, inc = (_noise_axis(strategy, model) for strategy in strategies)
         for eps in GRID:
             margin = lambda axis: channel_margin(axis[0], axis[1] + eps * axis[2])
@@ -539,7 +539,7 @@ class TestExactCancellation:
 
     @pytest.mark.parametrize(
         "strategy",
-        [corrected_map, uncorrected_map, incoherent_map],
+        [corrected_map, _direct(0), incoherent_map],
         ids=["corrected", "uncorrected", "incoherent"],
     )
     @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
 """The CI workflow installs what the package and its tests declare, and
-tests the oldest Python the package admits."""
+tests the oldest Python the package admits; the package reports the
+version its metadata declares."""
 
 import re
 from pathlib import Path
 
 import pytest
+
+import cvgec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,3 +29,9 @@ def test_ci_matrix_starts_at_the_oldest_python_the_package_admits():
     versions = re.findall(r'"(\d+\.\d+)"', matrix)
     assert versions[0] == lower
     assert versions == sorted(versions, key=lambda v: tuple(map(int, v.split("."))))
+
+
+def test_package_version_is_the_declared_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert cvgec.__version__ == project["version"]

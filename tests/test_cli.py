@@ -494,7 +494,7 @@ class TestTrace:
         out = tmp_path / "t.csv"
         argv = ["trace", "--eps", "25", "--n", "2000", "--seed", "12", "--out", str(out)]
         assert main(argv) == 0
-        assert sha256(out) == "59e15773ea640e183ecda0ab8a87282f039891c85527a0eb6903e7eceda17a41"
+        assert sha256(out) == "14d64f9367f8a225250446259f9f64ba3e3e303fbf8fd08138b83c0e12e4184d"
 
     def test_pinned_bytes_over_several_blocks(self, tmp_path):
         # 40000 shots: three row blocks, indices of 1 to 5 digits, own-noise
@@ -502,7 +502,7 @@ class TestTrace:
         out = tmp_path / "t.csv"
         argv = ["trace", "--n", "40000", "--xi", "0.02", "--modulation-period", "7"]
         assert main(argv + ["--seed", "5", "--out", str(out)]) == 0
-        assert sha256(out) == "5b366d3749d6c61cfac1fbb224b3d7cb403c909c70b4209a61f1b6e4469e4002"
+        assert sha256(out) == "60bfafabe84990192d373acb0402a9242d38b6d4d514de34f7d48f000ef7224b"
 
     def test_pinned_bytes_of_a_config_drawing_every_stream_kind(self, tmp_path):
         # unequal eta, thermal noise, anti-correlated couplings (s < 0) and
@@ -515,7 +515,7 @@ class TestTrace:
         assert main(argv + ["--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
         assert manifest["extras"]["splitting"][1] < 0
-        assert sha256(out) == "26046bc83489ee21b848c706a6b532d7f2a0d3a580432cfcaf4244b16476fad7"
+        assert sha256(out) == "5e5d8f1edbaccb0a1256ff6bd7085bff00cd9b411f5c73cb4095134454513886"
 
     def test_corrected_stage_variance(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -669,16 +669,16 @@ def strict_json(text):
 #: sha256 of ``cvgec optimize`` stdout by objective and --g1, for the
 #: parameter sets of TestOptimize.test_pinned_bytes.
 OPTIMIZE_PINS = {
-    ("variance", "0.61"): "f1a75201b55d11dcf179a9cd244a0056d0e77e1801aefed1f0c29aa1176acd73",
-    ("variance", "1.6"): "4e26081e4ed57298e8be26179ab475ddb1c6b7e1129ecb6b0d10b0fee3eccc9f",
-    ("variance", "1.3"): "47fdf1f5b0fadf0a6edff400dfefb8520cff81e73507b068b00ee207cb82808d",
-    ("variance", "1e-12"): "7073d29768210a180b6159bb1e303752cf0983d33ad8a441f3c7cdc7e43c95cc",
-    ("variance", "0.8"): "2880389fe8be0ab4662e5753bfc8ec240b73ea8b1c876a6d4a7106e3e049943c",
-    ("fidelity", "0.61"): "f56365d780fdcaedfa2f86fce56b591a0526f88f013bf7b78a2bcf0f08c36a7b",
-    ("fidelity", "1.6"): "fc12b205fafcea9f14d4a3dedcd041b0f58c481e9a0875f3a04d5cbcc276124e",
-    ("fidelity", "1.3"): "4c3de2aca153640126869124ab4f69f3cfdea25b47a51a0b47050a69560028c9",
-    ("fidelity", "1e-12"): "ed28893647bc33a4e77980e1e2e322e5b464def52e9136e126fcd4ff5f36b7be",
-    ("fidelity", "0.8"): "bb182ef8ff56ee203bc83bcd71846962921162d31f389587e1b8eff7206404b1",
+    ("variance", "0.61"): "8e1a089004a5f00736df1ce4559a6afc4dbf649173389440fe580075d5a12f48",
+    ("variance", "1.6"): "3f0a2616da263343528da8dd7d7d9504954ea6a3ce96651f637c6171a500ddaf",
+    ("variance", "1.3"): "6e587674858399dfae6536dbbab72ed3d9ef4b0a7d4eea5cdeb83023dbcf25b3",
+    ("variance", "1e-12"): "d4b11c46e2a519f78ad2418f8242c00716aabb2a76ada12d7a194ab61cbdeda5",
+    ("variance", "0.8"): "9524ae7d1cc3e2f70f35e45303284296e7a00ddbc2e2ec875b6d7d6773285433",
+    ("fidelity", "0.61"): "379a23b161548030cb45323eec085c27b45f7d147edec43cdc4f2bda9bd3faab",
+    ("fidelity", "1.6"): "ea5cf40b3589b0bd0943bc1e6c8d4e1477525d718f05b89a0ffd9fcc757f9256",
+    ("fidelity", "1.3"): "078f076d2a1a5b882b84d6f627b74e3eeb2bdf4b9f51697defa957fabe024659",
+    ("fidelity", "1e-12"): "5e0e1dc3bdac0c880c33f5f7a7cdddf7297bcad59ce996c5251fedc3f10d1154",
+    ("fidelity", "0.8"): "cb3ae10e4a6554384a2700911db64b14f8e7623f33aaff0df3edef87e923f540",
 }
 
 
@@ -772,7 +772,8 @@ class TestOptimize:
     )
     def test_pinned_bytes(self, capsys, objective, g1, g2, xi, eta, eps):
         # sha256 of the printed JSON, recorded once the objective was read
-        # off the noise axis of independent noise inputs; at eta = 0.05 the
+        # off the noise axis of independent noise inputs and re-recorded at
+        # tool version 0.2.0, which the JSON echoes; at eta = 0.05 the
         # fidelity optimum leaves the noise-cancelling pair
         argv = ["optimize", "--g1", g1, "--g2", g2, "--xi", xi, "--eta", eta, "--eps", eps]
         assert main(argv + ["--objective", objective]) == 0

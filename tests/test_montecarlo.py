@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cvgec.channel import standard_two_channel
+from cvgec.channel import ChannelModel, NoiseSource, standard_two_channel
 from cvgec.montecarlo import (
     STAGES,
     TraceRecord,
@@ -12,7 +12,7 @@ from cvgec.montecarlo import (
 )
 from cvgec.protocol import optimal_splitting_for
 
-from montecarlo_oracle import analytic_stage_moments, empirical_covariance
+from montecarlo_oracle import analytic_stage_moments, empirical_covariance, sample_by_hand
 from trace_reference import write_trace_csv_per_cell
 
 
@@ -79,6 +79,47 @@ class TestSampleRun:
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             sample_run(*config(1.0), 0, seed=1)
+
+
+class TestAgainstHandRelations:
+    """The trace samples the engine's maps; the oracle writes the protocol
+    out as amplitude relations on the same streams, so they agree sample by
+    sample, to rounding."""
+
+    THERMAL = ChannelModel(2, [0.9, 0.75], 0.3, (NoiseSource([1.3, -0.7], 4.0),), 0.05)
+    CASES = {
+        "xi 0": (standard_two_channel(25.0, 0.7, 0.8, 0.0), {}),
+        "xi 0.1": (standard_two_channel(12.0, 1.6, 0.9, 0.1), {}),
+        "thermal, unequal eta, anti-correlated": (THERMAL, {"amplitude": (0.5, -1.0)}),
+        "modulated": (
+            standard_two_channel(8.0, 0.3, 0.95, 0.02),
+            {"amplitude": (-3.0, 1.5), "modulation_period": 7},
+        ),
+        # the benchmark's xi = 0 trace of seed 1
+        "benchmark": (
+            standard_two_channel(20.694530016629518, 0.8091019395781757, 0.7679996517568769),
+            {"amplitude": (-1.337859739841209, 1.9314756497900323)},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_record_matches_per_sample(self, case):
+        model, kwargs = self.CASES[case]
+        pair = optimal_splitting_for(model)
+        records = sample_run(model, pair, 2000, 14368707, **kwargs)
+        expected = sample_by_hand(model, pair, 2000, 14368707, **kwargs)
+        assert [(r.stage, r.quadrature) for r in records] == list(expected)
+        for r in records:
+            want = expected[r.stage, r.quadrature]
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(r.samples - want)) <= 1e-14 * scale, (r.stage, r.quadrature)
+
+    def test_input_records_are_the_first_streams_plus_the_mean(self):
+        model, _ = self.CASES["xi 0"]
+        records = sample_run(model, optimal_splitting_for(model), 50, 3, amplitude=(1.5, -2.0))
+        for k, (r, a) in enumerate(zip(records[:2], (1.5, -2.0))):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((3, k))))
+            assert np.array_equal(r.samples, a + rng.normal(0.0, np.sqrt(0.5), 50))
 
 
 @pytest.mark.parametrize("samples", [np.ones((2, 3)), np.float64(1.0), [[1.0]]])

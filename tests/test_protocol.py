@@ -24,7 +24,11 @@ from cvgec.protocol import (
 from cvgec.states import GaussianState, as_snu, displace, vacuum_state
 from cvgec.transforms import GaussianMap, beam_splitter, two_mode_squeezed
 
-from map_reference import characterize_single_mode_map, pure_loss_reference
+from map_reference import (
+    characterize_single_mode_map,
+    direct_transmission_map,
+    pure_loss_reference,
+)
 from splitting_oracle import amplitudes, optimal_splitting, splitting_objective
 from state_oracle import duan_simon, fidelity, tensor
 from test_states import random_physical_state
@@ -292,6 +296,29 @@ class TestUncorrectedChannel:
         cfg = config(10.0, eta=0.64)
         out = uncorrected_channel(cfg, displace(vacuum_state(1), 0, 2.0, 1.0))
         assert np.allclose(out.mean, [1.6, 0.8], atol=1e-13)
+
+    @pytest.mark.parametrize("channel", [-1, 2])
+    def test_channel_index_out_of_range(self, channel):
+        with pytest.raises(ValueError, match="^channel index out of range$"):
+            uncorrected_channel(config(10.0), vacuum_state(1), channel=channel)
+
+    def test_is_the_corrected_map_at_full_transmission(self):
+        # the scheme with its signal along e_k is direct transmission
+        # through channel k, bit for bit once the carriers are dropped
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            c = int(rng.integers(2, 6))
+            sources = tuple(
+                NoiseSource(rng.normal(size=c), rng.uniform(0.0, 5.0))
+                for _ in range(int(rng.integers(0, 3)))
+            )
+            eta, thermal = rng.uniform(0.2, 1.0, c), rng.choice([0.0, 0.4]) * rng.random(c)
+            model = ChannelModel(c, eta, thermal, sources, rng.choice([0.0, 0.1]))
+            n, mode, channel = 2, int(rng.integers(0, 2)), int(rng.integers(0, c))
+            got = corrected_map(model, n, mode, signal=np.eye(c)[channel]).restricted(n)
+            want = direct_transmission_map(model, n, mode, channel).restricted(n)
+            for name in "XFvY":
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestIncoherentStrategy:
