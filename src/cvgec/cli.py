@@ -49,9 +49,9 @@ CONVENTIONS = {
         " ((c, -s), (-s, -c))"
     ),
     "port_labeling": (
-        "the sweeps encode the signal into the protected mode, the unit vector orthogonal to every"
-        " source coupling, completed to an orthogonal encoder u and decoded by u^T; trace sets both"
-        " splitters to the noise-cancelling pair; the signal exits the first decoder port"
+        "the sweeps encode into the protected mode u, orthogonal to every source coupling, with the"
+        " mirror of u (the reflection swapping e_0 and u), which as its own inverse also decodes;"
+        " trace's u is (c, -s) of the noise-cancelling pair; the signal exits the first decoder port"
     ),
     "noise_axis": "eps is channel 1's excess noise in SNU at the channel output, before detection",
     "uncorrected_reference": "direct transmission through channel 1, no encoding",
@@ -159,7 +159,7 @@ def _cmd_trace(args) -> None:
 
 def _cmd_synth(args) -> None:
     from .network import decompose_network, serialize_plan
-    from .patterns import NoisePatternSet, complete_orthonormal, null_space_encoder
+    from .patterns import NoisePatternSet, mirror, null_space_encoder
 
     rows = []
     with open(args.patterns) as fh:
@@ -173,7 +173,7 @@ def _cmd_synth(args) -> None:
         raise UsageError("pattern file contains no vectors")
     patterns = NoisePatternSet(tuple(rows))
     signal = null_space_encoder(patterns)
-    plan = decompose_network(complete_orthonormal(signal))
+    plan = decompose_network(mirror(signal))
     signal_line = " ".join(format(x, ".17g") for x in signal)
     text = serialize_plan(plan) + f"# signal {signal_line}\n"
     extras = {

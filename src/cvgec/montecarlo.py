@@ -2,9 +2,9 @@
 and the trace CSV writer.
 
 This module regenerates quadrature time traces stage by stage from the
-engine's own maps: each stage is a row of a :class:`GaussianMap` built from
-the splitter and :func:`cvgec.channel.channel_map`, evaluated on one
-sample per input of that map.  The independent check is
+engine's own maps, the two of :func:`cvgec.protocol.encoded_maps`: each
+stage is a row of the mirror-then-channel map or of the corrected map,
+evaluated on one sample per input of that map.  The independent check is
 ``tests/montecarlo_oracle.py``, which writes the encode, channel and
 decode amplitude relations out by hand, draws the same streams and must
 match the trace sample by sample.
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, channel_map
-from .transforms import GaussianMap, beam_splitter_matrix
+from .channel import ChannelModel
+from .protocol import encoded_maps
 
 #: Stage names in record order.
 STAGES = ("input", "channel_1", "channel_2", "corrected", "discarded")
@@ -67,8 +67,8 @@ def sample_run(
     """Draw ``n`` shots through the two-channel protocol on the channel
     ``model``.
 
-    Both splitters act with the unit amplitude pair ``pair`` = (c, s) as
-    given: the pi-flip mode matrix ((c, -s), (-s, -c)), its own inverse.
+    Both splitters are the mirror of (c, -s) for the unit amplitude pair
+    ``pair`` = (c, s): the pi-flip ((c, -s), (-s, -c)), its own inverse.
     Returns one record per (stage, quadrature), in CSV order.  A positive
     ``modulation_period`` applies a sinusoidal displacement to the input
     mean, for trace rendering only.
@@ -93,12 +93,11 @@ def sample_run(
     vac = 0.5
     inputs = [a * phase + draw(vac) for a in amplitude] + [draw(vac), draw(vac)]
 
-    # modes (signal, auxiliary); the pi-flip splitter decodes too
-    splitter = GaussianMap.of(np.kron(beam_splitter_matrix(*pair), np.eye(2)), (0, 1), 2)
-    channel = splitter.then(channel_map(model, (0, 1), 2))
+    # modes (signal, auxiliary); the mirror decodes too
+    mirrored, channel = encoded_maps(model, 1, signal=(pair[0], -pair[1]))
     inputs += [draw(v) for v in channel.v]
     records = [TraceRecord(STAGES[0], q, inputs[k]) for k, q in enumerate("XP")]
-    for stages, m in ((STAGES[1:3], channel), (STAGES[3:], channel.then(splitter))):
+    for stages, m in ((STAGES[1:3], channel), (STAGES[3:], channel.then(mirrored))):
         rows = np.hstack([m.X, m.F])
         for row, (stage, q) in zip(rows, itertools.product(stages, "XP")):
             records.append(TraceRecord(stage, q, _combine(row, inputs)))

@@ -76,8 +76,8 @@ def decompose_network(u: np.ndarray) -> NetworkPlan:
     rotations whose cosines are >= 0, so every sign stays on the leftover
     diagonal, which becomes at most N leading pi flips.  Each rotation is
     one beam splitter, or two (a quarter turn first) where |s| < 1e-6.
-    The returned plan applies its elements in order to realize ``u``; the
-    decode mesh, which realizes the transpose, is ``decompose_network(u.T)``.
+    The returned plan applies its elements in order to realize ``u``.  The
+    mirror that ``synth`` plans is its own inverse, so its plan decodes too.
     """
     u = np.array(u, dtype=float)
     n = u.shape[0]

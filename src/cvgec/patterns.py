@@ -3,9 +3,9 @@
 Each independent noise source couples to the N channels with an amplitude
 vector.  A signal encoded into a direction orthogonal to every pattern
 never meets the shared noise; :func:`null_space_encoder` picks that
-direction, and :func:`complete_orthonormal` completes it to the mode
-matrix that encodes into it.  The module needs only numpy, so ``cvgec
-synth`` loads no channel or state code, and the sweeps no mesh code.
+direction, and :func:`mirror` is the mode matrix that encodes into it and,
+being its own inverse, decodes out of it.  The module needs only numpy, so
+``cvgec synth`` loads no channel or state code, and the sweeps no mesh code.
 """
 
 from __future__ import annotations
@@ -76,31 +76,26 @@ def null_space_encoder(patterns) -> np.ndarray:
     raise NoProtectedSubspaceError("no direction survives orthogonalization")
 
 
-def complete_orthonormal(first_column: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix whose first column is the given unit vector.
+def mirror(u) -> np.ndarray:
+    """The C x C reflection that swaps e_0 and the unit vector ``u``.
 
-    Remaining columns come from orthonormalizing the standard basis, so
-    the completion is deterministic.
+    Its first row and column are u, and its block on the other channels is
+    (I - P) - u_0 P, summed as -u_0 P - (P - I) so that a zero there takes
+    the pi-flip's sign, with P = d d^T / (d^T d) for d the tail of u over its
+    largest |entry| (e_1 if the tail is zero), so no square underflows.  It
+    is symmetric and its own inverse, and at C = 2 it is the pi-flip
+    splitter ((c, -s), (-s, -c)) of u = (c, -s).
     """
-    s = np.asarray(first_column, dtype=float)
-    n = s.size
-    if abs(np.linalg.norm(s) - 1.0) > 1e-9:
-        raise ValueError("first column must be a unit vector")
-    cols = [s]
-    for k in range(n):
-        if len(cols) == n:
-            break
-        r = np.zeros(n)
-        r[k] = 1.0
-        for _ in range(2):
-            for q in cols:
-                r -= (q @ r) * q
-        norm = np.linalg.norm(r)
-        if norm > 1e-9:
-            cols.append(r / norm)
-    if len(cols) != n:
-        raise ValueError("failed to complete the basis")
-    return np.column_stack(cols)
+    u = np.array(u, dtype=float)
+    if u.ndim != 1 or not abs(np.linalg.norm(u) - 1.0) <= 1e-9:
+        raise ValueError("u must be a unit vector")
+    top = np.max(np.abs(u[1:]), initial=0.0)
+    d = u[1:] / top if top > 0.0 else np.eye(u.size - 1, 1).ravel()
+    p = np.outer(d, d) / (d @ d)
+    m = np.empty((u.size, u.size))
+    m[0], m[:, 0] = u, u
+    m[1:, 1:] = -u[0] * p - (p - np.eye(u.size - 1))
+    return m
 
 
 def _orthonormalize(vectors, n: int) -> list[np.ndarray]:

@@ -1,14 +1,13 @@
 """Encode/transmit/decode error correction for correlated noise.
 
-The corrected scheme is one map, :func:`corrected_map`: an orthogonal
-C x C mode matrix spreads the signal and C - 1 vacuum carriers over the C
-noisy channels, and its transpose recombines them.  The signal rides the
-protected mode, orthogonal to every noise coupling, unless given another.
-For two channels that is the signal column (c, -s) of the paper's splitter
-pair at T = c^2 = g2 / (g1 + g2): the shared noise exits the discarded
-port and the signal sees pure loss, for any noise variance: each source
-reaches the signal as the one dot product u . c of the encoder's signal
-column with its coupling, an input whose variance stays its own.
+The corrected scheme is one map, :func:`corrected_map`: the mirror of the
+signal vector u (:func:`cvgec.patterns.mirror`) spreads the signal and
+C - 1 vacuum carriers over the C noisy channels, and, its own inverse,
+recombines them.  u is the protected mode, orthogonal to every noise
+coupling, unless given.  For two channels its mirror is the paper's pi-flip
+splitter at T = g2 / (g1 + g2): the shared noise exits the discarded port
+and the signal sees pure loss at any noise variance, each source reaching
+it as the one dot product u . c, an input whose variance stays its own.
 
 The "uncorrected" reference, direct transmission through channel k, is
 the same map with the signal along e_k, the scheme at full transmission:
@@ -28,7 +27,7 @@ import numpy as np
 from .channel import ChannelModel, NoiseSource, channel_map
 # The pattern names are part of this module's surface as well.
 from .patterns import NoProtectedSubspaceError, NoisePatternSet, null_space_encoder
-from .patterns import complete_orthonormal
+from .patterns import mirror
 from .states import GaussianState
 from .transforms import GaussianMap, beam_splitter
 
@@ -77,18 +76,29 @@ def optimal_splitting_for(model: ChannelModel) -> tuple[float, float]:
 def corrected_map(
     model: ChannelModel, n_modes: int, signal_mode: int = 0, signal=None
 ) -> GaussianMap:
-    """Encode, transmit, decode: one map on ``n_modes`` state modes plus
-    C - 1 carriers entering in vacuum.  The orthogonal encoder's first column
-    is ``signal``, a unit vector of channel amplitudes (a two-channel pair
-    (c, s) sends the signal along (c, -s)), or else the protected vector,
-    orthogonal to every source coupling of ``model``: with no mismatch, equal
-    loss eta and no thermal noise, that mode sees pure loss eta at any source
-    variance.  A model without sources encodes into e_0; couplings that span
-    every channel raise :class:`NoProtectedSubspaceError`."""
+    """Encode, transmit, decode: the second map of :func:`encoded_maps`
+    followed by the first.  With no mismatch, equal loss eta and no thermal
+    noise, the protected mode sees pure loss eta at any source variance."""
+    mirrored, channel = encoded_maps(model, n_modes, signal_mode, signal)
+    return channel.then(mirrored)
+
+
+def encoded_maps(
+    model: ChannelModel, n_modes: int, signal_mode: int = 0, signal=None
+) -> tuple[GaussianMap, GaussianMap]:
+    """The mirror of ``signal`` on the signal mode and C - 1 carriers that
+    enter in vacuum after the ``n_modes`` state modes, and that mirror then
+    the channel.  ``signal`` is a unit vector of channel amplitudes, or else
+    the protected vector of ``model``'s couplings (e_0 without sources;
+    couplings spanning every channel raise NoProtectedSubspaceError)."""
+    n = model.n_channels
     if signal is None:
         couplings = [src.coupling for src in model.sources]
-        signal = null_space_encoder(couplings) if couplings else np.eye(model.n_channels)[0]
-    return _encoded_map(model, complete_orthonormal(signal), n_modes, signal_mode)
+        signal = null_space_encoder(couplings) if couplings else np.eye(n)[0]
+    carriers = (signal_mode,) + tuple(range(n_modes, n_modes + n - 1))
+    reg = n_modes + n - 1
+    mirrored = GaussianMap.of(np.kron(mirror(signal), np.eye(2)), carriers, reg)
+    return mirrored, mirrored.then(channel_map(model, carriers, reg))
 
 
 def incoherent_map(model: ChannelModel, n_modes: int) -> GaussianMap:
@@ -180,13 +190,3 @@ def n_channel_protocol(
     m = corrected_map(model, state.n_modes, signal_mode)
     return m.restricted(state.n_modes).apply(state)
 
-
-def _encoded_map(model: ChannelModel, encoder, n_modes: int, signal_mode: int) -> GaussianMap:
-    """``encoder`` spreads the signal and the C - 1 carriers over the channels
-    of ``model``, and its transpose recombines them, the signal into its slot."""
-    n = model.n_channels
-    carriers = (signal_mode,) + tuple(range(n_modes, n_modes + n - 1))
-    reg = n_modes + n - 1
-    encode = GaussianMap.of(np.kron(encoder, np.eye(2)), carriers, reg)
-    decode = GaussianMap.of(np.kron(encoder.T, np.eye(2)), carriers, reg)
-    return encode.then(channel_map(model, carriers, reg)).then(decode)

@@ -12,8 +12,8 @@ is zero-mean, and the incoherent baseline's feedforward is averaged into X.
 A gate (the beam splitter) is the case with no inputs: a gate function
 returns its local 2k x 2k symplectic block, and
 :meth:`GaussianMap.of` places that block on k modes of a register.  The
-beam splitter has the paper's pi-flip convention, so an encode/decode pair
-of equal amplitudes composes to the identity and correlated noise cancels.
+beam splitter is the paper's pi-flip splitter, the two-channel mirror, so
+an encode/decode pair of equal amplitudes is the identity.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .patterns import mirror
 from .states import VACUUM_VARIANCE, GaussianState, _quad_indices
 
 _MAX_SQUEEZING = 20.0
@@ -113,23 +114,17 @@ def embed(block: np.ndarray, modes, n_modes: int) -> np.ndarray:
     return full
 
 
-def beam_splitter_matrix(c: float, s: float) -> np.ndarray:
-    """2x2 mode-amplitude matrix ((c, -s), (-s, -c)) of a beam splitter with
-    the unit amplitude pair (c, s), transmissivity c^2, and a relative pi
-    phase on its second output; it is its own inverse."""
-    return np.array([[c, -s], [-s, -c]])
-
-
 def beam_splitter(t: float) -> np.ndarray:
     """4x4 block of a beam splitter of transmissivity ``t`` on two modes,
-    amplitudes (sqrt(t), sqrt(1 - t)).
+    amplitudes (c, s) = (sqrt(t), sqrt(1 - t)): the mirror of (c, -s),
+    ((c, -s), (-s, -c)), a pi phase on its second output.
 
     Both quadratures transform with the same real amplitude matrix, so the
     symplectic block is the mode matrix tensored with the 2x2 identity.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
-    return np.kron(beam_splitter_matrix(np.sqrt(t), np.sqrt(1.0 - t)), np.eye(2))
+    return np.kron(mirror((np.sqrt(t), -np.sqrt(1.0 - t))), np.eye(2))
 
 
 def two_mode_squeezed(r: float) -> GaussianState:

@@ -22,10 +22,10 @@ import numpy as np
 from cvgec.channel import channel_map, standard_two_channel
 from cvgec.protocol import optimal_splitting_for
 from cvgec.states import vacuum_state
-from cvgec.transforms import GaussianMap, beam_splitter_matrix, two_mode_squeezed
+from cvgec.transforms import GaussianMap, two_mode_squeezed
 
 from map_reference import direct_transmission_map
-from splitting_oracle import golden_section
+from splitting_oracle import golden_section, pi_flip
 from state_oracle import duan_simon, partial_trace, tensor
 
 
@@ -34,7 +34,7 @@ def infimum(eps, g_ratio, eta, xi, strategy, r_max=10.0):
     model = standard_two_channel(eps, g_ratio, eta, xi)
     if strategy == "corrected":
         # modes (local, signal, auxiliary); the pi-flip splitter decodes too
-        splitter = np.kron(beam_splitter_matrix(*optimal_splitting_for(model)), np.eye(2))
+        splitter = np.kron(pi_flip(*optimal_splitting_for(model)), np.eye(2))
         splitter = GaussianMap.of(splitter, (1, 2), 3)
         protocol = splitter.then(channel_map(model, (1, 2), 3)).then(splitter)
     else:

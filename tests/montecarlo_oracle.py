@@ -1,35 +1,59 @@
 """The trace written out by hand, and sampled and predicted stage moments,
 kept as an oracle.
 
-``sample_by_hand`` regenerates the trace of ``cvgec.montecarlo.sample_run``
-from the amplitude relations of encode, channel and decode, written out
-here on the same Philox streams rather than read off the package's maps,
-so the two must agree sample by sample.  ``empirical_covariance``
-estimates the covariance of sampled records with standard errors;
-``analytic_stage_moments`` predicts each stage's moments with the
-covariance engine, composing the splitters with the channel map itself,
-as ``splitting_oracle`` does.
+``stage_relations`` writes the amplitude relations of encode, channel and
+decode out as each stage's coefficients on the independent inputs of a
+shot, one list per quadrature, rather than reading them off the package's
+maps.  ``sample_by_hand`` evaluates those coefficients on the Philox
+streams of ``cvgec.montecarlo.sample_run``, so the two must agree sample by
+sample; ``analytic_stage_moments`` predicts each stage's mean and
+covariance from the same coefficients and the inputs' variances.
+``empirical_covariance`` estimates the covariance of sampled records with
+standard errors.
 """
 
 import numpy as np
 
-from cvgec.channel import ChannelModel, channel_map
 from cvgec.montecarlo import STAGES
-from cvgec.states import displace, vacuum_state
-from cvgec.transforms import GaussianMap, beam_splitter_matrix
 
-from state_oracle import partial_trace, tensor
+from splitting_oracle import pi_flip
+
+
+def stage_relations(model, pair) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Variances of a quadrature's independent inputs, and each stage's
+    coefficients on them, with both splitters at the amplitude pair ``pair``.
+
+    Inputs, the same list for x and for p: 0 the input's vacuum, 1 the
+    auxiliary carrier's; 2 + i channel i's loss input, of variance
+    (1 - eta_i)(1/2 + n_i); 4 + i its non-interfering noise,
+    xi sum_k var_k c_k[i]^2; and 6 + k source k's shared variable, of
+    variance (1 - xi) var_k.  The input's mean rides input 0.
+    """
+    xi, sources = model.mismatch, model.sources
+    variances = [0.5, 0.5]
+    variances += [(1.0 - model.eta[i]) * (0.5 + model.thermal[i]) for i in (0, 1)]
+    variances += [xi * sum(src.variance * src.coupling[i] ** 2 for src in sources) for i in (0, 1)]
+    variances += [(1.0 - xi) * src.variance for src in sources]
+    splitter = pi_flip(*pair)
+    weights = {"input": np.eye(len(variances))[0]}
+    for i, stage in enumerate(("channel_1", "channel_2")):
+        # encoder row i, attenuated, plus the channel's own inputs
+        w = np.zeros(len(variances))
+        w[:2] = np.sqrt(model.eta[i]) * splitter[i]
+        w[2 + i] = w[4 + i] = 1.0
+        w[6:] = [src.coupling[i] for src in sources]
+        weights[stage] = w
+    # decoder: the same splitter, its own inverse
+    for row, stage in zip(splitter, ("corrected", "discarded")):
+        weights[stage] = row[0] * weights["channel_1"] + row[1] * weights["channel_2"]
+    return np.array(variances), weights
 
 
 def sample_by_hand(model, pair, n, seed, amplitude=(2.0, 0.0), modulation_period=0):
     """{(stage, quadrature): samples} of the two-channel protocol, in CSV
-    order, from the amplitude relations on ``sample_run``'s streams.
-
-    Stream j is seeded with SeedSequence((seed, j)).  Per quadrature q:
-    streams q and 2 + q are the input's and the auxiliary carrier's vacuum;
-    4 + 2i + q is channel i's loss input, of variance (1 - eta_i)(1/2 + n_i);
-    8 + 2i + q its non-interfering noise, xi sum_k var_k c_k[i]^2; and
-    12 + 2k + q source k's shared variable, of variance (1 - xi) var_k.
+    order: the coefficients of :func:`stage_relations` on ``sample_run``'s
+    streams.  Stream j is seeded with SeedSequence((seed, j)); input k of
+    quadrature q is stream 2k + q.
     """
 
     def stream(k, variance):
@@ -39,29 +63,13 @@ def sample_by_hand(model, pair, n, seed, amplitude=(2.0, 0.0), modulation_period
     phase = np.ones(n)
     if modulation_period > 0:
         phase = np.sin(2.0 * np.pi * np.arange(n) / modulation_period)
-    c, s = pair
-    xi, sources = model.mismatch, model.sources
+    variances, weights = stage_relations(model, pair)
     out = {}
     for q, quad in enumerate("XP"):
-        b_in = amplitude[q] * phase + stream(q, 0.5)
-        b_aux = stream(2 + q, 0.5)
-        # encoder: the pi-flip splitter ((c, -s), (-s, -c))
-        a = (c * b_in - s * b_aux, -s * b_in - c * b_aux)
-        outs = []
-        for i in (0, 1):
-            loss = stream(4 + 2 * i + q, (1.0 - model.eta[i]) * (0.5 + model.thermal[i]))
-            own = xi * sum(src.variance * src.coupling[i] ** 2 for src in sources)
-            own = stream(8 + 2 * i + q, own)
-            shared = sum(
-                src.coupling[i] * stream(12 + 2 * k + q, (1.0 - xi) * src.variance)
-                for k, src in enumerate(sources)
-            )
-            outs.append(np.sqrt(model.eta[i]) * a[i] + loss + own + shared)
-        out["input", quad] = b_in
-        out["channel_1", quad], out["channel_2", quad] = outs
-        # decoder: the same splitter, its own inverse
-        out["corrected", quad] = c * outs[0] - s * outs[1]
-        out["discarded", quad] = -s * outs[0] - c * outs[1]
+        inputs = np.array([stream(2 * k + q, v) for k, v in enumerate(variances)])
+        inputs[0] += amplitude[q] * phase
+        for stage in STAGES:
+            out[stage, quad] = weights[stage] @ inputs
     return {(stage, quad): out[stage, quad] for stage in STAGES for quad in "XP"}
 
 
@@ -88,31 +96,25 @@ def empirical_covariance(records) -> tuple[np.ndarray, np.ndarray]:
 
 
 def analytic_stage_moments(
-    model: ChannelModel, pair: tuple[float, float], amplitude: tuple[float, float] = (2.0, 0.0)
+    model, pair: tuple[float, float], amplitude: tuple[float, float] = (2.0, 0.0)
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-stage (mean, covariance) predicted by the covariance engine, with
-    both splitters at the amplitude pair ``pair``.
+    """Per-stage (mean, covariance) of the coefficients of
+    :func:`stage_relations`: a stage's mean is its input coefficient times
+    the amplitude, and two stages covary, quadrature by quadrature, by the
+    variance-weighted sum of their coefficient products.
 
     Channel stages include the port's own non-interfering noise, matching
     what a detector parked at that point records; the corrected and
-    discarded entries are the two decoder ports.
+    discarded entries are the two decoder ports, and "corrected+discarded"
+    their joint moments, in the order (corrected x, p, discarded x, p).
     """
-    inp = displace(vacuum_state(1), 0, amplitude[0], amplitude[1])
-    ports = tensor(inp, vacuum_state(1))  # modes: (signal, auxiliary)
-    out = {}
-    out["input"] = (inp.mean, inp.cov)
+    variances, weights = stage_relations(model, pair)
 
-    # the pi-flip splitter is its own inverse, so it also decodes
-    splitter = GaussianMap.of(np.kron(beam_splitter_matrix(*pair), np.eye(2)), (0, 1), 2)
-    channel = splitter.then(channel_map(model, (0, 1), 2))
-    st = channel.apply(ports)
-    for i, stage in enumerate(("channel_1", "channel_2")):
-        reduced = partial_trace(st, [i])
-        out[stage] = (reduced.mean, reduced.cov)
+    def moments(*stages):
+        w = np.array([weights[stage] for stage in stages])
+        mean = np.outer(w[:, 0], amplitude).ravel()
+        return mean, np.kron((w * variances) @ w.T, np.eye(2))
 
-    joint = channel.then(splitter).apply(ports)  # modes: (corrected, discarded)
-    for i, stage in enumerate(("corrected", "discarded")):
-        reduced = partial_trace(joint, [i])
-        out[stage] = (reduced.mean, reduced.cov)
-    out["corrected+discarded"] = (joint.mean, joint.cov)
+    out = {stage: moments(stage) for stage in STAGES}
+    out["corrected+discarded"] = moments("corrected", "discarded")
     return out

@@ -1,8 +1,10 @@
 """Numeric splitter searches, kept as oracles for the closed-form optimum.
 
 ``optimal_splitting`` is the reference transmissivity g2 / (g1 + g2) of
-both splitters, and ``amplitudes`` the amplitude pair (sqrt T, sqrt(1 - T))
-that configures a splitter of transmissivity T.
+both splitters, ``amplitudes`` the amplitude pair (sqrt T, sqrt(1 - T))
+that configures a splitter of transmissivity T, and ``pi_flip`` the mode
+matrix of a pair, written out here for every oracle rather than taken from
+the package.
 
 ``nested_search`` is a golden-section search for the optimum that
 ``cvgec.analysis.optimize_splitting`` gives in closed form: over T_d alone
@@ -32,6 +34,13 @@ def optimal_splitting(g1: float, g2: float) -> float:
 def amplitudes(t: float) -> tuple[float, float]:
     """Amplitude pair (sqrt(t), sqrt(1 - t)) of a splitter of transmissivity t."""
     return math.sqrt(t), math.sqrt(1.0 - t)
+
+
+def pi_flip(c, s) -> np.ndarray:
+    """Mode matrix ((c, -s), (-s, -c)) of the splitter with the amplitude pair
+    (c, s), its own inverse; c and s may be arrays of pairs, giving a
+    2 x 2 x ... stack."""
+    return np.array([[c, -s], [-s, -c]])
 
 
 def golden_section(f, a: float, b: float, tol: float = 1e-7) -> tuple[float, float]:
@@ -146,6 +155,5 @@ def splitting_objective(
 def _splitters(ts) -> np.ndarray:
     """Pi-flip splitter matrices on (signal, auxiliary), one per transmissivity:
     amplitudes (sqrt T, -sqrt(1-T); -sqrt(1-T), -sqrt T) on x and p alike."""
-    c, s = np.sqrt(ts), np.sqrt(1.0 - ts)
-    amplitudes = np.moveaxis(np.array([[c, -s], [-s, -c]]), -1, 0)
+    amplitudes = np.moveaxis(pi_flip(np.sqrt(ts), np.sqrt(1.0 - ts)), -1, 0)
     return np.einsum("nab,cd->nacbd", amplitudes, np.eye(2)).reshape(-1, 4, 4)

@@ -2,14 +2,17 @@
 
 import hashlib
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from cvgec.cli import main
-from cvgec.transforms import beam_splitter_matrix
+from cvgec.patterns import mirror
 
 from network_oracle import read_plan
+from splitting_oracle import pi_flip
 
 
 def sha256(path):
@@ -589,9 +592,11 @@ class TestSynth:
         patterns.write_text("0.78 1.0\n")
         out = tmp_path / "plan.txt"
         assert main(["synth", "--patterns", str(patterns), "--out", str(out)]) == 0
+        # the mirror of the signal is the pi-flip splitter: one splitter of
+        # the same T and one sign flip
         lines = [l for l in out.read_text().splitlines() if l.startswith(("BS", "PS"))]
-        assert len(lines) == 1
-        _, _, _, t = lines[0].split()
+        assert sorted(l.split()[0] for l in lines) == ["BS", "PS"]
+        _, _, _, t = next(l for l in lines if l.startswith("BS")).split()
         assert float(t) == pytest.approx(1.0 / (1.0 + 0.78**2), abs=1e-12)
 
     @pytest.mark.filterwarnings("error")
@@ -611,7 +616,21 @@ class TestSynth:
         patterns.write_text("".join(" ".join(f"{x:.6f}" for x in row) + "\n" for row in rows))
         out = tmp_path / "plan.txt"
         assert main(["synth", "--patterns", str(patterns), "--out", str(out)]) == 0
-        assert sha256(out) == "1804ca88ca4b49d5d524265d0113eec7bf507de901c630d31227fef4f59e0985"
+        # re-recorded when the mirror of the signal became the encoder: the
+        # same signal line and 1128 splitters, and one sign flip for 27
+        assert sha256(out) == "d2ea5f23da25ff935d1ba97cd1e3b3535650d8e0f82526287e96c5fec57aec83"
+
+    def test_readme_plan_example_is_what_synth_writes(self, tmp_path, capsys):
+        # the README's "Network plan format" block is the plan of the
+        # patterns.txt that its command-line examples write
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (rows,) = re.findall(r"^printf '([^']*)' > patterns\.txt$", readme, flags=re.M)
+        section = readme.split("### Network plan format", 1)[1]
+        block = re.search(r"^```\n(.*?)^```$", section, flags=re.M | re.S).group(1)
+        patterns, out = tmp_path / "patterns.txt", tmp_path / "plan.txt"
+        patterns.write_text(rows.replace("\\n", "\n"))
+        assert main(["synth", "--patterns", str(patterns), "--out", str(out)]) == 0
+        assert out.read_text() == block
 
     def test_small_reflectivity_mesh(self, tmp_path, capsys):
         # the protected mode (1, -1.2e-7) needs a rotation with s = 1.2e-7
@@ -629,7 +648,9 @@ class TestSynth:
         out = tmp_path / "plan.txt"
         assert main(["synth", "--patterns", str(patterns), "--out", str(out)]) == 0
         assert capsys.readouterr().out == "signal 1 0 0\n"
-        assert [l for l in out.read_text().splitlines() if l.startswith(("BS", "PS"))] == []
+        # the mirror of e_0 flips the sign of the next mode
+        lines = [l for l in out.read_text().splitlines() if l.startswith(("BS", "PS"))]
+        assert lines == ["PS 1 3.1415926535897931"]
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_entry_exits_2(self, tmp_path, capsys, bad):
@@ -666,19 +687,20 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-#: sha256 of ``cvgec optimize`` stdout by objective and --g1, for the
-#: parameter sets of TestOptimize.test_pinned_bytes.
+#: ``cvgec optimize``'s T_e, T_d and objective_value as ``float.hex``, by
+#: objective and --g1, for the parameter sets of
+#: TestOptimize.test_pinned_numbers.
 OPTIMIZE_PINS = {
-    ("variance", "0.61"): "8e1a089004a5f00736df1ce4559a6afc4dbf649173389440fe580075d5a12f48",
-    ("variance", "1.6"): "3f0a2616da263343528da8dd7d7d9504954ea6a3ce96651f637c6171a500ddaf",
-    ("variance", "1.3"): "6e587674858399dfae6536dbbab72ed3d9ef4b0a7d4eea5cdeb83023dbcf25b3",
-    ("variance", "1e-12"): "d4b11c46e2a519f78ad2418f8242c00716aabb2a76ada12d7a194ab61cbdeda5",
-    ("variance", "0.8"): "9524ae7d1cc3e2f70f35e45303284296e7a00ddbc2e2ec875b6d7d6773285433",
-    ("fidelity", "0.61"): "379a23b161548030cb45323eec085c27b45f7d147edec43cdc4f2bda9bd3faab",
-    ("fidelity", "1.6"): "ea5cf40b3589b0bd0943bc1e6c8d4e1477525d718f05b89a0ffd9fcc757f9256",
-    ("fidelity", "1.3"): "078f076d2a1a5b882b84d6f627b74e3eeb2bdf4b9f51697defa957fabe024659",
-    ("fidelity", "1e-12"): "5e0e1dc3bdac0c880c33f5f7a7cdddf7297bcad59ce996c5251fedc3f10d1154",
-    ("fidelity", "0.8"): "cb3ae10e4a6554384a2700911db64b14f8e7623f33aaff0df3edef87e923f540",
+    ("variance", "0.61"): ("0x1.3e032e1c9f01ap-1", "0x1.3e032e1c9f01ap-1", "0x0.0p+0"),
+    ("variance", "1.6"): ("0x1.69bad2864840dp-2", "0x1.69bad2864840dp-2", "0x1.6fe1f21af4c50p-2"),
+    ("variance", "1.3"): ("0x1.638e293e15ccbp-2", "0x1.638e293e15ccbp-2", "0x1.66124b6c76178p-2"),
+    ("variance", "1e-12"): ("0x1.fffffffffe380p-1", "0x1.fffffffffe380p-1", "0x1.7317fffffeb58p+17"),
+    ("variance", "0.8"): ("0x1.34b7a2575d550p-1", "0x1.34b7a2575d550p-1", "0x1.26bad4a635dc0p-6"),
+    ("fidelity", "0.61"): ("0x1.3e032e1c9f01ap-1", "0x1.3e032e1c9f01ap-1", "-0x1.0000000000000p+0"),
+    ("fidelity", "1.6"): ("0x1.69bad2864840dp-2", "0x1.69bad2864840dp-2", "-0x1.a9e8d3f5d7116p-1"),
+    ("fidelity", "1.3"): ("0x1.638e293e15ccbp-2", "0x1.638e293e15ccbp-2", "-0x1.33a6ba7ab48d6p-1"),
+    ("fidelity", "1e-12"): ("0x1.fffffffffe380p-1", "0x1.fffffffffe380p-1", "-0x1.61336846cc557p-17"),
+    ("fidelity", "0.8"): ("0x1.fd062d6662982p-1", "0x1.fd062d6662982p-1", "-0x1.38790088c70eap-2"),
 }
 
 
@@ -770,15 +792,21 @@ class TestOptimize:
             ("0.8", "1.2", "0.03", "0.05", "0.5"),
         ],
     )
-    def test_pinned_bytes(self, capsys, objective, g1, g2, xi, eta, eps):
-        # sha256 of the printed JSON, recorded once the objective was read
-        # off the noise axis of independent noise inputs and re-recorded at
-        # tool version 0.2.0, which the JSON echoes; at eta = 0.05 the
-        # fidelity optimum leaves the noise-cancelling pair
+    def test_pinned_numbers(self, capsys, objective, g1, g2, xi, eta, eps):
+        # the printed numbers, exactly, as recorded once the objective was
+        # read off the noise axis of independent noise inputs; at eta = 0.05
+        # the fidelity optimum leaves the noise-cancelling pair.  The rest of
+        # the JSON echoes the manifest, whose keys alone are checked here
         argv = ["optimize", "--g1", g1, "--g2", g2, "--xi", xi, "--eta", eta, "--eps", eps]
         assert main(argv + ["--objective", objective]) == 0
-        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == OPTIMIZE_PINS[objective, g1]
+        payload = strict_json(capsys.readouterr().out)
+        numbers = tuple(float.hex(payload[k]) for k in ("T_e", "T_d", "objective_value"))
+        assert numbers == OPTIMIZE_PINS[objective, g1]
+        assert sorted(payload) == ["T_d", "T_e", "manifest", "objective", "objective_value"]
+        assert payload["objective"] == objective
+        manifest = payload["manifest"]
+        assert sorted(manifest) == ["command", "conventions", "parameters", "tool_version"]
+        assert sorted(manifest["parameters"]) == ["eps", "eta", "g1", "g2", "objective", "xi"]
 
     def test_bad_objective_lists_choices(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -871,7 +899,7 @@ class TestHarness:
             assert "noise-cancelling pair" in conventions["port_labeling"]
             assert "T_e" not in conventions["port_labeling"]
         c, s = 0.6, -0.8
-        assert beam_splitter_matrix(c, s).tolist() == [[c, -s], [-s, -c]]
+        assert mirror((c, -s)).tolist() == pi_flip(c, s).tolist()
 
     def test_stale_tmp_name_does_not_block_writes(self, tmp_path):
         out = tmp_path / "o.csv"

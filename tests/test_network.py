@@ -15,9 +15,10 @@ from cvgec.network import (
     target_checksum,
 )
 
-from cvgec.patterns import NoisePatternSet, complete_orthonormal, null_space_encoder
+from cvgec.patterns import NoisePatternSet, mirror, null_space_encoder
 
 from network_oracle import plan_symplectic, read_plan
+from splitting_oracle import pi_flip
 
 
 def random_orthogonal(rng, n):
@@ -140,7 +141,7 @@ class TestMeshShape:
 
     def test_anti_correlated_pattern_is_one_splitter(self):
         signal = null_space_encoder(NoisePatternSet(((0.78, -1.0),)))
-        plan = assert_mesh_shape(complete_orthonormal(signal), 1)
+        plan = assert_mesh_shape(mirror(signal), 1)
         kinds = [type(e) for e in plan.elements]
         assert kinds.count(BeamSplitterElement) == 1
         assert kinds.count(PhaseShiftElement) <= 1
@@ -194,16 +195,39 @@ class TestPlanValidation:
             NetworkPlan((), np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
-class TestCompletion:
-    def test_first_column_and_orthogonality(self):
-        s = np.array([0.5, -0.5, -0.5, 0.5])
-        u = complete_orthonormal(s)
-        assert np.allclose(u[:, 0], s, atol=0)
-        assert np.abs(u.T @ u - np.eye(4)).max() < 1e-12
+@st.composite
+def unit_vectors(draw):
+    """Unit vectors of 1 to 48 entries, tails scaled down to 1e-300."""
+    n = draw(st.integers(1, 48))
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    v[1:] *= 10.0 ** draw(st.floats(-300.0, 0.0))
+    if not v.any():
+        v[0] = 1.0
+    v /= np.abs(v).max()
+    return v / np.linalg.norm(v)
 
-    def test_non_unit_rejected(self):
-        with pytest.raises(ValueError):
-            complete_orthonormal(np.array([1.0, 1.0]))
+
+class TestMirror:
+    @settings(max_examples=300, deadline=None)
+    @given(unit_vectors())
+    def test_symmetric_involution_with_first_column_u(self, u):
+        m = mirror(u)
+        n = u.size
+        assert np.array_equal(m, m.T)
+        assert m[:, 0].tobytes() == u.tobytes()
+        assert np.abs(m @ m - np.eye(n)).max() <= 1e-15 * n
+
+    def test_two_channels_is_the_pi_flip_bit_for_bit(self):
+        rng = np.random.default_rng(30)
+        angles = rng.uniform(0.0, 2.0 * np.pi, 10_000)
+        axes = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+        for c, s in [*zip(np.cos(angles), np.sin(angles)), *axes]:
+            assert mirror((c, -s)).tobytes() == pi_flip(c, s).tobytes(), (c, s)
+
+    @pytest.mark.parametrize("u", [[1.0, 1.0], [0.0, 0.0], [np.nan, 0.0], [2.0], np.eye(2)])
+    def test_non_unit_rejected(self, u):
+        with pytest.raises(ValueError, match="^u must be a unit vector$"):
+            mirror(u)
 
 
 class TestSerialization:

@@ -11,11 +11,11 @@ from cvgec.states import displace, vacuum_state
 from cvgec.transforms import (
     GaussianMap,
     beam_splitter,
-    beam_splitter_matrix,
     embed,
     two_mode_squeezed,
 )
 from network_oracle import phase_shift
+from splitting_oracle import pi_flip
 from state_oracle import (
     channel_margin,
     duan_simon,
@@ -95,10 +95,13 @@ class TestBeamSplitter:
         with pytest.raises(ValueError, match="distinct"):
             GaussianMap.of(beam_splitter(0.5), (1, 1), 2)
 
-    def test_mode_matrix_orthogonal(self):
-        b = beam_splitter_matrix(np.sqrt(0.3), -np.sqrt(0.7))
-        assert np.allclose(b @ b.T, np.eye(2), atol=1e-15)
-        assert np.allclose(b @ b, np.eye(2), atol=1e-15)
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.5, 1.0])
+    def test_block_is_the_pi_flip_on_both_quadratures(self, t):
+        c, s = np.sqrt(t), np.sqrt(1.0 - t)
+        block = beam_splitter(t)
+        assert block.tobytes() == np.kron(pi_flip(c, s), np.eye(2)).tobytes()
+        assert np.allclose(block @ block.T, np.eye(4), atol=1e-15)
+        assert np.allclose(block @ block, np.eye(4), atol=1e-15)
 
 
 class TestPhaseShift:
