@@ -92,20 +92,19 @@ def coherent_sweep(model: ChannelModel, amplitude: tuple[float, float], eps_grid
     outputs are evaluated.  Fidelities compare against the original input
     with no gain rescaling.  Besides the ``SWEEP_COLUMNS``, the series hold
     the ``AUX_COLUMNS``: the channel-2 uncorrected alternative and the
-    displacement-corrected fidelities.
+    displacement-corrected fidelities.  A grid whose corrected or
+    uncorrected variance in SNU is beyond the double range is refused.
     """
     eps_grid = _noise_values(eps_grid)
     probe = displace(vacuum_state(1), 0, amplitude[0], amplitude[1])
     mean, cov = probe.mean, probe.cov
-    (m_corr, v_corr), (m_unc, v_unc), (m_unc2, v_unc2), (m_inc, v_inc) = (
+    (m_corr, v_corr), (m_unc, v_unc), (m_inc, v_inc) = (
         _outputs(_noise_axis(strategy, model), mean, cov, eps_grid)
-        for strategy in (
-            corrected_map,
-            _direct(0),
-            _direct(1),
-            incoherent_map,
-        )
+        for strategy in (corrected_map, _direct(0), incoherent_map)
     )
+    for tag, v in (("corrected", v_corr), ("uncorrected", v_unc)):
+        if np.max(v.diagonal(axis1=1, axis2=2)) > 0.5 * np.finfo(float).max:
+            raise ValueError(f"the {tag} variance in SNU is beyond the float range")
     nan = np.full(eps_grid.size, np.nan)
     cols = {
         "var_x_corr_snu": as_snu(v_corr[:, 0, 0]),
@@ -121,6 +120,7 @@ def coherent_sweep(model: ChannelModel, amplitude: tuple[float, float], eps_grid
     # Channel 2 can carry more noise than channel 1, which can exceed the
     # double range at the top of the finite noise axis; its variance is then inf.
     with np.errstate(over="ignore"):
+        m_unc2, v_unc2 = _outputs(_noise_axis(_direct(1), model), mean, cov, eps_grid)
         cols["var_x_uncorr2_snu"] = as_snu(v_unc2[:, 0, 0])
         cols["var_p_uncorr2_snu"] = as_snu(v_unc2[:, 1, 1])
         cols["fid_uncorr2"] = fidelity_moments(m_unc2, v_unc2, mean, cov)

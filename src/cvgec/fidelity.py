@@ -23,7 +23,8 @@ def fidelity_moments(mean_a, cov_a, mean_b, cov_b) -> np.ndarray:
     broadcast against each other.  Inputs are taken as valid states.
     Entries where a determinant or the mean term overflows, or where
     Lambda > Delta makes the difference of roots cancel, are recomputed by
-    :func:`_fidelity_logs`, so every finite input gives a finite value.
+    :func:`_fidelity_logs`, so every finite input gives a finite value, and
+    a state with an infinite variance has fidelity 0 with any finite state.
     """
     with np.errstate(all="ignore"):
         total = cov_a + cov_b
@@ -52,7 +53,8 @@ def _fidelity_logs(mean_a, cov_a, mean_b, cov_b) -> np.ndarray:
     sqrt(Delta + Lambda) - sqrt(Lambda) = Delta / (sqrt(Delta + Lambda) + sqrt(Lambda)).
     The mean term is 2 (zx^2 - 2 rho zx zp + zp^2) / (1 - rho^2) in the
     half difference scaled by H's standard deviations, with rho H's
-    correlation; a NaN there is an overflowed (infinite) term.
+    correlation; a NaN there is an overflowed (infinite) term.  A state
+    with an infinite variance gives 0.
     """
     half = 0.5 * cov_a + 0.5 * cov_b
     log_delta = _LOG_4 + _log_det(half)
@@ -65,7 +67,7 @@ def _fidelity_logs(mean_a, cov_a, mean_b, cov_b) -> np.ndarray:
     zp = (0.5 * mean_a[..., 1] - 0.5 * mean_b[..., 1]) / sp
     form = zx * zx - 2.0 * rho * zx * zp + zp * zp
     quad = 2.0 * np.where(np.isnan(form), np.inf, form) / (1.0 - rho * rho)
-    return np.exp(log_sum - log_delta - 0.5 * quad)
+    return np.where(np.isinf(sx) | np.isinf(sp), 0.0, np.exp(log_sum - log_delta - 0.5 * quad))
 
 
 def _log_det(m: np.ndarray) -> np.ndarray:

@@ -2,12 +2,12 @@
 and the trace CSV writer.
 
 This module regenerates quadrature time traces stage by stage from the
-engine's own maps, the two of :func:`cvgec.protocol.encoded_maps`: each
-stage is a row of the mirror-then-channel map or of the corrected map,
-evaluated on one sample per input of that map.  The independent check is
-``tests/montecarlo_oracle.py``, which writes the encode, channel and
-decode amplitude relations out by hand, draws the same streams and must
-match the trace sample by sample.
+engine's own maps, :func:`cvgec.protocol.encoded_maps`: the channel stages
+are rows of the mirror-then-channel map on one sample per input, and the
+decoder ports the mirror's rows on those channel samples.  The independent
+check is ``tests/montecarlo_oracle.py``, which writes the encode, channel
+and decode amplitude relations out by hand, draws the same streams and
+must match the trace sample by sample.
 
 Sampling draws every input of the maps as an independent normal stream
 (vacuum terms with variance 1/2, the noise inputs with their variances),
@@ -68,10 +68,10 @@ def sample_run(
     ``model``.
 
     Both splitters are the mirror of (c, -s) for the unit amplitude pair
-    ``pair`` = (c, s): the pi-flip ((c, -s), (-s, -c)), its own inverse.
-    Returns one record per (stage, quadrature), in CSV order.  A positive
-    ``modulation_period`` applies a sinusoidal displacement to the input
-    mean, for trace rendering only.
+    ``pair`` = (c, s): the pi-flip ((c, -s), (-s, -c)), its own inverse,
+    whose rows decode the channel samples.  Returns one record per (stage,
+    quadrature), in CSV order.  A positive ``modulation_period`` applies a
+    sinusoidal displacement to the input mean, for trace rendering only.
     """
     if n < 1:
         raise ValueError("need at least one shot")
@@ -90,17 +90,17 @@ def sample_run(
     phase = np.ones(n)
     if modulation_period > 0:
         phase = np.sin(2.0 * np.pi * np.arange(n) / modulation_period)
-    vac = 0.5
-    inputs = [a * phase + draw(vac) for a in amplitude] + [draw(vac), draw(vac)]
+    inputs = [a * phase + draw(0.5) for a in amplitude] + [draw(0.5), draw(0.5)]  # vacua
 
     # modes (signal, auxiliary); the mirror decodes too
     mirrored, channel = encoded_maps(model, 1, signal=(pair[0], -pair[1]))
     inputs += [draw(v) for v in channel.v]
     records = [TraceRecord(STAGES[0], q, inputs[k]) for k, q in enumerate("XP")]
-    for stages, m in ((STAGES[1:3], channel), (STAGES[3:], channel.then(mirrored))):
+    for stages, m in ((STAGES[1:3], channel), (STAGES[3:], mirrored)):
         rows = np.hstack([m.X, m.F])
         for row, (stage, q) in zip(rows, itertools.product(stages, "XP")):
             records.append(TraceRecord(stage, q, _combine(row, inputs)))
+        inputs = [r.samples for r in records[2:]]  # the channel samples
     return records
 
 

@@ -153,6 +153,39 @@ class TestCoherentSweep:
         with pytest.raises(ValueError, match="nonnegative"):
             entanglement_sweep(unit_model(1.0, 1.0, 0.0), 0.5, np.array([bad]))
 
+    # hypothesis's failure report warns on import; see pyproject.toml
+    @pytest.mark.filterwarnings(
+        "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-300.0, 300.0),
+        st.floats(0.0, 1.7e308),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2),
+        st.integers(1, 4),
+    )
+    def test_accepted_range_gives_valid_columns(self, log_g, eps_max, eta, xi, amplitude, steps):
+        g = 10.0**log_g
+        try:
+            series = coherent_sweep(
+                unit_model(g, eta, xi), amplitude, np.linspace(0.0, eps_max, steps)
+            ).series
+        except ValueError as exc:
+            # refused only where the corrected mode's 1 + 2 xi eps / (1 + g)
+            # SNU is beyond the double range
+            assert str(exc) == "the corrected variance in SNU is beyond the float range"
+            assert xi * eps_max / (1.0 + g) * 2.0 > 0.999 * np.finfo(float).max
+            return
+        for name in SWEEP_COLUMNS[1:]:
+            check = np.isnan if name.startswith("insep") else np.isfinite
+            assert np.all(check(series[name])), name
+        for name in ("var_x_uncorr2_snu", "var_p_uncorr2_snu"):
+            assert np.all(np.isfinite(series[name]) | (series[name] == np.inf)), name
+        for name in SWEEP_COLUMNS[5:8] + AUX_COLUMNS[3:]:
+            assert np.all((series[name] >= 0.0) & (series[name] <= 1.0)), name
+
 
 class TestEntanglementSweep:
     def test_ideal_correction_constant(self):

@@ -94,6 +94,27 @@ class TestSweepCoherent:
         assert 0.0 <= aux["fid_uncorr2"][1] < 1e-300
 
     @pytest.mark.filterwarnings("error")
+    def test_infinite_channel_2_variance_has_fidelity_zero(self, tmp_path):
+        out = tmp_path / "far.csv"
+        argv = ["sweep-coherent", "--eps-max", "1e300", "--eps-steps", "3", "--g-ratio", "1e-10"]
+        assert main(argv + ["--out", str(out)]) == 0
+        header, cols = read_csv(out)
+        assert all(np.all(np.isfinite(cols[name])) for name in header if "insep" not in name)
+        _, aux = read_csv(tmp_path / "far.csv.aux.csv")
+        # channel 2 carries eps / 1e-10, beyond the double range at eps > 0
+        assert list(aux["var_x_uncorr2_snu"]) == [1.0, np.inf, np.inf]
+        assert list(aux["fid_uncorr2"]) == [1.0, 0.0, 0.0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_corrected_variance_beyond_the_float_range_is_refused(self, tmp_path, capsys):
+        # the mismatch leaves 2 xi eps / (1 + g) SNU on the corrected mode
+        argv = ["sweep-coherent", "--eps-max", "1.7e308", "--xi", "0.9", "--g-ratio", "1e-10"]
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the corrected variance in SNU is beyond the float range\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
     def test_large_finite_noise_gives_finite_fidelities(self, tmp_path):
         out = tmp_path / "loud.csv"
         argv = ["sweep-coherent", "--eps-max", "1e200", "--eps-steps", "3", "--xi", "0.01"]
@@ -497,7 +518,7 @@ class TestTrace:
         out = tmp_path / "t.csv"
         argv = ["trace", "--eps", "25", "--n", "2000", "--seed", "12", "--out", str(out)]
         assert main(argv) == 0
-        assert sha256(out) == "14d64f9367f8a225250446259f9f64ba3e3e303fbf8fd08138b83c0e12e4184d"
+        assert sha256(out) == "d29309d2d712ac973488270e12bbf9628cb08afccbd14cf708debba71753cc76"
 
     def test_pinned_bytes_over_several_blocks(self, tmp_path):
         # 40000 shots: three row blocks, indices of 1 to 5 digits, own-noise
@@ -505,7 +526,7 @@ class TestTrace:
         out = tmp_path / "t.csv"
         argv = ["trace", "--n", "40000", "--xi", "0.02", "--modulation-period", "7"]
         assert main(argv + ["--seed", "5", "--out", str(out)]) == 0
-        assert sha256(out) == "60bfafabe84990192d373acb0402a9242d38b6d4d514de34f7d48f000ef7224b"
+        assert sha256(out) == "01bf2f6085cc0bb53e19e7e1d1e30dccd959d944319a54bbd6a58c7d0881e3e8"
 
     def test_pinned_bytes_of_a_config_drawing_every_stream_kind(self, tmp_path):
         # unequal eta, thermal noise, anti-correlated couplings (s < 0) and
@@ -518,7 +539,7 @@ class TestTrace:
         assert main(argv + ["--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
         assert manifest["extras"]["splitting"][1] < 0
-        assert sha256(out) == "5e5d8f1edbaccb0a1256ff6bd7085bff00cd9b411f5c73cb4095134454513886"
+        assert sha256(out) == "9d882a852251bf02b3750e5da11020b7039c8727416424fec6c40665b586755c"
 
     def test_corrected_stage_variance(self, tmp_path):
         out = tmp_path / "t.csv"

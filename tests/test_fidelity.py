@@ -125,6 +125,16 @@ class TestWideRange:
         far = np.array([1e308, -1e308])
         assert fidelity_moments(far, self.PROBE, -far, self.PROBE) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variances", [(np.inf, np.inf), (np.inf, 0.5), (2.0, np.inf)])
+    def test_infinite_variance_has_fidelity_zero(self, variances):
+        # the logarithmic form meets inf - inf here; the limit is 0
+        spread = np.diag(variances)
+        for other in (self.PROBE, np.diag([3.0, 1e300])):
+            for mean in (self.ZERO, np.array([1e300, -2.0])):
+                assert fidelity_moments(self.ZERO, spread, mean, other) == 0.0
+                assert fidelity_moments(mean, other, self.ZERO, spread) == 0.0
+
     def test_random_scales_stay_bounded_and_symmetric(self):
         rng = np.random.default_rng(43)
         for _ in range(200):

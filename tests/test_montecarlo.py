@@ -10,6 +10,7 @@ from cvgec.montecarlo import (
     sample_run,
     write_trace_csv,
 )
+from cvgec.patterns import mirror
 from cvgec.protocol import optimal_splitting_for
 
 from montecarlo_oracle import analytic_stage_moments, empirical_covariance, sample_by_hand
@@ -113,6 +114,17 @@ class TestAgainstHandRelations:
             want = expected[r.stage, r.quadrature]
             scale = np.max(np.abs(want))
             assert np.max(np.abs(r.samples - want)) <= 1e-14 * scale, (r.stage, r.quadrature)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_decoder_ports_are_the_mirror_on_the_channel_records(self, case):
+        model, kwargs = self.CASES[case]
+        c, s = pair = optimal_splitting_for(model)
+        records = by_stage(sample_run(model, pair, 2000, 14368707, **kwargs))
+        m = mirror((c, -s))
+        for i, stage in enumerate(("corrected", "discarded")):
+            for q in "XP":
+                ch1, ch2 = records["channel_1", q].samples, records["channel_2", q].samples
+                assert np.array_equal(records[stage, q].samples, m[i, 0] * ch1 + m[i, 1] * ch2)
 
     def test_input_records_are_the_first_streams_plus_the_mean(self):
         model, _ = self.CASES["xi 0"]
