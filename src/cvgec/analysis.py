@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelModel, NoiseSource, dump_channel_config, standard_two_channel
-from .fidelity import fidelity_moments
+from .fidelity import coherent_fidelity
 from .protocol import corrected_map, incoherent_map
 from .states import as_snu, displace, vacuum_state
 from .transforms import two_mode_squeezed
@@ -111,9 +111,9 @@ def coherent_sweep(model: ChannelModel, amplitude: tuple[float, float], eps_grid
         "var_p_corr_snu": as_snu(v_corr[:, 1, 1]),
         "var_x_uncorr_snu": as_snu(v_unc[:, 0, 0]),
         "var_p_uncorr_snu": as_snu(v_unc[:, 1, 1]),
-        "fid_corr": fidelity_moments(m_corr, v_corr, mean, cov),
-        "fid_uncorr": fidelity_moments(m_unc, v_unc, mean, cov),
-        "fid_incoh": fidelity_moments(m_inc, v_inc, mean, cov),
+        "fid_corr": coherent_fidelity(m_corr, v_corr, mean),
+        "fid_uncorr": coherent_fidelity(m_unc, v_unc, mean),
+        "fid_incoh": coherent_fidelity(m_inc, v_inc, mean),
         "insep_corr": nan,
         "insep_uncorr": nan,
     }
@@ -123,9 +123,9 @@ def coherent_sweep(model: ChannelModel, amplitude: tuple[float, float], eps_grid
         m_unc2, v_unc2 = _outputs(_noise_axis(_direct(1), model), mean, cov, eps_grid)
         cols["var_x_uncorr2_snu"] = as_snu(v_unc2[:, 0, 0])
         cols["var_p_uncorr2_snu"] = as_snu(v_unc2[:, 1, 1])
-        cols["fid_uncorr2"] = fidelity_moments(m_unc2, v_unc2, mean, cov)
-    cols["fid_corr_displaced"] = fidelity_moments(mean, v_corr, mean, cov)
-    cols["fid_uncorr_displaced"] = fidelity_moments(mean, v_unc, mean, cov)
+        cols["fid_uncorr2"] = coherent_fidelity(m_unc2, v_unc2, mean)
+    cols["fid_corr_displaced"] = coherent_fidelity(mean, v_corr, mean)
+    cols["fid_uncorr_displaced"] = coherent_fidelity(mean, v_unc, mean)
     metadata = {
         "sweep": "coherent",
         "channel": dump_channel_config(model).splitlines(),
@@ -228,7 +228,7 @@ def optimize_splitting(
     probe = displace(vacuum_state(1), 0, *PROBE_AMPLITUDE)
     mean, cov = x @ probe.mean, x @ probe.cov @ x.T + y0 + y1
     if objective == "fidelity":
-        return pair, -float(fidelity_moments(mean, cov, probe.mean, probe.cov))
+        return pair, -float(coherent_fidelity(mean, cov, probe.mean))
     return pair, as_snu(0.5 * (cov[0, 0] + cov[1, 1]) - 0.5)
 
 

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from cvgec.channel import ChannelModel, NoiseSource, channel_map
-from cvgec.fidelity import fidelity_moments
+from cvgec.fidelity import coherent_fidelity
 from cvgec.states import as_snu, displace, vacuum_state
 
 from state_oracle import tensor
@@ -146,7 +146,7 @@ def splitting_objective(
         added = np.einsum("jab,bc,jdc->jad", decoders, channel.Y, decoders)
         cov = rows @ state.cov @ np.swapaxes(rows, -1, -2) + added[None]
         if objective == "fidelity":
-            return -fidelity_moments(rows @ state.mean, cov, probe.mean, probe.cov)
+            return -coherent_fidelity(rows @ state.mean, cov, probe.mean)
         return as_snu(0.5 * (cov[..., 0, 0] + cov[..., 1, 1]) - 0.5)
 
     return score

@@ -11,13 +11,13 @@ says whether a pair of matrices (X, Y) is a valid Gaussian channel, and
 ``preparation`` turns a state into the pair that prepares it, so one check
 covers both; a map passes ``m.X, m.Y``.  ``squeeze`` is the single-mode
 squeezer block, which no command needs, and ``rotated_squeeze`` turns it
-to any axis, for random test states.  ``fidelity`` is the package's
-closed form on two single-mode states.
+to any axis, for random test states.  ``fidelity`` is the two-state
+Uhlmann closed form on single-mode states, written with numpy's linear
+algebra; the package computes only the overlap with a coherent probe.
 """
 
 import numpy as np
 
-from cvgec.fidelity import fidelity_moments
 from cvgec.states import GaussianState, _check_mode, _quad_indices
 from cvgec.transforms import _MAX_SQUEEZING
 
@@ -63,10 +63,20 @@ def rotated_squeeze(r: float, theta: float) -> np.ndarray:
 
 
 def fidelity(a: GaussianState, b: GaussianState) -> float:
-    """Fidelity between two single-mode Gaussian states, in [0, 1]."""
+    """Uhlmann fidelity between two single-mode Gaussian states.
+
+    With Delta = det(A + B) and Lambda = 4 (det A - 1/4)(det B - 1/4) for
+    covariances A, B in the vacuum-1/2 convention, and d the mean difference,
+    F = exp(-d^T (A + B)^{-1} d / 2) / (sqrt(Delta + Lambda) - sqrt(Lambda))
+    (Scutaru, J. Phys. A 31, 3659 (1998)).  For moderate moments only.
+    """
     if a.n_modes != 1 or b.n_modes != 1:
         raise ValueError("fidelity is implemented for single-mode states only")
-    return float(fidelity_moments(a.mean, a.cov, b.mean, b.cov))
+    total = a.cov + b.cov
+    d = a.mean - b.mean
+    delta = np.linalg.det(total)
+    lam = max(4.0 * (np.linalg.det(a.cov) - 0.25) * (np.linalg.det(b.cov) - 0.25), 0.0)
+    return float(np.exp(-0.5 * d @ np.linalg.solve(total, d)) / (np.sqrt(delta + lam) - np.sqrt(lam)))
 
 
 def add_noise(state: GaussianState, noise_cov) -> GaussianState:

@@ -25,7 +25,7 @@ from cvgec.analysis import (
 )
 from cvgec.channel import ChannelModel, NoiseSource, standard_two_channel
 from cvgec.montecarlo import sample_run
-from cvgec.fidelity import fidelity_moments
+from cvgec.fidelity import coherent_fidelity
 from cvgec.protocol import (
     ProtocolConfig,
     corrected_channel,
@@ -126,7 +126,7 @@ class TestCoherentSweep:
         probe = displace(vacuum_state(1), 0, 2.0, 0.0)
         var_snu = 1.0 + 2.0 * g + 2.0 * xi * GRID
         covs = 0.5 * var_snu[:, None, None] * np.eye(2)
-        expected = fidelity_moments(np.sqrt(eta) * probe.mean, covs, probe.mean, probe.cov)
+        expected = coherent_fidelity(np.sqrt(eta) * probe.mean, covs, probe.mean)
         assert np.allclose(res.series["fid_incoh"], expected, rtol=1e-12, atol=0.0)
 
     def test_dominance_over_incoherent(self):
@@ -303,10 +303,12 @@ class TestVectorisedSweeps:
         states = [random_physical_state(rng) for _ in range(6)]
         means = np.array([s.mean for s in states])
         covs = np.array([s.cov for s in states])
-        stacked = fidelity_moments(means, covs, states[0].mean, states[0].cov)
+        probe = displace(vacuum_state(1), 0, 0.7, -1.1)
+        stacked = coherent_fidelity(means, covs, probe.mean)
         assert stacked.shape == (6,)
         for k, s in enumerate(states):
-            assert stacked[k] == fidelity(s, states[0])
+            assert stacked[k] == coherent_fidelity(s.mean, s.cov, probe.mean)
+            assert stacked[k] == pytest.approx(fidelity(s, probe), rel=1e-12)
 
 
 class TestBreakingPoint:
