@@ -13,11 +13,11 @@ at any downstream beam splitter: independent noise
 xi * sum_s variance_s c_s[i]^2 on each channel.  :func:`channel_map` is
 the whole stage as one affine Gaussian map whose added noise is three kinds
 of independent input per quadrature: per channel, the loss and thermal
-noise (1 - eta_i)(1/2 + n_i) and the non-interfering noise; per source, the
-column c_s of interfering variance (1 - xi) variance_s.  The columns depend
-on the couplings alone, and every variance enters only its own input.  The
-total per-channel excess is independent of xi, only its split between the
-two parts changes.
+noise (1 - x_i^2)(1/2 + n_i) for the applied amplitude x_i = sqrt(eta_i),
+and the non-interfering noise; per source, the column c_s of interfering
+variance (1 - xi) variance_s.  The columns depend on the couplings alone,
+and every variance enters only its own input.  The total per-channel excess
+is independent of xi, only its split between the two parts changes.
 """
 
 from __future__ import annotations
@@ -122,13 +122,15 @@ def channel_map(model: ChannelModel, modes, n_modes: int) -> GaussianMap:
     if len(modes) != model.n_channels:
         raise ValueError("mode assignment length must equal n_channels")
 
-    x = embed(np.diag(np.repeat(np.sqrt(model.eta), 2)), modes, n_modes)
+    amplitude = np.sqrt(model.eta)
+    x = embed(np.diag(np.repeat(amplitude, 2)), modes, n_modes)
     xi = model.mismatch
     # non-interfering variance per channel
     own = sum((xi * src.variance * src.coupling**2 for src in model.sources), np.zeros(len(modes)))
     eye = np.eye(model.n_channels)
     columns = np.column_stack([eye, eye, *(src.coupling for src in model.sources)])
-    loss = (1.0 - model.eta) * (VACUUM_VARIANCE + model.thermal)
+    # a beam splitter's vacuum (thermal) port: the complement of the amplitude
+    loss = (1.0 - amplitude * amplitude) * (VACUUM_VARIANCE + model.thermal)
     variances = np.concatenate([loss, own, [(1.0 - xi) * src.variance for src in model.sources]])
     f = np.zeros((2 * n_modes, 2 * len(variances)))
     f[_quad_indices(modes)] = np.kron(columns, np.eye(2))

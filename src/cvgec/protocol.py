@@ -8,6 +8,8 @@ coupling, unless given.  For two channels its mirror is the paper's pi-flip
 splitter at T = g2 / (g1 + g2): the shared noise exits the discarded port
 and the signal sees pure loss at any noise variance, each source reaching
 it as the one dot product u . c, an input whose variance stays its own.
+What all channels share passes the mirror pair as it is, so at equal loss
+and thermal noise the signal's amplitude and loss are exact, bit for bit.
 
 The "uncorrected" reference, direct transmission through channel k, is
 the same map with the signal along e_k, the scheme at full transmission:
@@ -76,11 +78,23 @@ def optimal_splitting_for(model: ChannelModel) -> tuple[float, float]:
 def corrected_map(
     model: ChannelModel, n_modes: int, signal_mode: int = 0, signal=None
 ) -> GaussianMap:
-    """Encode, transmit, decode: the second map of :func:`encoded_maps`
-    followed by the first.  With no mismatch, equal loss eta and no thermal
-    noise, the protected mode sees pure loss eta at any source variance."""
-    mirrored, channel = encoded_maps(model, n_modes, signal_mode, signal)
-    return channel.then(mirrored)
+    """Encode, transmit, decode: M D M for the mirror M and the channel D.
+
+    As M M = I, what every channel shares passes as it is: X = A + M (D - A) M
+    with A = a I on the carriers, a the smallest amplitude, and the smallest
+    loss variance l enters each carrier quadrature directly, l_i - l via M.
+    So with no mismatch and equal loss and thermal noise, the protected mode
+    sees that lossy channel bit for bit, plus each source's rounding leak
+    (u . c)^2 times its variance."""
+    mirrored, sent = encoded_maps(model, n_modes, signal_mode, signal)
+    m, k = mirrored.X, 2 * model.n_channels
+    loss = sent.F[:, :k]  # the channel's loss inputs, each along its carrier quadrature
+    x = np.sqrt(model.eta)
+    spread = (loss * np.repeat(x - x.min(), 2)) @ loss.T  # D - A
+    shared = np.diag(np.where(loss.any(axis=1), x.min(), 1.0))
+    l = np.min(sent.v[:k])
+    v = np.concatenate([np.full(k, l), sent.v[:k] - l, sent.v[k:]])
+    return GaussianMap(shared + m @ spread @ m, np.hstack([loss, m @ sent.F]), v)
 
 
 def encoded_maps(

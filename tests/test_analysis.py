@@ -23,7 +23,7 @@ from cvgec.analysis import (
     optimize_splitting,
     write_sweep_csv,
 )
-from cvgec.channel import ChannelModel, NoiseSource, standard_two_channel
+from cvgec.channel import ChannelModel, NoiseSource, channel_map, standard_two_channel
 from cvgec.montecarlo import sample_run
 from cvgec.fidelity import coherent_fidelity
 from cvgec.protocol import (
@@ -38,6 +38,7 @@ from cvgec.states import GaussianState, as_snu, displace, vacuum_state
 from cvgec.transforms import two_mode_squeezed
 
 import breaking_oracle
+import mp_oracle
 from splitting_oracle import (
     amplitudes,
     golden_section,
@@ -185,6 +186,42 @@ class TestCoherentSweep:
             assert np.all(np.isfinite(series[name]) | (series[name] == np.inf)), name
         for name in SWEEP_COLUMNS[5:8] + AUX_COLUMNS[3:]:
             assert np.all((series[name] >= 0.0) & (series[name] <= 1.0)), name
+
+
+class TestAgainstTheMpOracle:
+    """``coherent_sweep`` cells against the 50-digit amplitude relations of
+    ``mp_oracle``, for the channel built: its amplitude is x = fl(sqrt(eta)),
+    so the oracle's transmissivity is x^2, taken exactly.  A variance is
+    within VAR_ULPS ulp of the oracle.  A fidelity F is within
+    FID_ULPS (1 + |ln F|) ulp: F = exp(-q / 2) / sqrt(det H) turns the few
+    ulp of q and det H into |ln F| times as many."""
+
+    VAR_ULPS = 8.0
+    FID_ULPS = 8.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-12.0, 12.0),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(0.0, 1e15),
+        st.tuples(*[st.floats(-10.0, 10.0)] * 2),
+        st.integers(1, 3),
+    )
+    def test_cells_match_the_oracle(self, log_g, eta, xi, eps_max, amplitude, steps):
+        g, ulp = 10.0**log_g, np.finfo(float).eps
+        grid = np.linspace(0.0, eps_max, steps)
+        series = coherent_sweep(unit_model(g, eta, xi), amplitude, grid).series
+        built = mp_oracle.MP.mpf(np.sqrt(eta)) ** 2
+        for k, eps in enumerate(grid):
+            for name, want in mp_oracle.coherent_cells(g, built, xi, eps, amplitude).items():
+                got = series[name][k]
+                error = abs(mp_oracle.MP.mpf(got) / want - 1)
+                if name.startswith("fid"):
+                    bound = self.FID_ULPS * (1 + abs(float(mp_oracle.MP.log(want))))
+                else:
+                    bound = self.VAR_ULPS
+                assert error <= bound * ulp, (name, eps, got, want)
 
 
 class TestEntanglementSweep:
@@ -551,8 +588,7 @@ class TestExactCancellation:
     def test_coherent_variance_stays_pure_loss(self, g_ratio, eta):
         series = coherent_sweep(unit_model(g_ratio, eta, 0.0), (2.0, 0.0), self.GRID).series
         for name in ("var_x_corr_snu", "var_p_corr_snu"):
-            assert np.all(np.diff(series[name]) >= 0.0), name
-            assert np.all(np.abs(series[name] - 1.0) <= 1e-15), name
+            assert np.all(series[name] == 1.0), name
 
     @pytest.mark.parametrize("eta", [1.0, 0.8])
     @pytest.mark.parametrize("g_ratio", G_RATIOS)
@@ -564,7 +600,28 @@ class TestExactCancellation:
         # the noise adds nothing beyond 1e-15 SNU; the noiseless value rounds
         # a few ulp of cosh 2r in the squeezing weights
         assert np.all(np.abs(insep - insep[0]) <= 1e-15 * max(insep[0], 1.0))
-        assert insep[0] == pytest.approx(self.pure_loss_duan(r, eta), rel=1e-14, abs=0.0)
+        assert insep[0] == pytest.approx(self.pure_loss_duan(r, eta), rel=1e-15, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-300.0, 300.0),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.floats(0.0, 1e15),
+        st.tuples(*[st.floats(-1e3, 1e3)] * 2),
+    )
+    def test_corrected_channel_is_exactly_pure_loss(self, log_g, eta, eps_max, amplitude):
+        # the mirror passes the shared amplitude and loss as they are, and a
+        # loss input is the complement of the amplitude applied: at eps = 0
+        # the corrected signal map is the one-channel loss map bit for bit,
+        # and no corrected variance falls below the vacuum at any noise level
+        model = unit_model(10.0**log_g, eta, 0.0)
+        x, y0, _ = _noise_axis(corrected_map, model)
+        loss = channel_map(ChannelModel(1, eta), (0,), 1)
+        assert np.array_equal(x, loss.X)
+        assert np.array_equal(y0, loss.Y)
+        series = coherent_sweep(model, amplitude, np.linspace(0.0, eps_max, 4)).series
+        for name in ("var_x_corr_snu", "var_p_corr_snu", "var_x_uncorr_snu", "var_p_uncorr_snu"):
+            assert np.all(series[name] >= 1.0), name
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-300.0, 300.0), st.floats(0.01, 1.0), st.floats(0.0, 0.99))

@@ -60,7 +60,19 @@ class TestApplyChannel:
     def test_pure_loss_equals_vacuum_on_vacuum(self):
         model = ChannelModel(2, [0.3, 0.9], 0.0)
         out = through_channel(vacuum_state(2), (0, 1), model)
-        assert np.allclose(out.cov, vacuum_state(2).cov, atol=1e-15)
+        assert np.array_equal(out.cov, vacuum_state(2).cov)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True))
+    def test_loss_is_a_beam_splitter_with_a_vacuum_port(self, eta):
+        # the loss input is the complement (1 - x^2) / 2 of the amplitude x
+        # the stage applies, not (1 - eta) / 2: a vacuum stays the vacuum, bit
+        # for bit, where x^2 / 2 + (1 - eta) / 2 falls an ulp short
+        m = channel_map(ChannelModel(1, eta), (0,), 1)
+        x = np.sqrt(eta)
+        assert np.array_equal(m.X, x * np.eye(2))
+        assert np.array_equal(m.v[:2], np.full(2, (1.0 - x * x) * 0.5))
+        assert np.array_equal(m.apply(vacuum_state(1)).cov, vacuum_state(1).cov)
 
     def test_thermal_environment(self):
         model = ChannelModel(1, 0.6, 2.0)

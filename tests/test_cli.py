@@ -11,6 +11,7 @@ import pytest
 from cvgec.cli import main
 from cvgec.patterns import mirror
 
+from mp_oracle import MP, duan_number, signal_map
 from network_oracle import read_plan
 from splitting_oracle import pi_flip
 
@@ -123,9 +124,9 @@ class TestSweepCoherent:
         for name in ("fid_corr", "fid_uncorr", "fid_incoh"):
             assert np.all((cols[name] >= 0.0) & (cols[name] <= 1.0))
             assert np.all(cols[name][1:] < 1e-190)
-        # exact pin of the protected-mode encoder's bytes; the transmissivity
-        # splitters wrote 1 here
-        assert cols["fid_corr"][0] == 0.99999999999999978
+        # exact: the mirror passes the shared amplitude and loss as they are,
+        # so the noiseless corrected channel is the identity
+        assert cols["fid_corr"][0] == 1.0
 
     def test_zero_steps_is_usage_error(self, tmp_path, capsys):
         code = main(["sweep-coherent", "--eps-steps", "0", "--out", str(tmp_path / "x.csv")])
@@ -144,9 +145,11 @@ class TestSweepCoherent:
         argv = ["sweep-coherent", "--g-ratio", "0.61", "--eta", "0.9", "--xi", "0"]
         argv += ["--amplitude", "1.5", "-0.5", "--eps-steps", "21", "--out", str(out)]
         assert main(argv) == 0
-        assert sha256(out) == "b4afb2550f2c14d3b77f7d2f7cd01ff89bf18a4a3c57afaac0290a3b5d4079f2"
+        # re-recorded when the loss input became the complement of the applied
+        # amplitude and the mirror stopped conjugating the shared loss
+        assert sha256(out) == "becd968ca8e3b4774531b0ee982a7c09b1b035356eaf4593f966865bbf103249"
         aux = tmp_path / "c.csv.aux.csv"
-        assert sha256(aux) == "32161712532690a5e36c79567b9a1c3ec71a0e21b7cfba03ea2aab0cca894d27"
+        assert sha256(aux) == "4a807fc83c2835681f4994edcb8f35e2079a8df1a73f277cd7c6f5f312418671"
 
     def test_byte_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -425,8 +428,17 @@ class TestPureLossAtLargeNoise:
         assert main(argv + ["--out", str(out)]) == 0
         _, cols = read_csv(out)
         for q in ("x", "p"):
-            assert np.all(np.abs(cols[f"var_{q}_corr_snu"] - 1.0) <= 1e-15)
-            assert cols[f"var_{q}_corr_snu"][1] == cols[f"var_{q}_corr_snu"][0]
+            assert cols[f"var_{q}_corr_snu"].tolist() == [1.0, 1.0]
+
+    def test_lossy_vacuum_stays_the_vacuum(self, tmp_path):
+        # a loss input is the complement of the amplitude applied, so at eps 0
+        # both strategies write exactly the vacuum at eta 0.8
+        out = tmp_path / "c.csv"
+        assert main(["sweep-coherent", "--eta", "0.8", "--eps-steps", "2", "--out", str(out)]) == 0
+        _, cols = read_csv(out)
+        for q in ("x", "p"):
+            assert cols[f"var_{q}_corr_snu"].tolist() == [1.0, 1.0]
+            assert cols[f"var_{q}_uncorr_snu"][0] == 1.0
 
     @pytest.mark.parametrize("g_ratio", ["0.05", "0.3", "0.61", "1", "2.7", "17"])
     def test_inseparability_is_the_noiseless_one(self, tmp_path, capsys, g_ratio):
@@ -437,14 +449,19 @@ class TestPureLossAtLargeNoise:
         _, cols = read_csv(out)
         insep = cols["insep_corr"]
         assert insep[1] >= insep[0]
-        assert insep == pytest.approx(0.48402711047170011, rel=1e-15, abs=0.0)
+        # the noiseless value of the channel built, whose amplitude is
+        # x = fl(sqrt(0.8)) and whose loss input is (1 - x^2) / 2, at 50 digits
+        amplitude, noise = signal_map(g_ratio, MP.mpf(np.sqrt(0.8)) ** 2, 0.0, 0.0, "corrected")
+        assert insep[0] == pytest.approx(float(duan_number(amplitude, noise, 1.0)), rel=1e-15)
+        # the noise adds the leak fl(u . c)^2 var eps alone
+        assert insep[1] == pytest.approx(insep[0], rel=1e-15, abs=0.0)
         if g_ratio == "2.7":
-            assert insep.tolist() == [0.48402711047170011] * 2
+            assert insep.tolist() == [0.4840271104717002, 0.4840271104717003]
 
     def test_optimized_variance_adds_no_noise(self, capsys):
         argv = ["optimize", "--g1", "1e-12", "--g2", "1", "--eps", "1e6"]
         assert main(argv + ["--objective", "variance"]) == 0
-        assert abs(json.loads(capsys.readouterr().out)["objective_value"]) <= 1e-15
+        assert json.loads(capsys.readouterr().out)["objective_value"] == 0.0
 
     @pytest.mark.filterwarnings("error")
     def test_fidelity_at_the_top_of_the_noise_range_is_one(self, capsys):
@@ -474,11 +491,12 @@ class TestSweepEntangle:
         argv = ["sweep-entangle", "--r", "0.7", "--g-ratio", "0.8", "--eta", "0.85"]
         argv += ["--xi", "0.02", "--eps-steps", "21", "--out", str(out)]
         assert main(argv) == 0
-        assert sha256(out) == "64162120deb41c293e453a8ddd9e05c1e597866c4e2d07e36f51a8b261423d15"
+        # re-recorded with the loss input the complement of the applied amplitude
+        assert sha256(out) == "b4006b43dd1b5737e03e6273f76e2732a22ca7ad4a0d47430bb001abd643ca4b"
         printed = capsys.readouterr().out
-        assert printed == "uncorrected breaking point: 1.7000000000000002 SNU\n"
+        assert printed == "uncorrected breaking point: 1.7000000000000004 SNU\n"
         manifest = json.loads((tmp_path / "e.csv.manifest.json").read_text())
-        assert manifest["extras"]["uncorrected_breaking_point_snu"] == 1.7000000000000002
+        assert manifest["extras"]["uncorrected_breaking_point_snu"] == 1.7000000000000004
         assert "uncorrected_breaking_point_snu" not in manifest["extras"]["metadata"]
         assert manifest["extras"]["metadata"]["channel"][3] == "mismatch 0.02"
 
@@ -539,7 +557,9 @@ class TestTrace:
         assert main(argv + ["--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
         assert manifest["extras"]["splitting"][1] < 0
-        assert sha256(out) == "9d882a852251bf02b3750e5da11020b7039c8727416424fec6c40665b586755c"
+        # re-recorded when the loss streams took the variance (1 - x^2)(1/2 + n)
+        # of the applied amplitude x; the input records kept their bytes
+        assert sha256(out) == "b29dfedb9e3bb6d30efde2ebdb8d79d43a4dfcb1e2b83b836d45ed17d289c75f"
 
     def test_corrected_stage_variance(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -713,8 +733,8 @@ def strict_json(text):
 #: TestOptimize.test_pinned_numbers.
 OPTIMIZE_PINS = {
     ("variance", "0.61"): ("0x1.3e032e1c9f01ap-1", "0x1.3e032e1c9f01ap-1", "0x0.0p+0"),
-    ("variance", "1.6"): ("0x1.69bad2864840dp-2", "0x1.69bad2864840dp-2", "0x1.6fe1f21af4c50p-2"),
-    ("variance", "1.3"): ("0x1.638e293e15ccbp-2", "0x1.638e293e15ccbp-2", "0x1.66124b6c76178p-2"),
+    ("variance", "1.6"): ("0x1.69bad2864840dp-2", "0x1.69bad2864840dp-2", "0x1.6fe1f21af4c54p-2"),
+    ("variance", "1.3"): ("0x1.638e293e15ccbp-2", "0x1.638e293e15ccbp-2", "0x1.66124b6c7617cp-2"),
     ("variance", "1e-12"): ("0x1.fffffffffe380p-1", "0x1.fffffffffe380p-1", "0x1.7317fffffeb58p+17"),
     ("variance", "0.8"): ("0x1.34b7a2575d550p-1", "0x1.34b7a2575d550p-1", "0x1.26bad4a635dc0p-6"),
     ("fidelity", "0.61"): ("0x1.3e032e1c9f01ap-1", "0x1.3e032e1c9f01ap-1", "-0x1.0000000000000p+0"),
@@ -815,7 +835,9 @@ class TestOptimize:
     )
     def test_pinned_numbers(self, capsys, objective, g1, g2, xi, eta, eps):
         # the printed numbers, exactly, as recorded once the objective was
-        # read off the noise axis of independent noise inputs; at eta = 0.05
+        # read off the noise axis of independent noise inputs (the variances
+        # at eta = 0.8 and 0.3 again once the loss input became the complement
+        # of the applied amplitude); at eta = 0.05
         # the fidelity optimum leaves the noise-cancelling pair.  The rest of
         # the JSON echoes the manifest, whose keys alone are checked here
         argv = ["optimize", "--g1", g1, "--g2", g2, "--xi", xi, "--eta", eta, "--eps", eps]
