@@ -91,9 +91,9 @@ def corrected_map(
     loss = sent.F[:, :k]  # the channel's loss inputs, each along its carrier quadrature
     x = np.sqrt(model.eta)
     spread = (loss * np.repeat(x - x.min(), 2)) @ loss.T  # D - A
-    shared = np.diag(np.where(loss.any(axis=1), x.min(), 1.0))
-    l = np.min(sent.v[:k])
-    v = np.concatenate([np.full(k, l), sent.v[:k] - l, sent.v[k:]])
+    shared = np.diag(np.where(loss.any(axis=1), x.min(), 1.0))  # A
+    floor = np.min(sent.v[:k])  # l
+    v = np.concatenate([np.full(k, floor), sent.v[:k] - floor, sent.v[k:]])
     return GaussianMap(shared + m @ spread @ m, np.hstack([loss, m @ sent.F]), v)
 
 
