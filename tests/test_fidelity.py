@@ -8,18 +8,27 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cvgec.fidelity import _fidelity_logs, coherent_fidelity
+from cvgec.fidelity import coherent_fidelity
 from cvgec.states import displace, vacuum_state
 from cvgec.transforms import GaussianMap
 
 import mp_oracle
 from fock_oracle import fidelity_fock_states
 from network_oracle import phase_shift
-from state_oracle import add_noise, fidelity, rotated_squeeze, squeeze
+from state_oracle import add_noise, direct_overlap, fidelity, rotated_squeeze, squeeze
 from test_states import random_physical_state
 
 VAC = 0.5 * np.eye(2)
 ZERO = np.zeros(2)
+
+
+def rotated_covariances(v_major, v_minor, theta):
+    """R diag(v_major, v_minor) R^T for stacks of variances and angles."""
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    diag = np.zeros(rot.shape)
+    diag[..., 0, 0], diag[..., 1, 1] = v_major, v_minor
+    return rot @ diag @ np.swapaxes(rot, -1, -2)
 
 
 def wigner_overlap(pure, mixed, half_width=12.0, points=801):
@@ -153,32 +162,60 @@ class TestWideRange:
             alpha = rng.normal(size=2) * 10.0 ** rng.uniform(0, 300)
             assert 0.0 <= coherent_fidelity(mean, scale * a.cov, alpha) <= 1.0
 
-    def test_logarithmic_form_matches_direct_form(self):
-        rng = np.random.default_rng(44)
-        for _ in range(100):
-            a = random_physical_state(rng)
-            alpha = rng.normal(scale=2.0, size=2)
-            direct = coherent_fidelity(a.mean, a.cov, alpha)
-            assert _fidelity_logs(a.mean, a.cov, alpha) == pytest.approx(direct, rel=1e-9)
+    def test_scaled_form_is_the_direct_form_bit_for_bit(self):
+        # thermal squeezed states with variances up to 1e158, probes up to
+        # 1e200: wherever the unscaled form stays in the normal double
+        # range, the power-of-two scaling changes no bit
+        rng = np.random.default_rng(45)
+        n = 20000
+        r = rng.uniform(0.0, 10.0, n)
+        thermal = 10.0 ** rng.uniform(0.0, 150.0, n)
+        cov = rotated_covariances(
+            thermal * np.exp(2 * r) / 2, thermal * np.exp(-2 * r) / 2, rng.uniform(0, np.pi, n)
+        )
+        alpha = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-2.0, 200.0, (n, 1))
+        spread = np.sqrt(np.diagonal(cov, axis1=1, axis2=2)) * 10.0 ** rng.uniform(-3, 1.5, (n, 1))
+        mean = alpha + rng.normal(size=(n, 2)) * spread
+        with np.errstate(all="ignore"):
+            want = direct_overlap(mean, cov, alpha)
+        normal = (want >= np.finfo(float).tiny) & (want < np.inf)
+        assert normal.sum() > n // 2
+        got = coherent_fidelity(mean, cov, alpha)
+        assert np.array_equal(got[normal], np.minimum(want[normal], 1.0))
+
+    def test_near_singular_squeezed_states_stay_near_zero(self):
+        # rotated squeezed vacua whose correlation rounds to +-1, so that det H
+        # rounds to 0, below it or to noise; H >= I / 2 for any state, so
+        # F <= sqrt(2 / max(h_xx, h_pp)), below 1e-8 for all of them (the
+        # rounded entries themselves may hold no state, and pass it a little)
+        rng = np.random.default_rng(46)
+        r = rng.uniform(20.0, 350.0, 20000)
+        cov = rotated_covariances(np.exp(2 * r) / 2, np.exp(-2 * r) / 2, rng.uniform(0, np.pi, r.size))
+        f = coherent_fidelity(rng.uniform(-3.0, 3.0, (r.size, 2)), cov, ZERO)
+        h = cov + VAC
+        bound = np.sqrt(2.0 / np.maximum(h[:, 0, 0], h[:, 1, 1]))
+        assert bound.max() < 1e-8
+        assert np.all(f <= 1e-8)
 
     def test_determinant_near_the_double_maximum_stays_direct(self):
         # det cov = 1e308: 4 det cov overflows, det H = (1e154 + 1/2)^2 does not,
-        # so the direct form holds, and the logarithmic one agrees with it
+        # so the direct form holds
         cov = 1e154 * np.eye(2)
         h = 1e154 + 0.5
         assert coherent_fidelity(ZERO, cov, ZERO) == 1.0 / math.sqrt(h * h)
         mean = np.array([3e76, -4e76])  # d^T H^{-1} d = 2.5e153 / 1e154 = 0.25
         expected = math.exp(-0.125) / h
         assert coherent_fidelity(mean, cov, ZERO) == pytest.approx(expected, rel=4e-16)
-        assert _fidelity_logs(mean, cov, ZERO) == pytest.approx(expected, rel=1e-13)
 
 
 class TestAgainstTheMpOracle:
     """The overlap against ``mp_oracle.coherent_overlap`` at 50 digits, over
-    variances up to 1e308 and means far beyond them, correlations up to
-    |rho| = 0.9.  The bound is ULPS (1 + |ln F|) ulp, since a few ulp of the
-    mean term and of log det H become |ln F| times as many in F; a value
-    below the double range may round to 0."""
+    variances up to 1e308 and means far beyond them.  Up to |rho| = 0.9 the
+    bound is ULPS (1 + |ln F|) ulp, since a few ulp of the mean term and of
+    log det H become |ln F| times as many in F; a value below the double
+    range may round to 0.  From |rho| = 0.9 to 1 - |rho| = 10^-15.5, det H
+    cancels, and the bound takes its condition number
+    kappa = h_xx h_pp / det H as a further factor."""
 
     ULPS = 8.0
 
@@ -191,6 +228,23 @@ class TestAgainstTheMpOracle:
         st.tuples(*[st.floats(-1e300, 1e300)] * 2),
     )
     def test_matches_the_oracle(self, log_vx, spread, rho, z, alpha):
+        self.check(log_vx, spread, rho, z, alpha, conditioned=False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-0.5, 307.0),
+        st.floats(0.0, 1.0),
+        st.floats(-15.5, -1.0),
+        st.sampled_from([-1.0, 1.0]),
+        st.tuples(*[st.floats(-40.0, 40.0)] * 2),
+        st.tuples(*[st.floats(-1e300, 1e300)] * 2),
+    )
+    def test_matches_the_oracle_near_singular(self, log_vx, spread, log_gap, sign, z, alpha):
+        rho = sign * (1.0 - 10.0**log_gap)
+        self.check(log_vx, spread, rho, z, alpha, conditioned=True)
+
+    def check(self, log_vx, spread, rho, z, alpha, conditioned):
+        mp = mp_oracle.MP
         vx = 10.0**log_vx
         # the p variance makes det cov = vx vp (1 - rho^2) at least 1/4
         low = math.log10(0.25 / (vx * (1.0 - rho * rho)))
@@ -203,8 +257,14 @@ class TestAgainstTheMpOracle:
         mean = alpha + np.array(z) * np.sqrt([vx, vp])
         want = mp_oracle.coherent_overlap(mean, cov, alpha)
         got = coherent_fidelity(mean, cov, alpha)
-        bound = self.ULPS * (1 + abs(float(mp_oracle.MP.log(want)))) * np.finfo(float).eps
-        assert abs(mp_oracle.MP.mpf(got) - want) <= bound * want + np.finfo(float).tiny
+        bound = self.ULPS * (1 + abs(float(mp.log(want)))) * np.finfo(float).eps
+        if conditioned:
+            # the rounded entries may leave no state at all; skip those
+            det_cov = mp.mpf(vx) * mp.mpf(vp) - mp.mpf(off) ** 2
+            assume(det_cov >= mp.mpf(1) / 4)
+            hx, hp = mp.mpf(vx) + mp.mpf(1) / 2, mp.mpf(vp) + mp.mpf(1) / 2
+            bound *= float(hx * hp / (hx * hp - mp.mpf(off) ** 2))
+        assert abs(mp.mpf(got) - want) <= bound * want + np.finfo(float).tiny
 
 
 class TestFockTruncationAgreement:
