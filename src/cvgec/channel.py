@@ -215,6 +215,11 @@ def parse_channel_config(text: str) -> ChannelModel:
             raise ValueError(f"bad channel config line {lineno}: {raw!r}") from exc
     if n_channels is None:
         raise ValueError("channel config is missing n_channels")
+    try:
+        # the commands build 2C x 2C mode matrices; the probe touches no memory
+        np.empty((2 * max(n_channels, 0),) * 2)
+    except (MemoryError, ValueError):
+        raise ValueError(f"n_channels {n_channels} is more than an array can hold") from None
     if eta is None:
         eta = np.ones(n_channels)
     if thermal is None:

@@ -8,8 +8,9 @@ It is 1 exactly on the probe itself.  The closed form runs on D H D and D d,
 D = diag(2^-kx, 2^-kp) with k half the binary exponent of each diagonal
 entry of H, and F is that value times 2^-(kx + kp).  Powers of two commute
 with rounding, so the scaled form is bit for bit the direct one wherever
-the direct one neither overflows nor underflows, and with D H D of order 1
-it holds at every finite scale.  Multimode fidelity is out of scope.
+the direct one neither overflows nor underflows; D H D has its diagonal in
+[1/2, 2), so above that range nothing overflows.  Multimode fidelity is out
+of scope.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ def coherent_fidelity(mean, cov, alpha) -> np.ndarray:
     """Overlap of stacked single-mode states with coherent states, in [0, 1].
 
     ``mean`` and the probe mean ``alpha`` have shape (..., 2), ``cov``
-    (..., 2, 2); they broadcast.  A mean term that overflows (NaN in the
-    scaled form) counts as infinite, so F is 0, and so it is for a state
-    with an infinite variance.  Where det H <= 0, H is not positive definite
-    in double precision and F is 0: a physical state has H >= I / 2, so
-    F <= sqrt(2 / max(h_xx, h_pp)), which such a state (a squeezed state
-    whose correlation rounds to +-1) keeps far below any double it could
-    print.  No finite input gives NaN.
+    (..., 2, 2); they broadcast.  F is 0 for a mean term that overflows (NaN
+    in the scaled form, counted as infinite), for an infinite variance (an
+    infinite det H) and where det H <= 0, H not positive definite in double
+    precision.  A state has H >= I / 2, so F <= sqrt(2 / max(h_xx, h_pp)),
+    and det H rounds to 0 only where both variances pass about 1e14: that 0
+    stands for an F below about 1e-7.  No finite input gives NaN.
     """
     with np.errstate(all="ignore"):
         h = cov + VACUUM_VARIANCE * np.eye(2)

@@ -1,49 +1,29 @@
 """Numeric entanglement breaking-point search, kept as an oracle.
 
-Builds the protocol's map once per noise level and applies it to a
-two-mode squeezed vacuum at each trial squeezing, so it shares nothing
-with the closed form in ``cvgec.analysis`` beyond the channel model: the
-corrected map composes the noise-cancelling splitter pair with the channel
-map here, as ``splitting_oracle`` does, and the uncorrected one places the
-signal on channel 1 of the channel map, as ``map_reference`` does.
-The inseparability infimum over r is a golden-section search; the
-breaking point is found by doubling to a bracket (capped at
-``eps_limit``) and then bisecting, or by a 101-point scan of the bracket
-with linear interpolation.  The noise shifts the inseparability by the
-same amount at every r, so each search of one configuration probes the
-same trial squeezings; the trial input states are cached by r.
+The inseparability of a two-mode squeezed vacuum whose mode 1 takes the
+protocol is ``mp_oracle.duan_number`` on the 50-digit signal map
+``mp_oracle.signal_map``, rounded once to a double, so the oracle shares
+nothing with the package: no channel map, no covariance entries of size
+cosh(2r) / 2 to difference, no closed form.  The inseparability infimum
+over r is a golden-section search; the breaking point is found by
+doubling to a bracket (capped at ``eps_limit``) and then bisecting, or by
+a 101-point scan of the bracket with linear interpolation.
 """
 
-import functools
 import math
 
 import numpy as np
 
-from cvgec.channel import channel_map, standard_two_channel
-from cvgec.protocol import optimal_splitting_for
-from cvgec.states import vacuum_state
-from cvgec.transforms import GaussianMap, two_mode_squeezed
-
-from map_reference import direct_transmission_map
-from splitting_oracle import golden_section, pi_flip
-from state_oracle import duan_simon, partial_trace, tensor
+import mp_oracle
+from splitting_oracle import golden_section
 
 
 def infimum(eps, g_ratio, eta, xi, strategy, r_max=10.0):
     """Smallest inseparability over r in [0, r_max], by golden section."""
-    model = standard_two_channel(eps, g_ratio, eta, xi)
-    if strategy == "corrected":
-        # modes (local, signal, auxiliary); the pi-flip splitter decodes too
-        splitter = np.kron(pi_flip(*optimal_splitting_for(model)), np.eye(2))
-        splitter = GaussianMap.of(splitter, (1, 2), 3)
-        protocol = splitter.then(channel_map(model, (1, 2), 3)).then(splitter)
-    else:
-        protocol = direct_transmission_map(model, 2, signal_mode=1, channel=0)
-    spares = protocol.n_modes - 2
+    amplitude, noise = mp_oracle.signal_map(g_ratio, eta, xi, eps, strategy)
 
     def insep(r):
-        out = protocol.apply(_squeezed_input(r, spares))
-        return duan_simon(partial_trace(out, (0, 1)), (0, 1))
+        return float(mp_oracle.duan_number(amplitude, noise, r))
 
     _, value = golden_section(insep, 0.0, r_max, tol=1e-9)
     return min(value, insep(0.0), insep(r_max))
@@ -79,9 +59,3 @@ def breaking_point(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-@functools.lru_cache(maxsize=4096)
-def _squeezed_input(r, spares):
-    """Two-mode squeezed vacuum followed by ``spares`` vacuum modes."""
-    return tensor(two_mode_squeezed(r), vacuum_state(spares))

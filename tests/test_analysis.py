@@ -369,6 +369,10 @@ class TestBreakingPoint:
         scan = breaking_oracle.breaking_point(1.0, 1.0, 0.0, "uncorrected", method="scan")
         assert abs(closed - bisect) < 1e-4
         assert abs(closed - scan) < 1e-4
+        # the gap 2 e^{-20} + eps - 2 at r = 10 is affine in eps, so the
+        # scan finds the infimum's root 2 - 2 e^{-20}, not 2
+        assert scan == pytest.approx(2.0 - 2.0 * math.exp(-20.0), abs=1e-9)
+        assert scan == pytest.approx(closed, abs=1e-9)
         # analytic oracle: the direct channel breaks at eps = 2 eta SNU
         assert closed == pytest.approx(2.0, abs=1e-5)
 

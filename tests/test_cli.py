@@ -366,6 +366,16 @@ class TestChannelConfigInSweeps:
         assert capsys.readouterr().err == f"error: {text}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep-coherent", "sweep-entangle", "trace"])
+    def test_channel_count_beyond_any_array_refused(self, tmp_path, capsys, command):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("n_channels 100000000000000\n")
+        out = tmp_path / "x.csv"
+        assert main([command, "--channel-config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: n_channels 100000000000000 is more than an array can hold\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.cfg"]
+
     def test_representable_config_accepted(self, tmp_path):
         cfg = tmp_path / "channel.cfg"
         cfg.write_text("n_channels 2\neta 0.9 0.9\nthermal 0 0\nsource s 5 1 1\n")

@@ -147,7 +147,7 @@ class TestWideRange:
 
     @pytest.mark.parametrize("variances", [(np.inf, np.inf), (np.inf, 0.5), (2.0, np.inf)])
     def test_infinite_variance_has_fidelity_zero(self, variances):
-        # the logarithmic form meets inf - inf here; the limit is 0
+        # det H is infinite, so 1 / sqrt(det H) is 0 whatever the mean term
         spread = np.diag(variances)
         for mean in (ZERO, np.array([1e300, -2.0])):
             assert coherent_fidelity(ZERO, spread, mean) == 0.0
