@@ -8,17 +8,18 @@ strategy is one map built from the model; the corrected one,
 the couplings, so the sweeps take any model that has one.  The signal-mode
 covariance is affine in the noise, cov -> X cov X^T + Y0 + eps Y1, because
 the encoder and the couplings, and so the maps' noise inputs, do not depend
-on eps; Y1 is read off the source variances, so the corrected one is a
-squared leak u . c, never negative.  So every map is built
-once per call, a sweep is one array operation over the whole grid, the
-entanglement breaking point is the root of a linear equation, and the best
+on eps; Y1 is the part of Y from the inputs labelled as a source or as
+mismatch noise, so the corrected one is a squared leak u . c plus the
+mismatch noise, never negative.  So every map is built once per call, a
+sweep is one array operation over the whole grid, the entanglement
+breaking point is the root of a linear equation, and the best
 splitter setting is the lower eigenvector of a 2 x 2 noise form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -288,15 +289,14 @@ def _noise_axis(strategy, model: ChannelModel):
 
     ``strategy(model, n_modes)`` is one of the protocol's map builders, and
     eps scales the variance of every source of ``model``.  The encoder and
-    the couplings do not depend on eps, so a map with every source silent
-    and one on ``model`` itself have the same noise inputs F; only their
-    variances differ, and Y1 is read off the loud ones, no matrices
-    subtracted.
+    the couplings do not depend on eps, so neither do the map's inputs F;
+    eps scales the variance of each input labelled ``source:`` and
+    ``own:`` (xi var c^2), and Y1 is their part of Y, Y0 the rest's.
     """
-    silent = replace(model, sources=tuple(replace(s, variance=0.0) for s in model.sources))
-    quiet = strategy(silent, 1).restricted(1)
-    loud = strategy(model, 1).restricted(1)
-    return quiet.X, quiet.Y, (loud.F * (loud.v - quiet.v)) @ loud.F.T
+    m = strategy(model, 1).restricted(1)
+    scaled = np.array([label.startswith(("source:", "own:")) for label in m.labels], dtype=bool)
+    y0 = (m.F * np.where(scaled, 0.0, m.v)) @ m.F.T
+    return m.X, y0, (m.F * np.where(scaled, m.v, 0.0)) @ m.F.T
 
 
 def _outputs(axis, mean, cov, eps_grid):

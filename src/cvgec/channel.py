@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import VACUUM_VARIANCE, _quad_indices
-from .transforms import GaussianMap, embed
+from .transforms import GaussianMap, embed, quadrature_labels
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,9 @@ def excess_noise_snu(model: ChannelModel, channel: int) -> float:
 def channel_map(model: ChannelModel, modes, n_modes: int) -> GaussianMap:
     """The channel stage as one map on an N-mode register.
 
-    ``modes[i]`` is the register mode carried by channel i.
+    ``modes[i]`` is the register mode carried by channel i.  The inputs are
+    labelled ``loss:<i>``, ``own:<i>`` and ``source:<k>:<name>``, one per
+    quadrature, in that order.
     """
     if len(modes) != model.n_channels:
         raise ValueError("mode assignment length must equal n_channels")
@@ -134,7 +136,13 @@ def channel_map(model: ChannelModel, modes, n_modes: int) -> GaussianMap:
     variances = np.concatenate([loss, own, [(1.0 - xi) * src.variance for src in model.sources]])
     f = np.zeros((2 * n_modes, 2 * len(variances)))
     f[_quad_indices(modes)] = np.kron(columns, np.eye(2))
-    return GaussianMap(x, f, np.repeat(variances, 2))
+    channels = range(model.n_channels)
+    labels = (
+        quadrature_labels("loss", channels)
+        + quadrature_labels("own", channels)
+        + quadrature_labels("source", (f"{k}:{src.label}" for k, src in enumerate(model.sources)))
+    )
+    return GaussianMap(x, f, np.repeat(variances, 2), labels)
 
 
 def standard_two_channel(

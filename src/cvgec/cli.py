@@ -134,7 +134,7 @@ def _cmd_sweep_entangle(args) -> None:
 
 def _cmd_trace(args) -> None:
     from .channel import dump_channel_config
-    from .montecarlo import sample_run, write_trace_csv
+    from .montecarlo import sample_run, stream_labels, write_trace_csv
     from .protocol import optimal_splitting_for
 
     _count(args.n, "--n")
@@ -152,7 +152,11 @@ def _cmd_trace(args) -> None:
         amplitude=tuple(args.amplitude),
         modulation_period=args.modulation_period,
     )
-    extras = {"splitting": list(pair), "channel": dump_channel_config(model).splitlines()}
+    extras = {
+        "splitting": list(pair),
+        "channel": dump_channel_config(model).splitlines(),
+        "streams": list(stream_labels(model, pair)),
+    }
     files = [(args.out, lambda fh: write_trace_csv(records, fh))]
     _write_outputs(args, files, extras, seed=args.seed, model=model)
 

@@ -17,10 +17,9 @@ sampling is made.
 Randomness comes from numpy's counter-based Philox generator.  Stream k of
 a run is seeded with SeedSequence((master_seed, k)), so traces are
 reproducible and independent of any evaluation schedule.  Stream k is the
-k-th input of the maps: the input's x and p (vacuum plus the mean), the
-auxiliary carrier's x and p, then the noise columns F of
-:func:`cvgec.channel.channel_map` in order.  A zero-variance input still
-takes its number.
+k-th input of the maps, and :func:`stream_labels` names each one in draw
+order, as the trace manifest lists them (``extras.streams``).  A
+zero-variance input still takes its number.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .protocol import encoded_maps
+from .transforms import GaussianMap, quadrature_labels
 
 #: Stage names in record order.
 STAGES = ("input", "channel_1", "channel_2", "corrected", "discarded")
@@ -92,8 +92,7 @@ def sample_run(
         phase = np.sin(2.0 * np.pi * np.arange(n) / modulation_period)
     inputs = [a * phase + draw(0.5) for a in amplitude] + [draw(0.5), draw(0.5)]  # vacua
 
-    # modes (signal, auxiliary); the mirror decodes too
-    mirrored, channel = encoded_maps(model, 1, signal=(pair[0], -pair[1]))
+    mirrored, channel = _trace_maps(model, pair)
     inputs += [draw(v) for v in channel.v]
     records = [TraceRecord(STAGES[0], q, inputs[k]) for k, q in enumerate("XP")]
     for stages, m in ((STAGES[1:3], channel), (STAGES[3:], mirrored)):
@@ -102,6 +101,21 @@ def sample_run(
             records.append(TraceRecord(stage, q, _combine(row, inputs)))
         inputs = [r.samples for r in records[2:]]  # the channel samples
     return records
+
+
+def stream_labels(model: ChannelModel, pair: tuple[float, float]) -> tuple[str, ...]:
+    """The origin of each Philox stream of :func:`sample_run`, in draw order:
+    the input's x and p (its vacuum, plus the mean), the auxiliary
+    carrier's, then the labelled inputs of the mirror-then-channel map."""
+    head = ("input.x", "input.p") + quadrature_labels("carrier", (1,))
+    return head + _trace_maps(model, pair)[1].labels
+
+
+def _trace_maps(model: ChannelModel, pair: tuple[float, float]) -> tuple[GaussianMap, GaussianMap]:
+    """The mirror of (c, -s) on the modes (signal, auxiliary), which decodes
+    too, and the mirror-then-channel map."""
+    mirrored, channel = encoded_maps(model, 1, signal=(pair[0], -pair[1]))
+    return mirrored, mirrored.then(channel)
 
 
 def _combine(weights, inputs) -> np.ndarray:

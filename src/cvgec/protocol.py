@@ -86,25 +86,28 @@ def corrected_map(
     So with no mismatch and equal loss and thermal noise, the protected mode
     sees that lossy channel bit for bit, plus each source's rounding leak
     (u . c)^2 times its variance."""
-    mirrored, sent = encoded_maps(model, n_modes, signal_mode, signal)
-    m, k = mirrored.X, 2 * model.n_channels
-    loss = sent.F[:, :k]  # the channel's loss inputs, each along its carrier quadrature
-    x = np.sqrt(model.eta)
-    spread = (loss * np.repeat(x - x.min(), 2)) @ loss.T  # D - A
-    shared = np.diag(np.where(loss.any(axis=1), x.min(), 1.0))  # A
-    floor = np.min(sent.v[:k])  # l
-    v = np.concatenate([np.full(k, floor), sent.v[:k] - floor, sent.v[k:]])
-    return GaussianMap(shared + m @ spread @ m, np.hstack([loss, m @ sent.F]), v)
+    mirrored, channel = encoded_maps(model, n_modes, signal_mode, signal)
+    m, labels = mirrored.X, channel.labels
+    loss = np.array([label.startswith("loss:") for label in labels])
+    direct = channel.F[:, loss]  # each along its carrier quadrature
+    shared = np.diag(np.where(direct.any(axis=1), np.sqrt(model.eta).min(), 1.0))  # A
+    floor = np.min(channel.v[loss])  # l
+    f = m @ channel.F
+    rest = np.where(loss, channel.v - floor, channel.v)
+    v = np.concatenate([np.full(direct.shape[1], floor), rest])
+    labels = tuple(label for label in labels if label.startswith("loss:")) + labels
+    return GaussianMap(shared + m @ (channel.X - shared) @ m, np.hstack([direct, f]), v, labels)
 
 
 def encoded_maps(
     model: ChannelModel, n_modes: int, signal_mode: int = 0, signal=None
 ) -> tuple[GaussianMap, GaussianMap]:
-    """The mirror of ``signal`` on the signal mode and C - 1 carriers that
-    enter in vacuum after the ``n_modes`` state modes, and that mirror then
-    the channel.  ``signal`` is a unit vector of channel amplitudes, or else
-    the protected vector of ``model``'s couplings (e_0 without sources;
-    couplings spanning every channel raise NoProtectedSubspaceError)."""
+    """The two maps the corrected scheme composes: the mirror of ``signal``
+    on the signal mode and C - 1 carriers that enter in vacuum after the
+    ``n_modes`` state modes, and the channel stage on those carriers.
+    ``signal`` is a unit vector of channel amplitudes, or else the protected
+    vector of ``model``'s couplings (e_0 without sources; couplings spanning
+    every channel raise NoProtectedSubspaceError)."""
     n = model.n_channels
     if signal is None:
         couplings = [src.coupling for src in model.sources]
@@ -112,7 +115,7 @@ def encoded_maps(
     carriers = (signal_mode,) + tuple(range(n_modes, n_modes + n - 1))
     reg = n_modes + n - 1
     mirrored = GaussianMap.of(np.kron(mirror(signal), np.eye(2)), carriers, reg)
-    return mirrored, mirrored.then(channel_map(model, carriers, reg))
+    return mirrored, channel_map(model, carriers, reg)
 
 
 def incoherent_map(model: ChannelModel, n_modes: int) -> GaussianMap:

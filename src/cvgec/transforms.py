@@ -4,11 +4,12 @@ Every stage and protocol of the package is a Gaussian map on a fixed
 register of N modes, mean -> X mean, cov -> X cov X^T + Y (Weedbrook et
 al., RMP 84, 621 (2012), sec. II), carried whole by :class:`GaussianMap`.
 The added covariance is held as independent noise inputs, Y = F diag(v) F^T:
-column j of F is how input j reaches the register, v[j] its variance.  So
-composing maps only moves columns and joins variances, a source's share of
-any mode is one dot product squared, never negative, and a variance enters
-nothing but its own input.  No map displaces the mean: the classical noise
-is zero-mean, and the incoherent baseline's feedforward is averaged into X.
+column j of F is how input j reaches the register, v[j] its variance, and
+labels[j] where it came from.  So composing maps only moves columns and
+joins variances and labels, a source's share of any mode is one dot product
+squared, never negative, and a variance enters nothing but its own input.
+No map displaces the mean: the classical noise is zero-mean, and the
+incoherent baseline's feedforward is averaged into X.
 A gate (the beam splitter) is the case with no inputs: a gate function
 returns its local 2k x 2k symplectic block, and
 :meth:`GaussianMap.of` places that block on k modes of a register.  The
@@ -38,6 +39,14 @@ class GaussianMap:
         F: real 2N x k matrix, one column per independent noise input
             (default: no inputs).
         v: the k per-input variances, finite and nonnegative.
+        labels: the k origins of the inputs, one string each (required when
+            there are inputs).  The package writes ``<origin>.<q>`` for
+            quadrature q of x or p, with origin ``loss:<i>`` (channel i's
+            loss, its thermal part included), ``own:<i>`` (channel i's
+            non-interfering mismatch noise), ``source:<k>:<name>`` (the k-th
+            noise source, named ``name`` in the config) or ``carrier:<m>``
+            (the vacuum of register mode m, dropped by :meth:`restricted`);
+            every index counts from 0.
 
     The added covariance is the property ``Y = F diag(v) F^T``.
     """
@@ -45,6 +54,7 @@ class GaussianMap:
     X: np.ndarray
     F: np.ndarray | None = None
     v: np.ndarray | None = None
+    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         x = np.array(self.X, dtype=float)
@@ -59,9 +69,13 @@ class GaussianMap:
             raise ValueError("X and F must be finite")
         if not np.all((v >= 0.0) & (v < np.inf)):
             raise ValueError("noise variances must be finite and nonnegative")
+        labels = tuple(self.labels)
+        if len(labels) != len(v) or not all(isinstance(s, str) for s in labels):
+            raise ValueError(f"need one label per input: {len(v)} inputs, {len(labels)} labels")
         for name, a in zip("XFv", (x, f, v)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n_modes(self) -> int:
@@ -81,7 +95,7 @@ class GaussianMap:
         """This map followed by ``after`` on the same register: this map's
         inputs pass through ``after.X``, and ``after``'s join them."""
         f, v = np.hstack([after.X @ self.F, after.F]), np.concatenate([self.v, after.v])
-        return GaussianMap(after.X @ self.X, f, v)
+        return GaussianMap(after.X @ self.X, f, v, self.labels + after.labels)
 
     def apply(self, state: GaussianState) -> GaussianState:
         """Image of a state held in the same register."""
@@ -90,13 +104,21 @@ class GaussianMap:
     def restricted(self, k: int) -> GaussianMap:
         """The map on the register's first ``k`` modes, every later mode
         entering in vacuum and then dropped: each dropped mode's quadrature
-        is one more input, its column of X, of the vacuum variance."""
+        is one more input, its column of X, of the vacuum variance, labelled
+        ``carrier:<m>``."""
         if not 1 <= k <= self.n_modes:
             raise ValueError(f"cannot keep {k} of {self.n_modes} modes")
         x = self.X[: 2 * k]
         tail = x[:, 2 * k :]
         v = np.concatenate([self.v, np.full(tail.shape[1], VACUUM_VARIANCE)])
-        return GaussianMap(x[:, : 2 * k], np.hstack([self.F[: 2 * k], tail]), v)
+        labels = self.labels + quadrature_labels("carrier", range(k, self.n_modes))
+        return GaussianMap(x[:, : 2 * k], np.hstack([self.F[: 2 * k], tail]), v, labels)
+
+
+def quadrature_labels(origin: str, indices) -> tuple[str, ...]:
+    """``<origin>:<i>.x`` and ``<origin>:<i>.p`` for each index i, in order:
+    the labels of one input per quadrature of each channel or mode i."""
+    return tuple(f"{origin}:{i}.{q}" for i in indices for q in "xp")
 
 
 def embed(block: np.ndarray, modes, n_modes: int) -> np.ndarray:

@@ -3,8 +3,12 @@
 ``pure_loss_reference`` writes the pure-loss channel out entry by entry;
 ``characterize_single_mode_map`` reads any single-mode Gaussian map back
 from its action on three probe states; ``direct_transmission_map`` places
-the signal on one channel of the channel stage, with no encoder.
+the signal on one channel of the channel stage, with no encoder;
+``two_build_noise_axis`` finds a strategy's noise axis without reading
+input labels, by building it once silent and once loud.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,3 +50,15 @@ def direct_transmission_map(model, n_modes, signal_mode=0, channel=0):
     idle = iter(range(n_modes, n_modes + model.n_channels - 1))
     carriers = [signal_mode if i == channel else next(idle) for i in range(model.n_channels)]
     return channel_map(model, carriers, n_modes + model.n_channels - 1)
+
+
+def two_build_noise_axis(strategy, model):
+    """(X, Y0, Y1) of ``strategy(model, n_modes)`` on its signal mode, with
+    cov -> X cov X^T + Y0 + eps Y1 when eps scales every source variance.
+    The map is built twice, once with every source silent and once as
+    given; both have the same inputs F, so X and Y0 are the silent map's,
+    and Y1 weighs the inputs by the variance the sources added."""
+    silent = replace(model, sources=tuple(replace(s, variance=0.0) for s in model.sources))
+    quiet = strategy(silent, 1).restricted(1)
+    loud = strategy(model, 1).restricted(1)
+    return quiet.X, quiet.Y, (loud.F * (loud.v - quiet.v)) @ loud.F.T

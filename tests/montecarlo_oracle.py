@@ -49,12 +49,25 @@ def stage_relations(model, pair) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     return np.array(variances), weights
 
 
+def input_names(model) -> list[str]:
+    """The origin of each input of :func:`stage_relations`, in its order."""
+    names = ["input", "carrier:1", "loss:0", "loss:1", "own:0", "own:1"]
+    return names + [f"source:{k}:{src.label}" for k, src in enumerate(model.sources)]
+
+
+def stream_order(model) -> list[str]:
+    """Label of each stream of ``sample_run``, stream j at position j: input
+    k of :func:`stage_relations`, quadrature q, is stream 2k + q."""
+    return [f"{name}.{q}" for name in input_names(model) for q in "xp"]
+
+
 def sample_by_hand(model, pair, n, seed, amplitude=(2.0, 0.0), modulation_period=0):
     """{(stage, quadrature): samples} of the two-channel protocol, in CSV
     order: the coefficients of :func:`stage_relations` on ``sample_run``'s
-    streams.  Stream j is seeded with SeedSequence((seed, j)); input k of
-    quadrature q is stream 2k + q.
+    streams.  Stream j is seeded with SeedSequence((seed, j)), and it is the
+    one :func:`stream_order` lists at position j.
     """
+    order = stream_order(model)
 
     def stream(k, variance):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k))))
@@ -66,7 +79,8 @@ def sample_by_hand(model, pair, n, seed, amplitude=(2.0, 0.0), modulation_period
     variances, weights = stage_relations(model, pair)
     out = {}
     for q, quad in enumerate("XP"):
-        inputs = np.array([stream(2 * k + q, v) for k, v in enumerate(variances)])
+        streams = [order.index(f"{name}.{quad.lower()}") for name in input_names(model)]
+        inputs = np.array([stream(j, v) for j, v in zip(streams, variances)])
         inputs[0] += amplitude[q] * phase
         for stage in STAGES:
             out[stage, quad] = weights[stage] @ inputs

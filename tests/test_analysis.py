@@ -2,6 +2,7 @@
 
 import io
 import math
+from collections import Counter
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvgec.analysis
 from cvgec.analysis import (
     AUX_COLUMNS,
     SWEEP_COLUMNS,
@@ -39,6 +41,7 @@ from cvgec.transforms import two_mode_squeezed
 
 import breaking_oracle
 import mp_oracle
+from map_reference import two_build_noise_axis
 from splitting_oracle import (
     amplitudes,
     golden_section,
@@ -649,6 +652,101 @@ class TestExactCancellation:
         loud, quiet = (strategy(m, 1).restricted(1) for m in (model, silent))
         assert np.array_equal(loud.F, quiet.F)
         assert np.array_equal(loud.X, quiet.X)
+        assert loud.labels == quiet.labels
+
+
+def random_models(seed, count):
+    """Channel models of two or three channels: unequal or equal loss,
+    thermal noise or none, mismatch or none, and one source or, at three
+    channels, two sources of one name; each has a protected mode."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        c = int(rng.integers(2, 4))
+        eta = rng.uniform(0.05, 1.0, c) if rng.random() < 0.7 else np.full(c, rng.uniform(0.05, 1.0))
+        thermal = rng.uniform(0.0, 2.0, c) * (rng.random() < 0.6)
+        n_sources = 1 if c == 2 else int(rng.integers(1, c))
+        sources = tuple(
+            NoiseSource(rng.normal(size=c), 10.0 ** rng.uniform(-3.0, 6.0), "shared")
+            for _ in range(n_sources)
+        )
+        xi = rng.uniform(0.0, 0.9) * (rng.random() < 0.6)
+        yield ChannelModel(c, eta, thermal, sources, xi)
+
+
+def strategies_of(model):
+    """The corrected map, direct transmission through each channel and, on
+    two channels, the incoherent baseline."""
+    direct = [_direct(k) for k in range(model.n_channels)]
+    return [corrected_map, *direct] + ([incoherent_map] if model.n_channels == 2 else [])
+
+
+class TestNoiseAxisByLabel:
+    """``_noise_axis`` builds each strategy once and splits Y by the labels
+    of the inputs: those of a source or of the mismatch noise scale with
+    eps."""
+
+    def test_matches_the_two_build_reference_bit_for_bit(self):
+        kinds = Counter()
+        for model in random_models(31, 150):
+            for strategy in strategies_of(model):
+                one, two = _noise_axis(strategy, model), two_build_noise_axis(strategy, model)
+                for got, want in zip(one, two):
+                    assert np.array_equal(got, want), (model, strategy)
+                kinds[model.n_channels, strategy is incoherent_map] += 1
+        assert kinds[3, False] >= 200 and kinds[2, True] >= 50
+
+    @pytest.mark.parametrize(
+        "strategy", [corrected_map, _direct(0), _direct(1), incoherent_map],
+        ids=["corrected", "uncorrected", "uncorrected2", "incoherent"],
+    )
+    def test_matches_the_reference_on_the_flag_models(self, strategy):
+        for g_ratio, eta, xi in [(0.61, 1.0, 0.0), (1e-12, 0.8, 0.05), (17.0, 0.3, 0.4)]:
+            model = standard_two_channel(10.0, g_ratio, eta, xi)
+            for got, want in zip(_noise_axis(strategy, model), two_build_noise_axis(strategy, model)):
+                assert np.array_equal(got, want)
+
+    def test_builds_each_strategy_once(self, monkeypatch):
+        model = unit_model(0.61, 0.9, 0.05)
+        builds = Counter()
+
+        def counted(build):
+            def wrapper(*args, **kwargs):
+                builds[build.__name__] += 1
+                return build(*args, **kwargs)
+
+            return wrapper
+
+        _noise_axis(counted(corrected_map), model)
+        assert builds == {"corrected_map": 1}
+        for build in (corrected_map, incoherent_map):
+            monkeypatch.setattr(cvgec.analysis, build.__name__, counted(build))
+        builds.clear()
+        coherent_sweep(model, (1.0, 0.5), GRID)  # corrected, both channels direct, incoherent
+        assert builds == {"corrected_map": 3, "incoherent_map": 1}
+        builds.clear()
+        entanglement_sweep(model, 0.7, GRID)
+        assert builds == {"corrected_map": 2}
+
+    def test_labelled_parts_sum_to_y(self):
+        origins = Counter()
+        for model in random_models(37, 60):
+            for strategy in strategies_of(model):
+                for m in (strategy(model, 1), strategy(model, 1).restricted(1)):
+                    parts = {}
+                    for j, label in enumerate(m.labels):
+                        origin, quadrature = label.rsplit(".", 1)
+                        assert quadrature in ("x", "p")
+                        origins[origin.split(":")[0]] += 1
+                        f = m.F[:, j]
+                        parts[origin] = parts.get(origin, 0.0) + m.v[j] * np.outer(f, f)
+                    y = m.Y
+                    assert np.max(np.abs(sum(parts.values()) - y)) <= 1e-12 * np.max(np.diag(y))
+        assert set(origins) == {"loss", "own", "source", "carrier"}
+
+    def test_sources_of_one_name_stay_distinct(self):
+        model = next(m for m in random_models(41, 100) if len(m.sources) == 2)
+        labels = corrected_map(model, 1).labels
+        assert {"source:0:shared.x", "source:1:shared.x"} <= set(labels)
 
 
 class TestSweepCsv:

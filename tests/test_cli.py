@@ -11,6 +11,9 @@ import pytest
 from cvgec.cli import main
 from cvgec.patterns import mirror
 
+from cvgec.channel import parse_channel_config, standard_two_channel
+
+from montecarlo_oracle import stream_order
 from mp_oracle import MP, duan_number, signal_map
 from network_oracle import read_plan
 from splitting_oracle import pi_flip
@@ -570,6 +573,21 @@ class TestTrace:
         # re-recorded when the loss streams took the variance (1 - x^2)(1/2 + n)
         # of the applied amplitude x; the input records kept their bytes
         assert sha256(out) == "b29dfedb9e3bb6d30efde2ebdb8d79d43a4dfcb1e2b83b836d45ed17d289c75f"
+
+    @pytest.mark.parametrize("config", [None, "n_channels 2\nsource corr 4 1.3 -0.7\n"])
+    def test_manifest_lists_the_streams_in_draw_order(self, tmp_path, config):
+        # the hand-written order by which the oracle seeds each input
+        out = tmp_path / "t.csv"
+        argv = ["trace", "--n", "10", "--xi", "0.05", "--out", str(out)]
+        model = standard_two_channel(1.0, 1.0, 1.0, 0.05)
+        if config is not None:
+            (tmp_path / "c.cfg").write_text(config)
+            argv += ["--channel-config", str(tmp_path / "c.cfg")]
+            model = parse_channel_config(config)
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+        assert manifest["extras"]["streams"] == stream_order(model)
+        assert len(stream_order(model)) == 14
 
     def test_corrected_stage_variance(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -9,7 +9,7 @@ from cvgec.states import (
     displace,
     vacuum_state,
 )
-from cvgec.transforms import GaussianMap, two_mode_squeezed
+from cvgec.transforms import GaussianMap, quadrature_labels, two_mode_squeezed
 
 from network_oracle import phase_shift
 from state_oracle import (
@@ -239,9 +239,10 @@ class TestChannelMargin:
     @pytest.mark.parametrize("eta", [0.05, 0.5, 1.0])
     def test_pure_loss_is_quantum_limited(self, eta):
         # X = sqrt(eta) I, Y = (1 - eta) / 2 I: eigenvalues (1 - eta)(1 -+ 1) / 2
-        m = GaussianMap(np.sqrt(eta) * np.eye(4), np.eye(4), np.full(4, 0.5 * (1.0 - eta)))
+        loss = quadrature_labels("loss", range(2))
+        m = GaussianMap(np.sqrt(eta) * np.eye(4), np.eye(4), np.full(4, 0.5 * (1.0 - eta)), loss)
         assert channel_margin(m.X, m.Y) == pytest.approx(0.0, abs=1e-15)
-        noisy = GaussianMap(m.X, m.F, m.v + 0.3)
+        noisy = GaussianMap(m.X, m.F, m.v + 0.3, m.labels)
         assert channel_margin(noisy.X, noisy.Y) == pytest.approx(0.3, abs=1e-15)
 
     def test_noiseless_amplifier_is_not_a_channel(self):
@@ -249,5 +250,5 @@ class TestChannelMargin:
         gain = np.sqrt(2.0) * np.eye(2)
         noiseless = GaussianMap(gain)
         assert channel_margin(noiseless.X, noiseless.Y) == pytest.approx(-0.5)
-        noisy = GaussianMap(gain, np.eye(2), np.full(2, 0.5))
+        noisy = GaussianMap(gain, np.eye(2), np.full(2, 0.5), quadrature_labels("loss", [0]))
         assert channel_margin(noisy.X, noisy.Y) == pytest.approx(0.0, abs=1e-15)

@@ -12,6 +12,7 @@ from cvgec.transforms import (
     GaussianMap,
     beam_splitter,
     embed,
+    quadrature_labels,
     two_mode_squeezed,
 )
 from network_oracle import phase_shift
@@ -38,6 +39,9 @@ def on(block, modes, state):
     """Image of ``state`` under ``block`` placed on ``modes``."""
     return GaussianMap.of(block, modes, state.n_modes).apply(state)
 
+
+#: Labels of one loss input per quadrature of a single mode.
+LOSS = quadrature_labels("loss", [0])
 
 GATE_GRID = [
     *((beam_splitter, (t,)) for t in (0.0, 0.17, 0.5, 0.62, 1.0)),
@@ -255,11 +259,11 @@ class TestGaussianMap:
         parts = {"X": np.eye(2), "F": np.eye(2), "v": np.ones(2)}
         parts[field] = np.full_like(parts[field], bad)
         with pytest.raises(ValueError, match="finite"):
-            GaussianMap(**parts)
+            GaussianMap(**parts, labels=LOSS)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            GaussianMap(np.eye(2), np.eye(2), np.array([1.0, -1e-300]))
+            GaussianMap(np.eye(2), np.eye(2), np.array([1.0, -1e-300]), LOSS)
 
     @pytest.mark.parametrize(
         "f, v",
@@ -275,9 +279,21 @@ class TestGaussianMap:
         with pytest.raises(ValueError, match="2N x k matrix F and k variances"):
             GaussianMap(np.eye(2), f, v)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [None, (), ("loss:0.x",), ("loss:0.x", "loss:0.p", "own:0.x"), ("loss:0.x", 0)],
+        ids=["missing", "empty", "too few", "too many", "not a string"],
+    )
+    def test_inputs_without_one_label_each_rejected(self, labels):
+        kwargs = {} if labels is None else {"labels": labels}
+        with pytest.raises(ValueError, match="one label per input"):
+            GaussianMap(np.eye(2), np.eye(2), np.ones(2), **kwargs)
+        assert GaussianMap(np.eye(2), np.eye(2), np.ones(2), LOSS).labels == ("loss:0.x", "loss:0.p")
+        assert GaussianMap(np.eye(2)).labels == ()
+
     def test_y_is_the_weighted_sum_of_input_outer_products(self):
         f = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0]])
-        m = GaussianMap(np.eye(2), f, [0.5, 2.0, 0.0])
+        m = GaussianMap(np.eye(2), f, [0.5, 2.0, 0.0], ("a", "b", "c"))
         want = 0.5 * np.outer(f[:, 0], f[:, 0]) + 2.0 * np.outer(f[:, 1], f[:, 1])
         assert np.array_equal(m.Y, want)
         assert np.array_equal(GaussianMap(np.eye(4)).Y, np.zeros((4, 4)))
@@ -287,11 +303,15 @@ class TestGaussianMap:
         rng = np.random.default_rng(5)
         for _ in range(20):
             first, second = (
-                GaussianMap(rng.normal(size=(4, 4)), rng.normal(size=(4, k)), rng.uniform(0, 2, k))
-                for k in rng.integers(1, 6, 2)
+                GaussianMap(
+                    rng.normal(size=(4, 4)), rng.normal(size=(4, k)), rng.uniform(0, 2, k),
+                    tuple(f"{name}{j}" for j in range(k)),
+                )
+                for name, k in zip("ab", rng.integers(1, 6, 2))
             )
             both = first.then(second)
             assert np.array_equal(both.X, second.X @ first.X)
+            assert both.labels == first.labels + second.labels
             dense = second.X @ first.Y @ second.X.T + second.Y
             assert max_relative_error(both.Y, dense) <= 1e-12
 
@@ -322,12 +342,14 @@ class TestRestricted:
         n, k = sizes
         rng = np.random.default_rng(seed)
         noise = rng.normal(size=(2 * n, 2 * n))
-        m = GaussianMap(rng.normal(size=(2 * n, 2 * n)), noise, rng.uniform(0.0, 2.0, 2 * n))
+        labels = quadrature_labels("loss", range(n))
+        m = GaussianMap(rng.normal(size=(2 * n, 2 * n)), noise, rng.uniform(0.0, 2.0, 2 * n), labels)
         state = random_physical_state(rng, k)
         fast = m.restricted(k).apply(state)
         register = tensor(state, vacuum_state(n - k)) if k < n else state
         slow = partial_trace(m.apply(register), range(k))
         assert fast.n_modes == k
+        assert m.restricted(k).labels == labels + quadrature_labels("carrier", range(k, n))
         assert max_relative_error(fast.mean, slow.mean) <= 1e-12
         assert max_relative_error(fast.cov, slow.cov) <= 1e-12
 
