@@ -11,7 +11,7 @@ loads neither numpy nor any layer until one of them is asked for.
 
 import importlib
 
-__version__ = "0.3.2"
+__version__ = "0.3.3"
 
 #: Layer modules that the package exposes as attributes.
 _LAYERS = ("channel", "network", "protocol", "states", "transforms")

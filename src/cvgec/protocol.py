@@ -83,9 +83,11 @@ def corrected_map(
     As M M = I, what every channel shares passes as it is: X = A + M (D - A) M
     with A = a I on the carriers, a the smallest amplitude, and the smallest
     loss variance l enters each carrier quadrature directly, l_i - l via M.
-    So with no mismatch and equal loss and thermal noise, the protected mode
-    sees that lossy channel bit for bit, plus each source's rounding leak
-    (u . c)^2 times its variance."""
+    Into the protected mode u of the couplings (no ``signal``), u . c = 0 by
+    construction, so each source reaches the signal mode's rows as an exact
+    0, not as its rounding fl(u . c).  So with no mismatch and equal loss
+    and thermal noise, the protected mode sees that lossy channel bit for
+    bit at any noise variance.  A given ``signal`` keeps its rows."""
     mirrored, channel = encoded_maps(model, n_modes, signal_mode, signal)
     m, labels = mirrored.X, channel.labels
     loss = np.array([label.startswith("loss:") for label in labels])
@@ -93,6 +95,9 @@ def corrected_map(
     shared = np.diag(np.where(direct.any(axis=1), np.sqrt(model.eta).min(), 1.0))  # A
     floor = np.min(channel.v[loss])  # l
     f = m @ channel.F
+    if signal is None:
+        source = [label.startswith("source:") for label in labels]
+        f[2 * signal_mode : 2 * signal_mode + 2, source] = 0.0
     rest = np.where(loss, channel.v - floor, channel.v)
     v = np.concatenate([np.full(direct.shape[1], floor), rest])
     labels = tuple(label for label in labels if label.startswith("loss:")) + labels

@@ -41,7 +41,8 @@ def signal_map(g_ratio, eta, xi, eps, strategy):
     decoder = splitter[0]
     amplitude = sum(d * MP.sqrt(eta) * row[0] for d, row in zip(decoder, splitter))
     carrier = sum(d * MP.sqrt(eta) * row[1] for d, row in zip(decoder, splitter))
-    shared = sum(d * ci for d, ci in zip(decoder, coupling))
+    # the decoder row is (1, -sqrt(g)) / norm: the shared term is exactly 0
+    shared = (coupling[0] - MP.sqrt(g) * coupling[1]) / norm
     noise = carrier**2 / 2
     noise += sum(d * d * (loss + own_i) for d, own_i in zip(decoder, own))
     noise += shared**2 * (1 - xi) * variance

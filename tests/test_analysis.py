@@ -30,6 +30,7 @@ from cvgec.montecarlo import sample_run
 from cvgec.fidelity import coherent_fidelity
 from cvgec.protocol import (
     ProtocolConfig,
+    null_space_encoder,
     corrected_channel,
     corrected_map,
     incoherent_map,
@@ -207,7 +208,7 @@ class TestAgainstTheMpOracle:
         st.floats(-12.0, 12.0),
         st.floats(0.0, 1.0, exclude_min=True),
         st.floats(0.0, 1.0, exclude_max=True),
-        st.floats(0.0, 1e15),
+        st.floats(0.0, 1e300),
         st.tuples(*[st.floats(-10.0, 10.0)] * 2),
         st.integers(1, 3),
     )
@@ -635,6 +636,23 @@ class TestExactCancellation:
     def test_corrected_slope_has_a_nonnegative_diagonal(self, log_g, eta, xi):
         _, _, y1 = _noise_axis(corrected_map, unit_model(10.0**log_g, eta, xi))
         assert np.all(np.diag(y1) >= 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-300.0, 300.0), st.floats(0.0, 1.0, exclude_min=True))
+    def test_corrected_slope_is_zero_without_mismatch(self, log_g, eta):
+        # each source reaches the protected mode as an exact 0, not fl(u . c)
+        _, _, y1 = _noise_axis(corrected_map, unit_model(10.0**log_g, eta, 0.0))
+        assert np.array_equal(y1, np.zeros((2, 2)))
+
+    def test_a_given_signal_keeps_its_rounding(self):
+        # only the model's own protected vector has u . c = 0 by construction
+        model = unit_model(10.0, 1.0, 0.0)
+        u = null_space_encoder([model.sources[0].coupling])
+        for signal, leak in ((None, 0.0), (u, float(u @ model.sources[0].coupling))):
+            m = corrected_map(model, 1, signal=signal)
+            source = [label.startswith("source:") for label in m.labels]
+            assert np.array_equal(m.F[0, source], [leak, 0.0])
+        assert leak != 0.0
 
     @pytest.mark.parametrize(
         "strategy",

@@ -443,6 +443,17 @@ class TestPureLossAtLargeNoise:
         for q in ("x", "p"):
             assert cols[f"var_{q}_corr_snu"].tolist() == [1.0, 1.0]
 
+    @pytest.mark.parametrize("eps_max", ["3.83e17", "1e100", "1e300"])
+    def test_no_rounding_leak_at_any_noise(self, tmp_path, eps_max):
+        # the corrected map once kept each source's fl(u . c)^2 var: at g_ratio
+        # 10 it wrote 1.000000000000002 at 3.83e17 and 4.93e67 at 1e100
+        out = tmp_path / "c.csv"
+        argv = ["sweep-coherent", "--g-ratio", "10", "--xi", "0", "--eps-max", eps_max]
+        assert main(argv + ["--eps-steps", "2", "--out", str(out)]) == 0
+        _, cols = read_csv(out)
+        for name in ("var_x_corr_snu", "var_p_corr_snu", "fid_corr"):
+            assert cols[name].tolist() == [1.0, 1.0], name
+
     def test_lossy_vacuum_stays_the_vacuum(self, tmp_path):
         # a loss input is the complement of the amplitude applied, so at eps 0
         # both strategies write exactly the vacuum at eta 0.8
@@ -466,10 +477,12 @@ class TestPureLossAtLargeNoise:
         # x = fl(sqrt(0.8)) and whose loss input is (1 - x^2) / 2, at 50 digits
         amplitude, noise = signal_map(g_ratio, MP.mpf(np.sqrt(0.8)) ** 2, 0.0, 0.0, "corrected")
         assert insep[0] == pytest.approx(float(duan_number(amplitude, noise, 1.0)), rel=1e-15)
-        # the noise adds the leak fl(u . c)^2 var eps alone
-        assert insep[1] == pytest.approx(insep[0], rel=1e-15, abs=0.0)
+        # the source reaches the protected mode as an exact 0, so the noise
+        # adds nothing; re-pinned when its rounding leak fl(u . c)^2 var eps,
+        # 1 ulp at g_ratio 2.7, left the corrected map
+        assert insep[1] == insep[0]
         if g_ratio == "2.7":
-            assert insep.tolist() == [0.4840271104717002, 0.4840271104717003]
+            assert insep.tolist() == [0.4840271104717002, 0.4840271104717002]
 
     def test_optimized_variance_adds_no_noise(self, capsys):
         argv = ["optimize", "--g1", "1e-12", "--g2", "1", "--eps", "1e6"]
