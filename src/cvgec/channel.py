@@ -176,6 +176,7 @@ def standard_two_channel(
 #   mismatch <float>
 #   source <label> <variance> <coupling per channel>
 # Blank lines and '#' comments are ignored; labels hold no whitespace or '#'.
+# Every key but ``source`` appears at most once.
 
 
 def dump_channel_config(model: ChannelModel) -> str:
@@ -200,11 +201,17 @@ def parse_channel_config(text: str) -> ChannelModel:
     eta = thermal = None
     mismatch = 0.0
     raw_sources = []
+    first = {}  # line of each key that may appear once
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, *rest = line.split()
+        if key in first:
+            again = f"repeats {key} of line {first[key]}"
+            raise ValueError(f"channel config line {lineno} {again}: {raw!r}")
+        if key != "source":
+            first[key] = lineno
         try:
             if key == "n_channels":
                 n_channels = int(rest[0])

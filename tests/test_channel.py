@@ -260,6 +260,24 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="line 2"):
             parse_channel_config("n_channels 2\nbogus 1\n")
 
+    @pytest.mark.parametrize(
+        "text, repeat",
+        [
+            ("n_channels 2\nn_channels 2\n", "line 2 repeats n_channels of line 1"),
+            ("n_channels 2\neta 0.5 0.5\n# later\neta 0.9 0.9\n", "line 4 repeats eta of line 2"),
+            ("n_channels 2\nthermal 0\nthermal 0\n", "line 3 repeats thermal of line 2"),
+            ("n_channels 2\nmismatch 0.3\nmismatch 0\n", "line 3 repeats mismatch of line 2"),
+        ],
+    )
+    def test_repeated_key_refused(self, text, repeat):
+        # the last line used to win silently
+        with pytest.raises(ValueError, match=repeat):
+            parse_channel_config(text)
+
+    def test_sources_may_repeat(self):
+        model = parse_channel_config("n_channels 2\nsource a 1 1 0\nsource a 1 0 1\n")
+        assert len(model.sources) == 2
+
 
 @st.composite
 def channel_models(draw):

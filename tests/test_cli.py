@@ -379,6 +379,30 @@ class TestChannelConfigInSweeps:
         assert err == "error: n_channels 100000000000000 is more than an array can hold\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.cfg"]
 
+    @pytest.mark.parametrize("command", ["sweep-coherent", "sweep-entangle", "trace"])
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (
+                "n_channels 2\neta 0.5 0.5\neta 0.9 0.9\nsource s 5 1 1\n",
+                "line 3 repeats eta of line 2: 'eta 0.9 0.9'",
+            ),
+            (
+                "n_channels 2\nmismatch 0.3\nsource s 5 1 1\nmismatch 0\n",
+                "line 4 repeats mismatch of line 2: 'mismatch 0'",
+            ),
+        ],
+        ids=["eta", "mismatch"],
+    )
+    def test_repeated_key_refused(self, tmp_path, capsys, command, text, line):
+        # the last line used to win silently, with exit 0
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "x.csv"
+        assert main([command, "--channel-config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: channel config {line}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["twice.cfg"]
+
     def test_representable_config_accepted(self, tmp_path):
         cfg = tmp_path / "channel.cfg"
         cfg.write_text("n_channels 2\neta 0.9 0.9\nthermal 0 0\nsource s 5 1 1\n")
