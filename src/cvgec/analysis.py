@@ -294,7 +294,7 @@ def _noise_axis(strategy, model: ChannelModel):
     ``own:`` (xi var c^2), and Y1 is their part of Y, Y0 the rest's.
     """
     m = strategy(model, 1).restricted(1)
-    scaled = np.array([label.startswith(("source:", "own:")) for label in m.labels], dtype=bool)
+    scaled = np.array([label.startswith(("source:", "own:")) for label in m.labels])
     y0 = (m.F * np.where(scaled, 0.0, m.v)) @ m.F.T
     return m.X, y0, (m.F * np.where(scaled, m.v, 0.0)) @ m.F.T
 

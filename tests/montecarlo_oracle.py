@@ -6,7 +6,9 @@ decode out as each stage's coefficients on the independent inputs of a
 shot, one list per quadrature, rather than reading them off the package's
 maps.  ``sample_by_hand`` evaluates those coefficients on the Philox
 streams of ``cvgec.montecarlo.sample_run``, so the two must agree sample by
-sample; ``analytic_stage_moments`` predicts each stage's mean and
+sample; it seeds each input by ``stream_order``, which writes the draw
+order out by hand, and which the trace manifest's ``extras.streams`` must
+equal; ``analytic_stage_moments`` predicts each stage's mean and
 covariance from the same coefficients and the inputs' variances.
 ``empirical_covariance`` estimates the covariance of sampled records with
 standard errors.
