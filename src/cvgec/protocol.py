@@ -23,6 +23,7 @@ as ``m.restricted(state.n_modes).apply(state)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -100,7 +101,7 @@ def corrected_map(
         f[2 * signal_mode : 2 * signal_mode + 2, source] = 0.0
     rest = np.where(loss, channel.v - floor, channel.v)
     v = np.concatenate([np.full(direct.shape[1], floor), rest])
-    labels = tuple(label for label in labels if label.startswith("loss:")) + labels
+    labels = (*compress(labels, loss), *labels)
     return GaussianMap(shared + m @ (channel.X - shared) @ m, np.hstack([direct, f]), v, labels)
 
 
