@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, NoiseSource, dump_channel_config, standard_two_channel
+from .channel import (
+    ChannelModel,
+    NoiseSource,
+    dump_channel_config,
+    scales_with_eps,
+    standard_two_channel,
+)
 from .fidelity import coherent_fidelity
 from .protocol import corrected_map, incoherent_map
 from .states import as_snu, displace, vacuum_state
@@ -290,11 +296,12 @@ def _noise_axis(strategy, model: ChannelModel):
     ``strategy(model, n_modes)`` is one of the protocol's map builders, and
     eps scales the variance of every source of ``model``.  The encoder and
     the couplings do not depend on eps, so neither do the map's inputs F;
-    eps scales the variance of each input labelled ``source:`` and
-    ``own:`` (xi var c^2), and Y1 is their part of Y, Y0 the rest's.
+    eps scales the variance of each input that
+    :func:`cvgec.channel.scales_with_eps` names, and Y1 is their part of Y,
+    Y0 the rest's.
     """
     m = strategy(model, 1).restricted(1)
-    scaled = np.array([label.startswith(("source:", "own:")) for label in m.labels])
+    scaled = np.array([scales_with_eps(label) for label in m.labels])
     y0 = (m.F * np.where(scaled, 0.0, m.v)) @ m.F.T
     return m.X, y0, (m.F * np.where(scaled, m.v, 0.0)) @ m.F.T
 

@@ -27,7 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import VACUUM_VARIANCE, _quad_indices
-from .transforms import GaussianMap, embed, quadrature_labels
+from .transforms import GaussianMap, embed, label_origin, quadrature_labels
+
+#: The origins of :func:`channel_map`'s inputs, in column order.
+LOSS, OWN, SOURCE = "loss", "own", "source"
 
 
 @dataclass(frozen=True)
@@ -138,11 +141,18 @@ def channel_map(model: ChannelModel, modes, n_modes: int) -> GaussianMap:
     f[_quad_indices(modes)] = np.kron(columns, np.eye(2))
     channels = range(model.n_channels)
     labels = (
-        quadrature_labels("loss", channels)
-        + quadrature_labels("own", channels)
-        + quadrature_labels("source", (f"{k}:{src.label}" for k, src in enumerate(model.sources)))
+        quadrature_labels(LOSS, channels)
+        + quadrature_labels(OWN, channels)
+        + quadrature_labels(SOURCE, (f"{k}:{src.label}" for k, src in enumerate(model.sources)))
     )
     return GaussianMap(x, f, np.repeat(variances, 2), labels)
+
+
+def scales_with_eps(label: str) -> bool:
+    """Whether the variance of the input ``label`` of :func:`channel_map`
+    scales with every source's variance: a source's (1 - xi) var, and the
+    non-interfering xi var c^2 of a channel."""
+    return label_origin(label)[0] in (OWN, SOURCE)
 
 
 def standard_two_channel(

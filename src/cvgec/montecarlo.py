@@ -3,13 +3,14 @@ and the trace CSV writer.
 
 This module regenerates quadrature time traces stage by stage from the
 engine's own maps, :func:`cvgec.protocol.encoded_maps`: the channel stages
-are rows of the mirror-then-channel map on one sample per input, and the
-decoder ports the mirror's rows on those channel samples.  The independent
+are rows of one map, both modes entering as vacuum inputs and then passing
+the mirror and the channel, on one sample per input, and the decoder ports
+the mirror's rows on those channel samples.  The independent
 check is ``tests/montecarlo_oracle.py``, which writes the encode, channel
 and decode amplitude relations out by hand, draws the same streams and
 must match the trace sample by sample.
 
-Sampling draws every input of the maps as an independent normal stream
+Sampling draws every input of that map as an independent normal stream
 (vacuum terms with variance 1/2, the noise inputs with their variances),
 so only second moments are validated; no claim of Heisenberg-exact joint
 sampling is made.
@@ -17,8 +18,8 @@ sampling is made.
 Randomness comes from numpy's counter-based Philox generator.  Stream k of
 a run is seeded with SeedSequence((master_seed, k)), so traces are
 reproducible and independent of any evaluation schedule.  Stream k is the
-k-th input of the maps, and :func:`stream_labels` names each one in draw
-order, as the trace manifest lists them (``extras.streams``).  A
+k-th input of that map, and :func:`stream_labels` gives its labels, as the
+trace manifest lists them (``extras.streams``).  A
 zero-variance input still takes its number.
 """
 
@@ -32,6 +33,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .protocol import encoded_maps
+from .states import VACUUM_VARIANCE
 from .transforms import GaussianMap, quadrature_labels
 
 #: Stage names in record order.
@@ -90,13 +92,12 @@ def sample_run(
     phase = np.ones(n)
     if modulation_period > 0:
         phase = np.sin(2.0 * np.pi * np.arange(n) / modulation_period)
-    inputs = [a * phase + draw(0.5) for a in amplitude] + [draw(0.5), draw(0.5)]  # vacua
-
-    mirrored, channel = _trace_maps(model, pair)
-    inputs += [draw(v) for v in channel.v]
+    mirrored, streams = _trace_maps(model, pair)
+    inputs = [draw(v) for v in streams.v]
+    for k, a in enumerate(amplitude):  # the input's mean rides its vacuum
+        inputs[k] = a * phase + inputs[k]
     records = [TraceRecord(STAGES[0], q, inputs[k]) for k, q in enumerate("XP")]
-    for stages, m in ((STAGES[1:3], channel), (STAGES[3:], mirrored)):
-        rows = np.hstack([m.X, m.F])
+    for stages, rows in ((STAGES[1:3], streams.F), (STAGES[3:], mirrored.X)):
         for row, (stage, q) in zip(rows, itertools.product(stages, "XP")):
             records.append(TraceRecord(stage, q, _combine(row, inputs)))
         inputs = [r.samples for r in records[2:]]  # the channel samples
@@ -105,17 +106,19 @@ def sample_run(
 
 def stream_labels(model: ChannelModel, pair: tuple[float, float]) -> tuple[str, ...]:
     """The origin of each Philox stream of :func:`sample_run`, in draw order:
-    the input's x and p (its vacuum, plus the mean), the auxiliary
-    carrier's, then the labelled inputs of the mirror-then-channel map."""
-    head = ("input.x", "input.p") + quadrature_labels("carrier", (1,))
-    return head + _trace_maps(model, pair)[1].labels
+    the labels of the map it draws the channel samples from."""
+    return _trace_maps(model, pair)[1].labels
 
 
 def _trace_maps(model: ChannelModel, pair: tuple[float, float]) -> tuple[GaussianMap, GaussianMap]:
     """The mirror of (c, -s) on the modes (signal, auxiliary), which decodes
-    too, and the mirror-then-channel map."""
+    too, and the map from the streams to the channel samples: both modes
+    enter as vacuum inputs, ``input:0`` and ``carrier:1``, then pass the
+    mirror and the channel, whose inputs follow."""
     mirrored, channel = encoded_maps(model, 1, signal=(pair[0], -pair[1]))
-    return mirrored, mirrored.then(channel)
+    labels = quadrature_labels("input", (0,)) + quadrature_labels("carrier", (1,))
+    vacua = GaussianMap(np.zeros((4, 4)), np.eye(4), np.full(4, VACUUM_VARIANCE), labels)
+    return mirrored, vacua.then(mirrored).then(channel)
 
 
 def _combine(weights, inputs) -> np.ndarray:

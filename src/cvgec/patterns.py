@@ -54,10 +54,19 @@ def null_space_encoder(patterns) -> np.ndarray:
     with the sign fixed so the first nonzero component is positive.  So
     patterns that couple to no channel at all leave e_0.
     """
+    return protected_mode(patterns)[0]
+
+
+def protected_mode(patterns) -> tuple[np.ndarray, tuple[bool, ...]]:
+    """:func:`null_space_encoder`'s vector u, and for each pattern whether
+    u . pattern = 0 by construction: the pattern lies in the span u was
+    orthogonalized against, or is zero.  A pattern dropped as dependent,
+    its residual against the earlier ones at most 1e-9 of its scale, does
+    not: u . pattern is that residual's share along u."""
     if not isinstance(patterns, NoisePatternSet):
         patterns = NoisePatternSet(tuple(patterns))
     n = patterns.n_channels
-    basis = _orthonormalize(patterns.patterns, n)
+    basis, spanned = _orthonormalize(patterns.patterns)
     if len(basis) >= n:
         raise NoProtectedSubspaceError(
             "noise patterns span all channels; no protected mode exists"
@@ -72,7 +81,7 @@ def null_space_encoder(patterns) -> np.ndarray:
         if norm > _NULL_TOL:
             s = r / norm
             first = np.flatnonzero(np.abs(s) > _NULL_TOL)[0]
-            return s if s[first] > 0 else -s
+            return (s if s[first] > 0 else -s), spanned
     raise NoProtectedSubspaceError("no direction survives orthogonalization")
 
 
@@ -98,15 +107,18 @@ def mirror(u) -> np.ndarray:
     return m
 
 
-def _orthonormalize(vectors, n: int) -> list[np.ndarray]:
-    """Modified Gram-Schmidt in input order, dropping dependent vectors.
+def _orthonormalize(vectors) -> tuple[list[np.ndarray], tuple[bool, ...]]:
+    """Modified Gram-Schmidt in input order, dropping dependent vectors,
+    and for each vector whether the basis spans it: it was kept, or is zero.
     Each is first scaled exactly by the power of two of its largest entry,
     so its norm neither underflows nor overflows at any finite scale."""
     basis: list[np.ndarray] = []
+    spanned = []
     for v in vectors:
         r = np.array(v, dtype=float)
         top = np.max(np.abs(r), initial=0.0)
         if top == 0.0:
+            spanned.append(True)
             continue
         r = np.ldexp(r, -np.frexp(top)[1])
         scale = np.linalg.norm(r)
@@ -114,6 +126,7 @@ def _orthonormalize(vectors, n: int) -> list[np.ndarray]:
             for q in basis:
                 r -= (q @ r) * q
         norm = np.linalg.norm(r)
-        if norm > _NULL_TOL * scale:
+        spanned.append(bool(norm > _NULL_TOL * scale))
+        if spanned[-1]:
             basis.append(r / norm)
-    return basis
+    return basis, tuple(spanned)

@@ -27,12 +27,12 @@ from itertools import compress
 
 import numpy as np
 
-from .channel import ChannelModel, NoiseSource, channel_map
+from .channel import LOSS, SOURCE, ChannelModel, NoiseSource, channel_map
 # The pattern names are part of this module's surface as well.
 from .patterns import NoProtectedSubspaceError, NoisePatternSet, null_space_encoder
-from .patterns import mirror
+from .patterns import mirror, protected_mode
 from .states import GaussianState
-from .transforms import GaussianMap, beam_splitter
+from .transforms import GaussianMap, beam_splitter, label_origin
 
 
 @dataclass(frozen=True)
@@ -84,21 +84,33 @@ def corrected_map(
     As M M = I, what every channel shares passes as it is: X = A + M (D - A) M
     with A = a I on the carriers, a the smallest amplitude, and the smallest
     loss variance l enters each carrier quadrature directly, l_i - l via M.
-    Into the protected mode u of the couplings (no ``signal``), u . c = 0 by
-    construction, so each source reaches the signal mode's rows as an exact
-    0, not as its rounding fl(u . c).  So with no mismatch and equal loss
-    and thermal noise, the protected mode sees that lossy channel bit for
-    bit at any noise variance.  A given ``signal`` keeps its rows."""
-    mirrored, channel = encoded_maps(model, n_modes, signal_mode, signal)
+    With no ``signal``, the signal is the protected mode u of the couplings
+    (e_0 without sources; couplings spanning every channel raise
+    NoProtectedSubspaceError).  u . c = 0 by construction for each
+    coupling c that u was orthogonalized against
+    (:func:`cvgec.patterns.protected_mode`), so such a source reaches the
+    signal mode's rows as an exact 0, not as its rounding fl(u . c).  So
+    with no mismatch and equal loss and thermal noise, the protected mode
+    sees that lossy channel bit for bit at any noise variance.  A source
+    dropped there as nearly dependent keeps its rows, u . c its residual,
+    and so does every source of a given ``signal``."""
+    exact = set()  # the sources with u . c = 0 by construction
+    if signal is None:
+        couplings = [src.coupling for src in model.sources]
+        signal = np.eye(model.n_channels)[0]
+        if couplings:
+            signal, spanned = protected_mode(couplings)
+            exact = {k for k, s in enumerate(spanned) if s}
+    mirrored, channel = encoded_maps(model, n_modes, signal_mode, signal=signal)
     m, labels = mirrored.X, channel.labels
-    loss = np.array([label.startswith("loss:") for label in labels])
+    origins = [label_origin(label) for label in labels]
+    loss = np.array([origin == LOSS for origin, _ in origins])
     direct = channel.F[:, loss]  # each along its carrier quadrature
     shared = np.diag(np.where(direct.any(axis=1), np.sqrt(model.eta).min(), 1.0))  # A
     floor = np.min(channel.v[loss])  # l
     f = m @ channel.F
-    if signal is None:
-        source = [label.startswith("source:") for label in labels]
-        f[2 * signal_mode : 2 * signal_mode + 2, source] = 0.0
+    protected = [origin == SOURCE and k in exact for origin, k in origins]
+    f[2 * signal_mode : 2 * signal_mode + 2, protected] = 0.0
     rest = np.where(loss, channel.v - floor, channel.v)
     v = np.concatenate([np.full(direct.shape[1], floor), rest])
     labels = (*compress(labels, loss), *labels)
@@ -106,18 +118,13 @@ def corrected_map(
 
 
 def encoded_maps(
-    model: ChannelModel, n_modes: int, signal_mode: int = 0, signal=None
+    model: ChannelModel, n_modes: int, signal_mode: int = 0, *, signal
 ) -> tuple[GaussianMap, GaussianMap]:
-    """The two maps the corrected scheme composes: the mirror of ``signal``
-    on the signal mode and C - 1 carriers that enter in vacuum after the
-    ``n_modes`` state modes, and the channel stage on those carriers.
-    ``signal`` is a unit vector of channel amplitudes, or else the protected
-    vector of ``model``'s couplings (e_0 without sources; couplings spanning
-    every channel raise NoProtectedSubspaceError)."""
+    """The two maps the corrected scheme composes: the mirror of ``signal``,
+    a unit vector of channel amplitudes, on the signal mode and C - 1
+    carriers that enter in vacuum after the ``n_modes`` state modes, and the
+    channel stage on those carriers."""
     n = model.n_channels
-    if signal is None:
-        couplings = [src.coupling for src in model.sources]
-        signal = null_space_encoder(couplings) if couplings else np.eye(n)[0]
     carriers = (signal_mode,) + tuple(range(n_modes, n_modes + n - 1))
     reg = n_modes + n - 1
     mirrored = GaussianMap.of(np.kron(mirror(signal), np.eye(2)), carriers, reg)

@@ -46,7 +46,8 @@ class GaussianMap:
             non-interfering mismatch noise), ``source:<k>:<name>`` (the k-th
             noise source, named ``name`` in the config) or ``carrier:<m>``
             (the vacuum of register mode m, dropped by :meth:`restricted`);
-            every index counts from 0.
+            every index counts from 0.  :func:`quadrature_labels` writes
+            them, and :func:`label_origin` reads the origin back.
 
     The added covariance is the property ``Y = F diag(v) F^T``.
     """
@@ -119,6 +120,13 @@ def quadrature_labels(origin: str, indices) -> tuple[str, ...]:
     """``<origin>:<i>.x`` and ``<origin>:<i>.p`` for each index i, in order:
     the labels of one input per quadrature of each channel or mode i."""
     return tuple(f"{origin}:{i}.{q}" for i in indices for q in "xp")
+
+
+def label_origin(label: str) -> tuple[str, int]:
+    """The origin and the index that a label of :func:`quadrature_labels`
+    begins with: ``("source", 1)`` for ``source:1:a.x``."""
+    origin, index = label.split(":", 2)[:2]
+    return origin, int(index.partition(".")[0])
 
 
 def embed(block: np.ndarray, modes, n_modes: int) -> np.ndarray:

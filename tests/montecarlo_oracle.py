@@ -53,7 +53,7 @@ def stage_relations(model, pair) -> tuple[np.ndarray, dict[str, np.ndarray]]:
 
 def input_names(model) -> list[str]:
     """The origin of each input of :func:`stage_relations`, in its order."""
-    names = ["input", "carrier:1", "loss:0", "loss:1", "own:0", "own:1"]
+    names = ["input:0", "carrier:1", "loss:0", "loss:1", "own:0", "own:1"]
     return names + [f"source:{k}:{src.label}" for k, src in enumerate(model.sources)]
 
 

@@ -25,7 +25,7 @@ from cvgec.analysis import (
     optimize_splitting,
     write_sweep_csv,
 )
-from cvgec.channel import ChannelModel, NoiseSource, channel_map, standard_two_channel
+from cvgec.channel import SOURCE, ChannelModel, NoiseSource, channel_map, standard_two_channel
 from cvgec.montecarlo import sample_run
 from cvgec.fidelity import coherent_fidelity
 from cvgec.protocol import (
@@ -38,7 +38,7 @@ from cvgec.protocol import (
     uncorrected_channel,
 )
 from cvgec.states import GaussianState, as_snu, displace, vacuum_state
-from cvgec.transforms import two_mode_squeezed
+from cvgec.transforms import label_origin, two_mode_squeezed
 
 import breaking_oracle
 import mp_oracle
@@ -650,9 +650,24 @@ class TestExactCancellation:
         u = null_space_encoder([model.sources[0].coupling])
         for signal, leak in ((None, 0.0), (u, float(u @ model.sources[0].coupling))):
             m = corrected_map(model, 1, signal=signal)
-            source = [label.startswith("source:") for label in m.labels]
+            source = [label_origin(label)[0] == SOURCE for label in m.labels]
             assert np.array_equal(m.F[0, source], [leak, 0.0])
         assert leak != 0.0
+
+    def test_a_nearly_dependent_source_keeps_its_residual(self):
+        # source b lies within 1e-10 of source a, so the protected vector u is
+        # orthogonalized against a alone: a reaches the signal mode as an
+        # exact 0, b as u . b, about 7e-11, whose share grows with eps
+        near = 1.0000000001
+        sources = (NoiseSource((1.0, 1.0), 0.5, "a"), NoiseSource((1.0, near), 0.5, "b"))
+        model = ChannelModel(2, 1.0, 0.0, sources)
+        m = corrected_map(model, 1)
+        source = [label_origin(label)[0] == SOURCE for label in m.labels]
+        assert m.F[0, source].tolist()[:2] == [0.0, 0.0]
+        residual = (1.0 - near) / np.sqrt(2.0)
+        assert m.F[0, source] == pytest.approx([0.0, 0.0, residual, 0.0], rel=1e-6, abs=0.0)
+        _, _, y1 = _noise_axis(corrected_map, model)
+        assert y1[0, 0] == pytest.approx(0.5 * residual**2, rel=1e-6)
 
     @pytest.mark.parametrize(
         "strategy",

@@ -478,6 +478,21 @@ class TestPureLossAtLargeNoise:
         for name in ("var_x_corr_snu", "var_p_corr_snu", "fid_corr"):
             assert cols[name].tolist() == [1.0, 1.0], name
 
+    def test_a_nearly_dependent_source_still_adds_noise(self, tmp_path):
+        # source b lies within 1e-10 of source a, too close for one protected
+        # vector to avoid both: b reaches the signal mode as its residual,
+        # whose share (7e-11)^2 var_b eps adds 0.25 SNU at eps 1e20.  Pinned
+        # from the corrected map that kept every source's rows fl(u . c)
+        config = tmp_path / "near.cfg"
+        config.write_text("n_channels 2\nsource a 1 1 1\nsource b 1 1 1.0000000001\n")
+        out = tmp_path / "e.csv"
+        argv = ["sweep-entangle", "--channel-config", str(config), "--eps-max", "1e20"]
+        assert main(argv + ["--eps-steps", "3", "--out", str(out)]) == 0
+        _, cols = read_csv(out)
+        expected = [1.5430806348152437, 1.6680806555003374, 1.7930806761854308]
+        for q in ("x", "p"):
+            assert cols[f"var_{q}_corr_snu"].tolist() == expected
+
     def test_lossy_vacuum_stays_the_vacuum(self, tmp_path):
         # a loss input is the complement of the amplitude applied, so at eps 0
         # both strategies write exactly the vacuum at eta 0.8

@@ -21,6 +21,7 @@ from cvgec.protocol import (
     optimal_splitting_for,
     uncorrected_channel,
 )
+from cvgec.patterns import protected_mode
 from cvgec.states import GaussianState, as_snu, displace, vacuum_state
 from cvgec.transforms import GaussianMap, beam_splitter, two_mode_squeezed
 
@@ -475,6 +476,17 @@ class TestNullSpaceEncoder:
             assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
             for p in patterns.patterns:
                 assert abs(p @ s) < 1e-12
+            assert protected_mode(patterns)[1] == (True,) * k
+
+    def test_protected_mode_flags_the_patterns_it_spans(self):
+        # b lies within 1e-10 of a, so the pass drops it as dependent: u is
+        # orthogonalized against a, the zero pattern and c, not against b
+        near = [1.0, 1.0000000001, 0.0]
+        patterns = ([1.0, 1.0, 0.0], near, np.zeros(3), [0.0, 0.0, 1.0])
+        u, spanned = protected_mode(patterns)
+        assert spanned == (True, False, True, True)
+        assert np.array_equal(u, null_space_encoder(patterns))
+        assert u @ near == pytest.approx(-1e-10 / np.sqrt(2), rel=1e-6)
 
     def test_degenerate_subspace_deterministic(self):
         patterns = NoisePatternSet((np.array([1.0, 0.0, 0.0]),))

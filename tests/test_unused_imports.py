@@ -17,8 +17,9 @@ import cvgec
 SRC = pathlib.Path(cvgec.__file__).parent
 
 #: (module, name) pairs imported only to be re-exported.  ``protocol``
-#: documents that the pattern names are part of its surface.
-RE_EXPORTS = {("protocol", "NoProtectedSubspaceError")}
+#: documents that the pattern names are part of its surface, and the
+#: package resolves ``null_space_encoder`` from it.
+RE_EXPORTS = {("protocol", "NoProtectedSubspaceError"), ("protocol", "null_space_encoder")}
 
 
 def unused_imports(source: str) -> set[str]:
