@@ -11,7 +11,7 @@ loads neither numpy nor any layer until one of them is asked for.
 
 import importlib
 
-__version__ = "0.3.3"
+__version__ = "0.3.4"
 
 #: Layer modules that the package exposes as attributes.
 _LAYERS = ("channel", "network", "protocol", "states", "transforms")
@@ -36,7 +36,7 @@ _EXPORTS = {
         "excess_noise_snu",
         "standard_two_channel",
     ),
-    "patterns": ("NoProtectedSubspaceError", "NoisePatternSet", "null_space_encoder"),
+    "patterns": ("NoProtectedSubspaceError", "NoisePatternSet"),
     "protocol": (
         "ProtocolConfig",
         "corrected_channel",

@@ -31,7 +31,7 @@ from .channel import (
     standard_two_channel,
 )
 from .fidelity import coherent_fidelity
-from .protocol import corrected_map, incoherent_map
+from .protocol import corrected_map, incoherent_map, incoherent_refusal
 from .states import as_snu, displace, vacuum_state
 from .transforms import two_mode_squeezed
 
@@ -96,23 +96,29 @@ def coherent_sweep(model: ChannelModel, amplitude: tuple[float, float], eps_grid
 
     For each noise level the corrected (protected-mode), uncorrected
     (direct channel-1 transmission) and incoherent (measure/feedforward)
-    outputs are evaluated.  Fidelities compare against the original input
-    with no gain rescaling.  Besides the ``SWEEP_COLUMNS``, the series hold
-    the ``AUX_COLUMNS``: the channel-2 uncorrected alternative and the
-    displacement-corrected fidelities.  A grid whose corrected or
-    uncorrected variance in SNU is beyond the double range is refused.
+    outputs are evaluated; where the incoherent baseline is undefined,
+    ``fid_incoh`` is NaN and the metadata's ``fid_incoh_nan`` says why.
+    Fidelities compare against the original input with no gain rescaling.
+    Besides the ``SWEEP_COLUMNS``, the series hold the ``AUX_COLUMNS``: the
+    channel-2 uncorrected alternative and the displacement-corrected
+    fidelities.  A grid whose corrected or uncorrected variance in SNU is
+    beyond the double range is refused.
     """
     eps_grid = _noise_values(eps_grid)
     probe = displace(vacuum_state(1), 0, amplitude[0], amplitude[1])
     mean, cov = probe.mean, probe.cov
-    (m_corr, v_corr), (m_unc, v_unc), (m_inc, v_inc) = (
+    (m_corr, v_corr), (m_unc, v_unc) = (
         _outputs(_noise_axis(strategy, model), mean, cov, eps_grid)
-        for strategy in (corrected_map, _direct(0), incoherent_map)
+        for strategy in (corrected_map, _direct(0))
     )
     for tag, v in (("corrected", v_corr), ("uncorrected", v_unc)):
         if np.max(v.diagonal(axis1=1, axis2=2)) > 0.5 * np.finfo(float).max:
             raise ValueError(f"the {tag} variance in SNU is beyond the float range")
-    nan = np.full(eps_grid.size, np.nan)
+    nan = fid_incoh = np.full(eps_grid.size, np.nan)
+    refusal = incoherent_refusal(model)
+    if refusal is None:
+        m_inc, v_inc = _outputs(_noise_axis(incoherent_map, model), mean, cov, eps_grid)
+        fid_incoh = coherent_fidelity(m_inc, v_inc, mean)
     cols = {
         "var_x_corr_snu": as_snu(v_corr[:, 0, 0]),
         "var_p_corr_snu": as_snu(v_corr[:, 1, 1]),
@@ -120,7 +126,7 @@ def coherent_sweep(model: ChannelModel, amplitude: tuple[float, float], eps_grid
         "var_p_uncorr_snu": as_snu(v_unc[:, 1, 1]),
         "fid_corr": coherent_fidelity(m_corr, v_corr, mean),
         "fid_uncorr": coherent_fidelity(m_unc, v_unc, mean),
-        "fid_incoh": coherent_fidelity(m_inc, v_inc, mean),
+        "fid_incoh": fid_incoh,
         "insep_corr": nan,
         "insep_uncorr": nan,
     }
@@ -138,6 +144,8 @@ def coherent_sweep(model: ChannelModel, amplitude: tuple[float, float], eps_grid
         "channel": dump_channel_config(model).splitlines(),
         "amplitude": list(amplitude),
     }
+    if refusal is not None:
+        metadata["fid_incoh_nan"] = refusal
     return SweepResult(eps_grid, cols, metadata)
 
 

@@ -134,8 +134,7 @@ def _cmd_sweep_entangle(args) -> None:
 
 def _cmd_trace(args) -> None:
     from .channel import dump_channel_config
-    from .montecarlo import sample_run, stream_labels, write_trace_csv
-    from .protocol import optimal_splitting_for
+    from .montecarlo import sample_run, trace_map, write_trace_csv
 
     _count(args.n, "--n")
     if args.modulation_period < 0:
@@ -143,19 +142,13 @@ def _cmd_trace(args) -> None:
     if args.seed < 0:
         raise UsageError("--seed must be nonnegative")
     model = _effective_channel(args, eps=args.eps)
-    pair = optimal_splitting_for(model)
-    records = sample_run(
-        model,
-        pair,
-        args.n,
-        args.seed,
-        amplitude=tuple(args.amplitude),
-        modulation_period=args.modulation_period,
-    )
+    u, rows = trace_map(model)
+    amplitude, period = tuple(args.amplitude), args.modulation_period
+    records = sample_run(rows, args.n, args.seed, amplitude=amplitude, modulation_period=period)
     extras = {
-        "splitting": list(pair),
+        "splitting": [u[0], -u[1]],
         "channel": dump_channel_config(model).splitlines(),
-        "streams": list(stream_labels(model, pair)),
+        "streams": list(rows.labels),
     }
     files = [(args.out, lambda fh: write_trace_csv(records, fh))]
     _write_outputs(args, files, extras, seed=args.seed, model=model)
@@ -163,7 +156,7 @@ def _cmd_trace(args) -> None:
 
 def _cmd_synth(args) -> None:
     from .network import decompose_network, serialize_plan
-    from .patterns import NoisePatternSet, mirror, null_space_encoder
+    from .patterns import NoisePatternSet, mirror, protected_mode
 
     rows = []
     with open(args.patterns) as fh:
@@ -176,7 +169,7 @@ def _cmd_synth(args) -> None:
     if not rows:
         raise UsageError("pattern file contains no vectors")
     patterns = NoisePatternSet(tuple(rows))
-    signal = null_space_encoder(patterns)
+    signal = protected_mode(patterns)[0]
     plan = decompose_network(mirror(signal))
     signal_line = " ".join(format(x, ".17g") for x in signal)
     text = serialize_plan(plan) + f"# signal {signal_line}\n"

@@ -1,26 +1,23 @@
-"""Seeded sampling of explicit noise realizations through the protocol,
-and the trace CSV writer.
+"""Seeded sampling of explicit noise realizations through the corrected
+scheme, and the trace CSV writer.
 
-This module regenerates quadrature time traces stage by stage from the
-engine's own maps, :func:`cvgec.protocol.encoded_maps`: the channel stages
-are rows of one map, both modes entering as vacuum inputs and then passing
-the mirror and the channel, on one sample per input, and the decoder ports
-the mirror's rows on those channel samples.  The independent
-check is ``tests/montecarlo_oracle.py``, which writes the encode, channel
-and decode amplitude relations out by hand, draws the same streams and
-must match the trace sample by sample.
+:func:`trace_map` builds the scheme of :func:`cvgec.protocol.corrected_map`
+once, on its protected mode, and writes every record as one row of weights
+on the labelled streams, so the corrected stage is pure loss at any noise
+variance.  The independent check is ``tests/montecarlo_oracle.py``, which
+writes the encode, channel and decode amplitude relations out by hand,
+draws the same streams and must match the trace sample by sample.
 
-Sampling draws every input of that map as an independent normal stream
-(vacuum terms with variance 1/2, the noise inputs with their variances),
-so only second moments are validated; no claim of Heisenberg-exact joint
-sampling is made.
+Sampling draws every stream as an independent normal (vacuum terms with
+variance 1/2, the noise inputs with their variances), so only second
+moments are validated; no claim of Heisenberg-exact joint sampling is
+made.
 
 Randomness comes from numpy's counter-based Philox generator.  Stream k of
 a run is seeded with SeedSequence((master_seed, k)), so traces are
 reproducible and independent of any evaluation schedule.  Stream k is the
-k-th input of that map, and :func:`stream_labels` gives its labels, as the
-trace manifest lists them (``extras.streams``).  A
-zero-variance input still takes its number.
+k-th input of the records map, whose labels the trace manifest lists
+(``extras.streams``).  A zero-variance input still takes its number.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel
-from .protocol import encoded_maps
+from .protocol import decoded, encoded_maps, protected_signal
 from .states import VACUUM_VARIANCE
 from .transforms import GaussianMap, quadrature_labels
 
@@ -58,23 +55,38 @@ class TraceRecord:
         object.__setattr__(self, "samples", samples)
 
 
+def trace_map(model: ChannelModel) -> tuple[np.ndarray, GaussianMap]:
+    """The trace's one build on a two-channel ``model``: the protected mode
+    u (:func:`cvgec.protocol.protected_signal`), whose first entry above
+    1e-9 in magnitude is positive, so the manifest's pair (c, s) = (u0, -u1)
+    has c > 0 unless |c| <= 1e-9, and then s < 0; and the ten records as a
+    map with no state entering (X = 0) whose inputs are the Philox streams,
+    row r of F record r's weights on them.  The streams are the inputs of
+    the map in which both modes enter as vacuum inputs, ``input:0`` and
+    ``carrier:1``, then pass the mirror of u and the channel.  The rows are
+    the identity for ``input``, that map for the channel stages, and the
+    decoder's rows (:func:`cvgec.protocol.decoded`) for the two ports."""
+    if model.n_channels != 2:
+        raise ValueError(f"trace samples two channels; the config has {model.n_channels}")
+    u, spanned = protected_signal(model)
+    mirrored, channel = encoded_maps(model, 1, signal=u)
+    labels = quadrature_labels("input", (0,)) + quadrature_labels("carrier", (1,))
+    vacua = GaussianMap(np.zeros((4, 4)), np.eye(4), np.full(4, VACUUM_VARIANCE), labels)
+    streams = vacua.then(mirrored).then(channel)
+    ports = np.hstack(decoded(mirrored, channel, spanned, 0))
+    weights = np.vstack([np.eye(2, len(streams.v)), streams.F, ports])
+    return u, GaussianMap(np.zeros((10, 10)), weights, streams.v, streams.labels)
+
+
 def sample_run(
-    model: ChannelModel,
-    pair: tuple[float, float],
-    n: int,
-    seed: int,
-    amplitude: tuple[float, float] = (2.0, 0.0),
+    records: GaussianMap, n: int, seed: int, amplitude: tuple[float, float] = (2.0, 0.0),
     modulation_period: int = 0,
 ) -> list[TraceRecord]:
-    """Draw ``n`` shots through the two-channel protocol on the channel
-    ``model``.
-
-    Both splitters are the mirror of (c, -s) for the unit amplitude pair
-    ``pair`` = (c, s): the pi-flip ((c, -s), (-s, -c)), its own inverse,
-    whose rows decode the channel samples.  Returns one record per (stage,
-    quadrature), in CSV order.  A positive ``modulation_period`` applies a
-    sinusoidal displacement to the input mean, for trace rendering only.
-    """
+    """Draw ``n`` shots of the ``records`` map of :func:`trace_map`, one
+    normal stream per input, stream k for input k: one record per (stage,
+    quadrature), in CSV order, each its row's weighted sum of the streams.
+    A positive ``modulation_period`` applies a sinusoidal displacement to
+    the input mean, for trace rendering only."""
     if n < 1:
         raise ValueError("need at least one shot")
     if modulation_period < 0:
@@ -92,33 +104,11 @@ def sample_run(
     phase = np.ones(n)
     if modulation_period > 0:
         phase = np.sin(2.0 * np.pi * np.arange(n) / modulation_period)
-    mirrored, streams = _trace_maps(model, pair)
-    inputs = [draw(v) for v in streams.v]
+    inputs = [draw(v) for v in records.v]
     for k, a in enumerate(amplitude):  # the input's mean rides its vacuum
         inputs[k] = a * phase + inputs[k]
-    records = [TraceRecord(STAGES[0], q, inputs[k]) for k, q in enumerate("XP")]
-    for stages, rows in ((STAGES[1:3], streams.F), (STAGES[3:], mirrored.X)):
-        for row, (stage, q) in zip(rows, itertools.product(stages, "XP")):
-            records.append(TraceRecord(stage, q, _combine(row, inputs)))
-        inputs = [r.samples for r in records[2:]]  # the channel samples
-    return records
-
-
-def stream_labels(model: ChannelModel, pair: tuple[float, float]) -> tuple[str, ...]:
-    """The origin of each Philox stream of :func:`sample_run`, in draw order:
-    the labels of the map it draws the channel samples from."""
-    return _trace_maps(model, pair)[1].labels
-
-
-def _trace_maps(model: ChannelModel, pair: tuple[float, float]) -> tuple[GaussianMap, GaussianMap]:
-    """The mirror of (c, -s) on the modes (signal, auxiliary), which decodes
-    too, and the map from the streams to the channel samples: both modes
-    enter as vacuum inputs, ``input:0`` and ``carrier:1``, then pass the
-    mirror and the channel, whose inputs follow."""
-    mirrored, channel = encoded_maps(model, 1, signal=(pair[0], -pair[1]))
-    labels = quadrature_labels("input", (0,)) + quadrature_labels("carrier", (1,))
-    vacua = GaussianMap(np.zeros((4, 4)), np.eye(4), np.full(4, VACUUM_VARIANCE), labels)
-    return mirrored, vacua.then(mirrored).then(channel)
+    rows = zip(records.F, itertools.product(STAGES, "XP"))
+    return [TraceRecord(stage, q, _combine(row, inputs)) for row, (stage, q) in rows]
 
 
 def _combine(weights, inputs) -> np.ndarray:

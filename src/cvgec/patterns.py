@@ -2,7 +2,7 @@
 
 Each independent noise source couples to the N channels with an amplitude
 vector.  A signal encoded into a direction orthogonal to every pattern
-never meets the shared noise; :func:`null_space_encoder` picks that
+never meets the shared noise; :func:`protected_mode` picks that
 direction, and :func:`mirror` is the mode matrix that encodes into it and,
 being its own inverse, decodes out of it.  The module needs only numpy, so
 ``cvgec synth`` loads no channel or state code, and the sweeps no mesh code.
@@ -45,24 +45,18 @@ class NoisePatternSet:
         return self.patterns[0].size
 
 
-def null_space_encoder(patterns) -> np.ndarray:
-    """Unit signal vector orthogonal to every noise coupling pattern.
-
-    Ties (a protected subspace of dimension > 1) are broken
-    deterministically: the standard basis vectors are orthonormalized
-    against the patterns in order and the first surviving direction wins,
-    with the sign fixed so the first nonzero component is positive.  So
-    patterns that couple to no channel at all leave e_0.
-    """
-    return protected_mode(patterns)[0]
-
-
 def protected_mode(patterns) -> tuple[np.ndarray, tuple[bool, ...]]:
-    """:func:`null_space_encoder`'s vector u, and for each pattern whether
-    u . pattern = 0 by construction: the pattern lies in the span u was
-    orthogonalized against, or is zero.  A pattern dropped as dependent,
-    its residual against the earlier ones at most 1e-9 of its scale, does
-    not: u . pattern is that residual's share along u."""
+    """Unit signal vector u orthogonal to every noise coupling pattern, and
+    per pattern whether u . pattern = 0 by construction: it lies in the
+    span u was orthogonalized against, or is zero.  A pattern dropped as
+    dependent, its residual against the earlier ones at most 1e-9 of its
+    scale, keeps u . pattern, that residual's share along u.
+
+    Ties (a protected subspace of dimension > 1) go to the first standard
+    basis vector that survives orthogonalization against the patterns in
+    order, so patterns that couple to no channel leave e_0.  The sign makes
+    the first entry above 1e-9 in magnitude positive: at two channels
+    u0 > 0 unless |u0| <= 1e-9, and then u1 > 0."""
     if not isinstance(patterns, NoisePatternSet):
         patterns = NoisePatternSet(tuple(patterns))
     n = patterns.n_channels

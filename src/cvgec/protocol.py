@@ -4,12 +4,13 @@ The corrected scheme is one map, :func:`corrected_map`: the mirror of the
 signal vector u (:func:`cvgec.patterns.mirror`) spreads the signal and
 C - 1 vacuum carriers over the C noisy channels, and, its own inverse,
 recombines them.  u is the protected mode, orthogonal to every noise
-coupling, unless given.  For two channels its mirror is the paper's pi-flip
+coupling, unless given; :func:`protected_signal` chooses it for the sweeps
+and the trace alike.  For two channels its mirror is the paper's pi-flip
 splitter at T = g2 / (g1 + g2): the shared noise exits the discarded port
 and the signal sees pure loss at any noise variance, each source reaching
-it as the one dot product u . c, an input whose variance stays its own.
-What all channels share passes the mirror pair as it is, so at equal loss
-and thermal noise the signal's amplitude and loss are exact, bit for bit.
+it as an exact 0.  What all channels share passes the mirror pair as it
+is, so at equal loss and thermal noise the signal's amplitude and loss are
+exact, bit for bit.
 
 The "uncorrected" reference, direct transmission through channel k, is
 the same map with the signal along e_k, the scheme at full transmission:
@@ -29,8 +30,7 @@ import numpy as np
 
 from .channel import LOSS, SOURCE, ChannelModel, NoiseSource, channel_map
 # The pattern names are part of this module's surface as well.
-from .patterns import NoProtectedSubspaceError, NoisePatternSet, null_space_encoder
-from .patterns import mirror, protected_mode
+from .patterns import NoProtectedSubspaceError, NoisePatternSet, mirror, protected_mode
 from .states import GaussianState
 from .transforms import GaussianMap, beam_splitter, label_origin
 
@@ -79,42 +79,49 @@ def optimal_splitting_for(model: ChannelModel) -> tuple[float, float]:
 def corrected_map(
     model: ChannelModel, n_modes: int, signal_mode: int = 0, signal=None
 ) -> GaussianMap:
-    """Encode, transmit, decode: M D M for the mirror M and the channel D.
-
-    As M M = I, what every channel shares passes as it is: X = A + M (D - A) M
-    with A = a I on the carriers, a the smallest amplitude, and the smallest
-    loss variance l enters each carrier quadrature directly, l_i - l via M.
-    With no ``signal``, the signal is the protected mode u of the couplings
-    (e_0 without sources; couplings spanning every channel raise
-    NoProtectedSubspaceError).  u . c = 0 by construction for each
-    coupling c that u was orthogonalized against
-    (:func:`cvgec.patterns.protected_mode`), so such a source reaches the
-    signal mode's rows as an exact 0, not as its rounding fl(u . c).  So
-    with no mismatch and equal loss and thermal noise, the protected mode
-    sees that lossy channel bit for bit at any noise variance.  A source
-    dropped there as nearly dependent keeps its rows, u . c its residual,
-    and so does every source of a given ``signal``."""
-    exact = set()  # the sources with u . c = 0 by construction
+    """Encode, transmit, decode: M D M for the mirror M and the channel D
+    (:func:`decoded`).  With no ``signal``, the signal is the protected mode
+    of the couplings, each spanned source an exact 0 on it, so with no
+    mismatch and equal loss and thermal noise it sees that lossy channel
+    bit for bit at any noise variance.  The smallest loss variance l enters
+    each carrier quadrature directly, and l_i - l via M."""
+    spanned = (False,) * len(model.sources)
     if signal is None:
-        couplings = [src.coupling for src in model.sources]
-        signal = np.eye(model.n_channels)[0]
-        if couplings:
-            signal, spanned = protected_mode(couplings)
-            exact = {k for k, s in enumerate(spanned) if s}
+        signal, spanned = protected_signal(model)
     mirrored, channel = encoded_maps(model, n_modes, signal_mode, signal=signal)
-    m, labels = mirrored.X, channel.labels
-    origins = [label_origin(label) for label in labels]
-    loss = np.array([origin == LOSS for origin, _ in origins])
-    direct = channel.F[:, loss]  # each along its carrier quadrature
-    shared = np.diag(np.where(direct.any(axis=1), np.sqrt(model.eta).min(), 1.0))  # A
+    x, f = decoded(mirrored, channel, spanned, signal_mode)
+    loss = np.array([label_origin(label)[0] == LOSS for label in channel.labels])
     floor = np.min(channel.v[loss])  # l
+    v = np.concatenate([np.full(np.sum(loss), floor), np.where(loss, channel.v - floor, channel.v)])
+    labels = (*compress(channel.labels, loss), *channel.labels)
+    return GaussianMap(x, np.hstack([channel.F[:, loss], f]), v, labels)
+
+
+def protected_signal(model: ChannelModel) -> tuple[np.ndarray, tuple[bool, ...]]:
+    """The corrected scheme's signal: the protected mode u of the couplings
+    (e_0 without sources) and, per source, whether u . c = 0 by
+    construction (:func:`cvgec.patterns.protected_mode`)."""
+    couplings = [src.coupling for src in model.sources]
+    if not couplings:
+        return np.eye(model.n_channels)[0], ()
+    return protected_mode(couplings)
+
+
+def decoded(mirrored: GaussianMap, channel: GaussianMap, spanned, signal_mode: int):
+    """The decoder's rows on the register, M D M, and on the channel's
+    inputs, M F, for the mirror M and the channel D of :func:`encoded_maps`.
+
+    As M M = I, what every channel shares passes as it is: M D M is summed
+    as A + M (D - A) M, A = a I on the carriers and a the smallest
+    amplitude.  Each source k with ``spanned[k]`` reaches the signal mode as
+    an exact 0, not as its rounding fl(u . c); a nearly dependent one keeps
+    u . c, its residual."""
+    m, carriers = mirrored.X, channel.F.any(axis=1)
+    shared = np.diag(np.where(carriers, np.diag(channel.X)[carriers].min(), 1.0))  # A
     f = m @ channel.F
-    protected = [origin == SOURCE and k in exact for origin, k in origins]
-    f[2 * signal_mode : 2 * signal_mode + 2, protected] = 0.0
-    rest = np.where(loss, channel.v - floor, channel.v)
-    v = np.concatenate([np.full(direct.shape[1], floor), rest])
-    labels = (*compress(labels, loss), *labels)
-    return GaussianMap(shared + m @ (channel.X - shared) @ m, np.hstack([direct, f]), v, labels)
+    exact = [o == SOURCE and spanned[k] for o, k in map(label_origin, channel.labels)]
+    f[2 * signal_mode : 2 * signal_mode + 2, exact] = 0.0
+    return shared + m @ (channel.X - shared) @ m, f
 
 
 def encoded_maps(
@@ -149,14 +156,9 @@ def incoherent_map(model: ChannelModel, n_modes: int) -> GaussianMap:
     :func:`channel_map`; the feedforward copies channel 2's onto the signal
     with the gain, so the signal gains xi var c_1^2 from each channel.
     """
-    if model.n_channels != 2:
-        raise ValueError("the incoherent baseline is defined for two channels")
-    if len(model.sources) != 1:
-        raise ValueError("the incoherent baseline assumes a single correlated source")
+    if (refusal := incoherent_refusal(model)) is not None:
+        raise ValueError(refusal)
     c1, c2 = model.sources[0].coupling
-    if c2 == 0:
-        raise ValueError("nothing to measure: the idle channel carries no noise")
-
     n = n_modes + 2
     idle, anc = n_modes, n_modes + 1
     bs = beam_splitter(0.5)
@@ -172,6 +174,17 @@ def incoherent_map(model: ChannelModel, n_modes: int) -> GaussianMap:
         .then(GaussianMap.of(bs, (idle, anc), n))
         .then(GaussianMap(feedforward))
     )
+
+
+def incoherent_refusal(model: ChannelModel) -> str | None:
+    """Why :func:`incoherent_map` is undefined on ``model``, or None."""
+    if model.n_channels != 2:
+        return "the incoherent baseline is defined for two channels"
+    if len(model.sources) != 1:
+        return "the incoherent baseline assumes a single correlated source"
+    if model.sources[0].coupling[1] == 0:
+        return "nothing to measure: the idle channel carries no noise"
+    return None
 
 
 def corrected_channel(cfg: ProtocolConfig, state: GaussianState, signal_mode: int = 0) -> GaussianState:

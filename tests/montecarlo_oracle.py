@@ -21,33 +21,52 @@ from cvgec.montecarlo import STAGES
 from splitting_oracle import pi_flip
 
 
-def stage_relations(model, pair) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def noise_cancelling_pair(model) -> tuple[float, float]:
+    """The splitter pair (c, s) of a two-channel, one-source ``model`` whose
+    signal column (c, -s) is orthogonal to the couplings (c1, c2): the row
+    (c2, -c1) over its norm, signed as the trace's is, c > 0 unless
+    c <= 1e-9, and then s < 0."""
+    (source,) = model.sources
+    c1, c2 = source.coupling
+    norm = np.hypot(c1, c2)
+    c, s = c2 / norm, c1 / norm
+    first = c if abs(c) > 1e-9 else -s
+    return (c, s) if first > 0 else (-c, -s)
+
+
+def stage_relations(model) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Variances of a quadrature's independent inputs, and each stage's
-    coefficients on them, with both splitters at the amplitude pair ``pair``.
+    coefficients on them, with both splitters at the noise-cancelling pair
+    (:func:`noise_cancelling_pair`).
 
     Inputs, the same list for x and for p: 0 the input's vacuum, 1 the
     auxiliary carrier's; 2 + i channel i's loss input, of variance
     (1 - eta_i)(1/2 + n_i); 4 + i its non-interfering noise,
-    xi sum_k var_k c_k[i]^2; and 6 + k source k's shared variable, of
-    variance (1 - xi) var_k.  The input's mean rides input 0.
+    xi sum_k var_k c_k[i]^2; and 6 the source's shared variable, of
+    variance (1 - xi) var.  The input's mean rides input 0.  The decoder is
+    the encoder splitter, its own inverse, on the channel stages; on the
+    corrected port the source's coefficient is the row (c2, -c1) on the
+    couplings (c1, c2) before normalising, an exact 0.
     """
-    xi, sources = model.mismatch, model.sources
+    xi, (source,) = model.mismatch, model.sources
     variances = [0.5, 0.5]
     variances += [(1.0 - model.eta[i]) * (0.5 + model.thermal[i]) for i in (0, 1)]
-    variances += [xi * sum(src.variance * src.coupling[i] ** 2 for src in sources) for i in (0, 1)]
-    variances += [(1.0 - xi) * src.variance for src in sources]
-    splitter = pi_flip(*pair)
+    variances += [xi * source.variance * source.coupling[i] ** 2 for i in (0, 1)]
+    variances += [(1.0 - xi) * source.variance]
+    splitter = pi_flip(*noise_cancelling_pair(model))
     weights = {"input": np.eye(len(variances))[0]}
     for i, stage in enumerate(("channel_1", "channel_2")):
         # encoder row i, attenuated, plus the channel's own inputs
         w = np.zeros(len(variances))
         w[:2] = np.sqrt(model.eta[i]) * splitter[i]
         w[2 + i] = w[4 + i] = 1.0
-        w[6:] = [src.coupling[i] for src in sources]
+        w[6] = source.coupling[i]
         weights[stage] = w
     # decoder: the same splitter, its own inverse
     for row, stage in zip(splitter, ("corrected", "discarded")):
         weights[stage] = row[0] * weights["channel_1"] + row[1] * weights["channel_2"]
+    c1, c2 = source.coupling
+    weights["corrected"][6] = (c2 * c1 - c1 * c2) / np.hypot(c1, c2)
     return np.array(variances), weights
 
 
@@ -63,7 +82,7 @@ def stream_order(model) -> list[str]:
     return [f"{name}.{q}" for name in input_names(model) for q in "xp"]
 
 
-def sample_by_hand(model, pair, n, seed, amplitude=(2.0, 0.0), modulation_period=0):
+def sample_by_hand(model, n, seed, amplitude=(2.0, 0.0), modulation_period=0):
     """{(stage, quadrature): samples} of the two-channel protocol, in CSV
     order: the coefficients of :func:`stage_relations` on ``sample_run``'s
     streams.  Stream j is seeded with SeedSequence((seed, j)), and it is the
@@ -78,7 +97,7 @@ def sample_by_hand(model, pair, n, seed, amplitude=(2.0, 0.0), modulation_period
     phase = np.ones(n)
     if modulation_period > 0:
         phase = np.sin(2.0 * np.pi * np.arange(n) / modulation_period)
-    variances, weights = stage_relations(model, pair)
+    variances, weights = stage_relations(model)
     out = {}
     for q, quad in enumerate("XP"):
         streams = [order.index(f"{name}.{quad.lower()}") for name in input_names(model)]
@@ -112,7 +131,7 @@ def empirical_covariance(records) -> tuple[np.ndarray, np.ndarray]:
 
 
 def analytic_stage_moments(
-    model, pair: tuple[float, float], amplitude: tuple[float, float] = (2.0, 0.0)
+    model, amplitude: tuple[float, float] = (2.0, 0.0)
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per-stage (mean, covariance) of the coefficients of
     :func:`stage_relations`: a stage's mean is its input coefficient times
@@ -124,7 +143,7 @@ def analytic_stage_moments(
     discarded entries are the two decoder ports, and "corrected+discarded"
     their joint moments, in the order (corrected x, p, discarded x, p).
     """
-    variances, weights = stage_relations(model, pair)
+    variances, weights = stage_relations(model)
 
     def moments(*stages):
         w = np.array([weights[stage] for stage in stages])

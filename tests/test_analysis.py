@@ -26,15 +26,15 @@ from cvgec.analysis import (
     write_sweep_csv,
 )
 from cvgec.channel import SOURCE, ChannelModel, NoiseSource, channel_map, standard_two_channel
-from cvgec.montecarlo import sample_run
+from cvgec.montecarlo import sample_run, trace_map
 from cvgec.fidelity import coherent_fidelity
 from cvgec.protocol import (
     ProtocolConfig,
-    null_space_encoder,
     corrected_channel,
     corrected_map,
     incoherent_map,
     optimal_splitting_for,
+    protected_mode,
     uncorrected_channel,
 )
 from cvgec.states import GaussianState, as_snu, displace, vacuum_state
@@ -113,8 +113,7 @@ class TestCoherentSweep:
         res = coherent_sweep(unit_model(1.0, 1.0, xi), (2.0, 0.0), np.array([eps]))
         predicted = res.series["var_x_corr_snu"][0]
         model = standard_two_channel(eps, 1.0, 1.0, xi)
-        pair = optimal_splitting_for(model)
-        records = sample_run(model, pair, n, seed=11)
+        records = sample_run(trace_map(model)[1], n, seed=11)
         samples = next(
             r.samples for r in records if r.stage == "corrected" and r.quadrature == "X"
         )
@@ -647,7 +646,7 @@ class TestExactCancellation:
     def test_a_given_signal_keeps_its_rounding(self):
         # only the model's own protected vector has u . c = 0 by construction
         model = unit_model(10.0, 1.0, 0.0)
-        u = null_space_encoder([model.sources[0].coupling])
+        u, _ = protected_mode([model.sources[0].coupling])
         for signal, leak in ((None, 0.0), (u, float(u @ model.sources[0].coupling))):
             m = corrected_map(model, 1, signal=signal)
             source = [label_origin(label)[0] == SOURCE for label in m.labels]

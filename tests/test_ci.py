@@ -3,6 +3,7 @@ the oldest Python the package admits, and turns warnings into errors in
 the tier-1 and README steps; the package reports the version its
 metadata declares."""
 
+import json
 import re
 from pathlib import Path
 
@@ -49,6 +50,14 @@ def test_readme_step_turns_warnings_into_errors():
     step = workflow_step("README command-line examples")
     env = re.search(r"^        env:\n((?:          .*\n)+)", step, re.MULTILINE).group(1)
     assert "PYTHONWARNINGS: error" in [line.strip() for line in env.splitlines()]
+
+
+def test_benchmark_smoke_step_runs_every_declared_workload():
+    # a workload added to BENCHMARK.json must not silently skip CI
+    step = workflow_step("Benchmark smoke runs")
+    (loop,) = re.findall(r"^\s*for workload in (.*); do$", step, re.MULTILINE)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    assert loop.split() == [workload["name"] for workload in declared]
 
 
 def test_package_version_is_the_declared_version():

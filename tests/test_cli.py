@@ -265,9 +265,6 @@ class TestChannelConfigInSweeps:
                     ("n_channels 2\nsource a 5 1 1\nsource b 5 1 -1\n", 3),
                 )
             ),
-            # the incoherent baseline needs two channels and a noisy channel 2
-            ("sweep-coherent", THREE_CHANNELS, 2),
-            ("sweep-coherent", QUIET_CHANNEL_2, 2),
         ],
     )
     def test_config_without_a_noise_axis_refused(self, tmp_path, capsys, command, text, code):
@@ -306,6 +303,41 @@ class TestChannelConfigInSweeps:
             assert cols["var_p_corr_snu"][k] == pytest.approx(as_snu(pair.cov[3, 3]), rel=1e-12)
             assert cols["insep_corr"][k] == pytest.approx(duan_simon(pair, (0, 1)), rel=1e-12)
         assert cols["insep_uncorr"][-1] > 2.0
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("n_channels 3\nsource a 1 1 1 1\n", "defined for two channels"),
+            (QUIET_CHANNEL_2, "nothing to measure: the idle channel carries no noise"),
+            (
+                "n_channels 2\nsource a 1 1 1\nsource b 1 1 1.0000000001\n",
+                "assumes a single correlated source",
+            ),
+        ],
+        ids=["three", "quiet", "near"],
+    )
+    def test_coherent_sweep_without_the_incoherent_baseline(self, tmp_path, text, reason):
+        # fid_incoh is NaN and the manifest says why; the other strategies
+        # run, and their variances are sweep-entangle's at r = 0 (a vacuum
+        # half, like the coherent probe's covariance), byte for byte
+        cfg = tmp_path / "channel.cfg"
+        cfg.write_text(text)
+        coherent, entangle = tmp_path / "c.csv", tmp_path / "e.csv"
+        argv = ["--channel-config", str(cfg), "--eps-max", "1e20", "--eps-steps", "3"]
+        assert main(["sweep-coherent", *argv, "--out", str(coherent)]) == 0
+        assert main(["sweep-entangle", *argv, "--r", "0", "--out", str(entangle)]) == 0
+        header, cols = read_csv(coherent)
+        assert np.isnan(cols["fid_incoh"]).all() and not np.isnan(cols["fid_corr"]).any()
+        assert header[1:5] == [f"var_{q}_{tag}_snu" for tag in ("corr", "uncorr") for q in "xp"]
+        coherent_rows, entangle_rows = (
+            [row.split(",")[1:5] for row in path.read_text().splitlines()]
+            for path in (coherent, entangle)
+        )
+        assert coherent_rows == entangle_rows
+        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+        assert reason in manifest["extras"]["metadata"]["fid_incoh_nan"]
+        # a bad grid is still a usage error
+        assert main(["sweep-coherent", *argv, "--eps-steps", "0", "--out", str(coherent)]) == 2
 
     def test_anti_correlated_couplings_give_pure_loss(self, tmp_path, capsys):
         from cvgec.states import displace, vacuum_state
@@ -601,7 +633,9 @@ class TestTrace:
         out = tmp_path / "t.csv"
         argv = ["trace", "--eps", "25", "--n", "2000", "--seed", "12", "--out", str(out)]
         assert main(argv) == 0
-        assert sha256(out) == "d29309d2d712ac973488270e12bbf9628cb08afccbd14cf708debba71753cc76"
+        # re-recorded when the trace took corrected_map's protected mode and
+        # decoder rows; the input records kept their bytes
+        assert sha256(out) == "999e57fbd966a29e7996cc1f8b717c71b12b21a18506f4d6d178e95955d5c8ff"
 
     def test_pinned_bytes_over_several_blocks(self, tmp_path):
         # 40000 shots: three row blocks, indices of 1 to 5 digits, own-noise
@@ -609,7 +643,7 @@ class TestTrace:
         out = tmp_path / "t.csv"
         argv = ["trace", "--n", "40000", "--xi", "0.02", "--modulation-period", "7"]
         assert main(argv + ["--seed", "5", "--out", str(out)]) == 0
-        assert sha256(out) == "01bf2f6085cc0bb53e19e7e1d1e30dccd959d944319a54bbd6a58c7d0881e3e8"
+        assert sha256(out) == "8311ef87cd00c644afeb4e6a647cbc33828e9ef959b7937a300e74407978ad4b"
 
     def test_pinned_bytes_of_a_config_drawing_every_stream_kind(self, tmp_path):
         # unequal eta, thermal noise, anti-correlated couplings (s < 0) and
@@ -622,9 +656,9 @@ class TestTrace:
         assert main(argv + ["--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
         assert manifest["extras"]["splitting"][1] < 0
-        # re-recorded when the loss streams took the variance (1 - x^2)(1/2 + n)
-        # of the applied amplitude x; the input records kept their bytes
-        assert sha256(out) == "b29dfedb9e3bb6d30efde2ebdb8d79d43a4dfcb1e2b83b836d45ed17d289c75f"
+        # re-recorded when the trace took corrected_map's protected mode and
+        # decoder rows; the input records kept their bytes
+        assert sha256(out) == "ff28d115b5c2e1c4c83ca9ea593b9bf161331f5e10369ea4da35d1c75b40c9d5"
 
     @pytest.mark.parametrize("config", [None, "n_channels 2\nsource corr 4 1.3 -0.7\n"])
     def test_manifest_lists_the_streams_in_draw_order(self, tmp_path, config):
@@ -675,7 +709,61 @@ class TestTrace:
         manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
         g1 = float(g_ratio)
         pair = [1.0 / np.sqrt(1.0 + g1), np.sqrt(g1 / (1.0 + g1))]
+        if pair[0] <= 1e-9:  # the stated sign: c > 0 unless c <= 1e-9, then s < 0
+            pair = [-pair[0], -pair[1]]
         assert manifest["extras"]["splitting"] == pytest.approx(pair, rel=1e-15)
+
+    @pytest.mark.parametrize("eps", ["0", "25", "1e100", "1e300"])
+    def test_corrected_rows_are_the_input_rows_without_loss(self, tmp_path, eps):
+        # with no mismatch and no loss the protected mode is the identity
+        # channel bit for bit, the source an exact 0 on it.  The decoder once
+        # took the mirror's rows on the channel samples and kept their
+        # rounding, about 2^-53 sqrt(eps): at 1e100 it wrote 0, 5.19e33, 0
+        out = tmp_path / "t.csv"
+        argv = ["trace", "--g-ratio", "10", "--eps", eps, "--n", "1000", "--seed", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        cells = {stage: [r.split(",", 1)[1] for r in rows if r.startswith(stage + ",")]
+                 for stage in ("input", "corrected")}
+        assert len(cells["input"]) == 2000 and cells["corrected"] == cells["input"]
+
+    @pytest.mark.parametrize(
+        "text, code, err",
+        [
+            # two sources along one pattern leave one protected mode
+            ("n_channels 2\nsource a 3 1 2\nsource b 5 -2 -4\n", 0, ""),
+            ("n_channels 2\nsource a 5 1 1\nsource b 5 1 -1\n", 3,
+             "error: noise patterns span all channels; no protected mode exists\n"),
+            ("n_channels 3\nsource a 1 1 1 1\n", 2,
+             "error: trace samples two channels; the config has 3\n"),
+        ],
+        ids=["parallel", "spanning", "three"],
+    )
+    def test_config_runs_where_it_leaves_a_protected_mode(self, tmp_path, capsys, text, code, err):
+        (tmp_path / "c.cfg").write_text(text)
+        out = tmp_path / "t.csv"
+        argv = ["trace", "--channel-config", str(tmp_path / "c.cfg"), "--n", "5000", "--seed", "2"]
+        assert main(argv + ["--out", str(out)]) == code
+        assert capsys.readouterr().err == err
+        if code:
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+            return
+        se = 0.5 * np.sqrt(2.0 / (5000 - 1))
+        assert abs(np.var(trace_stage(out, "corrected", "X"), ddof=1) - 0.5) < 5 * se
+        manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+        assert len(manifest["extras"]["streams"]) == 16
+
+    def test_one_map_build_per_run(self, tmp_path, monkeypatch):
+        # the records, the stream labels and the pair come from one build
+        import cvgec.protocol
+
+        builds = []
+        channel_map = cvgec.protocol.channel_map
+        monkeypatch.setattr(
+            cvgec.protocol, "channel_map", lambda *a: builds.append(a) or channel_map(*a)
+        )
+        assert main(["trace", "--n", "10", "--out", str(tmp_path / "t.csv")]) == 0
+        assert len(builds) == 1
 
     def test_zero_shots_is_usage_error(self, tmp_path, capsys):
         assert main(["trace", "--n", "0", "--out", str(tmp_path / "x.csv")]) == 2

@@ -29,7 +29,6 @@ SURFACE = {
     "excess_noise_snu": "channel",
     "n_channel_protocol": "protocol",
     "network": None,
-    "null_space_encoder": "protocol",
     "protocol": None,
     "standard_two_channel": "channel",
     "states": None,

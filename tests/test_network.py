@@ -15,7 +15,7 @@ from cvgec.network import (
     target_checksum,
 )
 
-from cvgec.patterns import NoisePatternSet, mirror, null_space_encoder
+from cvgec.patterns import NoisePatternSet, mirror, protected_mode
 
 from network_oracle import plan_symplectic, read_plan
 from splitting_oracle import pi_flip
@@ -140,7 +140,7 @@ class TestMeshShape:
         assert_mesh_shape(np.array([[c, s], [-s, c]]), 1)
 
     def test_anti_correlated_pattern_is_one_splitter(self):
-        signal = null_space_encoder(NoisePatternSet(((0.78, -1.0),)))
+        signal, _ = protected_mode(NoisePatternSet(((0.78, -1.0),)))
         plan = assert_mesh_shape(mirror(signal), 1)
         kinds = [type(e) for e in plan.elements]
         assert kinds.count(BeamSplitterElement) == 1

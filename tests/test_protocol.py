@@ -17,11 +17,10 @@ from cvgec.protocol import (
     corrected_map,
     incoherent_map,
     n_channel_protocol,
-    null_space_encoder,
     optimal_splitting_for,
+    protected_mode,
     uncorrected_channel,
 )
-from cvgec.patterns import protected_mode
 from cvgec.states import GaussianState, as_snu, displace, vacuum_state
 from cvgec.transforms import GaussianMap, beam_splitter, two_mode_squeezed
 
@@ -421,10 +420,10 @@ class TestIncoherentStrategy:
             incoherent(model, vacuum_state(1))
 
 
-class TestNullSpaceEncoder:
+class TestProtectedMode:
     def test_two_channel_pattern(self):
         g1, g2 = 0.61, 1.0
-        s = null_space_encoder(NoisePatternSet((np.sqrt([g1, g2]),)))
+        s = protected_mode(NoisePatternSet((np.sqrt([g1, g2]),)))[0]
         expected = np.array([np.sqrt(g2 / (g1 + g2)), -np.sqrt(g1 / (g1 + g2))])
         assert np.allclose(s, expected, atol=1e-12)
 
@@ -437,7 +436,7 @@ class TestNullSpaceEncoder:
                 np.array([0.0, 1.0, 0.0, 1.0]),
             )
         )
-        s = null_space_encoder(patterns)
+        s = protected_mode(patterns)[0]
         assert np.allclose(s, [0.5, -0.5, -0.5, 0.5], atol=1e-12)
         for p in patterns.patterns:
             assert abs(p @ s) < 1e-12
@@ -445,7 +444,7 @@ class TestNullSpaceEncoder:
 
     def test_full_rank_rejected(self):
         with pytest.raises(NoProtectedSubspaceError):
-            null_space_encoder(NoisePatternSet(tuple(np.eye(3))))
+            protected_mode(NoisePatternSet(tuple(np.eye(3))))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -462,7 +461,7 @@ class TestNullSpaceEncoder:
     def test_protected_at_any_pattern_scale(self, pattern, expected):
         # a pattern's norm under- or overflows past about 1e-154 and 1e154;
         # the encoder must still avoid it rather than fall back to e_0
-        s = null_space_encoder([pattern])
+        s = protected_mode([pattern])[0]
         assert np.allclose(s, expected, rtol=0.0, atol=1e-15)
         assert abs(s @ (np.array(pattern) / np.abs(pattern).max())) <= 1e-15
 
@@ -472,7 +471,7 @@ class TestNullSpaceEncoder:
             n = rng.integers(2, 8)
             k = rng.integers(1, n)
             patterns = NoisePatternSet(tuple(rng.normal(size=(k, n))))
-            s = null_space_encoder(patterns)
+            s = protected_mode(patterns)[0]
             assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
             for p in patterns.patterns:
                 assert abs(p @ s) < 1e-12
@@ -485,19 +484,18 @@ class TestNullSpaceEncoder:
         patterns = ([1.0, 1.0, 0.0], near, np.zeros(3), [0.0, 0.0, 1.0])
         u, spanned = protected_mode(patterns)
         assert spanned == (True, False, True, True)
-        assert np.array_equal(u, null_space_encoder(patterns))
         assert u @ near == pytest.approx(-1e-10 / np.sqrt(2), rel=1e-6)
 
     def test_degenerate_subspace_deterministic(self):
         patterns = NoisePatternSet((np.array([1.0, 0.0, 0.0]),))
-        s = null_space_encoder(patterns)
+        s = protected_mode(patterns)[0]
         assert np.allclose(s, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_uncoupled_patterns_leave_the_first_mode(self):
         # No source reaches any channel: every mode is protected, and the
         # tie rule picks e_0.
         patterns = NoisePatternSet((np.zeros(3), np.zeros(3)))
-        assert np.array_equal(null_space_encoder(patterns), [1.0, 0.0, 0.0])
+        assert np.array_equal(protected_mode(patterns)[0], [1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, bad):
@@ -554,7 +552,7 @@ class TestNChannelProtocol:
             patterns = NoisePatternSet(tuple(rng.normal(size=(k, n))))
             variances = rng.uniform(0.5, 10.0, k)
             xi, eta = 0.03, 0.8
-            signal = null_space_encoder(patterns)
+            signal = protected_mode(patterns)[0]
             state = displace(vacuum_state(1), 0, 0.7, 1.1)
             sources = tuple(NoiseSource(p, v) for p, v in zip(patterns.patterns, variances))
             m = corrected_map(ChannelModel(n, eta, 0.0, sources, xi), 1)
